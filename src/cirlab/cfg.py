@@ -7,6 +7,7 @@ alongside it.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .ir import Block, CondBr, Function, Instr
@@ -21,7 +22,22 @@ def predecessors(f: Function) -> dict[str, list[str]]:
     return preds
 
 
+def def_index(f: Function) -> dict[str, Instr]:
+    """Value name -> the instruction defining it."""
+    out: dict[str, Instr] = {}
+    for b in f.blocks:
+        for i in b.instrs:
+            if i.dest is not None:
+                out[i.dest] = i
+    return out
+
+
 def reachable_rpo(f: Function) -> list[str]:
+    """Blocks reachable from the entry, in reverse postorder.
+
+    Branch targets missing from the function are skipped, so unresolved
+    programs can be walked too.
+    """
     bmap = f.block_map()
     seen: set[str] = set()
     order: list[str] = []
@@ -31,7 +47,7 @@ def reachable_rpo(f: Function) -> list[str]:
         if expanded:
             order.append(name)
             continue
-        if name in seen:
+        if name in seen or name not in bmap:
             continue
         seen.add(name)
         stack.append((name, True))
@@ -95,7 +111,6 @@ class Loop:
 
 def natural_loops(f: Function) -> list[Loop]:
     idom, _ = dominators(f)
-    bmap = f.block_map()
     preds = predecessors(f)
     by_header: dict[str, set[str]] = {}
     latches: dict[str, set[str]] = {}
@@ -138,6 +153,16 @@ class WhileLoop:
     exit_args: tuple[str, ...]
     latch: str
     entry_preds: tuple[str, ...]  # out-of-loop predecessors of the header
+    loop_defs: frozenset[str]  # values defined inside the loop
+    two_block: bool  # the body is one block, entered only from the header, that is the latch
+
+
+def while_loops(f: Function) -> Iterator[WhileLoop]:
+    """The natural loops of `f` that have the canonical while shape."""
+    for loop in natural_loops(f):
+        wl = match_while_loop(f, loop)
+        if wl is not None:
+            yield wl
 
 
 def match_while_loop(f: Function, loop: Loop) -> WhileLoop | None:
@@ -155,9 +180,14 @@ def match_while_loop(f: Function, loop: Loop) -> WhileLoop | None:
         return None
     preds = predecessors(f)
     entry_preds = tuple(sorted(p for p in preds[loop.header] if p not in loop.blocks))
+    loop_defs = frozenset().union(*(bmap[n].defined_names() for n in loop.blocks))
+    two_block = (
+        loop.blocks == {loop.header, body_target} and loop.latches[0] == body_target
+        and preds[body_target] == [loop.header]
+    )
     return WhileLoop(
         loop, header, t.cond, body_target, body_args, exit_target, exit_args,
-        loop.latches[0], entry_preds,
+        loop.latches[0], entry_preds, loop_defs, two_block,
     )
 
 
@@ -167,8 +197,6 @@ def iv_aliases(f: Function, loop_blocks: frozenset[str], header: str, iv_param: 
     Edges into the header cross the iteration boundary, so header params are
     never derived; everything else in the loop runs once per iteration.
     """
-    from .ir import Br
-
     aliases = {iv_param}
     bmap = f.block_map()
     changed = True
@@ -176,13 +204,7 @@ def iv_aliases(f: Function, loop_blocks: frozenset[str], header: str, iv_param: 
         changed = False
         incoming: dict[tuple[str, int], set[str]] = {}
         for b in f.blocks:
-            edges = []
-            if isinstance(b.term, Br):
-                edges.append((b.term.target, b.term.args))
-            elif isinstance(b.term, CondBr):
-                edges.append((b.term.then_target, b.term.then_args))
-                edges.append((b.term.else_target, b.term.else_args))
-            for target, args in edges:
+            for target, args in b.term.edges():
                 if target in loop_blocks and target != header:
                     for pos, a in enumerate(args):
                         incoming.setdefault((target, pos), set()).add(a)
@@ -213,7 +235,7 @@ def find_induction_var(f: Function, wl: WhileLoop) -> InductionVar | None:
     iv, limit = cond_def.args
     if iv not in header.params:
         return None
-    if _defined_in(f, limit, wl.loop.blocks):
+    if limit in wl.loop_defs:
         return None
     # the latch must feed the parameter back as <current value> + 1
     bmap = f.block_map()
@@ -223,7 +245,7 @@ def find_induction_var(f: Function, wl: WhileLoop) -> InductionVar | None:
     aliases = iv_aliases(f, wl.loop.blocks, wl.header.name, iv)
     pos = header.params.index(iv)
     back = latch.term.args[pos]  # type: ignore[union-attr]
-    defs = _def_index(f)
+    defs = def_index(f)
     inc = defs.get(back)
     if inc is None or inc.op != "binop" or inc.kind != "add":
         return None
@@ -233,35 +255,9 @@ def find_induction_var(f: Function, wl: WhileLoop) -> InductionVar | None:
         return None
     init_args = {}
     for p in wl.entry_preds:
-        term = bmap[p].term
-        if isinstance(term, CondBr):
-            args = term.then_args if term.then_target == header.name else term.else_args
-        elif hasattr(term, "args"):
-            args = term.args
-        else:
-            return None
+        args = next(a for t, a in bmap[p].term.edges() if t == header.name)
         init_args[p] = args[pos]
     return InductionVar(iv, limit, cond_def.kind, init_args, frozenset(aliases))
-
-
-def _def_index(f: Function) -> dict[str, Instr]:
-    out: dict[str, Instr] = {}
-    for b in f.blocks:
-        for i in b.instrs:
-            if i.dest is not None:
-                out[i.dest] = i
-    return out
-
-
-def _defined_in(f: Function, name: str, blocks: frozenset[str]) -> bool:
-    for b in f.blocks:
-        if b.name not in blocks:
-            continue
-        if name in b.params:
-            return True
-        if any(i.dest == name for i in b.instrs):
-            return True
-    return False
 
 
 def monitor_balance(f: Function) -> list[str]:

@@ -22,7 +22,6 @@ from .parser import ParseError, UnresolvedNameError, parse
 from .passes import PASS_NAMES, PassOptions, UnknownPassError, pipeline
 from .pca import (
     PcaError,
-    fit_metrics,
     normalize,
     pca_fit,
     read_metrics_csv,
@@ -257,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cirlab",
         description="concurrency-aware optimization laboratory for a miniature IR",
     )
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized workflows (current commands are deterministic)")
     ap.add_argument("--json", action="store_true", help="prefer JSON output")
     ap.add_argument("--csv", action="store_true", help="prefer CSV output")
     sub = ap.add_subparsers(dest="command", required=True)

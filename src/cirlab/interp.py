@@ -180,10 +180,13 @@ class ThreadState:
 class Machine:
     """Mutable execution state for one run; confine each instance to one driver."""
 
-    def __init__(self, program: Program, record_ops: bool = False):
+    def __init__(self, program: Program):
         self.program = program
         self.fns = program.fn_map()
         self.classes = program.class_map()
+        self._field_order = {
+            c.name: tuple(program.declared_fields(c.name)) for c in program.classes
+        }
         self.heap: list[HObj | HArr] = []
         self.monitors: dict[int, Monitor] = {}
         self.singletons: dict[str, Ref] = {}
@@ -201,14 +204,12 @@ class Machine:
         self.steps = 0
         self.status: str | None = None  # set once terminal
         self.reason: str | None = None
-        self.op_log: list[str] | None = [] if record_ops else None
-        self._field_order = {c.name: tuple(program.declared_fields(c.name)) for c in program.classes}
         self._blocks = {f.name: f.block_map() for f in program.functions}
 
     # -- heap -------------------------------------------------------------
 
     def _alloc_obj(self, cls: str, count: bool = True) -> Ref:
-        fields = {f: 0 for f in self.program.declared_fields(cls)}
+        fields = {f: 0 for f in self._field_order[cls]}
         self.heap.append(HObj(cls, fields))
         if count:
             self.metrics.object += 1
@@ -307,8 +308,6 @@ class Machine:
         if isinstance(instr, Instr):
             self.metrics.refcycles += cost_model(instr)
             self.op_counts[instr.op] += 1
-            if self.op_log is not None:
-                self.op_log.append(instr.op)
             self._exec(t, instr)
         else:
             self.metrics.refcycles += 1
@@ -584,7 +583,6 @@ class Machine:
         m.steps = self.steps
         m.status = self.status
         m.reason = self.reason
-        m.op_log = list(self.op_log) if self.op_log is not None else None
         m._field_order = self._field_order
         m._blocks = self._blocks
         return m
@@ -703,18 +701,16 @@ class RunResult:
     metrics: MetricVector
     op_counts: Counter
     steps: int
-    op_log: list[str] | None = None
 
 
 def run(
     program: Program,
     schedule: RoundRobin | Explicit | str = "rr:1",
     budget: int = 1_000_000,
-    record_ops: bool = False,
 ) -> RunResult:
     """Execute `program` deterministically under one schedule policy."""
     policy = parse_schedule(schedule) if isinstance(schedule, str) else schedule
-    m = Machine(program, record_ops=record_ops)
+    m = Machine(program)
     while m.status is None:
         enabled = m.enabled_threads()
         if not enabled:
@@ -726,4 +722,4 @@ def run(
         m.step(policy.pick(enabled))
     status = m.status or "terminated"
     trace = ResultTrace(tuple(m.events), status, m.reason)
-    return RunResult(trace, m.metrics, m.op_counts, m.steps, m.op_log)
+    return RunResult(trace, m.metrics, m.op_counts, m.steps)

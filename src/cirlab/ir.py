@@ -23,7 +23,7 @@ INT_MAX = 2**63 - 1
 BINOPS = ("add", "sub", "mul", "div", "mod", "lt", "le", "eq")
 VBINOPS = ("add", "sub", "mul")
 
-#: opcode -> (has dest, may omit dest)
+#: opcode -> whether it writes a dest: True required, False never, None optional
 OPCODES = {
     "const": True,
     "classref": True,
@@ -96,6 +96,10 @@ class Br:
     def targets(self) -> tuple[str, ...]:
         return (self.target,)
 
+    def edges(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """(target, block arguments) for each outgoing edge."""
+        return ((self.target, self.args),)
+
     def rename(self, mapping: dict[str, str]) -> "Br":
         return Br(self.target, tuple(mapping.get(a, a) for a in self.args))
 
@@ -113,6 +117,9 @@ class CondBr:
 
     def targets(self) -> tuple[str, ...]:
         return (self.then_target, self.else_target)
+
+    def edges(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        return ((self.then_target, self.then_args), (self.else_target, self.else_args))
 
     def rename(self, mapping: dict[str, str]) -> "CondBr":
         return CondBr(
@@ -134,6 +141,9 @@ class Ret:
     def targets(self) -> tuple[str, ...]:
         return ()
 
+    def edges(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        return ()
+
     def rename(self, mapping: dict[str, str]) -> "Ret":
         if self.value is None:
             return self
@@ -149,6 +159,12 @@ class Block:
     params: tuple[str, ...]
     instrs: tuple[Instr, ...]
     term: Terminator
+
+    def defined_names(self) -> set[str]:
+        """Block parameters plus instruction results."""
+        names = set(self.params)
+        names.update(i.dest for i in self.instrs if i.dest is not None)
+        return names
 
 
 @dataclass(frozen=True)
@@ -169,10 +185,7 @@ class Function:
     def defined_names(self) -> set[str]:
         names = set(self.params)
         for b in self.blocks:
-            names.update(b.params)
-            for i in b.instrs:
-                if i.dest is not None:
-                    names.add(i.dest)
+            names |= b.defined_names()
         return names
 
     def instr_count(self) -> int:
@@ -242,6 +255,11 @@ class NameGen:
 
     def __init__(self, taken: set[str]):
         self.taken = set(taken)
+
+    @classmethod
+    def for_function(cls, f: Function) -> "NameGen":
+        """Fresh names that clash with no value or block label of `f`."""
+        return cls(f.defined_names() | {b.name for b in f.blocks})
 
     def fresh(self, base: str) -> str:
         if base not in self.taken:

@@ -9,8 +9,7 @@ from dataclasses import dataclass, field
 class PassReport:
     """What a pass did: total rewrites, per-function notes, and skip reasons.
 
-    rewrites == 0 guarantees the output program is structurally identical to
-    the input.
+    `run_pass` returns the input program itself when rewrites == 0.
     """
 
     name: str
@@ -57,15 +56,9 @@ def _registry():
     from .vectorize import loop_vectorize
     from .dup import dup_simulate
 
-    return {
-        "pea_atomic": lambda p, o: pea_atomic(p),
-        "lock_coarsen": lambda p, o: lock_coarsen(p, o.chunk),
-        "atomic_coalesce": lambda p, o: atomic_coalesce(p),
-        "handle_simplify": lambda p, o: handle_simplify(p, o.inline_budget),
-        "guard_motion": lambda p, o: guard_motion(p),
-        "loop_vectorize": lambda p, o: loop_vectorize(p, o.width),
-        "dup_simulate": lambda p, o: dup_simulate(p),
-    }
+    passes = (pea_atomic, lock_coarsen, atomic_coalesce, handle_simplify,
+              guard_motion, loop_vectorize, dup_simulate)
+    return {p.__name__: p for p in passes}
 
 
 PASS_NAMES = (
@@ -75,13 +68,25 @@ PASS_NAMES = (
 
 
 def run_pass(program, name: str, options: PassOptions = PassOptions()):
-    reg = _registry()
-    if name not in reg:
+    """Apply one pass; returns (program, report).
+
+    Each pass is a function (program, options, report) -> program that
+    counts its rewrites in the report. When it counts none, the input
+    program itself is returned.
+    """
+    rewrite = _registry().get(name)
+    if rewrite is None:
         raise UnknownPassError(f"unknown pass {name!r}; available: {', '.join(PASS_NAMES)}")
-    new_p, report = reg[name](program, options)
+    report = PassReport(name, before_instrs=_instr_count(program))
+    new_p = rewrite(program, options, report)
     if report.rewrites == 0:
-        assert new_p == program, f"{name}: zero rewrites but program changed"
+        new_p = program
+    report.after_instrs = _instr_count(new_p)
     return new_p, report
+
+
+def _instr_count(program) -> int:
+    return sum(f.instr_count() for f in program.functions)
 
 
 def pipeline(program, names, options: PassOptions = PassOptions()):

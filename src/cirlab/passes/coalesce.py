@@ -20,9 +20,8 @@ from dataclasses import dataclass, replace
 
 from ..cfg import predecessors
 from ..ir import Block, CondBr, Function, Instr, Program
-from . import PassReport
+from . import PassOptions, PassReport
 from .purity import pure_functions
-from .util import program_instr_count
 
 _PURE_SEGMENT = frozenset({"const", "binop", "instanceof"})
 
@@ -127,8 +126,7 @@ def _fuse_in_fn(f: Function, pure_fns: frozenset[str], report: PassReport) -> Fu
     return None
 
 
-def atomic_coalesce(p: Program) -> tuple[Program, PassReport]:
-    report = PassReport("atomic_coalesce", before_instrs=program_instr_count(p))
+def atomic_coalesce(p: Program, options: PassOptions, report: PassReport) -> Program:
     pure_fns = pure_functions(p)
     fns = list(p.functions)
     changed = True
@@ -139,8 +137,4 @@ def atomic_coalesce(p: Program) -> tuple[Program, PassReport]:
             if nf is not None:
                 fns[n] = nf
                 changed = True
-    new_p = replace(p, functions=tuple(fns))
-    if report.rewrites == 0:
-        new_p = p
-    report.after_instrs = program_instr_count(new_p)
-    return new_p, report
+    return replace(p, functions=tuple(fns))

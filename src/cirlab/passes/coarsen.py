@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .. import ir
-from ..cfg import match_while_loop, natural_loops, predecessors
+from ..cfg import while_loops
 from ..ir import Block, Br, CondBr, Function, NameGen, Program
-from . import PassReport
+from . import PassOptions, PassReport
 from .purity import blocking_free_functions
-from .util import program_instr_count
+from .util import copy_instrs
 
 
 def _region_blockers(instrs, blocking_free: frozenset[str]) -> str | None:
@@ -44,18 +44,13 @@ def _region_blockers(instrs, blocking_free: frozenset[str]) -> str | None:
     return None
 
 
-def _coarsen_fn(p: Program, f: Function, chunk: int, report: PassReport,
+def _coarsen_fn(f: Function, chunk: int, report: PassReport,
                 blocking_free: frozenset[str]) -> Function | None:
-    for loop in natural_loops(f):
-        wl = match_while_loop(f, loop)
-        where = f"{f.name}/{loop.header}"
-        if wl is None:
-            continue
-        if loop.blocks != frozenset({wl.header.name, wl.body_target}) or wl.latch != wl.body_target:
+    for wl in while_loops(f):
+        where = f"{f.name}/{wl.header.name}"
+        if not wl.two_block:
             continue
         body = f.block_map()[wl.body_target]
-        if predecessors(f)[body.name] != [wl.header.name]:
-            continue
         if not body.instrs or body.instrs[0].op != "monitorenter":
             continue
         monitor = body.instrs[0].args[0]
@@ -72,16 +67,11 @@ def _coarsen_fn(p: Program, f: Function, chunk: int, report: PassReport,
         if reason is not None:
             report.skip(where, reason)
             continue
-        defined_in_loop = set()
-        for b2 in f.blocks:
-            if b2.name in loop.blocks:
-                defined_in_loop.update(b2.params)
-                defined_in_loop.update(i.dest for i in b2.instrs if i.dest is not None)
-        if monitor in defined_in_loop:
+        if monitor in wl.loop_defs:
             report.skip(where, "monitor object is not loop-invariant")
             continue
 
-        gen = NameGen(f.defined_names() | {b.name for b in f.blocks})
+        gen = NameGen.for_function(f)
         header = wl.header
         acq = gen.fresh(f"{body.name}_acquire")
         inner = gen.fresh(f"{body.name}_locked")
@@ -122,16 +112,10 @@ def _coarsen_fn(p: Program, f: Function, chunk: int, report: PassReport,
             CondBr(kdone, rel, back_args, icond, back_args + (kdec,)),
         )
         ic_rename = dict(zip(header.params, ic_params))
-        ic_instrs = []
-        for i in header.instrs:
-            renamed = i.rename(ic_rename)
-            if i.dest is not None:
-                ic_rename[i.dest] = gen.fresh(f"{i.dest}_c")
-                renamed = replace(renamed, dest=ic_rename[i.dest])
-            ic_instrs.append(renamed)
+        ic_instrs = copy_instrs(header.instrs, ic_rename, gen, "_c")
         ic_body_args = tuple(ic_rename.get(a, a) for a in wl.body_args)
         icond_blk = Block(
-            icond, ic_params + (ic_k,), tuple(ic_instrs),
+            icond, ic_params + (ic_k,), ic_instrs,
             CondBr(ic_rename.get(wl.cond, wl.cond), inner, ic_body_args + (ic_k,), rel, ic_params),
         )
         rel_blk = Block(
@@ -148,29 +132,24 @@ def _coarsen_fn(p: Program, f: Function, chunk: int, report: PassReport,
                 blocks.extend([acq_blk, inner_blk, icond_blk, rel_blk])
             else:
                 blocks.append(b)
-        report.note(f.name, f"coarsened loop at {loop.header} with chunk {chunk}")
+        report.note(f.name, f"coarsened loop at {header.name} with chunk {chunk}")
         report.rewrites += 1
         return Function(f.name, f.params, tuple(blocks))
     return None
 
 
-def lock_coarsen(p: Program, chunk: int = 32) -> tuple[Program, PassReport]:
+def lock_coarsen(p: Program, options: PassOptions, report: PassReport) -> Program:
+    chunk = options.chunk
     if chunk < 1:
         raise ValueError("chunk size must be >= 1")
-    report = PassReport("lock_coarsen", before_instrs=program_instr_count(p))
     blocking_free = blocking_free_functions(p)
     fns = list(p.functions)
     changed = True
     while changed:
         changed = False
         for n, f in enumerate(fns):
-            prog = replace(p, functions=tuple(fns))
-            nf = _coarsen_fn(prog, f, chunk, report, blocking_free)
+            nf = _coarsen_fn(f, chunk, report, blocking_free)
             if nf is not None:
                 fns[n] = nf
                 changed = True
-    new_p = replace(p, functions=tuple(fns))
-    if report.rewrites == 0:
-        new_p = p
-    report.after_instrs = program_instr_count(new_p)
-    return new_p, report
+    return replace(p, functions=tuple(fns))

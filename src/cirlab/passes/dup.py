@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .. import ir
-from ..cfg import dominates, dominators, predecessors, reachable_rpo
+from ..cfg import def_index, dominates, dominators, predecessors, reachable_rpo
 from ..ir import Block, Br, CondBr, Function, NameGen, Program
-from . import PassReport
-from .util import def_index, program_instr_count, remove_dead_pure
+from . import PassOptions, PassReport
+from .util import remove_dead_pure
 
 _MAX_ROUNDS = 20
 
@@ -126,7 +126,7 @@ def _dup_once(f: Function, report: PassReport) -> Function | None:
             total += _fold_count(merge, subst, nf, inf)
         if total == 0:
             continue
-        gen = NameGen(f.defined_names() | {b.name for b in f.blocks})
+        gen = NameGen.for_function(f)
         new_blocks = []
         for b in f.blocks:
             if b.name in ps:
@@ -142,8 +142,7 @@ def _dup_once(f: Function, report: PassReport) -> Function | None:
     return None
 
 
-def dup_simulate(p: Program) -> tuple[Program, PassReport]:
-    report = PassReport("dup_simulate", before_instrs=program_instr_count(p))
+def dup_simulate(p: Program, options: PassOptions, report: PassReport) -> Program:
     fns = list(p.functions)
     for n in range(len(fns)):
         before = fns[n]
@@ -154,8 +153,4 @@ def dup_simulate(p: Program) -> tuple[Program, PassReport]:
             fns[n] = nf
         if fns[n] is not before:
             fns[n] = remove_dead_pure(fns[n])
-    new_p = replace(p, functions=tuple(fns))
-    if report.rewrites == 0:
-        new_p = p
-    report.after_instrs = program_instr_count(new_p)
-    return new_p, report
+    return replace(p, functions=tuple(fns))

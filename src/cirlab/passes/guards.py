@@ -24,17 +24,18 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .. import ir
-from ..cfg import find_induction_var, match_while_loop, natural_loops
+from ..cfg import def_index, find_induction_var, while_loops
 from ..ir import Block, Br, CondBr, Function, Instr, NameGen, Program
-from . import PassReport
-from .util import def_index, program_instr_count, remove_dead_pure
+from . import PassOptions, PassReport
+from .util import copy_instrs, remove_dead_pure
 
 _CHAIN_OPS = frozenset({"const", "binop", "instanceof"})
 _HEADER_OK = frozenset({"const", "classref", "binop", "instanceof", "getfield", "arrayload"})
 _MAX_CHAIN = 8
 
 
-def _invariant_chain(name: str, loop_defs: set[str], defs: dict[str, Instr]) -> list[Instr] | None:
+def _invariant_chain(name: str, loop_defs: frozenset[str],
+                     defs: dict[str, Instr]) -> list[Instr] | None:
     """Instrs (in emit order) recomputing `name` from loop-invariant values."""
     if name not in loop_defs:
         return []
@@ -51,7 +52,7 @@ def _invariant_chain(name: str, loop_defs: set[str], defs: dict[str, Instr]) -> 
     return chain if len(chain) <= _MAX_CHAIN else None
 
 
-def _endpoint_form(cond: Instr, iv_aliases: frozenset[str], loop_defs: set[str]):
+def _endpoint_form(cond: Instr, iv_aliases: frozenset[str], loop_defs: frozenset[str]):
     """(kind, lhs_is_iv, other) for a hoistable induction inequality."""
     if cond.op != "binop" or cond.kind not in ("lt", "le"):
         return None
@@ -65,16 +66,10 @@ def _endpoint_form(cond: Instr, iv_aliases: frozenset[str], loop_defs: set[str])
 
 def _hoist_one(f: Function, report: PassReport, skipped: set[str]) -> Function | None:
     defs = def_index(f)
-    for loop in natural_loops(f):
-        wl = match_while_loop(f, loop)
+    bmap = f.block_map()
+    for wl in while_loops(f):
+        loop, loop_defs = wl.loop, wl.loop_defs
         where = f"{f.name}/{loop.header}"
-        if wl is None:
-            continue
-        loop_defs = set()
-        bmap = f.block_map()
-        for bn in loop.blocks:
-            loop_defs.update(bmap[bn].params)
-            loop_defs.update(i.dest for i in bmap[bn].instrs if i.dest is not None)
         if any(i.op not in _HEADER_OK for i in wl.header.instrs):
             if where not in skipped:
                 skipped.add(where)
@@ -104,7 +99,7 @@ def _hoist_one(f: Function, report: PassReport, skipped: set[str]) -> Function |
         if not plans:
             continue
 
-        gen = NameGen(f.defined_names() | {b.name for b in f.blocks})
+        gen = NameGen.for_function(f)
         header = wl.header
         pre = gen.fresh(f"{header.name}_pre")
         gblk = gen.fresh(f"{header.name}_guards")
@@ -112,15 +107,9 @@ def _hoist_one(f: Function, report: PassReport, skipped: set[str]) -> Function |
         g_params = tuple(gen.fresh(f"{q}_g") for q in header.params)
 
         pre_rename = dict(zip(header.params, pre_params))
-        pre_instrs = []
-        for i in header.instrs:
-            renamed = i.rename(pre_rename)
-            if i.dest is not None:
-                pre_rename[i.dest] = gen.fresh(f"{i.dest}_p")
-                renamed = replace(renamed, dest=pre_rename[i.dest])
-            pre_instrs.append(renamed)
+        pre_instrs = copy_instrs(header.instrs, pre_rename, gen, "_p")
         pre_blk = Block(
-            pre, pre_params, tuple(pre_instrs),
+            pre, pre_params, pre_instrs,
             CondBr(pre_rename.get(wl.cond, wl.cond), gblk, pre_params, header.name, pre_params),
         )
 
@@ -130,10 +119,7 @@ def _hoist_one(f: Function, report: PassReport, skipped: set[str]) -> Function |
             if kind == "invariant":
                 chain, g = payload
                 rename: dict[str, str] = {}
-                for ci in chain:
-                    renamed = ci.rename(rename)
-                    rename[ci.dest] = gen.fresh(f"{ci.dest}_h")
-                    g_instrs.append(replace(renamed, dest=rename[ci.dest]))
+                g_instrs.extend(copy_instrs(chain, rename, gen, "_h"))
                 g_instrs.append(ir.guard(rename.get(g.args[0], g.args[0]), g.reason))
             else:
                 (cmp_kind, lhs_is_iv, other), g = payload
@@ -183,8 +169,7 @@ def _hoist_one(f: Function, report: PassReport, skipped: set[str]) -> Function |
     return None
 
 
-def guard_motion(p: Program) -> tuple[Program, PassReport]:
-    report = PassReport("guard_motion", before_instrs=program_instr_count(p))
+def guard_motion(p: Program, options: PassOptions, report: PassReport) -> Program:
     fns = list(p.functions)
     for n, f in enumerate(fns):
         skipped: set[str] = set()
@@ -196,8 +181,4 @@ def guard_motion(p: Program) -> tuple[Program, PassReport]:
                 fns[n] = nf
         if fns[n] is not f:
             fns[n] = remove_dead_pure(fns[n])
-    new_p = replace(p, functions=tuple(fns))
-    if report.rewrites == 0:
-        new_p = p
-    report.after_instrs = program_instr_count(new_p)
-    return new_p, report
+    return replace(p, functions=tuple(fns))

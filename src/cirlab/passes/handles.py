@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..ir import Block, Br, CondBr, Function, Instr, NameGen, Program, Ret
-from . import PassReport
-from .util import program_instr_count, remove_dead_pure
+from . import PassOptions, PassReport
+from .util import copy_instrs, remove_dead_pure
 
 
 def _known_handles(f: Function) -> dict[str, str]:
@@ -30,13 +30,7 @@ def _known_handles(f: Function) -> dict[str, str]:
         changed = False
         incoming: dict[tuple[str, int], set[str | None]] = {}
         for b in f.blocks:
-            edges = []
-            if isinstance(b.term, Br):
-                edges.append((b.term.target, b.term.args))
-            elif isinstance(b.term, CondBr):
-                edges.append((b.term.then_target, b.term.then_args))
-                edges.append((b.term.else_target, b.term.else_args))
-            for target, args in edges:
+            for target, args in b.term.edges():
                 for pos, a in enumerate(args):
                     incoming.setdefault((target, pos), set()).add(known.get(a))
         bmap = f.block_map()
@@ -110,26 +104,23 @@ def _bottom_up_order(p: Program) -> list[str]:
     return order
 
 
-def _inline_site(f: Function, callee: Function, bname: str, idx: int, gen: NameGen) -> Function:
+def _inline_site(f: Function, callee: Function, bname: str, idx: int) -> Function:
+    gen = NameGen.for_function(f)
     bmap = f.block_map()
     b = bmap[bname]
     site = b.instrs[idx]
+    # every callee value is renamed up front: blocks may use values defined in
+    # blocks listed after them
     rename = dict(zip(callee.params, site.args))
     for cb in callee.blocks:
-        for q in cb.params:
-            rename[q] = gen.fresh(q)
-        for i in cb.instrs:
-            if i.dest is not None:
-                rename[i.dest] = gen.fresh(i.dest)
+        for name in cb.params + tuple(i.dest for i in cb.instrs if i.dest is not None):
+            rename[name] = gen.fresh(name)
     bnames = {cb.name: gen.fresh(f"{callee.name}_{cb.name}") for cb in callee.blocks}
     cont = gen.fresh(f"{bname}_ret")
 
     inlined: list[Block] = []
     for cb in callee.blocks:
-        instrs = tuple(
-            replace(i.rename(rename), dest=rename.get(i.dest) if i.dest else None)
-            for i in cb.instrs
-        )
+        instrs = copy_instrs(cb.instrs, rename, gen)
         term = cb.term
         if isinstance(term, Ret):
             args = (rename.get(term.value, term.value),) if term.value is not None else ()
@@ -187,8 +178,7 @@ def _inline_all(p: Program, budget: int, report: PassReport) -> Program:
                     break
             if site is None:
                 break
-            gen = NameGen(f.defined_names() | {b.name for b in f.blocks})
-            f = _inline_site(f, site[2], site[0], site[1], gen)
+            f = _inline_site(f, site[2], site[0], site[1])
             inlined_here += 1
         if inlined_here:
             f = remove_dead_pure(f)
@@ -198,14 +188,9 @@ def _inline_all(p: Program, budget: int, report: PassReport) -> Program:
     return replace(p, functions=tuple(fns[f.name] for f in p.functions))
 
 
-def handle_simplify(p: Program, inline_budget: int = 40) -> tuple[Program, PassReport]:
-    report = PassReport("handle_simplify", before_instrs=program_instr_count(p))
+def handle_simplify(p: Program, options: PassOptions, report: PassReport) -> Program:
     fn_names = {f.name for f in p.functions}
     devirted = tuple(_devirtualize(f, fn_names, report) for f in p.functions)
-    new_p = _inline_all(replace(p, functions=devirted), inline_budget, report)
+    new_p = _inline_all(replace(p, functions=devirted), options.inline_budget, report)
     # handle constants left dangling by the rewrite disappear with their uses
-    new_p = replace(new_p, functions=tuple(remove_dead_pure(f) for f in new_p.functions))
-    if report.rewrites == 0:
-        new_p = p
-    report.after_instrs = program_instr_count(new_p)
-    return new_p, report
+    return replace(new_p, functions=tuple(remove_dead_pure(f) for f in new_p.functions))

@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .. import ir
-from ..cfg import dominates, dominators, reachable_rpo
+from ..cfg import def_index, dominates, dominators, reachable_rpo
 from ..ir import Block, Function, Instr, NameGen, Program
-from . import PassReport
-from .util import def_index, program_instr_count, remove_dead_pure
+from . import PassOptions, PassReport
+from .util import remove_dead_pure
 
 
 class _Conflict(Exception):
@@ -280,9 +280,8 @@ class _FnPea:
         return Function(self.f.name, self.f.params, tuple(new_blocks))
 
 
-def pea_atomic(p: Program) -> tuple[Program, PassReport]:
+def pea_atomic(p: Program, options: PassOptions, report: PassReport) -> Program:
     """Scalar-replace non-escaping allocations, folding CAS on virtual fields."""
-    report = PassReport("pea_atomic", before_instrs=program_instr_count(p))
     new_fns = []
     for f in p.functions:
         if not any(i.op == "new" for b in f.blocks for i in b.instrs):
@@ -305,8 +304,4 @@ def pea_atomic(p: Program) -> tuple[Program, PassReport]:
             f"writes folded {c['writes_folded']}",
         )
         new_fns.append(nf)
-    new_p = replace(p, functions=tuple(new_fns))
-    if report.rewrites == 0:
-        new_p = p
-    report.after_instrs = program_instr_count(new_p)
-    return new_p, report
+    return replace(p, functions=tuple(new_fns))

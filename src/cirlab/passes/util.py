@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
-from ..ir import PURE_OPS, Block, Function, Instr, Program
+from ..ir import PURE_OPS, Block, Function, Instr, NameGen, Program
 
 
 def use_counts(f: Function) -> Counter:
@@ -16,13 +17,22 @@ def use_counts(f: Function) -> Counter:
     return uses
 
 
-def def_index(f: Function) -> dict[str, Instr]:
-    out: dict[str, Instr] = {}
-    for b in f.blocks:
-        for i in b.instrs:
-            if i.dest is not None:
-                out[i.dest] = i
-    return out
+def copy_instrs(instrs, rename: dict[str, str], gen: NameGen,
+                suffix: str = "") -> tuple[Instr, ...]:
+    """Copies of `instrs` with operands renamed through `rename`.
+
+    Each result gets the fresh name `<dest><suffix>`, recorded in `rename`
+    so later copies read it; a result already in `rename` keeps its entry.
+    """
+    out = []
+    for i in instrs:
+        copy = i.rename(rename)
+        if i.dest is not None:
+            if i.dest not in rename:
+                rename[i.dest] = gen.fresh(i.dest + suffix)
+            copy = replace(copy, dest=rename[i.dest])
+        out.append(copy)
+    return tuple(out)
 
 
 def remove_dead_pure(f: Function) -> Function:
@@ -42,10 +52,6 @@ def remove_dead_pure(f: Function) -> Function:
         if removed == 0:
             return f
         f = Function(f.name, f.params, tuple(blocks))
-
-
-def program_instr_count(p: Program) -> int:
-    return sum(f.instr_count() for f in p.functions)
 
 
 def static_op_count(p: Program, op: str) -> int:

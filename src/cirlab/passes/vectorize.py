@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .. import ir
-from ..cfg import find_induction_var, match_while_loop, natural_loops, predecessors
+from ..cfg import def_index, find_induction_var, while_loops
 from ..ir import Block, Br, CondBr, Function, Instr, NameGen, Program
-from . import PassReport
-from .util import def_index, program_instr_count
+from . import PassOptions, PassReport
+from .util import copy_instrs
 
 
 def _match_body(body: Block, iv_names: frozenset[str], defs) -> tuple | str:
@@ -70,17 +70,11 @@ def _match_body(body: Block, iv_names: frozenset[str], defs) -> tuple | str:
 def _vectorize_fn(f: Function, width: int, report: PassReport,
                   skipped: set[str]) -> Function | None:
     defs = def_index(f)
-    preds = predecessors(f)
-    for loop in natural_loops(f):
-        wl = match_while_loop(f, loop)
-        where = f"{f.name}/{loop.header}"
-        if wl is None:
-            continue
-        if loop.blocks != frozenset({wl.header.name, wl.body_target}) or wl.latch != wl.body_target:
-            continue
-        if preds[wl.body_target] != [wl.header.name]:
-            continue
+    for wl in while_loops(f):
         header = wl.header
+        where = f"{f.name}/{header.name}"
+        if not wl.two_block:
+            continue
         if len(header.params) != 1 or len(header.instrs) != 1:
             continue
         cond = header.instrs[0]
@@ -97,14 +91,11 @@ def _vectorize_fn(f: Function, width: int, report: PassReport,
                 report.skip(where, m)
             continue
         a_arr, b_arr, c_arr, op, store, inc_dest = m
-        sites = {}
-        for name in (a_arr, b_arr, c_arr):
-            d = defs.get(name)
-            if d is None or d.op != "newarray":
-                sites = None
-                break
-            sites[name] = id(d)
-        if sites is None or len({a_arr, b_arr, c_arr}) != 3:
+        allocated = all(
+            defs.get(name) is not None and defs[name].op == "newarray"
+            for name in (a_arr, b_arr, c_arr)
+        )
+        if not allocated or len({a_arr, b_arr, c_arr}) != 3:
             if where not in skipped:
                 skipped.add(where)
                 report.skip(where, "alias-unknown")
@@ -118,7 +109,7 @@ def _vectorize_fn(f: Function, width: int, report: PassReport,
                 report.skip(where, "already vectorized")
             continue
 
-        gen = NameGen(f.defined_names() | {b.name for b in f.blocks})
+        gen = NameGen.for_function(f)
         limit = iv.limit
         ivp = iv.param
         wc = gen.fresh("vec_w")
@@ -152,20 +143,14 @@ def _vectorize_fn(f: Function, width: int, report: PassReport,
             rrename[q] = gen.fresh(f"{q}_rem")
         rem_header = Block(
             rem_hdr, (rem_iv,),
-            (replace(cond.rename(rrename), dest=rrename[cond.dest]),),
+            copy_instrs((cond,), rrename, gen),
             CondBr(rrename[cond.dest], rem_body,
                    tuple(rrename.get(x, x) for x in wl.body_args),
                    wl.exit_target, tuple(rrename.get(x, x) for x in wl.exit_args)),
         )
-        body_instrs = []
-        for i in body.instrs:
-            renamed = i.rename(rrename)
-            if i.dest is not None:
-                rrename[i.dest] = gen.fresh(f"{i.dest}_rem")
-                renamed = replace(renamed, dest=rrename[i.dest])
-            body_instrs.append(renamed)
+        body_instrs = copy_instrs(body.instrs, rrename, gen, "_rem")
         rem_blk = Block(rem_body, tuple(rrename[q] for q in body.params),
-                        tuple(body_instrs), Br(rem_hdr, (rrename[inc_dest],)))
+                        body_instrs, Br(rem_hdr, (rrename[inc_dest],)))
 
         blocks = []
         for blk in f.blocks:
@@ -175,16 +160,16 @@ def _vectorize_fn(f: Function, width: int, report: PassReport,
                 blocks.extend([vec_body, rem_header, rem_blk])
             else:
                 blocks.append(blk)
-        report.note(f.name, f"vectorized loop at {loop.header} (width {width})")
+        report.note(f.name, f"vectorized loop at {header.name} (width {width})")
         report.rewrites += 1
         return Function(f.name, f.params, tuple(blocks))
     return None
 
 
-def loop_vectorize(p: Program, width: int = 4) -> tuple[Program, PassReport]:
+def loop_vectorize(p: Program, options: PassOptions, report: PassReport) -> Program:
+    width = options.width
     if width < 2:
         raise ValueError("vector width must be >= 2")
-    report = PassReport("loop_vectorize", before_instrs=program_instr_count(p))
     fns = list(p.functions)
     for n in range(len(fns)):
         skipped: set[str] = set()
@@ -193,8 +178,4 @@ def loop_vectorize(p: Program, width: int = 4) -> tuple[Program, PassReport]:
             if nf is None:
                 break
             fns[n] = nf
-    new_p = replace(p, functions=tuple(fns))
-    if report.rewrites == 0:
-        new_p = p
-    report.after_instrs = program_instr_count(new_p)
-    return new_p, report
+    return replace(p, functions=tuple(fns))

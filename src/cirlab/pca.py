@@ -5,11 +5,8 @@ column is optionally divided row-wise by a cost column (the "reference
 cycles" stand-in), standardized to zero mean and unit sample variance, and
 decomposed into principal components. Scores are S = Y L with L the
 orthonormal eigenvector matrix of the correlation matrix, so the loading
-l_ij is the weight of metric i on component j.
-
-The eigensolver is a cyclic Jacobi iteration: deterministic, dependency
-free, and exact enough at this scale (off-diagonal Frobenius norm below
-1e-12, at most 100 sweeps).
+l_ij is the weight of metric i on component j. The eigenpairs come from
+numpy's symmetric eigensolver, sorted by descending eigenvalue.
 """
 
 from __future__ import annotations
@@ -135,53 +132,6 @@ def standardize(m: MetricMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (m.values - means) / stds, means, stds
 
 
-def _jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors as columns), unsorted. Raises if the
-    off-diagonal Frobenius norm has not dropped below `tol` in time.
-    """
-    a = a.copy()
-    k = a.shape[0]
-    v = np.eye(k)
-
-    def offdiag() -> float:
-        off = a - np.diag(np.diag(a))
-        return float(np.sqrt((off**2).sum()))
-
-    for _ in range(max_sweeps):
-        if offdiag() < tol:
-            return np.diag(a).copy(), v
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-150 * abs(diff):
-                    # rotation angle underflows; zero the entry directly
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                theta = diff / (2 * apq)
-                if abs(theta) > 1e100:
-                    t = 1.0 / (2 * theta)
-                elif theta != 0:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta**2 + 1))
-                else:
-                    t = 1.0
-                c = 1 / np.sqrt(t**2 + 1)
-                s = t * c
-                rot = np.eye(k)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    if offdiag() < tol:
-        return np.diag(a).copy(), v
-    raise PcaError(f"eigensolver did not converge (off-diagonal norm {offdiag():.3e})")
-
-
 @dataclass(frozen=True)
 class PcaModel:
     metrics: tuple[str, ...]
@@ -204,7 +154,9 @@ def pca_fit(y: np.ndarray, metrics: tuple[str, ...],
     if n < 2:
         raise PcaError("need at least two observations")
     corr = (y.T @ y) / (n - 1)
-    eigvals, eigvecs = _jacobi_eigh(corr)
+    if not np.isfinite(corr).all():
+        raise PcaError("metric values must be finite")
+    eigvals, eigvecs = np.linalg.eigh(corr)
     order = np.argsort(-eigvals, kind="stable")
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]

@@ -27,8 +27,9 @@ _Suffix = tuple[tuple[int, ...], str, str | None]
 class ResultSet:
     """The set R over all schedules; `exhausted` means enumeration completed.
 
-    When `exhausted` is False (step budget or state ceiling hit) any subset
-    claim is only "bounded", never proved.
+    When `exhausted` is False (step budget or state ceiling hit) `traces`
+    holds the results found before the bound, and any subset claim is only
+    "bounded", never proved.
     """
 
     traces: frozenset[ResultTrace]
@@ -37,10 +38,6 @@ class ResultSet:
 
     def terminated(self) -> frozenset[ResultTrace]:
         return frozenset(t for t in self.traces if t.status == "terminated")
-
-
-class _Ceiling(Exception):
-    pass
 
 
 class _Explorer:
@@ -52,10 +49,15 @@ class _Explorer:
         self.memoize = memoize
         self.memo: dict[object, frozenset[_Suffix]] = {}
         self.seen: set[object] = set()
+        self.ceiling_hit = False
 
     def explore(self, m: Machine, rem: int, last: int, preempts: int
                 ) -> tuple[frozenset[_Suffix], bool]:
-        """(suffix set from this state, True iff no path hit the step budget)."""
+        """(suffix set from this state, True iff no path hit the step budget or ceiling).
+
+        Once the state ceiling is hit no state is expanded further, so the
+        suffix sets returned from then on hold only what was already found.
+        """
         if m.status is not None:
             return frozenset({((), m.status, m.reason)}), True
         enabled = m.enabled_threads()
@@ -64,6 +66,8 @@ class _Explorer:
             return frozenset({((), status, None)}), True
         if rem <= 0:
             return frozenset({((), "step-budget-exhausted", None)}), False
+        if self.ceiling_hit:
+            return frozenset(), False
 
         key = None
         if self.memoize:
@@ -74,7 +78,8 @@ class _Explorer:
             if key not in self.seen:
                 self.seen.add(key)
                 if len(self.seen) > self.max_states:
-                    raise _Ceiling()
+                    self.ceiling_hit = True
+                    return frozenset(), False
 
         choices = enabled
         if self.pbound is not None and last in enabled and preempts >= self.pbound:
@@ -114,8 +119,6 @@ def enumerate_results(
     sys.setrecursionlimit(max(old_limit, step_budget + 500))
     try:
         suffixes, complete = ex.explore(m, step_budget, 0, 0)
-    except _Ceiling:
-        suffixes, complete = frozenset(), False
     finally:
         sys.setrecursionlimit(old_limit)
     traces = frozenset(ResultTrace(ev, status, reason) for ev, status, reason in suffixes)
@@ -127,9 +130,11 @@ class Verdict:
     """Outcome of a refinement check.
 
     kind is "refines" (proved under full enumeration), "bounded-ok" (no
-    violation found, but one side was not exhaustively enumerated), or
-    "violates" (witness holds a transformed-program trace the original
-    cannot produce).
+    violation found, but one side was not exhaustively enumerated),
+    "violates" (witness holds a transformed-program trace the fully
+    enumerated original cannot produce), or "inconclusive" (witness holds a
+    transformed-program trace the original's partial enumeration did not
+    produce).
     """
 
     kind: str
@@ -153,7 +158,8 @@ def check_refinement(
     allowed = r_orig.traces
     for t in sorted(r_new.terminated(), key=lambda t: (t.events, t.status)):
         if t not in allowed:
-            return Verdict("violates", t, states, r_orig, r_new)
+            kind = "violates" if r_orig.exhausted else "inconclusive"
+            return Verdict(kind, t, states, r_orig, r_new)
     if r_orig.exhausted and r_new.exhausted:
         return Verdict("refines", None, states, r_orig, r_new)
     return Verdict("bounded-ok", None, states, r_orig, r_new)

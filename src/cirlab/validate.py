@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ir import Block, Br, CondBr, Function, Program, Ret
+from .ir import Br, CondBr, Function, Program, Ret
 
 
 @dataclass(frozen=True)
@@ -137,21 +137,15 @@ def _def_before_use(f: Function) -> list[Diagnostic]:
     predecessors of (their entry set + their own defs); entry starts from the
     function params. Unreachable blocks are skipped (reported separately).
     """
+    # imported on first use: the parser imports this module, and start-up need
+    # not pay for setting up cfg's loop dataclasses
+    from .cfg import predecessors, reachable_rpo
+
     out: list[Diagnostic] = []
     bmap = f.block_map()
-    preds: dict[str, list[str]] = {b.name: [] for b in f.blocks}
-    for b in f.blocks:
-        for t in b.term.targets():
-            if t in preds:
-                preds[t].append(b.name)
-
-    def block_defs(b: Block) -> set[str]:
-        s = set(b.params)
-        s.update(i.dest for i in b.instrs if i.dest is not None)
-        return s
-
+    preds = predecessors(f)
     avail_in: dict[str, set[str]] = {f.entry.name: set(f.params)}
-    order = _reachable_rpo(f)
+    order = reachable_rpo(f)
     changed = True
     while changed:
         changed = False
@@ -163,7 +157,7 @@ def _def_before_use(f: Function) -> list[Diagnostic]:
                 if not ps:
                     continue
                 inset = set.intersection(
-                    *[avail_in[q] | block_defs(bmap[q]) for q in ps]
+                    *[avail_in[q] | bmap[q].defined_names() for q in ps]
                 )
             if name not in avail_in or avail_in[name] != inset:
                 avail_in[name] = inset
@@ -182,27 +176,6 @@ def _def_before_use(f: Function) -> list[Diagnostic]:
             if u not in live:
                 out.append(_d(f"fn {f.name}/{name}", f"use of {u!r} before definition"))
     return out
-
-
-def _reachable_rpo(f: Function) -> list[str]:
-    bmap = f.block_map()
-    seen: set[str] = set()
-    order: list[str] = []
-    stack: list[tuple[str, bool]] = [(f.entry.name, False)]
-    while stack:
-        name, expanded = stack.pop()
-        if expanded:
-            order.append(name)
-            continue
-        if name in seen or name not in bmap:
-            continue
-        seen.add(name)
-        stack.append((name, True))
-        for t in reversed(bmap[name].term.targets()):
-            if t not in seen:
-                stack.append((t, False))
-    order.reverse()
-    return order
 
 
 def _fn_diagnostics(p: Program, f: Function) -> list[Diagnostic]:
@@ -227,26 +200,18 @@ def _fn_diagnostics(p: Program, f: Function) -> list[Diagnostic]:
                         f"call passes {len(i.args)} args, {i.fn} takes {len(fmap[i.fn].params)}",
                     )
                 )
-        if isinstance(b.term, (Br, CondBr)):
-            edges = (
-                [(b.term.target, b.term.args)]
-                if isinstance(b.term, Br)
-                else [
-                    (b.term.then_target, b.term.then_args),
-                    (b.term.else_target, b.term.else_args),
-                ]
-            )
-            for target, args in edges:
-                if target in bmap and len(args) != len(bmap[target].params):
-                    out.append(
-                        _d(
-                            f"fn {f.name}/{b.name}",
-                            f"branch to {target!r} passes {len(args)} args, "
-                            f"block takes {len(bmap[target].params)}",
-                        )
-                    )
-        elif not isinstance(b.term, Ret):
+        if not isinstance(b.term, (Br, CondBr, Ret)):
             out.append(_d(f"fn {f.name}/{b.name}", "block has no terminator"))
+            continue
+        for target, args in b.term.edges():
+            if target in bmap and len(args) != len(bmap[target].params):
+                out.append(
+                    _d(
+                        f"fn {f.name}/{b.name}",
+                        f"branch to {target!r} passes {len(args)} args, "
+                        f"block takes {len(bmap[target].params)}",
+                    )
+                )
     out.extend(_defined_once(f))
     out.extend(_def_before_use(f))
     return out

@@ -1,6 +1,7 @@
 from hypothesis import given, settings, strategies as st
 
-from cirlab.cfg import dominators, dominates, match_while_loop, natural_loops
+from cirlab.cfg import dominators, dominates, match_while_loop, natural_loops, while_loops
+from cirlab.corpus import corpus_entry
 from cirlab.ir import Block, Br, CondBr, Function, Ret
 from cirlab.parser import parse
 
@@ -148,6 +149,19 @@ def test_natural_loop_and_while_match():
     assert wl.exit_target == "done"
     assert wl.latch == "body"
     assert wl.entry_preds == ("b0",)
+    assert wl.two_block
+    assert wl.loop_defs == {"i", "c", "one", "i2"}
+    assert list(while_loops(f)) == [wl]
+
+
+def test_while_loops_on_corpus_loop():
+    f = corpus_entry("guard-bounds-loop").program.fn_map()["main"]
+    (wl,) = while_loops(f)
+    assert (wl.header.name, wl.body_target, wl.latch, wl.exit_target) == (
+        "loop", "body", "skip", "done")
+    assert wl.entry_preds == ("entry",)
+    assert not wl.two_block  # the body spans three blocks
+    assert wl.loop_defs == {"i", "c", "i2", "taken", "i3", "g1", "g2", "i4", "one", "i5"}
 
 
 def test_induction_var():

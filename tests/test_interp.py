@@ -159,10 +159,9 @@ def test_metric_conservation_against_op_log():
     }
     thread main()
     """
-    r = run(parse(text), record_ops=True)
-    assert r.op_log is not None
-    assert r.metrics.method == sum(1 for op in r.op_log if op in ("callvirtual", "callhandle"))
-    assert r.metrics.refcycles >= len(r.op_log)
+    r = run(parse(text))
+    assert r.metrics.method == r.op_counts["callvirtual"] + r.op_counts["callhandle"]
+    assert r.metrics.refcycles >= sum(r.op_counts.values())
 
 
 def test_reentrant_monitor():

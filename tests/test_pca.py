@@ -76,6 +76,12 @@ def test_standardize_rejects_constant_column():
         standardize(m)
 
 
+def test_fit_rejects_non_finite_values():
+    m = _mat(["a", "b", "c"], ["x", "y"], [[1.0, 2.0], [2.0, float("nan")], [3.0, 1.0]])
+    with pytest.raises(PcaError, match="finite"):
+        fit_metrics(m)
+
+
 def test_rank_one_correlation():
     # two perfectly correlated columns: eigenvalues {2, 0}, equal loadings
     base = np.array([1.0, 2.0, 3.0, 4.0, 7.0])

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from cirlab.corpus import corpus_entry
 from cirlab.interp import Explicit, run
 from cirlab.parser import parse
+from cirlab.passes import PassOptions, run_pass
 from cirlab.scheduler import check_refinement, enumerate_results
 
 RACING_OUTPUTS = """
@@ -106,6 +108,31 @@ def test_budget_marks_non_exhausted():
 def test_state_ceiling_marks_non_exhausted():
     rs = enumerate_results(parse(RACING_INCREMENT), max_states=3)
     assert not rs.exhausted
+
+
+def test_state_ceiling_keeps_partial_results():
+    full = enumerate_results(parse(RACING_INCREMENT))
+    partial = enumerate_results(parse(RACING_INCREMENT), max_states=20)
+    assert not partial.exhausted
+    assert partial.traces and partial.traces < full.traces
+
+
+def test_trace_missing_from_partial_original_is_inconclusive():
+    # the original can output 1, but not within the first 20 states it explores
+    outputs_one = parse("fn t() {\ne:\n  v = const 1\n  output v\n  ret\n}\nthread t()")
+    v = check_refinement(parse(RACING_INCREMENT), outputs_one, max_states=20)
+    assert v.kind == "inconclusive"
+    assert v.witness is not None and v.witness.events == (1,)
+
+
+def test_state_ceiling_on_corpus_original_is_not_a_violation():
+    # the original hits the ceiling, the coarsened program does not
+    e = corpus_entry("coarsen-mini")
+    coarsened, _ = run_pass(e.small, "lock_coarsen", PassOptions(chunk=2))
+    v = check_refinement(e.small, coarsened, step_budget=e.small_budget, max_states=14_540)
+    assert not v.original.exhausted and v.original.traces
+    assert v.transformed.exhausted
+    assert v.kind == "bounded-ok"
 
 
 def test_preemption_bound_zero_is_subset():

@@ -103,3 +103,14 @@ def test_vbinop_width():
     p = Program((), (f,), (ThreadDecl("main"),))
     msgs = [d.message for d in validate(p)]
     assert any("width" in m for m in msgs)
+
+
+def test_branch_to_unknown_block_is_a_diagnostic():
+    # built directly: the parser would reject the unresolved label itself
+    p = Program(
+        (),
+        (Function("main", (), (Block("b0", (), (), Br("nowhere")),)),),
+        (ThreadDecl("main"),),
+    )
+    messages = [d.message for d in validate(p)]
+    assert "branch to unknown block 'nowhere'" in messages

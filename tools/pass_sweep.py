@@ -1,0 +1,54 @@
+"""Fingerprint every pass's output, for comparing two versions of cirlab.
+
+Runs each pass, at the default options and at chunk=2, and the full
+pipeline over every corpus program, its small variant, and the fuzz
+generator's programs for seeds 0-199. Prints one line per case: a label
+and the SHA-256 of the printed output program plus the JSON of every
+report. Run it against two checkouts and diff the outputs:
+
+    PYTHONPATH=src python tools/pass_sweep.py > after.txt
+    PYTHONPATH=<other checkout>/src python tools/pass_sweep.py > before.txt
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from cirlab.corpus import corpus  # noqa: E402
+from cirlab.ir import print_program  # noqa: E402
+from cirlab.parser import parse  # noqa: E402
+from cirlab.passes import PASS_NAMES, PassOptions, pipeline, run_pass  # noqa: E402
+from tests.test_fuzz import gen_program  # noqa: E402
+
+
+def fingerprint(program, reports) -> str:
+    h = hashlib.sha256(print_program(program).encode())
+    for r in reports:
+        h.update(json.dumps(r.to_dict(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def cases():
+    for e in corpus():
+        yield e.name, e.program
+        if e.small is not None:
+            yield f"{e.name}/small", e.small
+    for seed in range(200):
+        yield f"fuzz/{seed}", parse(gen_program(seed))
+
+
+def main() -> None:
+    for label, program in cases():
+        for opt_label, options in (("default", PassOptions()), ("chunk2", PassOptions(chunk=2))):
+            for name in PASS_NAMES:
+                out, report = run_pass(program, name, options)
+                print(label, opt_label, name, fingerprint(out, [report]))
+            out, reports = pipeline(program, PASS_NAMES, options)
+            print(label, opt_label, "pipeline", fingerprint(out, reports))
+
+
+if __name__ == "__main__":
+    main()
