@@ -24,7 +24,7 @@ import io
 from dataclasses import dataclass
 from itertools import combinations
 
-from .ir import Function, Program
+from .ir import OPCODES, Function, Program
 
 
 @dataclass(frozen=True)
@@ -63,35 +63,9 @@ class CkReport:
         return buf.getvalue()
 
 
-def _fields_accessed(fn: Function) -> set[str]:
-    out = set()
-    for b in fn.blocks:
-        for i in b.instrs:
-            if i.op in ("getfield", "putfield", "cas"):
-                out.add(i.field)
-    return out
-
-
-def _calls_out(fn: Function) -> set[str]:
-    """Function names this body invokes directly (call / handleconst /
-    callvirtual selectors resolved against every declaring class)."""
-    out: set[str] = set()
-    for b in fn.blocks:
-        for i in b.instrs:
-            if i.op in ("call", "handleconst"):
-                out.add(i.fn)
-            elif i.op == "callvirtual":
-                out.add(("selector", i.method))  # resolved by the caller
-    return out
-
-
-def _classes_referenced(fn: Function) -> set[str]:
-    out = set()
-    for b in fn.blocks:
-        for i in b.instrs:
-            if i.op in ("new", "instanceof", "classref"):
-                out.add(i.cls)
-    return out
+def _operands(fn: Function, slot: str) -> set[str]:
+    """The `slot` immediates (an `ir.OpSpec` syntax slot) of every instruction in `fn`."""
+    return {getattr(i, slot) for b in fn.blocks for i in b.instrs if slot in OPCODES[i.op].slots}
 
 
 def compute_ck(p: Program, transitive: bool = False) -> CkReport:
@@ -109,12 +83,10 @@ def compute_ck(p: Program, transitive: bool = False) -> CkReport:
             field_owner.setdefault(fl, set()).add(c.name)
 
     def resolve_calls(fn: Function) -> set[str]:
-        out = set()
-        for item in _calls_out(fn):
-            if isinstance(item, tuple):
-                out.update(selector_targets.get(item[1], set()))
-            else:
-                out.add(item)
+        """Functions `fn` invokes directly; a selector resolves to every declaring class."""
+        out = _operands(fn, "fn")
+        for sel in _operands(fn, "method"):
+            out |= selector_targets.get(sel, set())
         return out
 
     metrics = []
@@ -130,13 +102,13 @@ def compute_ck(p: Program, transitive: bool = False) -> CkReport:
         response: set[str] = set(own_methods)
         for fname in own_methods:
             fn = fmap[fname]
-            coupled.update(_classes_referenced(fn))
+            coupled.update(_operands(fn, "cls"))
             called = resolve_calls(fn)
             response.update(called)
             for target in called:
                 if target in method_owner:
                     coupled.add(method_owner[target])
-            for fl in _fields_accessed(fn):
+            for fl in _operands(fn, "field"):
                 owners = field_owner.get(fl, set())
                 if len(owners) == 1:
                     coupled.add(next(iter(owners)))
@@ -155,7 +127,7 @@ def compute_ck(p: Program, transitive: bool = False) -> CkReport:
         rfc = len(response)
 
         visible = set(p.declared_fields(c.name))
-        used = {m: _fields_accessed(fmap[m]) & visible for m in own_methods}
+        used = {m: _operands(fmap[m], "field") & visible for m in own_methods}
         p_pairs = q_pairs = 0
         for m1, m2 in combinations(sorted(own_methods), 2):
             if used[m1] & used[m2]:

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from .bench import DEFAULT_MEASURED, DEFAULT_WARMUP, bench, compare
 from .ck import compute_ck
-from .interp import MetricVector, run
+from .interp import InterpreterError, MetricVector, RunResult, run
 from .ir import print_program
 from .parser import ParseError, UnresolvedNameError, parse
 from .passes import PASS_NAMES, PassOptions, UnknownPassError, pipeline
@@ -80,9 +80,16 @@ def _metric_csv(metrics: MetricVector) -> str:
     return header + "\n" + ",".join(["program", *metrics.row()])
 
 
-def cmd_run(args) -> int:
+def _run(args) -> RunResult:
     program = load_program(args.program)
-    result = run(program, args.schedule, args.budget)
+    try:
+        return run(program, args.schedule, args.budget)
+    except ValueError as e:
+        raise CliError(str(e))
+
+
+def cmd_run(args) -> int:
+    result = _run(args)
     if args.json:
         out = {
             "events": list(result.trace.events),
@@ -102,8 +109,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    program = load_program(args.program)
-    result = run(program, args.schedule, args.budget)
+    result = _run(args)
     print(_metric_csv(result.metrics))
     return 0 if result.trace.status == "terminated" else 1
 
@@ -349,6 +355,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except InterpreterError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

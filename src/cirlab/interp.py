@@ -10,23 +10,17 @@ function handles. Fields and array elements start at integer 0. Dynamic
 type confusion (e.g. getfield on an int) raises InterpreterError and fails
 the run; a failed guard instead ends the whole trace with a deopt status.
 
-The run accumulates the dynamic workload metrics::
-
-    monitorenter -> synch        wait -> wait      notify/notifyall -> notify
-    cas -> atomic                park -> park      new -> object
-    newarray -> array            callvirtual/callhandle -> method
-    handleconst -> idynamic
-
-plus a deterministic cost in "reference cycle" units per `cost_model`.
+A run counts executed opcodes and a deterministic cost in "reference
+cycle" units per `cost_model`; `ir.OPCODES` gives each opcode's cost and the
+workload metric it counts toward, from which `run` builds the metric vector.
 """
 
 from __future__ import annotations
 
-import copy
 from collections import Counter
 from dataclasses import dataclass
 
-from .ir import INT_MAX, Br, CondBr, Instr, Program, Ret
+from .ir import INT_MAX, OPCODES, Br, CondBr, Instr, Program, Ret
 
 
 class InterpreterError(Exception):
@@ -90,18 +84,7 @@ class MetricVector:
 
 def cost_model(instr: Instr) -> int:
     """Cost units per instruction; the stand-in for hardware reference cycles."""
-    op = instr.op
-    if op in ("new", "newarray"):
-        return 4
-    if op in ("cas", "monitorenter", "monitorexit"):
-        return 8
-    if op in ("wait", "notify", "notifyall", "park", "unpark"):
-        return 8
-    if op in ("call", "callvirtual", "callhandle"):
-        return 2
-    if op == "vbinop":
-        return instr.width or 2
-    return 1
+    return instr.width or OPCODES[instr.op].cost
 
 
 def _wrap(v: int) -> int:
@@ -183,7 +166,6 @@ class Machine:
     def __init__(self, program: Program):
         self.program = program
         self.fns = program.fn_map()
-        self.classes = program.class_map()
         self._field_order = {
             c.name: tuple(program.declared_fields(c.name)) for c in program.classes
         }
@@ -191,7 +173,7 @@ class Machine:
         self.monitors: dict[int, Monitor] = {}
         self.singletons: dict[str, Ref] = {}
         for c in program.classes:
-            self.singletons[c.name] = self._alloc_obj(c.name, count=False)
+            self.singletons[c.name] = self._alloc_obj(c.name)
         self.threads: list[ThreadState] = []
         for n, t in enumerate(program.threads, start=1):
             ts = ThreadState(n)
@@ -199,8 +181,8 @@ class Machine:
             ts.frames.append(Frame(fn.name, fn.entry.name, dict(zip(fn.params, t.args)), None))
             self.threads.append(ts)
         self.events: list[int] = []
-        self.metrics = MetricVector()
         self.op_counts: Counter[str] = Counter()
+        self.cost = 0
         self.steps = 0
         self.status: str | None = None  # set once terminal
         self.reason: str | None = None
@@ -208,16 +190,13 @@ class Machine:
 
     # -- heap -------------------------------------------------------------
 
-    def _alloc_obj(self, cls: str, count: bool = True) -> Ref:
+    def _alloc_obj(self, cls: str) -> Ref:
         fields = {f: 0 for f in self._field_order[cls]}
         self.heap.append(HObj(cls, fields))
-        if count:
-            self.metrics.object += 1
         return Ref(len(self.heap) - 1)
 
     def _alloc_arr(self, n: int) -> Ref:
         self.heap.append(HArr([0] * n))
-        self.metrics.array += 1
         return Ref(len(self.heap) - 1)
 
     def _obj(self, v: Value, what: str) -> HObj:
@@ -306,11 +285,11 @@ class Machine:
         self.steps += 1
         instr = self._next_instr(t)
         if isinstance(instr, Instr):
-            self.metrics.refcycles += cost_model(instr)
             self.op_counts[instr.op] += 1
             self._exec(t, instr)
+            self.cost += cost_model(instr)
         else:
-            self.metrics.refcycles += 1
+            self.cost += 1
             self._exec_term(t, instr)
         if self.status is None and all(th.status == DONE for th in self.threads):
             self.status = "terminated"
@@ -371,7 +350,6 @@ class Machine:
             if ok:
                 h.fields[i.field] = val(i.args[2])
             env[i.dest] = ok
-            self.metrics.atomic += 1
         elif op == "monitorenter":
             r = val(i.args[0])
             if not isinstance(r, Ref):
@@ -380,7 +358,6 @@ class Machine:
             assert m.owner in (None, t.tid), "scheduled a blocked thread"
             m.owner = t.tid
             m.count += 1
-            self.metrics.synch += 1
         elif op == "monitorexit":
             r = val(i.args[0])
             m = self.monitors.get(r.i) if isinstance(r, Ref) else None
@@ -400,7 +377,6 @@ class Machine:
             m.waitset.append(t.tid)
             t.wait_obj = r.i
             t.status = WAITING
-            self.metrics.wait += 1
         elif op in ("notify", "notifyall"):
             r = val(i.args[0])
             m = self.monitors.get(r.i) if isinstance(r, Ref) else None
@@ -411,9 +387,7 @@ class Machine:
                 for w in woken:
                     m.waitset.remove(w)
                     self.threads[w - 1].status = REACQUIRE
-            self.metrics.notify += 1
         elif op == "park":
-            self.metrics.park += 1
             if t.permit:
                 t.permit = False
             else:
@@ -452,17 +426,14 @@ class Machine:
             if target is None:
                 raise InterpreterError(f"callvirtual: {h.cls} has no method {i.method!r}")
             self._push(t, target, [val(a) for a in i.args], i.dest)
-            self.metrics.method += 1
             advance = False
         elif op == "handleconst":
             env[i.dest] = Handle(i.fn)
-            self.metrics.idynamic += 1
         elif op == "callhandle":
             h = val(i.args[0])
             if not isinstance(h, Handle):
                 raise InterpreterError("callhandle: not a handle")
             self._push(t, h.fn, [val(a) for a in i.args[1:]], i.dest)
-            self.metrics.method += 1
             advance = False
         elif op == "output":
             v = val(i.args[0])
@@ -555,7 +526,6 @@ class Machine:
         m = Machine.__new__(Machine)
         m.program = self.program
         m.fns = self.fns
-        m.classes = self.classes
         m.heap = [
             HObj(h.cls, dict(h.fields)) if isinstance(h, HObj) else HArr(list(h.elems))
             for h in self.heap
@@ -578,8 +548,8 @@ class Machine:
                 nt.frames.append(nf)
             m.threads.append(nt)
         m.events = list(self.events)
-        m.metrics = copy.copy(self.metrics)
         m.op_counts = self.op_counts.copy()
+        m.cost = self.cost
         m.steps = self.steps
         m.status = self.status
         m.reason = self.reason
@@ -593,7 +563,7 @@ class Machine:
         Heap references are renumbered in deterministic encounter order
         (thread roots first, then reachable object graph), so states that
         differ only in allocation numbering compare equal. Emitted events,
-        metrics, and step counts are deliberately excluded.
+        op counts, cost, and step counts are deliberately excluded.
         """
         renum: dict[int, int] = {}
         queue: list[int] = []
@@ -681,18 +651,16 @@ class Explicit:
 
 
 def parse_schedule(spec: str) -> RoundRobin | Explicit:
-    """Parse "rr:k" or "explicit:1,2,..." schedule descriptions."""
-    if spec.startswith("rr:"):
-        k = int(spec[3:])
-        if k < 1:
-            raise ValueError("round-robin quantum must be >= 1")
-        return RoundRobin(k)
-    if spec.startswith("explicit:"):
-        ids = tuple(int(x) for x in spec[len("explicit:"):].split(","))
-        if not ids:
-            raise ValueError("empty explicit schedule")
-        return Explicit(ids)
-    raise ValueError(f"unknown schedule {spec!r} (use rr:k or explicit:t1,t2,...)")
+    """Parse "rr:k" (k >= 1) or "explicit:1,2,..." schedule descriptions."""
+    kind, _, rest = spec.partition(":")
+    try:
+        if kind == "rr" and int(rest) >= 1:
+            return RoundRobin(int(rest))
+        if kind == "explicit":
+            return Explicit(tuple(int(x) for x in rest.split(",")))
+    except ValueError:
+        pass
+    raise ValueError(f"bad schedule {spec!r} (use rr:k with k >= 1, or explicit:t1,t2,...)")
 
 
 @dataclass
@@ -722,4 +690,9 @@ def run(
         m.step(policy.pick(enabled))
     status = m.status or "terminated"
     trace = ResultTrace(tuple(m.events), status, m.reason)
-    return RunResult(trace, m.metrics, m.op_counts, m.steps)
+    metrics = MetricVector(refcycles=m.cost)
+    for op, n in m.op_counts.items():
+        column = OPCODES[op].metric
+        if column is not None:
+            setattr(metrics, column, getattr(metrics, column) + n)
+    return RunResult(trace, metrics, m.op_counts, m.steps)

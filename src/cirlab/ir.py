@@ -22,34 +22,60 @@ INT_MAX = 2**63 - 1
 
 BINOPS = ("add", "sub", "mul", "div", "mod", "lt", "le", "eq")
 VBINOPS = ("add", "sub", "mul")
+#: the operator kinds each opcode with a `kind` slot accepts
+KINDS = {"binop": BINOPS, "vbinop": VBINOPS}
 
-#: opcode -> whether it writes a dest: True required, False never, None optional
+
+@dataclass(frozen=True)
+class OpSpec:
+    """One opcode's facts, apart from what it does (that is `interp`'s job).
+
+    dest: True = a destination is required, False = none, None = optional.
+    syntax: the operands after the opcode as space-separated slots. `v` is
+      one value operand and `args` a comma-separated list of them; both fill
+      `Instr.args` in order. `lit` fills `Instr.value`; `cls`, `field`, `fn`,
+      `method`, `kind`, `reason` and `width` fill the attribute of that name.
+      Any other slot is punctuation.
+    cost: reference-cycle units per execution; a `vbinop` costs its width.
+    metric: the `MetricVector` column each execution counts toward.
+    """
+
+    dest: bool | None
+    syntax: str
+    cost: int = 1
+    metric: str | None = None
+    slots: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "slots", tuple(self.syntax.split()))
+
+
 OPCODES = {
-    "const": True,
-    "classref": True,
-    "binop": True,
-    "new": True,
-    "newarray": True,
-    "getfield": True,
-    "putfield": False,
-    "arrayload": True,
-    "arraystore": False,
-    "cas": True,
-    "monitorenter": False,
-    "monitorexit": False,
-    "wait": False,
-    "notify": False,
-    "notifyall": False,
-    "park": False,
-    "unpark": False,
-    "guard": False,
-    "instanceof": True,
-    "call": None,  # dest optional
-    "callvirtual": None,
-    "handleconst": True,
-    "callhandle": None,
-    "output": False,
-    "vbinop": False,
+    "const": OpSpec(True, "lit"),
+    "classref": OpSpec(True, "cls"),
+    "binop": OpSpec(True, "kind , v , v"),
+    "new": OpSpec(True, "cls", 4, "object"),
+    "newarray": OpSpec(True, "v", 4, "array"),
+    "getfield": OpSpec(True, "v , field"),
+    "putfield": OpSpec(False, "v , field , v"),
+    "arrayload": OpSpec(True, "v , v"),
+    "arraystore": OpSpec(False, "v , v , v"),
+    "cas": OpSpec(True, "v , field , v , v", 8, "atomic"),
+    "monitorenter": OpSpec(False, "v", 8, "synch"),
+    "monitorexit": OpSpec(False, "v", 8),
+    "wait": OpSpec(False, "v", 8, "wait"),
+    "notify": OpSpec(False, "v", 8, "notify"),
+    "notifyall": OpSpec(False, "v", 8, "notify"),
+    "park": OpSpec(False, "", 8, "park"),
+    "unpark": OpSpec(False, "v", 8),
+    "guard": OpSpec(False, "v , reason"),
+    "instanceof": OpSpec(True, "v , cls"),
+    "call": OpSpec(None, "fn ( args )", 2),
+    "callvirtual": OpSpec(None, "v . method ( args )", 2, "method"),
+    "handleconst": OpSpec(True, "fn", 1, "idynamic"),
+    "callhandle": OpSpec(None, "v ( args )", 2, "method"),
+    "output": OpSpec(False, "v"),
+    "vbinop": OpSpec(False, "kind , v , v , v , v , width", 2),
 }
 
 #: opcodes with no heap or concurrency effects; safe to delete when unused
@@ -61,20 +87,21 @@ class Instr:
     """One non-terminator instruction.
 
     ``args`` are value-name operands in positional order; the remaining
-    fields are op-specific immediates and are None when unused.
+    fields are immediates, set when the opcode's syntax names them in
+    `OPCODES` and None otherwise.
     """
 
     op: str
     dest: str | None = None
     args: tuple[str, ...] = ()
-    value: int | bool | None = None  # const payload; None encodes null
-    cls: str | None = None  # new / classref / instanceof
-    field: str | None = None  # getfield / putfield / cas
-    kind: str | None = None  # binop / vbinop operator
-    fn: str | None = None  # call / handleconst target
-    method: str | None = None  # callvirtual selector
-    reason: str | None = None  # guard tag
-    width: int | None = None  # vbinop lane count
+    value: int | bool | None = None  # the `lit` slot; None encodes null
+    cls: str | None = None
+    field: str | None = None
+    kind: str | None = None  # operator
+    fn: str | None = None
+    method: str | None = None  # selector
+    reason: str | None = None  # deopt reason tag
+    width: int | None = None  # lane count
 
     def uses(self) -> tuple[str, ...]:
         return self.args
@@ -273,15 +300,11 @@ class NameGen:
         return name
 
 
-# -- convenience constructors used by passes and corpus builders -------------
+# -- convenience constructors used by passes and tests -----------------------
 
 
 def const(dest: str, value: int | bool | None) -> Instr:
     return Instr("const", dest=dest, value=value)
-
-
-def classref(dest: str, cls: str) -> Instr:
-    return Instr("classref", dest=dest, cls=cls)
 
 
 def binop(dest: str, kind: str, a: str, b: str) -> Instr:
@@ -296,20 +319,8 @@ def newarray(dest: str, length: str) -> Instr:
     return Instr("newarray", dest=dest, args=(length,))
 
 
-def getfield(dest: str, obj: str, fld: str) -> Instr:
-    return Instr("getfield", dest=dest, args=(obj,), field=fld)
-
-
 def putfield(obj: str, fld: str, val: str) -> Instr:
     return Instr("putfield", args=(obj, val), field=fld)
-
-
-def arrayload(dest: str, arr: str, idx: str) -> Instr:
-    return Instr("arrayload", dest=dest, args=(arr, idx))
-
-
-def arraystore(arr: str, idx: str, val: str) -> Instr:
-    return Instr("arraystore", args=(arr, idx, val))
 
 
 def cas(dest: str, obj: str, fld: str, expect: str, newv: str) -> Instr:
@@ -320,24 +331,8 @@ def guard(cond: str, reason: str) -> Instr:
     return Instr("guard", args=(cond,), reason=reason)
 
 
-def instanceof(dest: str, obj: str, cls: str) -> Instr:
-    return Instr("instanceof", dest=dest, args=(obj,), cls=cls)
-
-
 def call(dest: str | None, fn: str, args: tuple[str, ...] = ()) -> Instr:
     return Instr("call", dest=dest, fn=fn, args=args)
-
-
-def callvirtual(dest: str | None, obj: str, method: str, args: tuple[str, ...] = ()) -> Instr:
-    return Instr("callvirtual", dest=dest, method=method, args=(obj,) + args)
-
-
-def handleconst(dest: str, fn: str) -> Instr:
-    return Instr("handleconst", dest=dest, fn=fn)
-
-
-def callhandle(dest: str | None, handle: str, args: tuple[str, ...] = ()) -> Instr:
-    return Instr("callhandle", dest=dest, args=(handle,) + args)
 
 
 def output(val: str) -> Instr:
@@ -370,52 +365,26 @@ def _edge(target: str, args: tuple[str, ...]) -> str:
 
 
 def format_instr(i: Instr) -> str:
+    spec = OPCODES.get(i.op)
+    if spec is None:
+        raise ValueError(f"unknown opcode {i.op!r}")
+    args = iter(i.args)
+    parts = []
+    for slot in spec.slots:
+        if slot == "v":
+            parts.append(next(args))
+        elif slot == ",":
+            parts.append(", ")
+        elif slot == "args":
+            parts.append(", ".join(args))
+        elif slot == "lit":
+            parts.append(_lit(i.value))
+        elif slot in "().":
+            parts.append(slot)
+        else:
+            parts.append(str(getattr(i, slot)))
     lhs = f"{i.dest} = " if i.dest is not None else ""
-    op = i.op
-    if op == "const":
-        return f"{lhs}const {_lit(i.value)}"
-    if op == "classref":
-        return f"{lhs}classref {i.cls}"
-    if op == "binop":
-        return f"{lhs}binop {i.kind}, {i.args[0]}, {i.args[1]}"
-    if op == "new":
-        return f"{lhs}new {i.cls}"
-    if op == "newarray":
-        return f"{lhs}newarray {i.args[0]}"
-    if op == "getfield":
-        return f"{lhs}getfield {i.args[0]}, {i.field}"
-    if op == "putfield":
-        return f"putfield {i.args[0]}, {i.field}, {i.args[1]}"
-    if op == "arrayload":
-        return f"{lhs}arrayload {i.args[0]}, {i.args[1]}"
-    if op == "arraystore":
-        return f"arraystore {i.args[0]}, {i.args[1]}, {i.args[2]}"
-    if op == "cas":
-        return f"{lhs}cas {i.args[0]}, {i.field}, {i.args[1]}, {i.args[2]}"
-    if op in ("monitorenter", "monitorexit", "wait", "notify", "notifyall"):
-        return f"{op} {i.args[0]}"
-    if op == "park":
-        return "park"
-    if op == "unpark":
-        return f"unpark {i.args[0]}"
-    if op == "guard":
-        return f"guard {i.args[0]}, {i.reason}"
-    if op == "instanceof":
-        return f"{lhs}instanceof {i.args[0]}, {i.cls}"
-    if op == "call":
-        return f"{lhs}call {i.fn}({', '.join(i.args)})"
-    if op == "callvirtual":
-        return f"{lhs}callvirtual {i.args[0]}.{i.method}({', '.join(i.args[1:])})"
-    if op == "handleconst":
-        return f"{lhs}handleconst {i.fn}"
-    if op == "callhandle":
-        return f"{lhs}callhandle {i.args[0]}({', '.join(i.args[1:])})"
-    if op == "output":
-        return f"output {i.args[0]}"
-    if op == "vbinop":
-        d, a, b, off = i.args
-        return f"vbinop {i.kind}, {d}, {a}, {b}, {off}, {i.width}"
-    raise ValueError(f"unknown opcode {op!r}")
+    return f"{lhs}{i.op} {''.join(parts)}" if parts else f"{lhs}{i.op}"
 
 
 def format_term(t: Terminator) -> str:

@@ -33,6 +33,11 @@ KEYWORDS = frozenset(
     | set(ir.OPCODES)
 )
 
+#: syntax slots (see `ir.OpSpec`) naming a declared entity, with what to call it
+_NAMED = {"cls": "class name", "field": "field name", "fn": "function name",
+          "method": "method name"}
+_PUNCT = frozenset(",().")
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>[ \t]+)
@@ -41,6 +46,7 @@ _TOKEN_RE = re.compile(
   | (?P<int>-?\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[(){},;:=.])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -70,23 +76,17 @@ class _Tok:
 
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        s = m.group()
         if kind == "nl":
             line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(s)
-        else:
-            toks.append(_Tok(kind, s, line, col))
-            col += len(s)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
+            line_start = m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, m.start() - line_start + 1)
+        elif kind != "ws" and kind != "comment":
+            toks.append(_Tok(kind, m.group(), line, m.start() - line_start + 1))
+    toks.append(_Tok("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -295,113 +295,41 @@ class _Parser:
             self.expect("=")
         op_tok = self.next()
         op = op_tok.text
-        if op not in ir.OPCODES:
+        spec = ir.OPCODES.get(op)
+        if spec is None:
             raise ParseError(f"unknown instruction {op!r}", op_tok.line, op_tok.col)
-        wants_dest = ir.OPCODES[op]
-        if wants_dest is True and dest is None:
+        if spec.dest is True and dest is None:
             raise ParseError(f"{op} requires a destination", op_tok.line, op_tok.col)
-        if wants_dest is False and dest is not None:
+        if spec.dest is False and dest is not None:
             raise ParseError(f"{op} takes no destination", op_tok.line, op_tok.col)
-        return self._instr_body(op, dest)
+        return self._instr_body(op, spec.slots, dest)
 
-    def _instr_body(self, op: str, dest: str | None) -> Instr:
-        if op == "const":
-            return ir.const(dest, self.literal())
-        if op == "classref":
-            return ir.classref(dest, self.name("class name"))
-        if op == "binop":
-            kind = self.ident("binop kind")
-            if kind not in ir.BINOPS:
-                raise self.error(f"unknown binop kind {kind!r}")
-            self.expect(",")
-            a = self.name()
-            self.expect(",")
-            b = self.name()
-            return ir.binop(dest, kind, a, b)
-        if op == "new":
-            return ir.new(dest, self.name("class name"))
-        if op == "newarray":
-            return ir.newarray(dest, self.name())
-        if op == "getfield":
-            obj = self.name()
-            self.expect(",")
-            return ir.getfield(dest, obj, self.name("field name"))
-        if op == "putfield":
-            obj = self.name()
-            self.expect(",")
-            fld = self.name("field name")
-            self.expect(",")
-            return ir.putfield(obj, fld, self.name())
-        if op == "arrayload":
-            arr = self.name()
-            self.expect(",")
-            return ir.arrayload(dest, arr, self.name())
-        if op == "arraystore":
-            arr = self.name()
-            self.expect(",")
-            idx = self.name()
-            self.expect(",")
-            return ir.arraystore(arr, idx, self.name())
-        if op == "cas":
-            obj = self.name()
-            self.expect(",")
-            fld = self.name("field name")
-            self.expect(",")
-            expect = self.name()
-            self.expect(",")
-            return ir.cas(dest, obj, fld, expect, self.name())
-        if op in ("monitorenter", "monitorexit", "wait", "notify", "notifyall"):
-            return ir.monitor(op, self.name())
-        if op == "park":
-            return Instr("park")
-        if op == "unpark":
-            return Instr("unpark", args=(self.name(),))
-        if op == "guard":
-            cond = self.name()
-            self.expect(",")
-            return ir.guard(cond, self.ident("reason tag"))
-        if op == "instanceof":
-            obj = self.name()
-            self.expect(",")
-            return ir.instanceof(dest, obj, self.name("class name"))
-        if op == "call":
-            fname = self.name("function name")
-            return ir.call(dest, fname, self.arglist())
-        if op == "callvirtual":
-            obj = self.name()
-            self.expect(".")
-            sel = self.name("method name")
-            return ir.callvirtual(dest, obj, sel, self.arglist())
-        if op == "handleconst":
-            return ir.handleconst(dest, self.name("function name"))
-        if op == "callhandle":
-            h = self.name()
-            return ir.callhandle(dest, h, self.arglist())
-        if op == "output":
-            return ir.output(self.name())
-        if op == "vbinop":
-            kind = self.ident("vbinop kind")
-            if kind not in ir.VBINOPS:
-                raise self.error(f"unknown vbinop kind {kind!r}")
-            parts = []
-            for _ in range(4):
-                self.expect(",")
-                parts.append(self.name())
-            self.expect(",")
-            w_tok = self.peek()
-            if w_tok.kind != "int":
-                raise self.error("expected vbinop width")
-            width = int(self.next().text)
-            return ir.vbinop(kind, parts[0], parts[1], parts[2], parts[3], width)
-        raise self.error(f"unhandled instruction {op!r}")
-
-    def arglist(self) -> tuple[str, ...]:
-        self.expect("(")
+    def _instr_body(self, op: str, slots: tuple[str, ...], dest: str | None) -> Instr:
         args: list[str] = []
-        if not self.at(")"):
-            args = self.namelist()
-        self.expect(")")
-        return tuple(args)
+        imm: dict[str, object] = {}
+        for slot in slots:
+            if slot == "v":
+                args.append(self.name())
+            elif slot in _PUNCT:
+                self.expect(slot)
+            elif slot in _NAMED:
+                imm[slot] = self.name(_NAMED[slot])
+            elif slot == "args":
+                if not self.at(")"):
+                    args.extend(self.namelist())
+            elif slot == "lit":
+                imm["value"] = self.literal()
+            elif slot == "kind":
+                kind = imm["kind"] = self.ident(f"{op} kind")
+                if kind not in ir.KINDS[op]:
+                    raise self.error(f"unknown {op} kind {kind!r}")
+            elif slot == "reason":
+                imm["reason"] = self.ident("reason tag")
+            else:  # width
+                if self.peek().kind != "int":
+                    raise self.error(f"expected {op} width")
+                imm["width"] = int(self.next().text)
+        return Instr(op, dest, tuple(args), **imm)
 
 
 def parse(text: str) -> Program:

@@ -49,6 +49,7 @@ class _Explorer:
         self.memoize = memoize
         self.memo: dict[object, frozenset[_Suffix]] = {}
         self.seen: set[object] = set()
+        self.states = 0  # states expanded; when memoizing, distinct canonical states
         self.ceiling_hit = False
 
     def explore(self, m: Machine, rem: int, last: int, preempts: int
@@ -75,11 +76,13 @@ class _Explorer:
             hit = self.memo.get(key)
             if hit is not None:
                 return hit, True
-            if key not in self.seen:
+        if key is None or key not in self.seen:
+            if self.states >= self.max_states:
+                self.ceiling_hit = True
+                return frozenset(), False
+            self.states += 1
+            if key is not None:
                 self.seen.add(key)
-                if len(self.seen) > self.max_states:
-                    self.ceiling_hit = True
-                    return frozenset(), False
 
         choices = enabled
         if self.pbound is not None and last in enabled and preempts >= self.pbound:
@@ -122,7 +125,7 @@ def enumerate_results(
     finally:
         sys.setrecursionlimit(old_limit)
     traces = frozenset(ResultTrace(ev, status, reason) for ev, status, reason in suffixes)
-    return ResultSet(traces, complete, len(ex.seen) if memoize else -1)
+    return ResultSet(traces, complete, ex.states)
 
 
 @dataclass(frozen=True)

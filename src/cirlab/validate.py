@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ir import Br, CondBr, Function, Program, Ret
+from .ir import OPCODES, Br, CondBr, Function, Program, Ret
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,18 @@ def resolution_diagnostics(p: Program) -> list[Diagnostic]:
         where = f"fn {f.name}"
         for b in f.blocks:
             for i in b.instrs:
-                if i.op in ("new", "classref", "instanceof") and i.cls not in classes:
+                spec = OPCODES.get(i.op)
+                if spec is None:
+                    out.append(_d(where, f"unknown opcode {i.op!r}"))
+                    continue
+                slots = spec.slots
+                if "cls" in slots and i.cls not in classes:
                     out.append(_d(where, f"unknown class {i.cls!r}"))
-                if i.op in ("getfield", "putfield", "cas") and i.field not in all_fields:
+                if "field" in slots and i.field not in all_fields:
                     out.append(_d(where, f"field {i.field!r} is not declared by any class"))
-                if i.op in ("call", "handleconst") and i.fn not in functions:
+                if "fn" in slots and i.fn not in functions:
                     out.append(_d(where, f"unknown function {i.fn!r}"))
-                if i.op == "callvirtual" and i.method not in all_selectors:
+                if "method" in slots and i.method not in all_selectors:
                     out.append(_d(where, f"method {i.method!r} is not declared by any class"))
             for t in b.term.targets():
                 if t not in blocks:

@@ -35,6 +35,23 @@ def test_run_explicit_schedule(capsys, cir_file):
     assert json.loads(capsys.readouterr().out)["events"] == [2, 1]
 
 
+@pytest.mark.parametrize("cmd", ["run", "profile"])
+@pytest.mark.parametrize("schedule", ["explicit:", "explicit:1,,2", "rr:x", "rr:0", "foo"])
+def test_bad_schedule_is_an_error_line(capsys, cmd, schedule):
+    assert main([cmd, "corpus:racing-outputs", "--schedule", schedule]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: bad schedule {schedule!r} (use rr:k with k >= 1, or explicit:t1,t2,...)"]
+
+
+@pytest.mark.parametrize("cmd", [["run"], ["profile"], ["check", "{f}"],
+                                 ["bench", "--warmup", "0", "--measured", "1"]])
+def test_dynamic_fault_is_an_error_line(capsys, cir_file, cmd):
+    f = cir_file("div.cir", "fn main() {\nb0:\n  z = const 0\n  v = binop div, z, z\n  ret\n}\n"
+                            "thread main()")
+    assert main([cmd[0], f] + [a.format(f=f) for a in cmd[1:]]) == 1
+    assert capsys.readouterr().err.strip() == "error: binop div: division by zero"
+
+
 def test_profile_emits_metric_columns(capsys, cir_file):
     f = cir_file("loop.cir", coarsen_loop(10))
     assert main(["profile", f]) == 0

@@ -124,3 +124,70 @@ def test_thread_literals():
     assert p.threads[0].args == ()
     p2 = parse("fn f(a, b, c) {\nb0:\n  ret\n}\nthread f(1, true, null)")
     assert p2.threads[0].args == (1, True, None)
+
+
+EVERY_OPCODE = """
+class A { fields x; methods get=a_get; }
+fn a_get(self) {
+e:
+  v = getfield self, x
+  ret v
+}
+fn side() {
+e:
+  ret
+}
+fn main(n) {
+b0:
+  zero = const 0
+  nil = const null
+  yes = const true
+  g = classref A
+  o = new A
+  putfield o, x, zero
+  ok = cas o, x, zero, n
+  monitorenter g
+  wait g
+  notify g
+  notifyall g
+  monitorexit g
+  park
+  unpark n
+  arr = newarray n
+  arraystore arr, zero, n
+  el = arrayload arr, zero
+  s = binop add, el, n
+  t = instanceof o, A
+  guard t, never
+  r = call a_get(o)
+  call side()
+  r2 = callvirtual o.get()
+  callvirtual o.get()
+  h = handleconst a_get
+  r3 = callhandle h(o)
+  callhandle h(o)
+  vbinop mul, arr, arr, arr, zero, 2
+  output s
+  ret
+}
+thread main(1)
+"""
+
+
+def test_every_opcode_roundtrips_and_instr_errors_are_pinned():
+    p = parse(EVERY_OPCODE)
+    assert parse(print_program(p)) == p
+    instrs = [i for f in p.functions for b in f.blocks for i in b.instrs]
+    assert {i.op for i in instrs} == set(ir.OPCODES)
+    assert {i.dest is None for i in instrs if i.op == "call"} == {True, False}
+
+    errors = (
+        ("x = putfield a, f, a", "putfield takes no destination", 7),
+        ("getfield a, f", "getfield requires a destination", 3),
+        ("x = binop pow, a, a", "unknown binop kind 'pow'", 16),
+        ("vbinop add, a, a, a, a, a", "expected vbinop width", 27),
+    )
+    for line, msg, col in errors:
+        with pytest.raises(ParseError) as e:
+            parse(f"fn main(a) {{\nb0:\n  {line}\n  ret\n}}\nthread main(1)")
+        assert (e.value.msg, e.value.line, e.value.col) == (msg, 3, col), line

@@ -105,15 +105,22 @@ def test_budget_marks_non_exhausted():
     assert any(t.status == "step-budget-exhausted" for t in rs.traces)
 
 
-def test_state_ceiling_marks_non_exhausted():
-    rs = enumerate_results(parse(RACING_INCREMENT), max_states=3)
+MEMOIZE = pytest.mark.parametrize("memoize", [True, False], ids=["memo", "no-memo"])
+
+
+@MEMOIZE
+def test_state_ceiling_marks_non_exhausted(memoize):
+    rs = enumerate_results(parse(RACING_INCREMENT), max_states=3, memoize=memoize)
     assert not rs.exhausted
+    assert 0 <= rs.states_explored <= 3
 
 
-def test_state_ceiling_keeps_partial_results():
-    full = enumerate_results(parse(RACING_INCREMENT))
-    partial = enumerate_results(parse(RACING_INCREMENT), max_states=20)
+@MEMOIZE
+def test_state_ceiling_keeps_partial_results(memoize):
+    full = enumerate_results(parse(RACING_INCREMENT), memoize=memoize)
+    partial = enumerate_results(parse(RACING_INCREMENT), max_states=20, memoize=memoize)
     assert not partial.exhausted
+    assert partial.states_explored <= 20
     assert partial.traces and partial.traces < full.traces
 
 

@@ -114,3 +114,9 @@ def test_branch_to_unknown_block_is_a_diagnostic():
     )
     messages = [d.message for d in validate(p)]
     assert "branch to unknown block 'nowhere'" in messages
+
+
+def test_unknown_opcode_is_a_diagnostic():
+    f = Function("main", (), (Block("b0", (), (ir.Instr("bogus"),), Ret(None)),))
+    p = Program((), (f,), (ThreadDecl("main"),))
+    assert "unknown opcode 'bogus'" in [d.message for d in validate(p)]

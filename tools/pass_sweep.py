@@ -3,8 +3,11 @@
 Runs each pass, at the default options and at chunk=2, and the full
 pipeline over every corpus program, its small variant, and the fuzz
 generator's programs for seeds 0-199. Prints one line per case: a label
-and the SHA-256 of the printed output program plus the JSON of every
-report. Run it against two checkouts and diff the outputs:
+and the SHA-256 of the printed output program, the JSON of every report,
+and the output program's `rr:1` run within a fixed step budget (events,
+status, reason, metric row, sorted op counts and steps, or the message of
+the InterpreterError it raised). Run it against two checkouts and diff the
+outputs:
 
     PYTHONPATH=src python tools/pass_sweep.py > after.txt
     PYTHONPATH=<other checkout>/src python tools/pass_sweep.py > before.txt
@@ -18,16 +21,31 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from cirlab.corpus import corpus  # noqa: E402
+from cirlab.interp import InterpreterError, run  # noqa: E402
 from cirlab.ir import print_program  # noqa: E402
 from cirlab.parser import parse  # noqa: E402
 from cirlab.passes import PASS_NAMES, PassOptions, pipeline, run_pass  # noqa: E402
 from tests.test_fuzz import gen_program  # noqa: E402
 
 
+RUN_BUDGET = 20_000  # steps per run; longer runs end step-budget-exhausted
+
+
+def run_summary(program) -> str:
+    try:
+        r = run(program, "rr:1", RUN_BUDGET)
+    except InterpreterError as e:
+        return f"InterpreterError: {e}"
+    t = r.trace
+    return repr((t.events, t.status, t.reason, r.metrics.row(),
+                 sorted(r.op_counts.items()), r.steps))
+
+
 def fingerprint(program, reports) -> str:
     h = hashlib.sha256(print_program(program).encode())
     for r in reports:
         h.update(json.dumps(r.to_dict(), sort_keys=True).encode())
+    h.update(run_summary(program).encode())
     return h.hexdigest()
 
 
