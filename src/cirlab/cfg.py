@@ -32,6 +32,36 @@ def def_index(f: Function) -> dict[str, Instr]:
     return out
 
 
+def liveness(f: Function) -> dict[str, tuple[frozenset[str], ...]]:
+    """Block name -> the names live before each instruction index.
+
+    Entry `len(instrs)` is the terminator's. A block's live-out is its
+    successors' live-in minus their params, plus the edge arguments.
+    """
+    bmap = f.block_map()
+    live_in: dict[str, frozenset[str]] = {b.name: frozenset() for b in f.blocks}
+    out: dict[str, tuple[frozenset[str], ...]] = {}
+    changed = True
+    while changed:
+        changed = False
+        for b in reversed(f.blocks):
+            live = set(b.term.uses())
+            for t in b.term.targets():
+                if t in bmap:
+                    live |= live_in[t].difference(bmap[t].params)
+            points = [frozenset(live)]
+            for i in reversed(b.instrs):
+                live.discard(i.dest)
+                live.update(i.uses())
+                points.append(frozenset(live))
+            points.reverse()
+            out[b.name] = tuple(points)
+            if points[0] != live_in[b.name]:
+                live_in[b.name] = points[0]
+                changed = True
+    return out
+
+
 def reachable_rpo(f: Function) -> list[str]:
     """Blocks reachable from the entry, in reverse postorder.
 

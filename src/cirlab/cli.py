@@ -136,11 +136,17 @@ def cmd_optimize(args) -> int:
 def cmd_check(args) -> int:
     before = load_program(args.before)
     after = load_program(args.after)
-    verdict = check_refinement(
-        before, after, step_budget=args.budget,
-        preemption_bound=args.preemptions, max_states=args.max_states,
-    )
+    try:
+        verdict = check_refinement(
+            before, after, step_budget=args.budget,
+            preemption_bound=args.preemptions, max_states=args.max_states,
+        )
+    except ValueError as e:  # more threads than the enumerator supports
+        raise CliError(str(e))
     out = {"verdict": verdict.kind, "statesExplored": verdict.states_explored}
+    for side, rs in (("original", verdict.original), ("transformed", verdict.transformed)):
+        out[side] = {"states": rs.states_explored, "memoHits": rs.memo_hits,
+                     "exhausted": rs.exhausted}
     if verdict.witness is not None:
         out["witness"] = {
             "events": list(verdict.witness.events),

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .ir import INT_MAX, OPCODES, Br, CondBr, Instr, Program, Ret
+from .ir import INT_MAX, OPCODES, PURE_OPS, Br, CondBr, Instr, Program, Ret
 
 
 class InterpreterError(Exception):
@@ -147,6 +147,9 @@ class Frame:
 # which are detected by peeking at their next instruction
 RUN, WAITING, REACQUIRE, PARKED, DONE = "run", "waiting", "reacquire", "parked", "done"
 
+#: opcodes whose step reads and writes only the running thread's own frames
+_LOCAL_OPS = PURE_OPS | {"call"}
+
 
 class ThreadState:
     __slots__ = ("tid", "frames", "status", "wait_obj", "saved_count", "permit")
@@ -187,6 +190,8 @@ class Machine:
         self.status: str | None = None  # set once terminal
         self.reason: str | None = None
         self._blocks = {f.name: f.block_map() for f in program.functions}
+        # fn -> block -> live names per instruction index, filled by canon_key
+        self._live: dict[str, dict[str, tuple[tuple[str, ...], ...]]] = {}
 
     # -- heap -------------------------------------------------------------
 
@@ -254,6 +259,21 @@ class Machine:
 
     def enabled_threads(self) -> list[int]:
         return [t.tid for t in self.threads if self.enabled(t.tid)]
+
+    def next_is_local(self, tid: int) -> bool:
+        """True iff thread `tid`'s next step touches only its own frames.
+
+        Such a step commutes with every step of every other thread: a pure
+        op, a call, a branch, or a return to a caller. A return from the
+        last frame is not local, since `unpark` reads the DONE it sets.
+        """
+        t = self.threads[tid - 1]
+        if t.status != RUN:
+            return False
+        instr = self._next_instr(t)
+        if isinstance(instr, Instr):
+            return instr.op in _LOCAL_OPS
+        return not isinstance(instr, Ret) or len(t.frames) > 1
 
     def _next_instr(self, t: ThreadState) -> Instr | Br | CondBr | Ret:
         fr = t.frames[-1]
@@ -555,15 +575,31 @@ class Machine:
         m.reason = self.reason
         m._field_order = self._field_order
         m._blocks = self._blocks
+        m._live = self._live
         return m
+
+    def _live_names(self, f: Frame) -> tuple[str, ...]:
+        by_block = self._live.get(f.fn)
+        if by_block is None:
+            from .cfg import liveness  # not at import time: `run` never needs it
+
+            by_block = self._live[f.fn] = {
+                b: tuple(tuple(sorted(names)) for names in points)
+                for b, points in liveness(self.fns[f.fn]).items()
+            }
+        return by_block[f.block][f.idx]
 
     def canon_key(self):
         """Schedule-independent state fingerprint.
 
         Heap references are renumbered in deterministic encounter order
         (thread roots first, then reachable object graph), so states that
-        differ only in allocation numbering compare equal. Emitted events,
-        op counts, cost, and step counts are deliberately excluded.
+        differ only in allocation numbering compare equal. A frame keys only
+        the locals live at its position (`cfg.liveness`), in name order, with
+        None for a live name not yet assigned (a caller's pending call
+        destination), so states that differ only in dead values compare
+        equal too. Emitted events, op counts, cost, and step counts are
+        deliberately excluded.
         """
         renum: dict[int, int] = {}
         queue: list[int] = []
@@ -591,7 +627,7 @@ class Machine:
             frames = tuple(
                 (
                     f.fn, f.block, f.idx, f.ret_dest,
-                    tuple((k, cv(f.locals[k])) for k in sorted(f.locals)),
+                    tuple(cv(f.locals[k]) if k in f.locals else None for k in self._live_names(f)),
                 )
                 for f in t.frames
             )

@@ -1,9 +1,24 @@
 """Exhaustive thread-interleaving exploration and the refinement check.
 
-`enumerate_results` walks every runnable-thread choice depth-first, memoizing
-the set of trace suffixes producible from each canonical machine state, so
+`enumerate_results` walks runnable-thread choices depth-first, memoizing the
+set of trace suffixes producible from each canonical machine state, so
 interleavings that converge on the same state are explored once. The result
 is the set R of observable results (output sequence + termination status).
+
+Without a preemption bound, a state where some enabled thread's next step is
+local (`Machine.next_is_local`) expands only the lowest such thread: an ample
+set of one (Godefroid, *Partial-Order Methods*, LNCS 1032, 1996). A local
+step commutes with every step of every other thread, so the orders it skips
+reach the same results. The contract against the unreduced search:
+
+- a fully enumerated search (`exhausted`) gives exactly the same traces;
+- a search cut by the step budget gives the same `terminated` and `deadlock`
+  traces and the same `exhausted` flag, but its `deopt` and
+  `step-budget-exhausted` traces can be strict subsets: local steps run
+  first, so they can push a failing guard, or a prefix, past the budget.
+
+Verdicts cannot change, since `check_refinement` compares only terminated
+traces. Preemption-bounded searches keep full branching.
 
 `check_refinement` decides whether a transformed program can only produce
 results the original could: every terminated trace of the transformed
@@ -29,12 +44,14 @@ class ResultSet:
 
     When `exhausted` is False (step budget or state ceiling hit) `traces`
     holds the results found before the bound, and any subset claim is only
-    "bounded", never proved.
+    "bounded", never proved. `memo_hits` counts the states whose results
+    came from the memo instead of being explored again.
     """
 
     traces: frozenset[ResultTrace]
     exhausted: bool
     states_explored: int
+    memo_hits: int
 
     def terminated(self) -> frozenset[ResultTrace]:
         return frozenset(t for t in self.traces if t.status == "terminated")
@@ -50,6 +67,7 @@ class _Explorer:
         self.memo: dict[object, frozenset[_Suffix]] = {}
         self.seen: set[object] = set()
         self.states = 0  # states expanded; when memoizing, distinct canonical states
+        self.memo_hits = 0
         self.ceiling_hit = False
 
     def explore(self, m: Machine, rem: int, last: int, preempts: int
@@ -75,6 +93,7 @@ class _Explorer:
             key = (m.canon_key(), last, preempts) if self.pbound is not None else m.canon_key()
             hit = self.memo.get(key)
             if hit is not None:
+                self.memo_hits += 1
                 return hit, True
         if key is None or key not in self.seen:
             if self.states >= self.max_states:
@@ -85,7 +104,12 @@ class _Explorer:
                 self.seen.add(key)
 
         choices = enabled
-        if self.pbound is not None and last in enabled and preempts >= self.pbound:
+        if self.pbound is None:
+            if len(enabled) > 1:  # an ample set of one; see the module docstring
+                local = next((tid for tid in enabled if m.next_is_local(tid)), None)
+                if local is not None:
+                    choices = [local]
+        elif last in enabled and preempts >= self.pbound:
             choices = [last]
 
         out: set[_Suffix] = set()
@@ -125,7 +149,7 @@ def enumerate_results(
     finally:
         sys.setrecursionlimit(old_limit)
     traces = frozenset(ResultTrace(ev, status, reason) for ev, status, reason in suffixes)
-    return ResultSet(traces, complete, ex.states)
+    return ResultSet(traces, complete, ex.states, ex.memo_hits)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 from hypothesis import given, settings, strategies as st
 
-from cirlab.cfg import dominators, dominates, match_while_loop, natural_loops, while_loops
+from cirlab.cfg import (
+    dominators, dominates, liveness, match_while_loop, natural_loops, while_loops,
+)
 from cirlab.corpus import corpus_entry
 from cirlab.ir import Block, Br, CondBr, Function, Ret
 from cirlab.parser import parse
@@ -152,6 +154,17 @@ def test_natural_loop_and_while_match():
     assert wl.two_block
     assert wl.loop_defs == {"i", "c", "one", "i2"}
     assert list(while_loops(f)) == [wl]
+
+
+def test_liveness_on_loop():
+    # a header param is live at index 0; an edge argument is live at the
+    # terminator, and the successor's other live names flow back through it
+    assert liveness(parse(LOOP).fn_map()["main"]) == {
+        "b0": ({"n"}, {"zero", "n"}),
+        "loop": ({"i", "n"}, {"c", "i", "n"}),
+        "body": ({"i", "n"}, {"i", "one", "n"}, {"i2", "n"}),
+        "done": (set(),),
+    }
 
 
 def test_while_loops_on_corpus_loop():

@@ -100,6 +100,24 @@ def test_check_refines_and_violates(tmp_path, cir_file, capsys):
     assert 99 in verdict["witness"]["events"]
 
 
+def test_check_json_reports_each_side(cir_file, capsys):
+    f = cir_file("r.cir", racing_outputs())
+    assert main(["check", f, f, "--budget", "200"]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert set(verdict) == {"verdict", "statesExplored", "original", "transformed"}
+    sides = [verdict["original"], verdict["transformed"]]
+    for side in sides:
+        assert set(side) == {"states", "memoHits", "exhausted"}
+        assert side["exhausted"] is True and side["memoHits"] > 0
+    assert verdict["statesExplored"] == sum(side["states"] for side in sides)
+
+
+def test_check_too_many_threads_is_an_error_line(cir_file, capsys):
+    f = cir_file("five.cir", "fn t() {\ne:\n  ret\n}\n" + "thread t()\n" * 5)
+    assert main(["check", f, f]) == 1
+    assert capsys.readouterr().err.strip() == "error: enumeration supports at most 4 threads"
+
+
 def test_bench_and_compare(capsys, cir_file):
     f = cir_file("loop.cir", coarsen_loop(50))
     assert main(["bench", f, "--warmup", "0", "--measured", "3"]) == 0

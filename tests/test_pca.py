@@ -102,7 +102,7 @@ def test_independent_columns_split_variance():
     assert np.allclose(model.explained, 1 / 3, atol=0.05)
 
 
-def test_jacobi_matches_numpy_eigh():
+def test_eigenvalues_match_the_correlation_spectrum():
     rng = np.random.default_rng(3)
     for k in (2, 5, 11):
         y = rng.normal(size=(40, k))

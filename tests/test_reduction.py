@@ -1,0 +1,250 @@
+"""Differential gate for the enumerator's state-space reduction.
+
+`reference` is a plain depth-first search over every enabled thread, with no
+reduction. It memoizes on the full machine state (every local, dead or live,
+and the heap in allocation order) and is exact under a step budget: a state
+whose every path ends is reused only where its longest path fits the budget
+left, and a state the budget cut is memoized per budget left.
+`enumerate_results` must match it as the `scheduler` docstring states.
+"""
+
+import pickle
+import sys
+
+import pytest
+
+from cirlab.corpus import corpus, corpus_entry
+from cirlab.interp import HObj, Machine, ResultTrace
+from cirlab.parser import parse
+from cirlab.passes import PASS_NAMES, PassOptions, run_pass
+from cirlab.scheduler import enumerate_results
+from test_fuzz import gen_program
+
+FUZZ_SEEDS = 40
+# an unmemoized search is a tree search; past this many states it is only
+# checked as a subset of the reference
+NO_MEMO_CEILING = 300
+
+
+def full_key(m: Machine) -> bytes:
+    """Every part of the machine state a later step can read, pickled.
+
+    Unpickling gives the state back, so equal keys mean equal states.
+    """
+    return pickle.dumps((
+        [(t.status, t.wait_obj, t.saved_count, t.permit,
+          [(f.fn, f.block, f.idx, f.ret_dest, sorted(f.locals.items())) for f in t.frames])
+         for t in m.threads],
+        [(h.cls, h.fields) if isinstance(h, HObj) else h.elems for h in m.heap],
+        sorted((oid, mon.owner, mon.count, mon.waitset) for oid, mon in m.monitors.items()),
+    ))
+
+
+def reference(program, budget: int) -> tuple[frozenset[ResultTrace], bool]:
+    """(the result set over every schedule, True iff no path hit the budget)."""
+    done = {}  # full key -> (suffixes, longest path); every path from the state ends
+    cut = {}  # (full key, budget left) -> suffixes of a search the budget cut
+
+    def explore(m, rem):
+        """(suffixes, longest path length, or None if the budget cut a path)."""
+        if m.status is not None:
+            return frozenset({((), m.status, m.reason)}), 0
+        enabled = m.enabled_threads()
+        if not enabled:
+            return frozenset({((), "deadlock" if m.alive() else "terminated", None)}), 0
+        if rem <= 0:
+            return frozenset({((), "step-budget-exhausted", None)}), None
+        key = full_key(m)
+        hit = done.get(key)
+        if hit is not None and hit[1] <= rem:
+            return hit
+        if (key, rem) in cut:
+            return cut[key, rem], None
+        out = set()
+        height = 0
+        for k, tid in enumerate(enabled):
+            child = m.clone() if k < len(enabled) - 1 else m
+            emitted = tuple(child.step(tid))
+            suffixes, h = explore(child, rem - 1)
+            height = None if h is None or height is None else max(height, h + 1)
+            out.update((emitted + ev, status, reason) for ev, status, reason in suffixes)
+        out = frozenset(out)
+        if height is None:
+            cut[key, rem] = out
+        else:
+            done[key] = out, height
+        return out, height
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, budget + 500))
+    try:
+        suffixes, height = explore(Machine(program), budget)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    return frozenset(ResultTrace(*s) for s in suffixes), height is not None
+
+
+# x, read before the write, is live through block m only because block f
+# prints it; a state key that drops it merges the states behind [0, 1] and [1, 1]
+STALE_READ = """
+class G { fields n; }
+fn reader() {
+e:
+  g = classref G
+  a = getfield g, n
+  br m(a)
+m(x):
+  b = getfield g, n
+  br f()
+f():
+  output x
+  output b
+  ret
+}
+fn writer() {
+e:
+  g = classref G
+  one = const 1
+  putfield g, n, one
+  ret
+}
+thread reader()
+thread writer()
+"""
+
+# a notified waiter's reacquire races the notifier's second monitorenter;
+# only that race prints [2, 1], and only an edge argument carries `waited`
+REACQUIRE_RACE = """
+class S { fields ready; }
+fn waiter() {
+e:
+  s = classref S
+  zero = const 0
+  monitorenter s
+  br chk(zero)
+chk(w):
+  f = getfield s, ready
+  one = const 1
+  go = binop eq, f, one
+  condbr go, fin(w), slp()
+slp():
+  wait s
+  br chk(one)
+fin(waited):
+  output waited
+  monitorexit s
+  ret
+}
+fn notifier() {
+e:
+  s = classref S
+  one = const 1
+  monitorenter s
+  putfield s, ready, one
+  notify s
+  monitorexit s
+  monitorenter s
+  two = const 2
+  output two
+  monitorexit s
+  ret
+}
+thread waiter()
+thread notifier()
+"""
+
+
+def _cases():
+    """(id, program, step budget, budgets that cut it): corpus small variants,
+    the two programs above and generated programs, each followed by the
+    output of every pass that rewrites it.
+
+    Generated programs are cut at 4 and 8 steps only: at 12 and 16 their
+    budget-cut searches, each a tree search, take 0.05 to 0.8 s apiece.
+    """
+    sources = [(e.name, e.small, e.small_budget, PassOptions(chunk=2), (4, 8, 12, 16))
+               for e in corpus()]
+    sources += [(name, parse(text), 200, PassOptions(), (4, 8, 12, 16))
+                for name, text in (("stale-read", STALE_READ), ("reacquire-race", REACQUIRE_RACE))]
+    sources += [(f"gen{s}", parse(gen_program(s)), 3000, PassOptions(), (4, 8))
+                for s in range(FUZZ_SEEDS)]
+    for name, program, budget, options, cuts in sources:
+        yield pytest.param(program, budget, cuts, id=name)
+        for pass_name in PASS_NAMES:
+            out, report = run_pass(program, pass_name, options)
+            if report.rewrites:
+                yield pytest.param(out, budget, cuts, id=f"{name}/{pass_name}")
+
+
+CASES = list(_cases())
+
+
+def _by_status(traces, status):
+    return {t for t in traces if t.status == status}
+
+
+@pytest.mark.parametrize("program, budget, cuts", CASES)
+def test_exhausted_search_matches_reference(program, budget, cuts):
+    ref, ref_exhausted = reference(program, budget)
+    assert ref_exhausted
+    rs = enumerate_results(program, budget)
+    assert rs.exhausted and rs.traces == ref
+    rs = enumerate_results(program, budget, max_states=NO_MEMO_CEILING, memoize=False)
+    if rs.exhausted:
+        assert rs.traces == ref
+    else:
+        assert rs.states_explored == NO_MEMO_CEILING and rs.traces <= ref
+
+
+@pytest.mark.parametrize("program, budget, cuts", CASES)
+def test_budget_cut_search_keeps_the_contract(program, budget, cuts):
+    for cut in cuts:
+        ref, ref_exhausted = reference(program, cut)
+        for memoize in (True, False):
+            rs = enumerate_results(program, cut, memoize=memoize)
+            assert rs.exhausted == ref_exhausted
+            for status in ("terminated", "deadlock"):
+                assert _by_status(rs.traces, status) == _by_status(ref, status)
+            assert rs.traces <= ref
+
+
+SPIN_THEN_DEOPT = """
+fn spin(n) {
+e:
+  zero = const 0
+  br l(zero)
+l(i):
+  one = const 1
+  i2 = binop add, i, one
+  more = binop lt, i2, n
+  condbr more, l(i2), x()
+x():
+  ret
+}
+fn fail() {
+e:
+  f = const false
+  guard f, boom
+  ret
+}
+thread spin(%d)
+thread fail()
+"""
+
+
+def test_local_steps_can_push_a_deopt_past_the_budget():
+    # the spinning thread's steps are all local, so they run first: within 20
+    # steps the reduced search never reaches the failing guard
+    deopt = ResultTrace((), "deopt", "boom")
+    program = parse(SPIN_THEN_DEOPT % 100)
+    assert deopt in reference(program, 20)[0]
+    assert deopt not in enumerate_results(program, 20).traces
+    program = parse(SPIN_THEN_DEOPT % 3)
+    assert enumerate_results(program, 100).traces == reference(program, 100)[0]
+
+
+def test_coarsen_mini_enumerates_far_fewer_states():
+    e = corpus_entry("coarsen-mini")
+    rs = enumerate_results(e.small, e.small_budget)
+    assert rs.exhausted and rs.states_explored < 2_500  # 20,394 without reduction
+    assert rs.memo_hits > 0

@@ -133,10 +133,10 @@ def test_trace_missing_from_partial_original_is_inconclusive():
 
 
 def test_state_ceiling_on_corpus_original_is_not_a_violation():
-    # the original hits the ceiling, the coarsened program does not
-    e = corpus_entry("coarsen-mini")
-    coarsened, _ = run_pass(e.small, "lock_coarsen", PassOptions(chunk=2))
-    v = check_refinement(e.small, coarsened, step_budget=e.small_budget, max_states=14_540)
+    # the original (172 states) hits the ceiling, the coalesced program (130) does not
+    e = corpus_entry("coalesce-mini")
+    coalesced, _ = run_pass(e.small, "atomic_coalesce", PassOptions(chunk=2))
+    v = check_refinement(e.small, coalesced, step_budget=e.small_budget, max_states=150)
     assert not v.original.exhausted and v.original.traces
     assert v.transformed.exhausted
     assert v.kind == "bounded-ok"
