@@ -1,9 +1,10 @@
-"""Benchmark harness: warm-up/steady-state runs and on/off pass comparison.
+"""Benchmark harness: profiling runs and on/off pass comparison.
 
 "Time" is the interpreter's deterministic cost-unit counter, not wall
-clock, so results are exactly reproducible in CI. An iteration is one full
-program run under a fixed schedule policy; warm-up iterations are executed
-and discarded, steady-state iterations contribute one cost sample each.
+clock, so one run under a fixed schedule policy gives the exact cost and
+results are reproducible in CI. Warm-up and replicated runs answer
+wall-clock noise, which a cost counter does not have; samples measured
+outside cirlab go to `stats.welch_t` and `stats.winsorize`.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from .interp import MetricVector, run
 from .ir import Program
 from .passes import PassOptions, pipeline
 from .pca import MetricMatrix
-from .stats import SampleSet, WelchResult, welch_t, winsorize
-
-DEFAULT_WARMUP = 5
-DEFAULT_MEASURED = 15
 
 #: metric columns the interpreter can actually produce (cpu/cachemiss cannot)
 PROFILED_COLUMNS = tuple(c for c in MetricVector.COLUMNS if c not in ("cpu", "cachemiss"))
@@ -27,7 +24,7 @@ PROFILED_COLUMNS = tuple(c for c in MetricVector.COLUMNS if c not in ("cpu", "ca
 
 def profile_matrix(programs: dict[str, Program], schedule: str = "rr:1",
                    budget: int = 5_000_000) -> MetricMatrix:
-    """One steady-state profiling run per program, stacked into a matrix.
+    """One profiling run per program, stacked into a matrix.
 
     Rows carry "interpreter" provenance; the refcycles column is included
     so the result can be normalized downstream.
@@ -49,27 +46,18 @@ def profile_matrix(programs: dict[str, Program], schedule: str = "rr:1",
 
 def bench(
     program: Program,
-    warmup: int = DEFAULT_WARMUP,
-    measured: int = DEFAULT_MEASURED,
     passes: tuple[str, ...] = (),
     options: PassOptions = PassOptions(),
     schedule: str = "rr:1",
     budget: int = 5_000_000,
-    label: str = "",
-) -> SampleSet:
-    """Cost samples from `measured` steady-state iterations."""
-    if warmup < 0 or measured < 1:
-        raise ValueError("need warmup >= 0 and measured >= 1")
+) -> int:
+    """The cost of one run of `program` after `passes`."""
     if passes:
         program, _ = pipeline(program, list(passes), options)
-    samples = []
-    for k in range(warmup + measured):
-        r = run(program, schedule, budget)
-        if r.trace.status != "terminated":
-            raise RuntimeError(f"iteration {k}: run ended with {r.trace.status}")
-        if k >= warmup:
-            samples.append(float(r.metrics.refcycles))
-    return SampleSet(tuple(samples), label or ",".join(passes) or "baseline")
+    r = run(program, schedule, budget)
+    if r.trace.status != "terminated":
+        raise RuntimeError(f"run ended with {r.trace.status}")
+    return r.metrics.refcycles
 
 
 @dataclass(frozen=True)
@@ -83,24 +71,18 @@ class BenchReport:
     benchmark: str
     passes_on: tuple[str, ...]
     passes_off: tuple[str, ...]
-    on_samples: SampleSet
-    off_samples: SampleSet
+    on_cost: int
+    off_cost: int
     impact_pct: float
-    welch: WelchResult
-    significant: bool  # at alpha = 0.01
 
     def to_dict(self) -> dict:
         return {
             "benchmark": self.benchmark,
             "passesOn": list(self.passes_on),
             "passesOff": list(self.passes_off),
-            "onSamples": list(self.on_samples.values),
-            "offSamples": list(self.off_samples.values),
+            "onCost": self.on_cost,
+            "offCost": self.off_cost,
             "impactPct": self.impact_pct,
-            "t": self.welch.t,
-            "df": self.welch.df,
-            "p": self.welch.p,
-            "significant": self.significant,
         }
 
 
@@ -108,25 +90,15 @@ def compare(
     program: Program,
     passes: tuple[str, ...],
     toggle: str,
-    warmup: int = DEFAULT_WARMUP,
-    measured: int = DEFAULT_MEASURED,
-    winsor_fraction: float = 0.0,
     options: PassOptions = PassOptions(),
     schedule: str = "rr:1",
     name: str = "program",
 ) -> BenchReport:
-    """Benchmark `passes` against the same set with `toggle` disabled."""
+    """Cost of `passes` against the same set with `toggle` disabled."""
     if toggle not in passes:
         raise ValueError(f"toggled pass {toggle!r} is not in the pass set")
     off = tuple(q for q in passes if q != toggle)
-    on_samples = bench(program, warmup, measured, passes, options, schedule, label="on")
-    off_samples = bench(program, warmup, measured, off, options, schedule, label="off")
-    on_w = winsorize(on_samples, winsor_fraction)
-    off_w = winsorize(off_samples, winsor_fraction)
-    on_mean, off_mean = on_w.mean(), off_w.mean()
-    impact = (off_mean - on_mean) / on_mean * 100.0
-    w = welch_t(off_w, on_w)
-    return BenchReport(
-        name, passes, off, on_w, off_w, impact, w,
-        significant=w.p < 0.01 and impact != 0.0,
-    )
+    on_cost = bench(program, passes, options, schedule)
+    off_cost = bench(program, off, options, schedule)
+    return BenchReport(name, passes, off, on_cost, off_cost,
+                       (off_cost - on_cost) / on_cost * 100.0)

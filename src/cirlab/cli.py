@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: run, profile, optimize, check, bench, compare, pca, ck, stats.
+Subcommands: run, profile, optimize, check, compare, pca, ck, stats.
 Program arguments accept either a .cir path or corpus:<name> for a built-in
-benchmark. Exit codes: 0 success, 1 diagnostics/errors, 2 refinement
-violation.
+benchmark. Every option changes what its subcommand prints or writes. Exit
+codes: 0 success, 1 diagnostics/errors, 2 refinement violation.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .bench import DEFAULT_MEASURED, DEFAULT_WARMUP, bench, compare
+from .bench import compare
 from .ck import compute_ck
 from .interp import InterpreterError, MetricVector, RunResult, run
 from .ir import print_program
 from .parser import ParseError, UnresolvedNameError, parse
-from .passes import PASS_NAMES, PassOptions, UnknownPassError, pipeline
+from .passes import PASS_NAMES, PassOptions, pipeline
 from .pca import (
     PcaError,
     normalize,
@@ -75,11 +75,6 @@ def _pass_options(args) -> PassOptions:
     )
 
 
-def _metric_csv(metrics: MetricVector) -> str:
-    header = ",".join(["benchmark", *MetricVector.COLUMNS, "refcycles"])
-    return header + "\n" + ",".join(["program", *metrics.row()])
-
-
 def _run(args) -> RunResult:
     program = load_program(args.program)
     try:
@@ -103,14 +98,13 @@ def cmd_run(args) -> int:
     else:
         print(f"trace: {result.trace}")
         print(f"steps: {result.steps}  cost: {result.metrics.refcycles}")
-    if args.profile:
-        print(_metric_csv(result.metrics))
     return 0 if result.trace.status == "terminated" else 1
 
 
 def cmd_profile(args) -> int:
     result = _run(args)
-    print(_metric_csv(result.metrics))
+    print(",".join(["benchmark", *MetricVector.COLUMNS, "refcycles"]))
+    print(",".join(["program", *result.metrics.row()]))
     return 0 if result.trace.status == "terminated" else 1
 
 
@@ -119,7 +113,7 @@ def cmd_optimize(args) -> int:
     names = _parse_passes(args.passes)
     try:
         optimized, reports = pipeline(program, names, _pass_options(args))
-    except UnknownPassError as e:
+    except ValueError as e:  # a pass knob out of range
         raise CliError(str(e))
     text = print_program(optimized)
     if args.output:
@@ -156,35 +150,15 @@ def cmd_check(args) -> int:
     return 2 if verdict.kind == "violates" else 0
 
 
-def cmd_bench(args) -> int:
-    program = load_program(args.program)
-    passes = tuple(_parse_passes(args.passes)) if args.passes else ()
-    try:
-        samples = bench(
-            program, args.warmup, args.measured, passes, _pass_options(args),
-            args.schedule,
-        )
-    except (RuntimeError, ValueError) as e:
-        raise CliError(str(e))
-    if args.csv:
-        print("iteration,cost")
-        for k, v in enumerate(samples.values):
-            print(f"{k},{v}")
-    else:
-        print(json.dumps({"label": samples.label, "samples": list(samples.values)}, indent=2))
-    return 0
-
-
 def cmd_compare(args) -> int:
     program = load_program(args.program)
     passes = tuple(_parse_passes(args.passes))
     try:
         report = compare(
-            program, passes, args.toggle, args.warmup, args.measured,
-            args.winsor, _pass_options(args), args.schedule,
+            program, passes, args.toggle, _pass_options(args), args.schedule,
             name=args.program,
         )
-    except (RuntimeError, ValueError, StatsError) as e:
+    except (RuntimeError, ValueError) as e:
         raise CliError(str(e))
     print(json.dumps(report.to_dict(), indent=2))
     return 0
@@ -206,11 +180,11 @@ def cmd_pca(args) -> int:
             m = normalize(m, args.ref, skip)
         y, means, stds = standardize(m)
         model = pca_fit(y, m.cols, means, stds)
+        j = model.k if args.components is None else args.components
+        loadings = render_loadings_csv(model, j)
     except PcaError as e:
         raise CliError(str(e))
-    j = args.components or model.k
     prefix = args.out_prefix
-    loadings = render_loadings_csv(model, j)
     scores = render_scores_csv(model, m.rows)
     variance = render_variance_csv(model)
     if prefix:
@@ -268,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cirlab",
         description="concurrency-aware optimization laboratory for a miniature IR",
     )
-    ap.add_argument("--json", action="store_true", help="prefer JSON output")
-    ap.add_argument("--csv", action="store_true", help="prefer CSV output")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_schedule(p):
@@ -285,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a program under one schedule")
     p.add_argument("program")
     add_schedule(p)
-    p.add_argument("--profile", action="store_true", help="also emit the metric CSV row")
+    p.add_argument("--json", action="store_true", help="print the run as JSON")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("profile", help="run and emit dynamic metrics as CSV")
@@ -309,22 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-states", type=int, default=2_000_000)
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("bench", help="warm-up then measure cost samples")
-    p.add_argument("program")
-    p.add_argument("--passes", default="", help="passes applied before measuring")
-    p.add_argument("--warmup", type=int, default=DEFAULT_WARMUP)
-    p.add_argument("--measured", type=int, default=DEFAULT_MEASURED)
-    add_pass_knobs(p)
-    p.add_argument("--schedule", default="rr:1")
-    p.set_defaults(fn=cmd_bench)
-
     p = sub.add_parser("compare", help="impact of toggling one pass off")
     p.add_argument("program")
     p.add_argument("--passes", required=True)
     p.add_argument("--toggle", required=True, help="pass to disable in the off run")
-    p.add_argument("--warmup", type=int, default=DEFAULT_WARMUP)
-    p.add_argument("--measured", type=int, default=DEFAULT_MEASURED)
-    p.add_argument("--winsor", type=float, default=0.0, help="winsorized fraction")
     add_pass_knobs(p)
     p.add_argument("--schedule", default="rr:1")
     p.set_defaults(fn=cmd_compare)

@@ -58,15 +58,12 @@ class ResultSet:
 
 
 class _Explorer:
-    def __init__(self, step_budget: int, preemption_bound: int | None,
-                 max_states: int, memoize: bool):
-        self.budget = step_budget
+    def __init__(self, preemption_bound: int | None, max_states: int):
         self.pbound = preemption_bound
         self.max_states = max_states
-        self.memoize = memoize
         self.memo: dict[object, frozenset[_Suffix]] = {}
         self.seen: set[object] = set()
-        self.states = 0  # states expanded; when memoizing, distinct canonical states
+        self.states = 0  # distinct canonical states expanded
         self.memo_hits = 0
         self.ceiling_hit = False
 
@@ -88,20 +85,17 @@ class _Explorer:
         if self.ceiling_hit:
             return frozenset(), False
 
-        key = None
-        if self.memoize:
-            key = (m.canon_key(), last, preempts) if self.pbound is not None else m.canon_key()
-            hit = self.memo.get(key)
-            if hit is not None:
-                self.memo_hits += 1
-                return hit, True
-        if key is None or key not in self.seen:
+        key = (m.canon_key(), last, preempts) if self.pbound is not None else m.canon_key()
+        hit = self.memo.get(key)
+        if hit is not None:
+            self.memo_hits += 1
+            return hit, True
+        if key not in self.seen:
             if self.states >= self.max_states:
                 self.ceiling_hit = True
                 return frozenset(), False
             self.states += 1
-            if key is not None:
-                self.seen.add(key)
+            self.seen.add(key)
 
         choices = enabled
         if self.pbound is None:
@@ -125,7 +119,7 @@ class _Explorer:
             for ev, status, reason in suffixes:
                 out.add((emitted + ev, status, reason))
         result = frozenset(out)
-        if self.memoize and complete and key is not None:
+        if complete:
             self.memo[key] = result
         return result, complete
 
@@ -135,12 +129,11 @@ def enumerate_results(
     step_budget: int = 10_000,
     preemption_bound: int | None = None,
     max_states: int = 2_000_000,
-    memoize: bool = True,
 ) -> ResultSet:
     """Compute R(program) by DFS over all schedules, up to the given bounds."""
     if len(program.threads) > 4:
         raise ValueError("enumeration supports at most 4 threads")
-    ex = _Explorer(step_budget, preemption_bound, max_states, memoize)
+    ex = _Explorer(preemption_bound, max_states)
     m = Machine(program)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, step_budget + 500))

@@ -5,34 +5,18 @@ from cirlab.bench import bench, compare
 from cirlab.parser import parse
 
 
-def test_deterministic_samples():
-    p = corpus.corpus_entry("coarsen-mini").program
-    s = bench(p, warmup=0, measured=3)
-    assert len(s.values) == 3
-    assert len(set(s.values)) == 1
-
-
-def test_warmup_discarded():
-    p = corpus.corpus_entry("coarsen-mini").program
-    s = bench(p, warmup=5, measured=10)
-    assert len(s.values) == 10
-
-
 def test_coarsening_lowers_cost():
     p = parse(corpus.fj_kmeans_mini(100))
-    on = bench(p, warmup=1, measured=3, passes=("lock_coarsen",))
-    off = bench(p, warmup=1, measured=3)
-    assert on.mean() < off.mean()
+    assert bench(p, passes=("lock_coarsen",)) < bench(p)
 
 
 def test_compare_reports_positive_impact_and_significance():
     p = parse(corpus.fj_kmeans_mini(100))
-    r = compare(p, passes=("lock_coarsen",), toggle="lock_coarsen",
-                warmup=1, measured=5, name="fj-kmeans-mini")
+    r = compare(p, passes=("lock_coarsen",), toggle="lock_coarsen", name="fj-kmeans-mini")
+    assert r.on_cost < r.off_cost
     assert r.impact_pct > 0
-    assert r.welch.p < 0.01
-    assert r.significant
     d = r.to_dict()
+    assert set(d) == {"benchmark", "passesOn", "passesOff", "onCost", "offCost", "impactPct"}
     assert d["benchmark"] == "fj-kmeans-mini"
     assert d["passesOff"] == []
 
@@ -40,12 +24,9 @@ def test_compare_reports_positive_impact_and_significance():
 def test_zero_rewrite_toggle_gives_identical_samples():
     # dup_simulate never fires on the coalesce program
     p = parse(corpus.coalesce_mini(5))
-    r = compare(p, passes=("atomic_coalesce", "dup_simulate"), toggle="dup_simulate",
-                warmup=0, measured=4)
-    assert r.on_samples.values == r.off_samples.values
+    r = compare(p, passes=("atomic_coalesce", "dup_simulate"), toggle="dup_simulate")
+    assert r.on_cost == r.off_cost
     assert r.impact_pct == 0.0
-    assert r.welch.p == 1.0
-    assert not r.significant
 
 
 def test_compare_validates_toggle():
@@ -56,8 +37,8 @@ def test_compare_validates_toggle():
 
 def test_bench_propagates_run_failure():
     text = "fn main() {\nb0:\n  br b0\n}\nthread main()"
-    with pytest.raises(RuntimeError, match="iteration 0"):
-        bench(parse(text), warmup=0, measured=1, budget=100)
+    with pytest.raises(RuntimeError, match="step-budget-exhausted"):
+        bench(parse(text), budget=100)
 
 
 def test_corpus_contains_required_entries():

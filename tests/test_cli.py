@@ -1,9 +1,15 @@
+import argparse
+import importlib.resources
 import json
 
 import pytest
 
+from cirlab import cli
 from cirlab.cli import main
 from cirlab.corpus import coarsen_loop, racing_outputs, vec_add
+
+
+METRICS_CSV = importlib.resources.files("cirlab") / "data" / "benchmark_metrics.csv"
 
 
 @pytest.fixture
@@ -23,7 +29,7 @@ def test_run_corpus_program(capsys):
 
 
 def test_run_json(capsys):
-    assert main(["--json", "run", "corpus:pea-pub-mini"]) == 0
+    assert main(["run", "corpus:pea-pub-mini", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["status"] == "terminated"
     assert data["events"] == [1]
@@ -31,7 +37,7 @@ def test_run_json(capsys):
 
 def test_run_explicit_schedule(capsys, cir_file):
     f = cir_file("race.cir", racing_outputs())
-    assert main(["--json", "run", f, "--schedule", "explicit:2,1"]) == 0
+    assert main(["run", f, "--schedule", "explicit:2,1", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["events"] == [2, 1]
 
 
@@ -44,7 +50,7 @@ def test_bad_schedule_is_an_error_line(capsys, cmd, schedule):
 
 
 @pytest.mark.parametrize("cmd", [["run"], ["profile"], ["check", "{f}"],
-                                 ["bench", "--warmup", "0", "--measured", "1"]])
+                                 ["compare", "--passes", "lock_coarsen", "--toggle", "lock_coarsen"]])
 def test_dynamic_fault_is_an_error_line(capsys, cir_file, cmd):
     f = cir_file("div.cir", "fn main() {\nb0:\n  z = const 0\n  v = binop div, z, z\n  ret\n}\n"
                             "thread main()")
@@ -75,7 +81,7 @@ def test_optimize_roundtrip(tmp_path, cir_file, capsys):
     reports = json.loads(report.read_text())
     assert reports[0]["pass"] == "lock_coarsen"
     assert reports[0]["rewrites"] == 1
-    assert main(["--json", "run", str(out)]) == 0
+    assert main(["run", str(out), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["events"] == [100]
 
 
@@ -118,24 +124,51 @@ def test_check_too_many_threads_is_an_error_line(cir_file, capsys):
     assert capsys.readouterr().err.strip() == "error: enumeration supports at most 4 threads"
 
 
-def test_bench_and_compare(capsys, cir_file):
+def test_compare(capsys, cir_file):
     f = cir_file("loop.cir", coarsen_loop(50))
-    assert main(["bench", f, "--warmup", "0", "--measured", "3"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert len(data["samples"]) == 3
-
     rc = main(["compare", f, "--passes", "lock_coarsen", "--toggle", "lock_coarsen",
-               "--warmup", "0", "--measured", "3", "--chunk", "8"])
+               "--chunk", "8"])
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
+    assert rep["onCost"] < rep["offCost"]
     assert rep["impactPct"] > 0
-    assert rep["significant"] is True
+
+    assert main(["compare", "corpus:coarsen-mini", "--passes", "lock_coarsen",
+                 "--toggle", "lock_coarsen"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["onCost"], rep["offCost"]) == (101, 152)
+    assert rep["impactPct"] == (152 - 101) / 101 * 100
+
+
+@pytest.mark.parametrize("argv", [["bench", "corpus:vec-add"],
+                                  ["--json", "run", "corpus:vec-add"],
+                                  ["--csv", "run", "corpus:vec-add"],
+                                  ["run", "corpus:vec-add", "--profile"],
+                                  ["compare", "corpus:vec-add", "--passes", "loop_vectorize",
+                                   "--toggle", "loop_vectorize", "--warmup", "0"],
+                                  ["compare", "corpus:vec-add", "--passes", "loop_vectorize",
+                                   "--toggle", "loop_vectorize", "--winsor", "0.1"]],
+                         ids=["bench", "global-json", "global-csv", "run-profile",
+                              "compare-warmup", "compare-winsor"])
+def test_removed_options_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["optimize", "corpus:coarsen-mini", "--passes", "lock_coarsen", "--chunk", "0"],
+     "chunk size must be >= 1"),
+    (["optimize", "corpus:vec-add", "--passes", "loop_vectorize", "--width", "1"],
+     "vector width must be >= 2"),
+], ids=["chunk", "width"])
+def test_optimize_bad_knob_is_an_error_line(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
 def test_pca_on_package_dataset(tmp_path, capsys):
-    import importlib.resources
-
-    text = (importlib.resources.files("cirlab") / "data" / "benchmark_metrics.csv").read_text()
+    text = METRICS_CSV.read_text()
     src = tmp_path / "metrics.csv"
     src.write_text(text)
     prefix = str(tmp_path / "out_")
@@ -148,6 +181,13 @@ def test_pca_on_package_dataset(tmp_path, capsys):
     assert "PC1" in variance
     scores = (tmp_path / "out_scores.csv").read_text().strip().splitlines()
     assert len(scores) == 1 + 65
+
+
+@pytest.mark.parametrize("components", [99, -2, 0])
+def test_pca_component_count_out_of_range_is_an_error_line(tmp_path, capsys, components):
+    assert main(["pca", str(METRICS_CSV), "--components", str(components)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == f"error: component count {components} out of range 1..11"
 
 
 PARK_PAIR = """
@@ -225,3 +265,56 @@ def test_validation_diagnostics_exit_code(tmp_path, capsys):
     f.write_text("fn main() {\nb0:\n  v = const 1\n  v = const 2\n  ret\n}\nthread main()")
     assert main(["run", str(f)]) == 1
     assert "defined more than once" in capsys.readouterr().err
+
+
+# a small valid input for every subcommand; {a} and {b} are sample files
+EVERY_SUBCOMMAND = {
+    "run": ["corpus:racing-outputs"],
+    "profile": ["corpus:racing-outputs"],
+    "optimize": ["corpus:coarsen-mini", "--passes", "lock_coarsen"],
+    "check": ["corpus:racing-outputs", "corpus:racing-outputs"],
+    "compare": ["corpus:coarsen-mini", "--passes", "lock_coarsen", "--toggle", "lock_coarsen"],
+    "pca": [str(METRICS_CSV)],
+    "ck": ["corpus:dup-diamond"],
+    "stats": ["welch", "{a}", "{b}"],
+}
+
+
+def test_every_option_is_read(monkeypatch, tmp_path, capsys):
+    # each subcommand reads every argument its parser defines, so no option
+    # is accepted and then ignored
+    reads = set()
+
+    class RecordingNamespace(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    build = cli.build_parser
+
+    def recording_parser():
+        parser = build()
+        parse_args = parser.parse_args
+
+        def parse_and_record(argv):
+            args = parse_args(argv, namespace=RecordingNamespace())
+            reads.clear()  # argparse's own reads while parsing do not count
+            return args
+
+        parser.parse_args = parse_and_record
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording_parser)
+    (tmp_path / "a.csv").write_text("1\n2\n3\n")
+    (tmp_path / "b.csv").write_text("2\n3\n4\n")
+    top = build()
+    (subparsers,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, sub in subparsers.choices.items():
+        assert command in EVERY_SUBCOMMAND, f"no input for {command}"
+        dests = {a.dest for a in top._actions + sub._actions
+                 if a.dest not in (argparse.SUPPRESS, "help", "command")}
+        argv = [a.format(a=tmp_path / "a.csv", b=tmp_path / "b.csv")
+                for a in EVERY_SUBCOMMAND[command]]
+        assert main([command, *argv]) == 0, command
+        assert dests - reads == set(), command
+    assert set(EVERY_SUBCOMMAND) == set(subparsers.choices)

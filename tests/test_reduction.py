@@ -21,9 +21,6 @@ from cirlab.scheduler import enumerate_results
 from test_fuzz import gen_program
 
 FUZZ_SEEDS = 40
-# an unmemoized search is a tree search; past this many states it is only
-# checked as a subset of the reference
-NO_MEMO_CEILING = 300
 
 
 def full_key(m: Machine) -> bytes:
@@ -189,23 +186,17 @@ def test_exhausted_search_matches_reference(program, budget, cuts):
     assert ref_exhausted
     rs = enumerate_results(program, budget)
     assert rs.exhausted and rs.traces == ref
-    rs = enumerate_results(program, budget, max_states=NO_MEMO_CEILING, memoize=False)
-    if rs.exhausted:
-        assert rs.traces == ref
-    else:
-        assert rs.states_explored == NO_MEMO_CEILING and rs.traces <= ref
 
 
 @pytest.mark.parametrize("program, budget, cuts", CASES)
 def test_budget_cut_search_keeps_the_contract(program, budget, cuts):
     for cut in cuts:
         ref, ref_exhausted = reference(program, cut)
-        for memoize in (True, False):
-            rs = enumerate_results(program, cut, memoize=memoize)
-            assert rs.exhausted == ref_exhausted
-            for status in ("terminated", "deadlock"):
-                assert _by_status(rs.traces, status) == _by_status(ref, status)
-            assert rs.traces <= ref
+        rs = enumerate_results(program, cut)
+        assert rs.exhausted == ref_exhausted
+        for status in ("terminated", "deadlock"):
+            assert _by_status(rs.traces, status) == _by_status(ref, status)
+        assert rs.traces <= ref
 
 
 SPIN_THEN_DEOPT = """

@@ -75,15 +75,6 @@ def test_lost_update_race():
     assert traces(rs) == {((1,), "terminated"), ((2,), "terminated")}
 
 
-def test_memoization_does_not_change_result_set():
-    for text in (RACING_OUTPUTS, RACING_INCREMENT):
-        p = parse(text)
-        with_memo = enumerate_results(p, memoize=True)
-        without = enumerate_results(p, memoize=False)
-        assert with_memo.traces == without.traces
-        assert with_memo.exhausted == without.exhausted
-
-
 def test_random_explicit_schedules_cover_result_set():
     rng = random.Random(1234)
     for text in (RACING_OUTPUTS, RACING_INCREMENT):
@@ -105,20 +96,15 @@ def test_budget_marks_non_exhausted():
     assert any(t.status == "step-budget-exhausted" for t in rs.traces)
 
 
-MEMOIZE = pytest.mark.parametrize("memoize", [True, False], ids=["memo", "no-memo"])
-
-
-@MEMOIZE
-def test_state_ceiling_marks_non_exhausted(memoize):
-    rs = enumerate_results(parse(RACING_INCREMENT), max_states=3, memoize=memoize)
+def test_state_ceiling_marks_non_exhausted():
+    rs = enumerate_results(parse(RACING_INCREMENT), max_states=3)
     assert not rs.exhausted
     assert 0 <= rs.states_explored <= 3
 
 
-@MEMOIZE
-def test_state_ceiling_keeps_partial_results(memoize):
-    full = enumerate_results(parse(RACING_INCREMENT), memoize=memoize)
-    partial = enumerate_results(parse(RACING_INCREMENT), max_states=20, memoize=memoize)
+def test_state_ceiling_keeps_partial_results():
+    full = enumerate_results(parse(RACING_INCREMENT))
+    partial = enumerate_results(parse(RACING_INCREMENT), max_states=20)
     assert not partial.exhausted
     assert partial.states_explored <= 20
     assert partial.traces and partial.traces < full.traces
