@@ -135,7 +135,7 @@ def cmd_check(args) -> int:
             before, after, step_budget=args.budget,
             preemption_bound=args.preemptions, max_states=args.max_states,
         )
-    except ValueError as e:  # more threads than the enumerator supports
+    except ValueError as e:  # a bound out of range, or more threads than supported
         raise CliError(str(e))
     out = {"verdict": verdict.kind, "statesExplored": verdict.states_explored}
     for side, rs in (("original", verdict.original), ("transformed", verdict.transformed)):

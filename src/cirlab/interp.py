@@ -13,10 +13,17 @@ the run; a failed guard instead ends the whole trace with a deopt status.
 A run counts executed opcodes and a deterministic cost in "reference
 cycle" units per `cost_model`; `ir.OPCODES` gives each opcode's cost and the
 workload metric it counts toward, from which `run` builds the metric vector.
+
+Each `Machine` decodes its program once (`Machine._decode`) into per-block
+lists of `(handler, instr, cost, op)` entries that its clones share, so a step
+is one index and one call. `run` asks the schedule to pick a thread only while
+two or more are live; the last one runs alone (`Machine._run_alone`).
 """
 
 from __future__ import annotations
 
+import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -74,12 +81,8 @@ class MetricVector:
                "object", "array", "method", "idynamic")
 
     def row(self) -> list[str]:
-        out = []
-        for c in self.COLUMNS:
-            v = getattr(self, c)
-            out.append("" if v is None else str(v))
-        out.append(str(self.refcycles))
-        return out
+        cells = [getattr(self, c) for c in self.COLUMNS] + [self.refcycles]
+        return ["" if v is None else str(v) for v in cells]
 
 
 def cost_model(instr: Instr) -> int:
@@ -92,28 +95,51 @@ def _wrap(v: int) -> int:
     return v - (1 << 64) if v > INT_MAX else v
 
 
-def _is_int(v: Value) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _int(v: Value, what: str) -> int:
+    if type(v) is not int:  # a bool is not an int value
+        raise InterpreterError(f"{what}: expected int")
+    return v
 
 
 def _values_equal(a: Value, b: Value) -> bool:
-    if _is_int(a) and _is_int(b):
-        return a == b
-    if isinstance(a, bool) and isinstance(b, bool):
-        return a == b
-    if isinstance(a, Ref) and isinstance(b, Ref):
-        return a.i == b.i
-    if isinstance(a, Handle) and isinstance(b, Handle):
-        return a.fn == b.fn
-    return a is None and b is None
+    return type(a) is type(b) and a == b  # an int never equals a bool
+
+
+def _quot(a: int, b: int, kind: str) -> int:
+    """a / b truncated toward zero."""
+    if b == 0:
+        raise InterpreterError(f"binop {kind}: division by zero")
+    return -(-a // b) if (a < 0) != (b < 0) else a // b
+
+
+_INT_OPS = {
+    "add": lambda a, b: _wrap(a + b), "sub": lambda a, b: _wrap(a - b),
+    "mul": lambda a, b: _wrap(a * b), "div": lambda a, b: _wrap(_quot(a, b, "div")),
+    "mod": lambda a, b: _wrap(a - _quot(a, b, "mod") * b), "lt": operator.lt, "le": operator.le,
+}
+
+
+def _binop_fn(kind: str):
+    """The function computing binop `kind`, with its type checks."""
+    if kind == "eq":
+        return _values_equal
+    op = _INT_OPS.get(kind)
+
+    def f(a: Value, b: Value) -> Value:
+        if type(a) is not int or type(b) is not int:
+            raise InterpreterError(f"binop {kind}: expected ints")
+        if op is None:
+            raise InterpreterError(f"unknown binop {kind!r}")
+        return op(a, b)
+
+    return f
 
 
 class HObj:
     __slots__ = ("cls", "fields")
 
     def __init__(self, cls: str, fields: dict[str, Value]):
-        self.cls = cls
-        self.fields = fields
+        self.cls, self.fields = cls, fields
 
 
 class HArr:
@@ -126,21 +152,19 @@ class HArr:
 class Monitor:
     __slots__ = ("owner", "count", "waitset")
 
-    def __init__(self):
-        self.owner: int | None = None
-        self.count = 0
-        self.waitset: list[int] = []
+    def __init__(self, owner: int | None = None, count: int = 0, waitset: list[int] | None = None):
+        self.owner, self.count, self.waitset = owner, count, [] if waitset is None else waitset
 
 
 class Frame:
-    __slots__ = ("fn", "block", "idx", "locals", "ret_dest")
+    """An activation; `code` is the decoded entry list of block `block`."""
 
-    def __init__(self, fn: str, block: str, locals_: dict[str, Value], ret_dest: str | None):
-        self.fn = fn
-        self.block = block
-        self.idx = 0
-        self.locals = locals_
-        self.ret_dest = ret_dest
+    __slots__ = ("fn", "block", "code", "locals", "ret_dest", "idx")
+
+    def __init__(self, fn: str, block: str, code: list, locals_: dict[str, Value],
+                 ret_dest: str | None, idx: int = 0):
+        self.fn, self.block, self.code = fn, block, code
+        self.idx, self.locals, self.ret_dest = idx, locals_, ret_dest
 
 
 # thread status values; "run" also covers threads gated on a held monitor,
@@ -154,13 +178,43 @@ _LOCAL_OPS = PURE_OPS | {"call"}
 class ThreadState:
     __slots__ = ("tid", "frames", "status", "wait_obj", "saved_count", "permit")
 
-    def __init__(self, tid: int):
-        self.tid = tid
-        self.frames: list[Frame] = []
-        self.status = RUN
-        self.wait_obj: int | None = None
-        self.saved_count = 0
-        self.permit = False
+    def __init__(self, tid: int, frames: list[Frame], status: str = RUN,
+                 wait_obj: int | None = None, saved_count: int = 0, permit: bool = False):
+        self.tid, self.frames, self.status = tid, frames, status
+        self.wait_obj, self.saved_count, self.permit = wait_obj, saved_count, permit
+
+
+def _binop(i: Instr):
+    """The handler of binop `i`: a closure over its function and operands."""
+    f, d, (x, y) = _binop_fn(i.kind), i.dest, i.args
+
+    def h(m, t, fr, i):
+        env = fr.locals
+        env[d] = f(env[x], env[y])
+
+    return h
+
+
+def _branch(term: Br | CondBr, blocks: dict, code: dict):
+    """The handler of branch `term`: a closure over (target, params, entry list,
+    args) per edge. A branch to a missing block fails on the next step."""
+    edges = [(target, blocks[target].params if target in blocks else (), code.get(target), args)
+             for target, args in term.edges()]
+    then, other, cond = edges[0], edges[-1], getattr(term, "cond", None)
+
+    def h(m, t, fr, i):
+        env = fr.locals
+        if cond is None:
+            target, params, entries, args = then
+        else:
+            c = env[cond]
+            if c is not True and c is not False:
+                raise InterpreterError("condbr: condition is not a boolean")
+            target, params, entries, args = then if c else other
+        env.update(zip(params, [env[a] for a in args]))
+        fr.block, fr.code, fr.idx = target, entries, 0
+
+    return h
 
 
 class Machine:
@@ -169,64 +223,86 @@ class Machine:
     def __init__(self, program: Program):
         self.program = program
         self.fns = program.fn_map()
-        self._field_order = {
-            c.name: tuple(program.declared_fields(c.name)) for c in program.classes
-        }
+        self._field_order = {c.name: tuple(program.declared_fields(c.name)) for c in program.classes}
         self.heap: list[HObj | HArr] = []
         self.monitors: dict[int, Monitor] = {}
-        self.singletons: dict[str, Ref] = {}
-        for c in program.classes:
-            self.singletons[c.name] = self._alloc_obj(c.name)
+        self.singletons = {c.name: self._alloc_obj(c.name) for c in program.classes}
+        self.op_counts: dict[str, int] = {}  # every opcode of the program, executed or not
+        self._decode()
         self.threads: list[ThreadState] = []
-        for n, t in enumerate(program.threads, start=1):
-            ts = ThreadState(n)
-            fn = self.fns[t.fn]
-            ts.frames.append(Frame(fn.name, fn.entry.name, dict(zip(fn.params, t.args)), None))
-            self.threads.append(ts)
+        for n, decl in enumerate(program.threads, start=1):
+            params, block, code = self._callees[decl.fn]
+            frame = Frame(decl.fn, block, code, dict(zip(params, decl.args)), None)
+            self.threads.append(ThreadState(n, [frame]))
+        self.live = len(self.threads)  # threads not DONE
         self.events: list[int] = []
-        self.op_counts: Counter[str] = Counter()
-        self.cost = 0
-        self.steps = 0
+        self.cost = self.steps = 0
         self.status: str | None = None  # set once terminal
         self.reason: str | None = None
-        self._blocks = {f.name: f.block_map() for f in program.functions}
         # fn -> block -> live names per instruction index, filled by canon_key
         self._live: dict[str, dict[str, tuple[tuple[str, ...], ...]]] = {}
+
+    def _decode(self) -> None:
+        """Build the decoded form, which clones share: `code` maps fn -> block ->
+        [(handler, instr, cost, op)]; a step moves `frame.idx` past an entry and calls
+        `handler(machine, thread, frame, instr)`, an `_op_<opcode>` method or a `_binop`
+        or `_branch` closure. `_callees` maps fn -> (params, entry block, entry list),
+        `_vtable` (class, selector) -> fn, and `_ancestry` a class to its ancestors."""
+        p, fns = self.program, self.fns
+        blocks = {name: f.block_map() for name, f in fns.items()}
+        code = {name: {b: [] for b in bm} for name, bm in blocks.items()}
+        self._callees = {name: (f.params, f.entry.name, code[name][f.entry.name])
+                         for name, f in fns.items() if f.blocks}
+        self._ancestry = {c.name: frozenset(p.ancestry(c.name)) for c in p.classes}
+        self._vtable = {(c, sel): p.resolve_method(c, sel)
+                        for c in self._ancestry for d in p.classes for sel, _ in d.methods}
+        for name, bm in blocks.items():
+            for b in bm.values():
+                entries = code[name][b.name]
+                for i in b.instrs:
+                    op = sys.intern(i.op)
+                    self.op_counts[op] = 0
+                    handler = (_binop(i) if op == "binop"
+                               else getattr(Machine, f"_op_{op}", Machine._op_unknown))
+                    entries.append((handler, i, cost_model(i) if op in OPCODES else 0, op))
+                term = (Machine._op_ret if isinstance(b.term, Ret)
+                        else _branch(b.term, blocks[name], code[name]))
+                entries.append((term, b.term, 1, None))
 
     # -- heap -------------------------------------------------------------
 
     def _alloc_obj(self, cls: str) -> Ref:
-        fields = {f: 0 for f in self._field_order[cls]}
-        self.heap.append(HObj(cls, fields))
+        self.heap.append(HObj(cls, {f: 0 for f in self._field_order[cls]}))
         return Ref(len(self.heap) - 1)
 
     def _alloc_arr(self, n: int) -> Ref:
         self.heap.append(HArr([0] * n))
         return Ref(len(self.heap) - 1)
 
-    def _obj(self, v: Value, what: str) -> HObj:
+    def _deref(self, v: Value, what: str, kind: type) -> HObj | HArr:
+        """The heap cell `v` refers to, which must be a `kind` (HObj or HArr)."""
         if not isinstance(v, Ref):
-            if v is None:
-                raise InterpreterError(f"{what}: null reference")
-            raise InterpreterError(f"{what}: not a reference")
+            raise InterpreterError(f"{what}: {'null' if v is None else 'not a'} reference")
         h = self.heap[v.i]
-        if not isinstance(h, HObj):
-            raise InterpreterError(f"{what}: reference is an array, not an object")
+        if not isinstance(h, kind):
+            found = "an array, not an object" if kind is HObj else "an object, not an array"
+            raise InterpreterError(f"{what}: reference is {found}")
         return h
 
-    def _arr(self, v: Value, what: str) -> HArr:
-        if not isinstance(v, Ref):
-            if v is None:
-                raise InterpreterError(f"{what}: null reference")
-            raise InterpreterError(f"{what}: not a reference")
-        h = self.heap[v.i]
-        if not isinstance(h, HArr):
-            raise InterpreterError(f"{what}: reference is an object, not an array")
-        return h
+    def _fields(self, v: Value, fld: str, what: str) -> dict[str, Value]:
+        """The fields of object `v`, which must have field `fld`."""
+        o = self._deref(v, what, HObj)
+        if fld not in o.fields:
+            raise InterpreterError(f"{what}: class {o.cls} has no field {fld!r}")
+        return o.fields
 
-    def _check_field(self, h: HObj, fld: str, what: str) -> None:
-        if fld not in h.fields:
-            raise InterpreterError(f"{what}: class {h.cls} has no field {fld!r}")
+    def _index(self, env: dict[str, Value], i: Instr) -> tuple[list[Value], int]:
+        """(elements of array operand 0, the in-bounds int operand 1)."""
+        elems = self._deref(env[i.args[0]], i.op, HArr).elems
+        k = _int(env[i.args[1]], i.op)
+        if not 0 <= k < len(elems):
+            raise InterpreterError(f"{i.op}: index out of bounds")
+        return elems, k
 
     def _monitor(self, oid: int) -> Monitor:
         m = self.monitors.get(oid)
@@ -234,28 +310,43 @@ class Machine:
             m = self.monitors[oid] = Monitor()
         return m
 
+    def _push(self, t: ThreadState, env: dict[str, Value], fname: str, args: tuple[str, ...],
+              dest: str | None) -> None:
+        """Call `fname` with the values of `args` in `env`."""
+        vals = [env[a] for a in args]
+        callee = self._callees.get(fname)
+        if callee is None:
+            raise InterpreterError(f"call: unknown function {fname!r}")
+        params, block, code = callee
+        if len(vals) != len(params):
+            raise InterpreterError(f"call: {fname} takes {len(params)} args, got {len(vals)}")
+        t.frames.append(Frame(fname, block, code, dict(zip(params, vals)), dest))
+
+    def _owned(self, t: ThreadState, v: Value, what: str) -> Monitor:
+        mon = self.monitors.get(v.i) if isinstance(v, Ref) else None
+        if mon is None or mon.owner != t.tid:
+            raise InterpreterError(f"{what}: monitor not owned")
+        return mon
+
     # -- scheduling -------------------------------------------------------
 
     def alive(self) -> bool:
-        return any(t.status != DONE for t in self.threads)
+        return self.live > 0
 
     def enabled(self, tid: int) -> bool:
         t = self.threads[tid - 1]
-        if t.status == DONE or t.status == WAITING:
-            return False
-        if t.status == PARKED:
-            return False
-        if t.status == REACQUIRE:
+        if t.status is REACQUIRE:
             m = self.monitors.get(t.wait_obj)  # type: ignore[arg-type]
             return m is None or m.owner is None
-        instr = self._next_instr(t)
-        if isinstance(instr, Instr) and instr.op == "monitorenter":
-            obj = t.frames[-1].locals.get(instr.args[0])
-            if isinstance(obj, Ref):
-                m = self.monitors.get(obj.i)
-                if m is not None and m.owner not in (None, tid):
-                    return False
-        return True
+        if t.status is not RUN:
+            return False
+        fr = t.frames[-1]
+        handler, instr, _, _ = fr.code[fr.idx]
+        if handler is not Machine._op_monitorenter:
+            return True
+        obj = fr.locals.get(instr.args[0])
+        m = self.monitors.get(obj.i) if isinstance(obj, Ref) else None
+        return m is None or m.owner in (None, tid)
 
     def enabled_threads(self) -> list[int]:
         return [t.tid for t in self.threads if self.enabled(t.tid)]
@@ -268,23 +359,13 @@ class Machine:
         last frame is not local, since `unpark` reads the DONE it sets.
         """
         t = self.threads[tid - 1]
-        if t.status != RUN:
+        if t.status is not RUN:
             return False
-        instr = self._next_instr(t)
-        if isinstance(instr, Instr):
-            return instr.op in _LOCAL_OPS
-        return not isinstance(instr, Ret) or len(t.frames) > 1
-
-    def _next_instr(self, t: ThreadState) -> Instr | Br | CondBr | Ret:
         fr = t.frames[-1]
-        block = self._blocks[fr.fn][fr.block]
-        if fr.idx < len(block.instrs):
-            return block.instrs[fr.idx]
-        return block.term
-
-    def check_deadlock(self) -> None:
-        if self.status is None and self.alive() and not self.enabled_threads():
-            self.status = "deadlock"
+        handler, _, _, op = fr.code[fr.idx]
+        if op is not None:
+            return op in _LOCAL_OPS
+        return handler is not Machine._op_ret or len(t.frames) > 1
 
     # -- execution --------------------------------------------------------
 
@@ -292,301 +373,219 @@ class Machine:
         """Run one instruction of thread `tid`; returns outputs it emitted."""
         if self.status is not None:
             raise InterpreterError("machine already terminal")
-        t = self.threads[tid - 1]
-        if t.status == REACQUIRE:
-            m = self._monitor(t.wait_obj)  # type: ignore[arg-type]
-            assert m.owner is None
-            m.owner = tid
-            m.count = t.saved_count
-            t.status = RUN
-            t.wait_obj = None
-            t.saved_count = 0
         before = len(self.events)
-        self.steps += 1
-        instr = self._next_instr(t)
-        if isinstance(instr, Instr):
-            self.op_counts[instr.op] += 1
-            self._exec(t, instr)
-            self.cost += cost_model(instr)
-        else:
-            self.cost += 1
-            self._exec_term(t, instr)
-        if self.status is None and all(th.status == DONE for th in self.threads):
-            self.status = "terminated"
+        self._step(self.threads[tid - 1])
         return self.events[before:]
 
-    def _exec(self, t: ThreadState, i: Instr) -> None:
+    def _step(self, t: ThreadState) -> None:
+        if t.status is REACQUIRE:
+            m = self._monitor(t.wait_obj)  # type: ignore[arg-type]
+            assert m.owner is None
+            m.owner, m.count = t.tid, t.saved_count
+            t.status, t.wait_obj, t.saved_count = RUN, None, 0
+        self.steps += 1
         fr = t.frames[-1]
-        env = fr.locals
-        op = i.op
+        handler, instr, cost, op = fr.code[fr.idx]
+        fr.idx += 1
+        if op is not None:
+            self.op_counts[op] += 1
+        handler(self, t, fr, instr)
+        self.cost += cost
 
-        def val(name: str) -> Value:
-            return env[name]
+    def _run_alone(self, t: ThreadState, budget: int) -> None:
+        """`_step` `t`, the one live thread, until the machine stops. No thread is
+        left to wake `t` or free a monitor, so if `t` parks, waits or blocks, it deadlocks."""
+        frames, counts, tid = t.frames, self.op_counts, t.tid
+        steps, cost, enter = self.steps, self.cost, Machine._op_monitorenter
+        while self.status is None:
+            fr = frames[-1]
+            handler, instr, c, op = fr.code[fr.idx]
+            if t.status is not RUN or handler is enter and not self.enabled(tid):
+                self.status = "deadlock"
+            elif steps >= budget:
+                self.status = "step-budget-exhausted"
+            else:
+                steps += 1
+                cost += c
+                fr.idx += 1
+                if op is not None:
+                    counts[op] += 1
+                handler(self, t, fr, instr)
+        self.steps, self.cost = steps, cost
 
-        def intval(name: str, what: str) -> int:
-            v = env[name]
-            if not _is_int(v):
-                raise InterpreterError(f"{what}: expected int")
-            return v
+    # -- opcode handlers (see `_decode`) ----------------------------------
 
-        advance = True
-        if op == "const":
-            env[i.dest] = i.value
-        elif op == "classref":
-            env[i.dest] = self.singletons[i.cls]
-        elif op == "binop":
-            env[i.dest] = self._binop(i.kind, val(i.args[0]), val(i.args[1]))
-        elif op == "new":
-            env[i.dest] = self._alloc_obj(i.cls)
-        elif op == "newarray":
-            n = intval(i.args[0], "newarray")
-            if n < 0:
-                raise InterpreterError("newarray: negative length")
-            env[i.dest] = self._alloc_arr(n)
-        elif op == "getfield":
-            h = self._obj(val(i.args[0]), "getfield")
-            self._check_field(h, i.field, "getfield")
-            env[i.dest] = h.fields[i.field]
-        elif op == "putfield":
-            h = self._obj(val(i.args[0]), "putfield")
-            self._check_field(h, i.field, "putfield")
-            h.fields[i.field] = val(i.args[1])
-        elif op == "arrayload":
-            a = self._arr(val(i.args[0]), "arrayload")
-            idx = intval(i.args[1], "arrayload")
-            if not 0 <= idx < len(a.elems):
-                raise InterpreterError("arrayload: index out of bounds")
-            env[i.dest] = a.elems[idx]
-        elif op == "arraystore":
-            a = self._arr(val(i.args[0]), "arraystore")
-            idx = intval(i.args[1], "arraystore")
-            if not 0 <= idx < len(a.elems):
-                raise InterpreterError("arraystore: index out of bounds")
-            a.elems[idx] = val(i.args[2])
-        elif op == "cas":
-            h = self._obj(val(i.args[0]), "cas")
-            self._check_field(h, i.field, "cas")
-            ok = _values_equal(h.fields[i.field], val(i.args[1]))
-            if ok:
-                h.fields[i.field] = val(i.args[2])
-            env[i.dest] = ok
-        elif op == "monitorenter":
-            r = val(i.args[0])
-            if not isinstance(r, Ref):
-                raise InterpreterError("monitorenter: not a reference")
-            m = self._monitor(r.i)
-            assert m.owner in (None, t.tid), "scheduled a blocked thread"
-            m.owner = t.tid
-            m.count += 1
-        elif op == "monitorexit":
-            r = val(i.args[0])
-            m = self.monitors.get(r.i) if isinstance(r, Ref) else None
-            if m is None or m.owner != t.tid:
-                raise InterpreterError("monitorexit: monitor not owned")
-            m.count -= 1
-            if m.count == 0:
-                m.owner = None
-        elif op == "wait":
-            r = val(i.args[0])
-            m = self.monitors.get(r.i) if isinstance(r, Ref) else None
-            if m is None or m.owner != t.tid:
-                raise InterpreterError("wait: monitor not owned")
-            t.saved_count = m.count
+    def _op_const(self, t, fr, i):
+        fr.locals[i.dest] = i.value
+
+    def _op_classref(self, t, fr, i):
+        fr.locals[i.dest] = self.singletons[i.cls]
+
+    def _op_new(self, t, fr, i):
+        fr.locals[i.dest] = self._alloc_obj(i.cls)
+
+    def _op_newarray(self, t, fr, i):
+        n = _int(fr.locals[i.args[0]], "newarray")
+        if n < 0:
+            raise InterpreterError("newarray: negative length")
+        fr.locals[i.dest] = self._alloc_arr(n)
+
+    def _op_getfield(self, t, fr, i):
+        fr.locals[i.dest] = self._fields(fr.locals[i.args[0]], i.field, "getfield")[i.field]
+
+    def _op_putfield(self, t, fr, i):
+        fields = self._fields(fr.locals[i.args[0]], i.field, "putfield")
+        fields[i.field] = fr.locals[i.args[1]]
+
+    def _op_arrayload(self, t, fr, i):
+        elems, k = self._index(fr.locals, i)
+        fr.locals[i.dest] = elems[k]
+
+    def _op_arraystore(self, t, fr, i):
+        elems, k = self._index(fr.locals, i)
+        elems[k] = fr.locals[i.args[2]]
+
+    def _op_cas(self, t, fr, i):
+        env, (obj, expect, new) = fr.locals, i.args
+        fields = self._fields(env[obj], i.field, "cas")
+        ok = _values_equal(fields[i.field], env[expect])
+        if ok:
+            fields[i.field] = env[new]
+        env[i.dest] = ok
+
+    def _op_monitorenter(self, t, fr, i):
+        r = fr.locals[i.args[0]]
+        if not isinstance(r, Ref):
+            raise InterpreterError("monitorenter: not a reference")
+        m = self._monitor(r.i)
+        assert m.owner in (None, t.tid), "scheduled a blocked thread"
+        m.owner, m.count = t.tid, m.count + 1
+
+    def _op_monitorexit(self, t, fr, i):
+        m = self._owned(t, fr.locals[i.args[0]], "monitorexit")
+        m.count -= 1
+        if m.count == 0:
             m.owner = None
-            m.count = 0
-            m.waitset.append(t.tid)
-            t.wait_obj = r.i
-            t.status = WAITING
-        elif op in ("notify", "notifyall"):
-            r = val(i.args[0])
-            m = self.monitors.get(r.i) if isinstance(r, Ref) else None
-            if m is None or m.owner != t.tid:
-                raise InterpreterError(f"{op}: monitor not owned")
-            if m.waitset:
-                woken = sorted(m.waitset) if op == "notifyall" else [min(m.waitset)]
-                for w in woken:
-                    m.waitset.remove(w)
-                    self.threads[w - 1].status = REACQUIRE
-        elif op == "park":
-            if t.permit:
-                t.permit = False
-            else:
-                t.status = PARKED
-        elif op == "unpark":
-            target = intval(i.args[0], "unpark")
-            if not 1 <= target <= len(self.threads):
-                raise InterpreterError(f"unpark: no thread {target}")
-            tt = self.threads[target - 1]
-            if tt.status == PARKED:
-                tt.status = RUN
-            elif tt.status != DONE:
-                tt.permit = True
-        elif op == "guard":
-            c = val(i.args[0])
-            if not isinstance(c, bool):
+
+    def _op_wait(self, t, fr, i):
+        r = fr.locals[i.args[0]]
+        m = self._owned(t, r, "wait")
+        t.saved_count, m.owner, m.count = m.count, None, 0
+        m.waitset.append(t.tid)
+        t.wait_obj, t.status = r.i, WAITING
+
+    def _op_notify(self, t, fr, i):
+        m = self._owned(t, fr.locals[i.args[0]], i.op)
+        woken = sorted(m.waitset)
+        for w in woken if i.op == "notifyall" else woken[:1]:
+            m.waitset.remove(w)
+            self.threads[w - 1].status = REACQUIRE
+
+    _op_notifyall = _op_notify
+
+    def _op_park(self, t, fr, i):
+        if not t.permit:
+            t.status = PARKED
+        t.permit = False
+
+    def _op_unpark(self, t, fr, i):
+        target = _int(fr.locals[i.args[0]], "unpark")
+        if not 1 <= target <= len(self.threads):
+            raise InterpreterError(f"unpark: no thread {target}")
+        tt = self.threads[target - 1]
+        if tt.status is PARKED:
+            tt.status = RUN
+        elif tt.status is not DONE:
+            tt.permit = True
+
+    def _op_guard(self, t, fr, i):
+        c = fr.locals[i.args[0]]
+        if c is not True:
+            if c is not False:
                 raise InterpreterError("guard: condition is not a boolean")
-            if not c:
-                self.status = "deopt"
-                self.reason = i.reason
-        elif op == "instanceof":
-            v = val(i.args[0])
-            if v is None:
-                env[i.dest] = False
-            elif isinstance(v, Ref):
-                h = self.heap[v.i]
-                env[i.dest] = isinstance(h, HObj) and i.cls in self.program.ancestry(h.cls)
-            else:
-                raise InterpreterError("instanceof: not a reference")
-        elif op == "call":
-            self._push(t, i.fn, [val(a) for a in i.args], i.dest)
-            advance = False
-        elif op == "callvirtual":
-            h = self._obj(val(i.args[0]), "callvirtual")
-            target = self.program.resolve_method(h.cls, i.method)
-            if target is None:
-                raise InterpreterError(f"callvirtual: {h.cls} has no method {i.method!r}")
-            self._push(t, target, [val(a) for a in i.args], i.dest)
-            advance = False
-        elif op == "handleconst":
-            env[i.dest] = Handle(i.fn)
-        elif op == "callhandle":
-            h = val(i.args[0])
-            if not isinstance(h, Handle):
-                raise InterpreterError("callhandle: not a handle")
-            self._push(t, h.fn, [val(a) for a in i.args[1:]], i.dest)
-            advance = False
-        elif op == "output":
-            v = val(i.args[0])
-            if not _is_int(v):
-                raise InterpreterError("output: expected int")
-            self.events.append(v)
-        elif op == "vbinop":
-            d = self._arr(val(i.args[0]), "vbinop")
-            a = self._arr(val(i.args[1]), "vbinop")
-            b = self._arr(val(i.args[2]), "vbinop")
-            off = intval(i.args[3], "vbinop")
-            w = i.width or 0
-            if off < 0 or off + w > len(d.elems) or off + w > len(a.elems) or off + w > len(b.elems):
-                raise InterpreterError("vbinop: lane out of bounds")
-            for k in range(off, off + w):
-                d.elems[k] = self._binop(i.kind, a.elems[k], b.elems[k])
-        else:
-            raise InterpreterError(f"unknown opcode {op!r}")
-        if advance:
-            fr.idx += 1
+            self.status, self.reason = "deopt", i.reason
 
-    def _push(self, t: ThreadState, fname: str, args: list[Value], dest: str | None) -> None:
-        fn = self.fns.get(fname)
-        if fn is None:
-            raise InterpreterError(f"call: unknown function {fname!r}")
-        if len(args) != len(fn.params):
-            raise InterpreterError(f"call: {fname} takes {len(fn.params)} args, got {len(args)}")
-        t.frames[-1].idx += 1  # resume after the call
-        nf = Frame(fn.name, fn.entry.name, dict(zip(fn.params, args)), dest)
-        t.frames.append(nf)
+    def _op_instanceof(self, t, fr, i):
+        v = fr.locals[i.args[0]]
+        if v is not None and not isinstance(v, Ref):
+            raise InterpreterError("instanceof: not a reference")
+        o = self.heap[v.i] if v is not None else None
+        fr.locals[i.dest] = isinstance(o, HObj) and i.cls in self._ancestry[o.cls]
 
-    def _binop(self, kind: str, a: Value, b: Value) -> Value:
-        if kind == "eq":
-            return _values_equal(a, b)
-        if not (_is_int(a) and _is_int(b)):
-            raise InterpreterError(f"binop {kind}: expected ints")
-        if kind == "add":
-            return _wrap(a + b)
-        if kind == "sub":
-            return _wrap(a - b)
-        if kind == "mul":
-            return _wrap(a * b)
-        if kind == "div":
-            if b == 0:
-                raise InterpreterError("binop div: division by zero")
-            return _wrap(-(-a // b) if (a < 0) != (b < 0) else a // b)
-        if kind == "mod":
-            if b == 0:
-                raise InterpreterError("binop mod: division by zero")
-            q = -(-a // b) if (a < 0) != (b < 0) else a // b
-            return _wrap(a - q * b)
-        if kind == "lt":
-            return a < b
-        if kind == "le":
-            return a <= b
-        raise InterpreterError(f"unknown binop {kind!r}")
+    def _op_handleconst(self, t, fr, i):
+        fr.locals[i.dest] = Handle(i.fn)
 
-    def _exec_term(self, t: ThreadState, term: Br | CondBr | Ret) -> None:
-        fr = t.frames[-1]
-        if isinstance(term, Ret):
-            value = fr.locals[term.value] if term.value is not None else None
-            has_value = term.value is not None
-            dest = fr.ret_dest
-            t.frames.pop()
-            if not t.frames:
-                t.status = DONE
-                return
-            if dest is not None:
-                if not has_value:
-                    raise InterpreterError(f"{fr.fn} returned no value to a destination")
-                t.frames[-1].locals[dest] = value
-            return
-        if isinstance(term, Br):
-            target, args = term.target, term.args
-        else:
-            c = fr.locals[term.cond]
-            if not isinstance(c, bool):
-                raise InterpreterError("condbr: condition is not a boolean")
-            target, args = (
-                (term.then_target, term.then_args) if c else (term.else_target, term.else_args)
-            )
-        block = self._blocks[fr.fn][target]
-        fr.locals.update(zip(block.params, [fr.locals[a] for a in args]))
-        fr.block = target
-        fr.idx = 0
+    def _op_call(self, t, fr, i):
+        self._push(t, fr.locals, i.fn, i.args, i.dest)
+
+    def _op_callvirtual(self, t, fr, i):
+        o = self._deref(fr.locals[i.args[0]], "callvirtual", HObj)
+        fname = self._vtable.get((o.cls, i.method))
+        if fname is None:
+            raise InterpreterError(f"callvirtual: {o.cls} has no method {i.method!r}")
+        self._push(t, fr.locals, fname, i.args, i.dest)
+
+    def _op_callhandle(self, t, fr, i):
+        h = fr.locals[i.args[0]]
+        if not isinstance(h, Handle):
+            raise InterpreterError("callhandle: not a handle")
+        self._push(t, fr.locals, h.fn, i.args[1:], i.dest)
+
+    def _op_output(self, t, fr, i):
+        self.events.append(_int(fr.locals[i.args[0]], "output"))
+
+    def _op_vbinop(self, t, fr, i):
+        env, (dx, ax, bx, ox), w = fr.locals, i.args, i.width or 0
+        d, a, b = (self._deref(env[x], "vbinop", HArr).elems for x in (dx, ax, bx))
+        off = _int(env[ox], "vbinop")
+        if off < 0 or off + w > min(len(d), len(a), len(b)):
+            raise InterpreterError("vbinop: lane out of bounds")
+        d[off:off + w] = map(_binop_fn(i.kind), a[off:off + w], b[off:off + w])
+
+    def _op_ret(self, t, fr, i):
+        value = fr.locals[i.value] if i.value is not None else None
+        t.frames.pop()
+        if not t.frames:
+            t.status = DONE
+            self.live -= 1
+            if not self.live:
+                self.status = "terminated"
+        elif fr.ret_dest is not None:
+            if i.value is None:
+                raise InterpreterError(f"{fr.fn} returned no value to a destination")
+            t.frames[-1].locals[fr.ret_dest] = value
+
+    def _op_unknown(self, t, fr, i):
+        raise InterpreterError(f"unknown opcode {i.op!r}")
 
     # -- cloning and canonicalization (used by the schedule enumerator) ----
 
     def clone(self) -> "Machine":
+        # attributes in `__init__`'s order, so that clones keep its key-sharing
+        # instance dict (reading `__dict__` would give that up)
         m = Machine.__new__(Machine)
-        m.program = self.program
-        m.fns = self.fns
-        m.heap = [
-            HObj(h.cls, dict(h.fields)) if isinstance(h, HObj) else HArr(list(h.elems))
-            for h in self.heap
-        ]
-        m.monitors = {}
-        for oid, mon in self.monitors.items():
-            c = Monitor()
-            c.owner, c.count, c.waitset = mon.owner, mon.count, list(mon.waitset)
-            m.monitors[oid] = c
-        m.singletons = self.singletons
+        m.program, m.fns, m._field_order = self.program, self.fns, self._field_order
+        m.heap = [HObj(h.cls, dict(h.fields)) if isinstance(h, HObj) else HArr(list(h.elems))
+                  for h in self.heap]
+        m.monitors = {oid: Monitor(mon.owner, mon.count, list(mon.waitset))
+                      for oid, mon in self.monitors.items()}
+        m.singletons, m.op_counts = self.singletons, self.op_counts.copy()
+        m._callees, m._ancestry, m._vtable = self._callees, self._ancestry, self._vtable
         m.threads = []
         for t in self.threads:
-            nt = ThreadState(t.tid)
-            nt.status, nt.wait_obj, nt.saved_count, nt.permit = (
-                t.status, t.wait_obj, t.saved_count, t.permit,
-            )
-            for frm in t.frames:
-                nf = Frame(frm.fn, frm.block, dict(frm.locals), frm.ret_dest)
-                nf.idx = frm.idx
-                nt.frames.append(nf)
-            m.threads.append(nt)
-        m.events = list(self.events)
-        m.op_counts = self.op_counts.copy()
-        m.cost = self.cost
-        m.steps = self.steps
-        m.status = self.status
-        m.reason = self.reason
-        m._field_order = self._field_order
-        m._blocks = self._blocks
-        m._live = self._live
+            fs = [Frame(f.fn, f.block, f.code, dict(f.locals), f.ret_dest, f.idx) for f in t.frames]
+            m.threads.append(ThreadState(t.tid, fs, t.status, t.wait_obj, t.saved_count, t.permit))
+        m.live, m.events = self.live, list(self.events)
+        m.cost, m.steps, m.status = self.cost, self.steps, self.status
+        m.reason, m._live = self.reason, self._live
         return m
 
     def _live_names(self, f: Frame) -> tuple[str, ...]:
         by_block = self._live.get(f.fn)
         if by_block is None:
             from .cfg import liveness  # not at import time: `run` never needs it
-
-            by_block = self._live[f.fn] = {
-                b: tuple(tuple(sorted(names)) for names in points)
-                for b, points in liveness(self.fns[f.fn]).items()
-            }
+            by_block = self._live[f.fn] = {b: tuple(tuple(sorted(names)) for names in points)
+                                           for b, points in liveness(self.fns[f.fn]).items()}
         return by_block[f.block][f.idx]
 
     def canon_key(self):
@@ -619,22 +618,15 @@ class Machine:
                 return ("n",)
             return v
 
-        roots = []
-        for name in sorted(self.singletons):
-            roots.append(cv(self.singletons[name]))
+        roots = [cv(self.singletons[name]) for name in sorted(self.singletons)]
         tparts = []
         for t in self.threads:
-            frames = tuple(
-                (
-                    f.fn, f.block, f.idx, f.ret_dest,
-                    tuple(cv(f.locals[k]) if k in f.locals else None for k in self._live_names(f)),
-                )
-                for f in t.frames
-            )
-            tparts.append(
-                (t.status, cv(Ref(t.wait_obj)) if t.wait_obj is not None else None,
-                 t.saved_count, t.permit, frames)
-            )
+            frames = tuple((f.fn, f.block, f.idx, f.ret_dest,
+                            tuple(cv(f.locals[k]) if k in f.locals else None
+                                  for k in self._live_names(f)))
+                           for f in t.frames)
+            tparts.append((t.status, cv(Ref(t.wait_obj)) if t.wait_obj is not None else None,
+                           t.saved_count, t.permit, frames))
         hparts = []
         qi = 0
         while qi < len(queue):
@@ -707,28 +699,36 @@ class RunResult:
     steps: int
 
 
-def run(
-    program: Program,
-    schedule: RoundRobin | Explicit | str = "rr:1",
-    budget: int = 1_000_000,
-) -> RunResult:
-    """Execute `program` deterministically under one schedule policy."""
+def run(program: Program, schedule: RoundRobin | Explicit | str = "rr:1",
+        budget: int = 1_000_000) -> RunResult:
+    """Execute `program` deterministically under one schedule policy.
+
+    Thread count never grows, so once one thread is left it runs alone: the
+    policy could pick no other.
+    """
+    if budget < 1:
+        raise ValueError(f"step budget must be at least 1, got {budget}")
     policy = parse_schedule(schedule) if isinstance(schedule, str) else schedule
     m = Machine(program)
     while m.status is None:
+        if m.live == 1:
+            t = next(t for t in m.threads if t.status is not DONE)
+            if t.status is RUN:  # a notified thread first reacquires below
+                m._run_alone(t, budget)
+                break
         enabled = m.enabled_threads()
         if not enabled:
-            m.check_deadlock()
+            m.status = "deadlock" if m.live else "terminated"
             break
         if m.steps >= budget:
             m.status = "step-budget-exhausted"
             break
-        m.step(policy.pick(enabled))
-    status = m.status or "terminated"
-    trace = ResultTrace(tuple(m.events), status, m.reason)
+        m._step(m.threads[policy.pick(enabled) - 1])
+    trace = ResultTrace(tuple(m.events), m.status, m.reason)
     metrics = MetricVector(refcycles=m.cost)
-    for op, n in m.op_counts.items():
+    op_counts = Counter({op: n for op, n in m.op_counts.items() if n})
+    for op, n in op_counts.items():
         column = OPCODES[op].metric
         if column is not None:
             setattr(metrics, column, getattr(metrics, column) + n)
-    return RunResult(trace, metrics, m.op_counts, m.steps)
+    return RunResult(trace, metrics, op_counts, m.steps)

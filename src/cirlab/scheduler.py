@@ -42,10 +42,11 @@ _Suffix = tuple[tuple[int, ...], str, str | None]
 class ResultSet:
     """The set R over all schedules; `exhausted` means enumeration completed.
 
-    When `exhausted` is False (step budget or state ceiling hit) `traces`
-    holds the results found before the bound, and any subset claim is only
-    "bounded", never proved. `memo_hits` counts the states whose results
-    came from the memo instead of being explored again.
+    When `exhausted` is False (step budget or state ceiling hit, or the
+    preemption bound ruled out a context switch) `traces` holds the results
+    found within the bounds, and any subset claim is only "bounded", never
+    proved. `memo_hits` counts the states whose results came from the memo
+    instead of being explored again.
     """
 
     traces: frozenset[ResultTrace]
@@ -66,6 +67,7 @@ class _Explorer:
         self.states = 0  # distinct canonical states expanded
         self.memo_hits = 0
         self.ceiling_hit = False
+        self.bound_hit = False  # the preemption bound removed a choice
 
     def explore(self, m: Machine, rem: int, last: int, preempts: int
                 ) -> tuple[frozenset[_Suffix], bool]:
@@ -105,6 +107,7 @@ class _Explorer:
                     choices = [local]
         elif last in enabled and preempts >= self.pbound:
             choices = [last]
+            self.bound_hit = self.bound_hit or len(enabled) > 1
 
         out: set[_Suffix] = set()
         complete = True
@@ -130,9 +133,19 @@ def enumerate_results(
     preemption_bound: int | None = None,
     max_states: int = 2_000_000,
 ) -> ResultSet:
-    """Compute R(program) by DFS over all schedules, up to the given bounds."""
+    """Compute R(program) by DFS over all schedules, up to the given bounds.
+
+    The result is `exhausted` only if no path hit the step budget or the
+    state ceiling and the preemption bound removed no choice.
+    """
     if len(program.threads) > 4:
         raise ValueError("enumeration supports at most 4 threads")
+    if step_budget < 1:
+        raise ValueError(f"step budget must be at least 1, got {step_budget}")
+    if max_states < 1:
+        raise ValueError(f"state ceiling must be at least 1, got {max_states}")
+    if preemption_bound is not None and preemption_bound < 0:
+        raise ValueError(f"preemption bound must be at least 0, got {preemption_bound}")
     ex = _Explorer(preemption_bound, max_states)
     m = Machine(program)
     old_limit = sys.getrecursionlimit()
@@ -142,7 +155,7 @@ def enumerate_results(
     finally:
         sys.setrecursionlimit(old_limit)
     traces = frozenset(ResultTrace(ev, status, reason) for ev, status, reason in suffixes)
-    return ResultSet(traces, complete, ex.states, ex.memo_hits)
+    return ResultSet(traces, complete and not ex.bound_hit, ex.states, ex.memo_hits)
 
 
 @dataclass(frozen=True)

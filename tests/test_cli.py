@@ -49,6 +49,21 @@ def test_bad_schedule_is_an_error_line(capsys, cmd, schedule):
     assert err == [f"error: bad schedule {schedule!r} (use rr:k with k >= 1, or explicit:t1,t2,...)"]
 
 
+@pytest.mark.parametrize("args, message", [
+    (["run", "--budget", "-5"], "step budget must be at least 1, got -5"),
+    (["check", "corpus:racing-outputs", "--budget", "0"], "step budget must be at least 1, got 0"),
+    (["check", "corpus:racing-outputs", "--max-states", "-1"],
+     "state ceiling must be at least 1, got -1"),
+    (["check", "corpus:racing-outputs", "--max-states", "0"],
+     "state ceiling must be at least 1, got 0"),
+    (["check", "corpus:racing-outputs", "--preemptions", "-1"],
+     "preemption bound must be at least 0, got -1"),
+], ids=["run-budget", "check-budget", "max-states-negative", "max-states-zero", "preemptions"])
+def test_bound_out_of_range_is_an_error_line(capsys, args, message):
+    assert main([args[0], "corpus:racing-outputs"] + args[1:]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 @pytest.mark.parametrize("cmd", [["run"], ["profile"], ["check", "{f}"],
                                  ["compare", "--passes", "lock_coarsen", "--toggle", "lock_coarsen"]])
 def test_dynamic_fault_is_an_error_line(capsys, cir_file, cmd):

@@ -458,3 +458,135 @@ def test_division_semantics_truncate_toward_zero():
     thread main()
     """
     assert run(parse(text)).trace.events == (-3, -1)
+
+
+# Once only one thread is live, `run` steps it without asking the schedule.
+# These pin what that thread can still run into on its own.
+
+def _result(r):
+    return str(r.trace), r.steps, r.metrics.refcycles
+
+
+def test_monitor_held_by_a_finished_thread_deadlocks_the_last_thread():
+    text = """
+    class L { }
+    fn holder() {
+    e:
+      g = classref L
+      monitorenter g
+      ret
+    }
+    fn contender() {
+    e:
+      g = classref L
+      one = const 1
+      two = const 2
+      three = const 3
+      monitorenter g
+      output one
+      monitorexit g
+      ret
+    }
+    thread holder()
+    thread contender()
+    """
+    p = parse(text)
+    # the holder returns still owning L; the contender is alone when it reaches it
+    assert _result(run(p, "rr:1")) == ("[] deadlock", 7, 14)
+    # the contender takes L first; the holder is alone once it is free again
+    assert _result(run(p, "explicit:2,2,2,1")) == ("[1] terminated", 11, 32)
+
+
+def test_last_thread_parking_without_a_permit_deadlocks():
+    text = """
+    fn parker() {
+    e:
+      one = const 1
+      output one
+      two = const 2
+      output two
+      park
+      ret
+    }
+    fn idle() {
+    e:
+      ret
+    }
+    thread parker()
+    thread idle()
+    """
+    assert _result(run(parse(text))) == ("[1, 2] deadlock", 6, 13)
+
+
+def test_last_thread_waiting_deadlocks():
+    text = """
+    class S { }
+    fn waiter() {
+    e:
+      s = classref S
+      monitorenter s
+      one = const 1
+      output one
+      wait s
+      output one
+      ret
+    }
+    fn idle() {
+    e:
+      ret
+    }
+    thread waiter()
+    thread idle()
+    """
+    assert _result(run(parse(text))) == ("[1] deadlock", 6, 20)
+
+
+@pytest.mark.parametrize("budget, want", [
+    (5, ("[1, 3] step-budget-exhausted", 5, 5)),
+    (6, ("[1, 3] step-budget-exhausted", 6, 6)),  # the step where thread 2 ends
+    (7, ("[1, 3, 2] step-budget-exhausted", 7, 7)),
+    (8, ("[1, 3, 2] terminated", 8, 8)),
+])
+def test_budget_runs_out_around_the_switch_to_one_thread(budget, want):
+    text = """
+    fn first() {
+    e:
+      one = const 1
+      output one
+      two = const 2
+      output two
+      ret
+    }
+    fn second() {
+    e:
+      three = const 3
+      output three
+      ret
+    }
+    thread first()
+    thread second()
+    """
+    assert _result(run(parse(text), "rr:1", budget)) == want
+
+
+def test_failing_guard_on_the_last_thread_deopts():
+    text = """
+    fn guarded() {
+    e:
+      one = const 1
+      output one
+      f = const false
+      guard f, bounds
+      output one
+      ret
+    }
+    fn idle() {
+    e:
+      ret
+    }
+    thread guarded()
+    thread idle()
+    """
+    r = run(parse(text))
+    assert _result(r) == ("[1] deopt(bounds)", 5, 5)
+    assert r.op_counts["guard"] == 1 and r.op_counts["output"] == 1

@@ -4,10 +4,12 @@ Runs each pass, at the default options and at chunk=2, and the full
 pipeline over every corpus program, its small variant, and the fuzz
 generator's programs for seeds 0-199. Prints one line per case: a label
 and the SHA-256 of the printed output program, the JSON of every report,
-and the output program's `rr:1` run within a fixed step budget (events,
-status, reason, metric row, sorted op counts and steps, or the message of
-the InterpreterError it raised). Run it against two checkouts and diff the
-outputs:
+and the output program's runs within a fixed step budget (events, status,
+reason, metric row, sorted op counts and steps, or the message of the
+InterpreterError it raised). Every program runs under `rr:1`; a program
+with more than one thread also runs under `rr:3` and `explicit:2,1,1`, the
+last of which falls back to the lowest enabled thread whenever its pick is
+blocked or finished. Run it against two checkouts and diff the outputs:
 
     PYTHONPATH=src python tools/pass_sweep.py > after.txt
     PYTHONPATH=<other checkout>/src python tools/pass_sweep.py > before.txt
@@ -29,11 +31,12 @@ from tests.test_fuzz import gen_program  # noqa: E402
 
 
 RUN_BUDGET = 20_000  # steps per run; longer runs end step-budget-exhausted
+MULTI_THREAD_SCHEDULES = ("rr:3", "explicit:2,1,1")
 
 
-def run_summary(program) -> str:
+def run_summary(program, schedule: str) -> str:
     try:
-        r = run(program, "rr:1", RUN_BUDGET)
+        r = run(program, schedule, RUN_BUDGET)
     except InterpreterError as e:
         return f"InterpreterError: {e}"
     t = r.trace
@@ -45,7 +48,9 @@ def fingerprint(program, reports) -> str:
     h = hashlib.sha256(print_program(program).encode())
     for r in reports:
         h.update(json.dumps(r.to_dict(), sort_keys=True).encode())
-    h.update(run_summary(program).encode())
+    schedules = ("rr:1",) + (MULTI_THREAD_SCHEDULES if len(program.threads) > 1 else ())
+    for schedule in schedules:
+        h.update(run_summary(program, schedule).encode())
     return h.hexdigest()
 
 
