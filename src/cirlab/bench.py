@@ -1,4 +1,4 @@
-"""Benchmark harness: profiling runs and on/off pass comparison.
+"""Benchmark harness: the cost of one run, and on/off pass comparison.
 
 "Time" is the interpreter's deterministic cost-unit counter, not wall
 clock, so one run under a fixed schedule policy gives the exact cost and
@@ -11,37 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .interp import MetricVector, run
+from .interp import run
 from .ir import Program
 from .passes import PassOptions, pipeline
-from .pca import MetricMatrix
-
-#: metric columns the interpreter can actually produce (cpu/cachemiss cannot)
-PROFILED_COLUMNS = tuple(c for c in MetricVector.COLUMNS if c not in ("cpu", "cachemiss"))
-
-
-def profile_matrix(programs: dict[str, Program], schedule: str = "rr:1",
-                   budget: int = 5_000_000) -> MetricMatrix:
-    """One profiling run per program, stacked into a matrix.
-
-    Rows carry "interpreter" provenance; the refcycles column is included
-    so the result can be normalized downstream.
-    """
-    rows, data = [], []
-    for name, p in programs.items():
-        r = run(p, schedule, budget)
-        if r.trace.status != "terminated":
-            raise RuntimeError(f"{name}: profiling run ended with {r.trace.status}")
-        rows.append(name)
-        data.append([float(getattr(r.metrics, c)) for c in PROFILED_COLUMNS]
-                    + [float(r.metrics.refcycles)])
-    return MetricMatrix(
-        tuple(rows), PROFILED_COLUMNS + ("refcycles",),
-        np.array(data, dtype=float).reshape(len(rows), len(PROFILED_COLUMNS) + 1),
-        tuple("interpreter" for _ in rows),
-    )
 
 
 def bench(

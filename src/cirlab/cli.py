@@ -171,13 +171,16 @@ def cmd_pca(args) -> int:
         raise CliError(f"cannot read {args.metrics}: {e}")
     try:
         m = read_metrics_csv(text)
-        for d in m.diagnostics:
+        ingested = m.diagnostics
+        for d in ingested:
             print(f"note: {d}", file=sys.stderr)
         if args.exclude:
             m = m.without_rows({s.strip() for s in args.exclude.split(",")})
         skip = {s.strip() for s in args.skip.split(",") if s.strip()}
         if args.ref:
             m = normalize(m, args.ref, skip)
+        for d in m.diagnostics[len(ingested):]:  # rows that --ref rejected
+            print(f"note: {d}", file=sys.stderr)
         y, means, stds = standardize(m)
         model = pca_fit(y, m.cols, means, stds)
         j = model.k if args.components is None else args.components

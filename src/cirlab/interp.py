@@ -679,13 +679,14 @@ class Explicit:
 
 
 def parse_schedule(spec: str) -> RoundRobin | Explicit:
-    """Parse "rr:k" (k >= 1) or "explicit:1,2,..." schedule descriptions."""
+    """Parse "rr:k" (k >= 1) or "explicit:t1,t2,..." (each t >= 1) schedules."""
     kind, _, rest = spec.partition(":")
     try:
         if kind == "rr" and int(rest) >= 1:
             return RoundRobin(int(rest))
-        if kind == "explicit":
-            return Explicit(tuple(int(x) for x in rest.split(",")))
+        seq = tuple(int(x) for x in rest.split(",")) if kind == "explicit" else ()
+        if seq and min(seq) >= 1:
+            return Explicit(seq)
     except ValueError:
         pass
     raise ValueError(f"bad schedule {spec!r} (use rr:k with k >= 1, or explicit:t1,t2,...)")
@@ -709,6 +710,9 @@ def run(program: Program, schedule: RoundRobin | Explicit | str = "rr:1",
     if budget < 1:
         raise ValueError(f"step budget must be at least 1, got {budget}")
     policy = parse_schedule(schedule) if isinstance(schedule, str) else schedule
+    if isinstance(policy, Explicit) and max(policy.seq) > len(program.threads):
+        raise ValueError(f"schedule names thread {max(policy.seq)}, "
+                         f"but the program has {len(program.threads)} thread(s)")
     m = Machine(program)
     while m.status is None:
         if m.live == 1:

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 class PassReport:
     """What a pass did: total rewrites, per-function notes, and skip reasons.
 
-    `run_pass` returns the input program itself when rewrites == 0.
+    Each skipped site is recorded once, with its first reason. `run_pass`
+    returns the input program itself when rewrites == 0.
     """
 
     name: str
@@ -23,7 +24,8 @@ class PassReport:
         self.details.setdefault(fn, []).append(message)
 
     def skip(self, where: str, reason: str) -> None:
-        self.skips.append((where, reason))
+        if all(w != where for w, _ in self.skips):
+            self.skips.append((where, reason))
 
     def to_dict(self) -> dict:
         return {

@@ -22,6 +22,7 @@ from ..cfg import predecessors
 from ..ir import Block, CondBr, Function, Instr, Program
 from . import PassOptions, PassReport
 from .purity import pure_functions
+from .util import rewrite_functions, splice
 
 _PURE_SEGMENT = frozenset({"const", "binop", "instanceof"})
 
@@ -111,30 +112,16 @@ def _fuse_in_fn(f: Function, pure_fns: frozenset[str], report: PassReport) -> Fu
         # the second loop's names live on: its read maps to the first update's
         # result and its cas flag to the fused flag
         global_rename = {second.read_dest: nv1, second.cas.dest: first.cas.dest}
-        blocks = []
-        for blk in f.blocks:
-            if blk.name == b.name:
-                blocks.append(fused)
-            elif blk.name == nxt.name:
-                continue
-            else:
-                instrs = tuple(i.rename(global_rename) for i in blk.instrs)
-                blocks.append(Block(blk.name, blk.params, instrs, blk.term.rename(global_rename)))
+        renamed = Function(f.name, f.params, tuple(
+            Block(blk.name, blk.params, tuple(i.rename(global_rename) for i in blk.instrs),
+                  blk.term.rename(global_rename))
+            for blk in f.blocks))
         report.note(f.name, f"fused retry loops {b.name} and {nxt.name} on .{first.field}")
         report.rewrites += 1
-        return Function(f.name, f.params, tuple(blocks))
+        return splice(renamed, {b.name: (fused,), nxt.name: ()})
     return None
 
 
 def atomic_coalesce(p: Program, options: PassOptions, report: PassReport) -> Program:
     pure_fns = pure_functions(p)
-    fns = list(p.functions)
-    changed = True
-    while changed:
-        changed = False
-        for n, f in enumerate(fns):
-            nf = _fuse_in_fn(f, pure_fns, report)
-            if nf is not None:
-                fns[n] = nf
-                changed = True
-    return replace(p, functions=tuple(fns))
+    return rewrite_functions(p, lambda f: _fuse_in_fn(f, pure_fns, report))

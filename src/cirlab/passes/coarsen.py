@@ -21,14 +21,12 @@ calls only to functions proved free of them).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .. import ir
 from ..cfg import while_loops
 from ..ir import Block, Br, CondBr, Function, NameGen, Program
 from . import PassOptions, PassReport
 from .purity import blocking_free_functions
-from .util import copy_instrs
+from .util import copy_instrs, rewrite_functions, splice
 
 
 def _region_blockers(instrs, blocking_free: frozenset[str]) -> str | None:
@@ -123,18 +121,10 @@ def _coarsen_fn(f: Function, chunk: int, report: PassReport,
             (ir.monitor("monitorexit", monitor),),
             Br(header.name, rel_params),
         )
-
-        blocks = []
-        for b in f.blocks:
-            if b.name == header.name:
-                blocks.append(new_header)
-            elif b.name == body.name:
-                blocks.extend([acq_blk, inner_blk, icond_blk, rel_blk])
-            else:
-                blocks.append(b)
         report.note(f.name, f"coarsened loop at {header.name} with chunk {chunk}")
         report.rewrites += 1
-        return Function(f.name, f.params, tuple(blocks))
+        return splice(f, {header.name: (new_header,),
+                          body.name: (acq_blk, inner_blk, icond_blk, rel_blk)})
     return None
 
 
@@ -143,13 +133,4 @@ def lock_coarsen(p: Program, options: PassOptions, report: PassReport) -> Progra
     if chunk < 1:
         raise ValueError("chunk size must be >= 1")
     blocking_free = blocking_free_functions(p)
-    fns = list(p.functions)
-    changed = True
-    while changed:
-        changed = False
-        for n, f in enumerate(fns):
-            nf = _coarsen_fn(f, chunk, report, blocking_free)
-            if nf is not None:
-                fns[n] = nf
-                changed = True
-    return replace(p, functions=tuple(fns))
+    return rewrite_functions(p, lambda f: _coarsen_fn(f, chunk, report, blocking_free))

@@ -17,7 +17,7 @@ from .. import ir
 from ..cfg import def_index, dominates, dominators, predecessors, reachable_rpo
 from ..ir import Block, Br, CondBr, Function, NameGen, Program
 from . import PassOptions, PassReport
-from .util import remove_dead_pure
+from .util import rewrite_functions
 
 _MAX_ROUNDS = 20
 
@@ -143,14 +143,4 @@ def _dup_once(f: Function, report: PassReport) -> Function | None:
 
 
 def dup_simulate(p: Program, options: PassOptions, report: PassReport) -> Program:
-    fns = list(p.functions)
-    for n in range(len(fns)):
-        before = fns[n]
-        for _ in range(_MAX_ROUNDS):
-            nf = _dup_once(fns[n], report)
-            if nf is None:
-                break
-            fns[n] = nf
-        if fns[n] is not before:
-            fns[n] = remove_dead_pure(fns[n])
-    return replace(p, functions=tuple(fns))
+    return rewrite_functions(p, lambda f: _dup_once(f, report), rounds=_MAX_ROUNDS)

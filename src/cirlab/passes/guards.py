@@ -21,13 +21,11 @@ less.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .. import ir
 from ..cfg import def_index, find_induction_var, while_loops
 from ..ir import Block, Br, CondBr, Function, Instr, NameGen, Program
 from . import PassOptions, PassReport
-from .util import copy_instrs, remove_dead_pure
+from .util import copy_instrs, rewrite_functions
 
 _CHAIN_OPS = frozenset({"const", "binop", "instanceof"})
 _HEADER_OK = frozenset({"const", "classref", "binop", "instanceof", "getfield", "arrayload"})
@@ -64,16 +62,14 @@ def _endpoint_form(cond: Instr, iv_aliases: frozenset[str], loop_defs: frozenset
     return None
 
 
-def _hoist_one(f: Function, report: PassReport, skipped: set[str]) -> Function | None:
+def _hoist_one(f: Function, report: PassReport) -> Function | None:
     defs = def_index(f)
     bmap = f.block_map()
     for wl in while_loops(f):
         loop, loop_defs = wl.loop, wl.loop_defs
         where = f"{f.name}/{loop.header}"
         if any(i.op not in _HEADER_OK for i in wl.header.instrs):
-            if where not in skipped:
-                skipped.add(where)
-                report.skip(where, "loop condition has side effects")
+            report.skip(where, "loop condition has side effects")
             continue
         iv = find_induction_var(f, wl)
         aliases = iv.aliases if iv is not None else frozenset()
@@ -83,7 +79,6 @@ def _hoist_one(f: Function, report: PassReport, skipped: set[str]) -> Function |
             for idx, i in enumerate(bmap[bn].instrs):
                 if i.op != "guard":
                     continue
-                key = f"{where}@{bn}:{idx}"
                 chain = _invariant_chain(i.args[0], loop_defs, defs)
                 if chain is not None:
                     plans.append((bn, idx, "invariant", (chain, i)))
@@ -93,9 +88,8 @@ def _hoist_one(f: Function, report: PassReport, skipped: set[str]) -> Function |
                     cond_def is not None and iv is not None) else None
                 if form is not None:
                     plans.append((bn, idx, "induction", (form, i)))
-                elif key not in skipped:
-                    skipped.add(key)
-                    report.skip(key, "guard depends on loop-varying values")
+                else:
+                    report.skip(f"{where}@{bn}:{idx}", "guard depends on loop-varying values")
         if not plans:
             continue
 
@@ -170,15 +164,4 @@ def _hoist_one(f: Function, report: PassReport, skipped: set[str]) -> Function |
 
 
 def guard_motion(p: Program, options: PassOptions, report: PassReport) -> Program:
-    fns = list(p.functions)
-    for n, f in enumerate(fns):
-        skipped: set[str] = set()
-        changed = True
-        while changed:
-            nf = _hoist_one(fns[n], report, skipped)
-            changed = nf is not None
-            if nf is not None:
-                fns[n] = nf
-        if fns[n] is not f:
-            fns[n] = remove_dead_pure(fns[n])
-    return replace(p, functions=tuple(fns))
+    return rewrite_functions(p, lambda f: _hoist_one(f, report))

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from ..ir import Block, Br, CondBr, Function, Instr, NameGen, Program, Ret
 from . import PassOptions, PassReport
-from .util import copy_instrs, remove_dead_pure
+from .util import copy_instrs, remove_dead_pure, splice
 
 
 def _known_handles(f: Function) -> dict[str, str]:
@@ -139,15 +139,7 @@ def _inline_site(f: Function, callee: Function, bname: str, idx: int) -> Functio
     cont_params = (site.dest,) if site.dest is not None else ()
     cont_blk = Block(cont, cont_params, b.instrs[idx + 1:], b.term)
 
-    blocks: list[Block] = []
-    for blk in f.blocks:
-        if blk.name == bname:
-            blocks.append(head)
-            blocks.extend(inlined)
-            blocks.append(cont_blk)
-        else:
-            blocks.append(blk)
-    return Function(f.name, f.params, tuple(blocks))
+    return splice(f, {bname: (head, *inlined, cont_blk)})
 
 
 def _inline_all(p: Program, budget: int, report: PassReport) -> Program:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import replace
+from itertools import count, islice
 
 from ..ir import PURE_OPS, Block, Function, Instr, NameGen, Program
 
@@ -56,3 +58,29 @@ def remove_dead_pure(f: Function) -> Function:
 
 def static_op_count(p: Program, op: str) -> int:
     return sum(1 for f in p.functions for b in f.blocks for i in b.instrs if i.op == op)
+
+
+def rewrite_functions(p: Program, step: Callable[[Function], Function | None],
+                      rounds: int | None = None) -> Program:
+    """Apply `step` to each function of `p` until it returns None.
+
+    `step(f)` returns the function with one more site rewritten, or None
+    when nothing is left; `rounds` bounds how often it is applied to one
+    function. A function that changed loses its dead pure instructions.
+    """
+    fns = []
+    for f in p.functions:
+        new = f
+        for _ in islice(count(), rounds):
+            stepped = step(new)
+            if stepped is None:
+                break
+            new = stepped
+        fns.append(f if new is f else remove_dead_pure(new))
+    return replace(p, functions=tuple(fns))
+
+
+def splice(f: Function, blocks: dict[str, tuple[Block, ...]]) -> Function:
+    """`f` with each block named in `blocks` replaced by the blocks it maps to."""
+    return Function(f.name, f.params,
+                    tuple(nb for b in f.blocks for nb in blocks.get(b.name, (b,))))

@@ -15,13 +15,11 @@ bit-equal to the scalar execution.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .. import ir
 from ..cfg import def_index, find_induction_var, while_loops
 from ..ir import Block, Br, CondBr, Function, Instr, NameGen, Program
 from . import PassOptions, PassReport
-from .util import copy_instrs
+from .util import copy_instrs, rewrite_functions, splice
 
 
 def _match_body(body: Block, iv_names: frozenset[str], defs) -> tuple | str:
@@ -67,8 +65,7 @@ def _match_body(body: Block, iv_names: frozenset[str], defs) -> tuple | str:
     return (a.args[0], b.args[0], store.args[0], compute.kind, store, inc.dest)
 
 
-def _vectorize_fn(f: Function, width: int, report: PassReport,
-                  skipped: set[str]) -> Function | None:
+def _vectorize_fn(f: Function, width: int, report: PassReport) -> Function | None:
     defs = def_index(f)
     for wl in while_loops(f):
         header = wl.header
@@ -86,8 +83,7 @@ def _vectorize_fn(f: Function, width: int, report: PassReport,
         body = f.block_map()[wl.body_target]
         m = _match_body(body, iv.aliases, defs)
         if isinstance(m, str):
-            if m != "shape" and where not in skipped:
-                skipped.add(where)
+            if m != "shape":
                 report.skip(where, m)
             continue
         a_arr, b_arr, c_arr, op, store, inc_dest = m
@@ -96,17 +92,13 @@ def _vectorize_fn(f: Function, width: int, report: PassReport,
             for name in (a_arr, b_arr, c_arr)
         )
         if not allocated or len({a_arr, b_arr, c_arr}) != 3:
-            if where not in skipped:
-                skipped.add(where)
-                report.skip(where, "alias-unknown")
+            report.skip(where, "alias-unknown")
             continue
         vectorized_already = any(
             i.op == "vbinop" and i.args[0] == c_arr for blk in f.blocks for i in blk.instrs
         )
         if vectorized_already:
-            if where not in skipped:
-                skipped.add(where)
-                report.skip(where, "already vectorized")
+            report.skip(where, "already vectorized")
             continue
 
         gen = NameGen.for_function(f)
@@ -151,18 +143,10 @@ def _vectorize_fn(f: Function, width: int, report: PassReport,
         body_instrs = copy_instrs(body.instrs, rrename, gen, "_rem")
         rem_blk = Block(rem_body, tuple(rrename[q] for q in body.params),
                         body_instrs, Br(rem_hdr, (rrename[inc_dest],)))
-
-        blocks = []
-        for blk in f.blocks:
-            if blk.name == header.name:
-                blocks.append(new_header)
-            elif blk.name == body.name:
-                blocks.extend([vec_body, rem_header, rem_blk])
-            else:
-                blocks.append(blk)
         report.note(f.name, f"vectorized loop at {header.name} (width {width})")
         report.rewrites += 1
-        return Function(f.name, f.params, tuple(blocks))
+        return splice(f, {header.name: (new_header,),
+                          body.name: (vec_body, rem_header, rem_blk)})
     return None
 
 
@@ -170,12 +154,4 @@ def loop_vectorize(p: Program, options: PassOptions, report: PassReport) -> Prog
     width = options.width
     if width < 2:
         raise ValueError("vector width must be >= 2")
-    fns = list(p.functions)
-    for n in range(len(fns)):
-        skipped: set[str] = set()
-        while True:
-            nf = _vectorize_fn(fns[n], width, report, skipped)
-            if nf is None:
-                break
-            fns[n] = nf
-    return replace(p, functions=tuple(fns))
+    return rewrite_functions(p, lambda f: _vectorize_fn(f, width, report))

@@ -49,23 +49,6 @@ def test_corpus_contains_required_entries():
             "racing-outputs", "racing-increment"} <= names
 
 
-def test_profile_matrix_provenance_and_normalization():
-    from cirlab.bench import profile_matrix
-    from cirlab.pca import normalize
-
-    entries = {e.name: e.program for e in corpus.corpus()
-               if e.name in ("coarsen-mini", "coalesce-mini", "handle-histogram",
-                             "waitnotify-flag", "park-handoff", "vec-add")}
-    m = profile_matrix(entries)
-    assert set(m.provenance) == {"interpreter"}
-    assert "refcycles" in m.cols
-    normalized = normalize(m, "refcycles")
-    assert "refcycles" not in normalized.cols
-    assert len(normalized.rows) == len(entries)
-    synch = normalized.column("synch")
-    assert synch.max() <= 1.0  # rates, not counts
-
-
 def test_corpus_programs_validate_and_terminate():
     from cirlab.interp import run
     from cirlab.validate import validate

@@ -42,7 +42,8 @@ def test_run_explicit_schedule(capsys, cir_file):
 
 
 @pytest.mark.parametrize("cmd", ["run", "profile"])
-@pytest.mark.parametrize("schedule", ["explicit:", "explicit:1,,2", "rr:x", "rr:0", "foo"])
+@pytest.mark.parametrize("schedule", ["explicit:", "explicit:1,,2", "explicit:0,-3,9",
+                                      "rr:x", "rr:0", "foo"])
 def test_bad_schedule_is_an_error_line(capsys, cmd, schedule):
     assert main([cmd, "corpus:racing-outputs", "--schedule", schedule]) == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -58,7 +59,9 @@ def test_bad_schedule_is_an_error_line(capsys, cmd, schedule):
      "state ceiling must be at least 1, got 0"),
     (["check", "corpus:racing-outputs", "--preemptions", "-1"],
      "preemption bound must be at least 0, got -1"),
-], ids=["run-budget", "check-budget", "max-states-negative", "max-states-zero", "preemptions"])
+    (["run", "--schedule", "explicit:1,9"], "schedule names thread 9, but the program has 2 thread(s)"),
+], ids=["run-budget", "check-budget", "max-states-negative", "max-states-zero", "preemptions",
+        "schedule-thread"])
 def test_bound_out_of_range_is_an_error_line(capsys, args, message):
     assert main([args[0], "corpus:racing-outputs"] + args[1:]) == 1
     assert capsys.readouterr().err.strip() == f"error: {message}"
@@ -248,6 +251,17 @@ def test_pca_with_profile_output(tmp_path, capsys, cir_file):
     assert main(["pca", str(csv_path), "--ref", "refcycles"]) == 0
     out = capsys.readouterr().out
     assert "PC1 metric" in out
+
+
+def test_pca_ref_notes_each_rejected_row(tmp_path, capsys):
+    csv_path = tmp_path / "m.csv"
+    csv_path.write_text("benchmark,a,b,refcycles\nx,1,4,10\ny,2,5,0\nz,3,7,20\nw,4,1,30\n")
+    prefix = str(tmp_path / "out_")
+    assert main(["pca", str(csv_path), "--ref", "refcycles", "--out-prefix", prefix]) == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["note: row 'y' rejected: nonpositive refcycles"]
+    scores = (tmp_path / "out_scores.csv").read_text().strip().splitlines()
+    assert [line.split(",")[0] for line in scores[1:]] == ["x", "z", "w"]
 
 
 def test_ck_csv(capsys):

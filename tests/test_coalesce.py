@@ -110,6 +110,35 @@ def test_different_locations_skipped():
     assert report.rewrites == 0
 
 
+def test_skipped_pair_is_reported_once():
+    # the fusion in main makes the pass look at apart's pair again
+    text = """
+    fn apart() {
+    entry:
+      g = classref Cell
+      br L1()
+    L1():
+      v = getfield g, x
+      one = const 1
+      nv = binop add, v, one
+      ok = cas g, x, v, nv
+      condbr ok, L2(), L1()
+    L2():
+      w = getfield g, y
+      nw = binop add, w, one
+      ok2 = cas g, y, w, nw
+      condbr ok2, fin(), L2()
+    fin():
+      ret
+    }
+    """ + corpus.coalesce_mini(5).replace("fields x;", "fields x, y;")
+    p = parse(text)
+    assert validate(p) == []
+    _, report = run_pass(p, "atomic_coalesce")
+    assert report.rewrites == 1
+    assert report.skips == [("apart/L1+L2", "retry loops target different locations")]
+
+
 def test_pure_helper_call_in_update_is_allowed():
     text = """
     class Cell { fields x; }

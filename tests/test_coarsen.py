@@ -82,6 +82,49 @@ def test_wait_in_region_skipped():
     assert any("blocking op in region" in reason for _, reason in report.skips)
 
 
+def test_skipped_loop_is_reported_once():
+    # loops are visited by header name; the rewrite of l2 makes the pass
+    # look at l1 again
+    text = """
+    class L { fields n; }
+    fn main(iters) {
+    entry:
+      zero = const 0
+      g = classref L
+      br l1(zero)
+    l1(i):
+      c = binop lt, i, iters
+      condbr c, wbody(i), mid()
+    wbody(i2):
+      monitorenter g
+      wait g
+      monitorexit g
+      one = const 1
+      i3 = binop add, i2, one
+      br l1(i3)
+    mid():
+      br l2(zero)
+    l2(j):
+      d = binop lt, j, iters
+      condbr d, lbody(j), done()
+    lbody(j2):
+      monitorenter g
+      monitorexit g
+      one2 = const 1
+      j3 = binop add, j2, one2
+      br l2(j3)
+    done():
+      output zero
+      ret
+    }
+    thread main(2)
+    """
+    _, p2, report = _coarsen(text, 2)
+    assert report.rewrites == 1
+    assert validate(p2) == []
+    assert report.skips == [("main/l1", "blocking op in region")]
+
+
 def test_non_invariant_monitor_skipped():
     text = """
     class L { fields n; }
