@@ -188,3 +188,32 @@ def test_induction_var():
     assert iv.limit == "n"
     assert iv.cmp == "lt"
     assert iv.init_args == {"b0": "zero"}
+
+
+def test_iv_aliases_follow_in_loop_copies_only():
+    from cirlab.cfg import iv_aliases
+
+    # k receives n on every edge, but through the header: it is a new
+    # iteration's value, so it never counts as a copy
+    f = parse("""
+    fn main(n) {
+    b0:
+      zero = const 0
+      br loop(zero, n)
+    loop(i, k):
+      c = binop lt, i, n
+      condbr c, body(i, n), done()
+    body(i2, m):
+      br tail(i2)
+    tail(i4):
+      one = const 1
+      i3 = binop add, i4, one
+      br loop(i3, n)
+    done():
+      ret
+    }
+    thread main(3)
+    """).fn_map()["main"]
+    (loop,) = natural_loops(f)
+    assert iv_aliases(f, loop.blocks, "loop", "i") == {"i", "i2", "i4"}
+    assert iv_aliases(f, loop.blocks, "loop", "n") == {"n", "m"}

@@ -224,3 +224,44 @@ def test_triple_loop_fuses_twice():
     assert static_op_count(p2, "cas") == 1
     assert run(p).trace == run(p2).trace
     assert run(p2).trace.events == ((5 + 1) * 2 - 7,)
+
+
+def test_impure_helper_call_in_update_is_skipped():
+    # the second update calls a helper that reads the heap
+    text = """
+    class Cell { fields x, y; }
+    fn plus_y(v) {
+    e:
+      g = classref Cell
+      k = getfield g, y
+      r = binop add, v, k
+      ret r
+    }
+    fn main(v0) {
+    entry:
+      g = classref Cell
+      putfield g, x, v0
+      br L1()
+    L1():
+      v = getfield g, x
+      two = const 2
+      nv = binop mul, v, two
+      ok = cas g, x, v, nv
+      condbr ok, L2(), L1()
+    L2():
+      w = getfield g, x
+      nw = call plus_y(w)
+      ok2 = cas g, x, w, nw
+      condbr ok2, fin(), L2()
+    fin():
+      r = getfield g, x
+      output r
+      ret
+    }
+    thread main(4)
+    """
+    p = parse(text)
+    p2, report = run_pass(p, "atomic_coalesce")
+    assert report.rewrites == 0
+    assert p2 == p
+    assert report.skips == [("main/L1+L2", "impure update")]

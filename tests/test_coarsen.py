@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from cirlab import corpus
 from cirlab.cfg import monitor_balance
 from cirlab.interp import run
@@ -175,3 +177,60 @@ def test_fj_kmeans_mini_improves():
     assert run(p).trace == run(p2).trace
     assert run(p2).metrics.synch == 4
     assert run(p2).metrics.refcycles < run(p).metrics.refcycles
+
+
+_BLOCKER_LOOP = """
+class L { fields n; }
+fn locker(x) {
+e:
+  h = classref L
+  monitorenter h
+  monitorexit h
+  ret x
+}
+fn inc(x) {
+e:
+  one = const 1
+  r = binop add, x, one
+  ret r
+}
+fn main(iters) {
+entry:
+  zero = const 0
+  g = classref L
+  hd = handleconst inc
+  br loop(zero)
+loop(i):
+  %s
+  c = binop lt, i, iters
+  condbr c, body(i), done()
+body(i2):
+  monitorenter g
+  %s
+  monitorexit g
+  one = const 1
+  i3 = binop add, i2, one
+  br loop(i3)
+done():
+  output zero
+  ret
+}
+thread main(2)
+"""
+
+
+@pytest.mark.parametrize("header, region, reason", [
+    ("", "monitorenter hd", "nested monitor op in region"),
+    ("", "y = call locker(i2)", "call may block"),
+    ("", "y = call inc(i2)", None),
+    ("", "y = callhandle hd(i2)", "dynamic call may block"),
+    ("y = call locker(i)", "", "condition may block"),
+    ("y = callhandle hd(i)", "", "condition may block"),
+])
+def test_each_blocker_is_a_skip_reason(header, region, reason):
+    _, p2, report = _coarsen(_BLOCKER_LOOP % (header, region), 2)
+    if reason is None:  # a call to a blocking-free function does not block
+        assert report.rewrites == 1 and report.skips == []
+    else:
+        assert report.rewrites == 0
+        assert report.skips == [("main/loop", reason)]

@@ -218,3 +218,76 @@ def test_virtual_calls_untouched():
     p2, report = run_pass(p, "handle_simplify")
     assert report.rewrites == 0
     assert p2 == p
+
+
+def test_handle_through_disagreeing_block_params_unchanged():
+    # the two paths pass different handles: the join cannot name one callee
+    text = """
+    fn inc(x) {
+    e:
+      one = const 1
+      r = binop add, x, one
+      ret r
+    }
+    fn dec(x) {
+    e:
+      one = const 1
+      r = binop sub, x, one
+      ret r
+    }
+    fn main(sel) {
+    b0:
+      h = handleconst inc
+      k = handleconst dec
+      one = const 1
+      c = binop eq, sel, one
+      condbr c, a(h), b(k)
+    a(h1):
+      br join(h1)
+    b(h2):
+      br join(h2)
+    join(h3):
+      five = const 5
+      r = callhandle h3(five)
+      output r
+      ret
+    }
+    thread main(1)
+    """
+    p = parse(text)
+    p2, report = run_pass(p, "handle_simplify")
+    assert report.rewrites == 0
+    assert p2 == p
+    assert static_op_count(p2, "callhandle") == 1
+
+
+def test_handle_carried_around_a_loop_stays_dynamic():
+    # the header parameter also receives itself on the back edge
+    text = """
+    fn inc(x) {
+    e:
+      one = const 1
+      r = binop add, x, one
+      ret r
+    }
+    fn main(n) {
+    b0:
+      h = handleconst inc
+      zero = const 0
+      br loop(zero, h)
+    loop(i, hl):
+      c = binop lt, i, n
+      condbr c, body(), done()
+    body():
+      i2 = callhandle hl(i)
+      br loop(i2, hl)
+    done():
+      output i
+      ret
+    }
+    thread main(3)
+    """
+    p = parse(text)
+    p2, report = run_pass(p, "handle_simplify")
+    assert static_op_count(p2, "callhandle") == 1
+    assert run(p).trace == run(p2).trace
