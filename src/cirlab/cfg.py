@@ -221,27 +221,37 @@ def match_while_loop(f: Function, loop: Loop) -> WhileLoop | None:
     )
 
 
+def param_args(f: Function) -> dict[str, set[str]]:
+    """Block parameter -> the argument names its incoming edges pass.
+
+    Parameters of blocks that no edge enters are absent.
+    """
+    bmap = f.block_map()
+    flows: dict[str, set[str]] = {}
+    for b in f.blocks:
+        for target, args in b.term.edges():
+            if target in bmap:
+                for param, a in zip(bmap[target].params, args):
+                    flows.setdefault(param, set()).add(a)
+    return flows
+
+
 def iv_aliases(f: Function, loop_blocks: frozenset[str], header: str, iv_param: str) -> set[str]:
     """Block params inside the loop that always carry the current IV value.
 
     Edges into the header cross the iteration boundary, so header params are
     never derived; everything else in the loop runs once per iteration.
     """
-    aliases = {iv_param}
     bmap = f.block_map()
+    flows = param_args(f)
+    copies = [q for n in loop_blocks - {header} for q in bmap[n].params if q in flows]
+    aliases = {iv_param}
     changed = True
     while changed:
         changed = False
-        incoming: dict[tuple[str, int], set[str]] = {}
-        for b in f.blocks:
-            for target, args in b.term.edges():
-                if target in loop_blocks and target != header:
-                    for pos, a in enumerate(args):
-                        incoming.setdefault((target, pos), set()).add(a)
-        for (target, pos), sources in incoming.items():
-            param = bmap[target].params[pos]
-            if param not in aliases and sources <= aliases:
-                aliases.add(param)
+        for q in copies:
+            if q not in aliases and flows[q] <= aliases:
+                aliases.add(q)
                 changed = True
     return aliases
 

@@ -130,6 +130,10 @@ class Br:
     def rename(self, mapping: dict[str, str]) -> "Br":
         return Br(self.target, tuple(mapping.get(a, a) for a in self.args))
 
+    def retarget(self, labels: dict[str, str]) -> "Br":
+        """This branch with each target label mapped through `labels`."""
+        return Br(labels.get(self.target, self.target), self.args)
+
 
 @dataclass(frozen=True)
 class CondBr:
@@ -157,6 +161,10 @@ class CondBr:
             tuple(mapping.get(a, a) for a in self.else_args),
         )
 
+    def retarget(self, labels: dict[str, str]) -> "CondBr":
+        return CondBr(self.cond, labels.get(self.then_target, self.then_target), self.then_args,
+                      labels.get(self.else_target, self.else_target), self.else_args)
+
 
 @dataclass(frozen=True)
 class Ret:
@@ -175,6 +183,9 @@ class Ret:
         if self.value is None:
             return self
         return Ret(mapping.get(self.value, self.value))
+
+    def retarget(self, labels: dict[str, str]) -> "Ret":
+        return self
 
 
 Terminator = Br | CondBr | Ret

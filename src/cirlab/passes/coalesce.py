@@ -21,10 +21,8 @@ from dataclasses import dataclass, replace
 from ..cfg import predecessors
 from ..ir import Block, CondBr, Function, Instr, Program
 from . import PassOptions, PassReport
-from .purity import pure_functions
+from .purity import is_pure, pure_functions
 from .util import rewrite_functions, splice
-
-_PURE_SEGMENT = frozenset({"const", "binop", "instanceof"})
 
 
 @dataclass
@@ -52,12 +50,8 @@ def _match_retry_loop(b: Block, pure_fns: frozenset[str]) -> _RetryLoop | str:
     if cas.args[1] != read.dest:
         return "cas expectation is not the loop read"
     segment = b.instrs[1:-1]
-    for i in segment:
-        if i.op == "call":
-            if i.fn not in pure_fns:
-                return "impure update"
-        elif i.op not in _PURE_SEGMENT:
-            return "impure update"
+    if not all(is_pure(i, pure_fns) for i in segment):
+        return "impure update"
     t = b.term
     if not isinstance(t, CondBr) or t.cond != cas.dest:
         return "shape"

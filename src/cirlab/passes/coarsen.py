@@ -25,21 +25,12 @@ from .. import ir
 from ..cfg import while_loops
 from ..ir import Block, Br, CondBr, Function, NameGen, Program
 from . import PassOptions, PassReport
-from .purity import blocking_free_functions
+from .purity import blocker, blocking_free_functions
 from .util import copy_instrs, rewrite_functions, splice
 
 
-def _region_blockers(instrs, blocking_free: frozenset[str]) -> str | None:
-    for i in instrs:
-        if i.op in ("wait", "notify", "notifyall", "park", "unpark"):
-            return "blocking op in region"
-        if i.op in ("monitorenter", "monitorexit"):
-            return "nested monitor op in region"
-        if i.op in ("call",) and i.fn not in blocking_free:
-            return "call may block"
-        if i.op in ("callvirtual", "callhandle"):
-            return "dynamic call may block"
-    return None
+def _first_blocker(instrs, blocking_free: frozenset[str]) -> str | None:
+    return next(filter(None, (blocker(i, blocking_free) for i in instrs)), None)
 
 
 def _coarsen_fn(f: Function, chunk: int, report: PassReport,
@@ -58,10 +49,9 @@ def _coarsen_fn(f: Function, chunk: int, report: PassReport,
             continue
         region = body.instrs[1:exits[0]]
         tail = body.instrs[exits[0] + 1:]
-        reason = _region_blockers(region + tail, blocking_free)
+        reason = _first_blocker(region + tail, blocking_free)
         if reason is None:
-            reason = _region_blockers(wl.header.instrs, blocking_free)
-            reason = reason and "condition may block"
+            reason = _first_blocker(wl.header.instrs, blocking_free) and "condition may block"
         if reason is not None:
             report.skip(where, reason)
             continue

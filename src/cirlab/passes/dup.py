@@ -11,13 +11,11 @@ becomes a direct jump. Copies where nothing is known keep the check.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .. import ir
 from ..cfg import def_index, dominates, dominators, predecessors, reachable_rpo
 from ..ir import Block, Br, CondBr, Function, NameGen, Program
 from . import PassOptions, PassReport
-from .util import rewrite_functions
+from .util import copy_instrs, rewrite_functions
 
 _MAX_ROUNDS = 20
 
@@ -74,20 +72,13 @@ def _duplicate(f: Function, merge: Block, pred_name: str, subst: dict[str, str],
     bmap = f.block_map()
     pred = bmap[pred_name]
     rename = dict(subst)
-    known: dict[str, bool] = {}
-    for name, val in name_facts.items():
-        known[name] = val
+    known = dict(name_facts)
     instrs = list(pred.instrs)
-    for i in merge.instrs:
-        renamed = i.rename(rename)
-        if i.dest is not None:
-            rename[i.dest] = gen.fresh(i.dest)
-            renamed = replace(renamed, dest=rename[i.dest])
-        if renamed.op == "instanceof" and (renamed.args[0], renamed.cls) in inst_facts:
-            verdict = inst_facts[(renamed.args[0], renamed.cls)]
-            renamed = ir.const(rename[i.dest], verdict)
-            known[rename[i.dest]] = verdict
-        instrs.append(renamed)
+    for i in copy_instrs(merge.instrs, rename, gen):
+        if i.op == "instanceof" and (i.args[0], i.cls) in inst_facts:
+            known[i.dest] = inst_facts[(i.args[0], i.cls)]
+            i = ir.const(i.dest, known[i.dest])
+        instrs.append(i)
     term = merge.term.rename(rename)
     if isinstance(term, CondBr) and term.cond in known:
         term = (

@@ -25,9 +25,9 @@ from .. import ir
 from ..cfg import def_index, find_induction_var, while_loops
 from ..ir import Block, Br, CondBr, Function, Instr, NameGen, Program
 from . import PassOptions, PassReport
+from .purity import is_pure
 from .util import copy_instrs, rewrite_functions
 
-_CHAIN_OPS = frozenset({"const", "binop", "instanceof"})
 _HEADER_OK = frozenset({"const", "classref", "binop", "instanceof", "getfield", "arrayload"})
 _MAX_CHAIN = 8
 
@@ -38,7 +38,8 @@ def _invariant_chain(name: str, loop_defs: frozenset[str],
     if name not in loop_defs:
         return []
     i = defs.get(name)
-    if i is None or i.op not in _CHAIN_OPS or (i.op == "binop" and i.kind in ("div", "mod")):
+    # a chain holds no calls, not even pure ones
+    if i is None or not is_pure(i, ()) or (i.op == "binop" and i.kind in ("div", "mod")):
         return None
     chain: list[Instr] = []
     for a in i.args:
@@ -137,26 +138,12 @@ def _hoist_one(f: Function, report: PassReport) -> Function | None:
         blocks = []
         for b in f.blocks:
             if b.name == header.name:
-                blocks.append(pre_blk)
-                blocks.append(g_blk)
-                blocks.append(b)
-                continue
-            if b.name in loop.blocks:
+                blocks += (pre_blk, g_blk, b)
+            elif b.name in loop.blocks:
                 kept = tuple(i for idx, i in enumerate(b.instrs) if (b.name, idx) not in to_remove)
-                if kept != b.instrs:
-                    b = Block(b.name, b.params, kept, b.term)
-            if b.name not in loop.blocks:
-                # entry edges now run through the preheader
-                term = b.term
-                if isinstance(term, Br) and term.target == header.name:
-                    term = Br(pre, term.args)
-                elif isinstance(term, CondBr):
-                    t1 = pre if term.then_target == header.name else term.then_target
-                    t2 = pre if term.else_target == header.name else term.else_target
-                    term = CondBr(term.cond, t1, term.then_args, t2, term.else_args)
-                if term is not b.term:
-                    b = Block(b.name, b.params, b.instrs, term)
-            blocks.append(b)
+                blocks.append(Block(b.name, b.params, kept, b.term))
+            else:  # entry edges now run through the preheader
+                blocks.append(Block(b.name, b.params, b.instrs, b.term.retarget({header.name: pre})))
         report.note(f.name, f"hoisted {len(plans)} guard(s) out of loop at {loop.header}")
         report.rewrites += len(plans)
         return Function(f.name, f.params, tuple(blocks))

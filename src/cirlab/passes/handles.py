@@ -12,35 +12,25 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..ir import Block, Br, CondBr, Function, Instr, NameGen, Program, Ret
+from ..cfg import param_args
+from ..ir import Block, Br, Function, Instr, NameGen, Program, Ret
 from . import PassOptions, PassReport
 from .util import copy_instrs, remove_dead_pure, splice
 
 
 def _known_handles(f: Function) -> dict[str, str]:
     """Value name -> function, for names that are handle constants on all paths."""
-    known: dict[str, str] = {}
-    for b in f.blocks:
-        for i in b.instrs:
-            if i.op == "handleconst":
-                known[i.dest] = i.fn
+    known = {i.dest: i.fn for b in f.blocks for i in b.instrs if i.op == "handleconst"}
     # propagate through block parameters whose incoming args all agree
+    flows = param_args(f)
     changed = True
     while changed:
         changed = False
-        incoming: dict[tuple[str, int], set[str | None]] = {}
-        for b in f.blocks:
-            for target, args in b.term.edges():
-                for pos, a in enumerate(args):
-                    incoming.setdefault((target, pos), set()).add(known.get(a))
-        bmap = f.block_map()
-        for (target, pos), sources in incoming.items():
-            param = bmap[target].params[pos]
-            if param not in known and len(sources) == 1:
-                fn = next(iter(sources))
-                if fn is not None:
-                    known[param] = fn
-                    changed = True
+        for param, args in flows.items():
+            fns = {known.get(a) for a in args}
+            if param not in known and len(fns) == 1 and None not in fns:
+                known[param] = fns.pop()
+                changed = True
     return known
 
 
@@ -121,19 +111,10 @@ def _inline_site(f: Function, callee: Function, bname: str, idx: int) -> Functio
     inlined: list[Block] = []
     for cb in callee.blocks:
         instrs = copy_instrs(cb.instrs, rename, gen)
-        term = cb.term
-        if isinstance(term, Ret):
-            args = (rename.get(term.value, term.value),) if term.value is not None else ()
-            nterm: Br | CondBr = Br(cont, args if site.dest is not None else ())
-        elif isinstance(term, Br):
-            nterm = Br(bnames[term.target], tuple(rename.get(a, a) for a in term.args))
-        else:
-            nterm = CondBr(
-                rename.get(term.cond, term.cond),
-                bnames[term.then_target], tuple(rename.get(a, a) for a in term.then_args),
-                bnames[term.else_target], tuple(rename.get(a, a) for a in term.else_args),
-            )
-        inlined.append(Block(bnames[cb.name], tuple(rename[q] for q in cb.params), instrs, nterm))
+        term = cb.term.rename(rename).retarget(bnames)
+        if isinstance(term, Ret):  # returns continue after the call site
+            term = Br(cont, term.uses() if site.dest is not None else ())
+        inlined.append(Block(bnames[cb.name], tuple(rename[q] for q in cb.params), instrs, term))
 
     head = Block(b.name, b.params, b.instrs[:idx], Br(bnames[callee.entry.name], ()))
     cont_params = (site.dest,) if site.dest is not None else ()

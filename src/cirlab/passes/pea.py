@@ -39,18 +39,6 @@ def _copy_state(state: dict) -> dict:
     }
 
 
-def _state_eq(a, b) -> bool:
-    if a[0] != b[0]:
-        return False
-    if a[0] == "virt":
-        return a[1] == b[1] and a[2] == b[2]
-    return a[1] == b[1]
-
-
-def _states_eq(x: dict, y: dict) -> bool:
-    return set(x) == set(y) and all(_state_eq(x[k], y[k]) for k in x)
-
-
 class _FnPea:
     """Per-function analysis and rewrite driver."""
 
@@ -227,7 +215,7 @@ class _FnPea:
                 st, _ = self.transfer(bname, _copy_state(entry[bname]), None, False)
                 for succ in self.bmap[bname].term.targets():
                     merged = self._merge(entry.get(succ), st, succ)
-                    if succ not in entry or not _states_eq(entry[succ], merged):
+                    if entry.get(succ) != merged:
                         entry[succ] = merged
                         changed = True
             if not changed:
@@ -242,7 +230,7 @@ class _FnPea:
         out = {}
         for k in set(into) | set(frm):
             a, b = into.get(k), frm.get(k)
-            if a is not None and b is not None and _state_eq(a, b):
+            if a is not None and a == b:
                 out[k] = a
                 continue
             defb = self.defblock.get(k, mergeblock)

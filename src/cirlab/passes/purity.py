@@ -5,57 +5,53 @@ comparisons, instanceof, and calls to functions already proved pure. Any
 heap access, allocation, concurrency primitive, output, guard, or virtual /
 handle call makes it impure. The analysis is a greatest fixpoint over the
 call graph, so mutually recursive pure helpers are accepted.
+
+`is_pure` and `blocker` judge one instruction; the passes that move or
+merge code use them directly.
 """
 
 from __future__ import annotations
 
-from ..ir import Function, Program
-
-_PURE_INSTRS = frozenset({"const", "binop", "instanceof"})
-
-#: ops that may block, synchronize, or dispatch to unknown code
-_BLOCKING = frozenset(
-    {"monitorenter", "monitorexit", "wait", "notify", "notifyall", "park", "unpark",
-     "callvirtual", "callhandle"}
-)
+from ..ir import Instr, Program
 
 
-def _fix(p: Program, candidate) -> frozenset[str]:
+def is_pure(i: Instr, pure_fns) -> bool:
+    """A constant, arithmetic, instanceof, or a call of a function in `pure_fns`."""
+    if i.op == "call":
+        return i.fn in pure_fns
+    return i.op in ("const", "binop", "instanceof")
+
+
+def blocker(i: Instr, blocking_free) -> str | None:
+    """Why `i` may block or synchronize, or None; calls of `blocking_free` are safe."""
+    if i.op in ("wait", "notify", "notifyall", "park", "unpark"):
+        return "blocking op in region"
+    if i.op in ("monitorenter", "monitorexit"):
+        return "nested monitor op in region"
+    if i.op == "call" and i.fn not in blocking_free:
+        return "call may block"
+    if i.op in ("callvirtual", "callhandle"):
+        return "dynamic call may block"
+    return None
+
+
+def _fix(p: Program, ok_instr) -> frozenset[str]:
+    """The largest set of functions whose instructions all pass `ok_instr(i, set)`."""
     ok = {f.name for f in p.functions}
     changed = True
     while changed:
         changed = False
         for f in p.functions:
-            if f.name in ok and not candidate(f, ok):
+            if f.name in ok and not all(ok_instr(i, ok) for b in f.blocks for i in b.instrs):
                 ok.discard(f.name)
                 changed = True
     return frozenset(ok)
 
 
 def pure_functions(p: Program) -> frozenset[str]:
-    def candidate(f: Function, ok: set[str]) -> bool:
-        for b in f.blocks:
-            for i in b.instrs:
-                if i.op == "call":
-                    if i.fn not in ok:
-                        return False
-                elif i.op not in _PURE_INSTRS:
-                    return False
-        return True
-
-    return _fix(p, candidate)
+    return _fix(p, is_pure)
 
 
 def blocking_free_functions(p: Program) -> frozenset[str]:
     """Functions that can never touch a monitor, wait, notify, or park."""
-
-    def candidate(f: Function, ok: set[str]) -> bool:
-        for b in f.blocks:
-            for i in b.instrs:
-                if i.op in _BLOCKING:
-                    return False
-                if i.op == "call" and i.fn not in ok:
-                    return False
-        return True
-
-    return _fix(p, candidate)
+    return _fix(p, lambda i, ok: blocker(i, ok) is None)
