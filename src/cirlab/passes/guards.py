@@ -90,7 +90,8 @@ def _hoist_one(f: Function, report: PassReport) -> Function | None:
                 if form is not None:
                     plans.append((bn, idx, "induction", (form, i)))
                 else:
-                    report.skip(f"{where}@{bn}:{idx}", "guard depends on loop-varying values")
+                    report.skip(f"{where}@{bn}:{i.args[0]}",
+                                "guard depends on loop-varying values")
         if not plans:
             continue
 

@@ -159,3 +159,37 @@ def test_static_guards_remain_in_program():
     p = parse(corpus.guard_bounds_loop(10, 20))
     p2, _ = run_pass(p, "guard_motion")
     assert static_op_count(p2, "guard") == 2  # moved, not dropped
+
+
+def test_skipped_guard_is_reported_once():
+    # hoisting the invariant guard shifts the varying one's index; the
+    # pass looks at the loop again and must not report it a second time
+    text = """
+    class G { fields v; }
+    fn main(n, flag) {
+    entry:
+      zero = const 0
+      fine = binop le, zero, flag
+      g = classref G
+      br loop(zero)
+    loop(i):
+      c = binop lt, i, n
+      condbr c, body(i), done()
+    body(i2):
+      guard fine, speculation
+      x = getfield g, v
+      w = binop le, x, i2
+      guard w, heapcheck
+      one = const 1
+      i3 = binop add, i2, one
+      br loop(i3)
+    done():
+      output zero
+      ret
+    }
+    thread main(5, 3)
+    """
+    p2, report = run_pass(parse(text), "guard_motion")
+    assert report.rewrites == 1
+    assert validate(p2) == []
+    assert report.skips == [("main/loop@body:w", "guard depends on loop-varying values")]
