@@ -27,7 +27,6 @@ class MetricMatrix:
     rows: tuple[str, ...]  # benchmark names
     cols: tuple[str, ...]  # metric names
     values: np.ndarray  # shape (N, K)
-    provenance: tuple[str, ...] = ()  # per row: "interpreter" | "ingested"
     diagnostics: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -41,14 +40,11 @@ class MetricMatrix:
 
     def without_rows(self, names: set[str]) -> "MetricMatrix":
         keep = [i for i, r in enumerate(self.rows) if r not in names]
-        prov = tuple(self.provenance[i] for i in keep) if self.provenance else ()
-        return MetricMatrix(
-            tuple(self.rows[i] for i in keep), self.cols, self.values[keep],
-            prov, self.diagnostics,
-        )
+        return MetricMatrix(tuple(self.rows[i] for i in keep), self.cols, self.values[keep],
+                            self.diagnostics)
 
 
-def read_metrics_csv(text: str, provenance: str = "ingested") -> MetricMatrix:
+def read_metrics_csv(text: str) -> MetricMatrix:
     """Ingest a metrics CSV: header `benchmark,<metric>...`, one row each.
 
     Scientific notation is accepted. Columns empty in every row are dropped
@@ -92,8 +88,7 @@ def read_metrics_csv(text: str, provenance: str = "ingested") -> MetricMatrix:
             data.append(vals)
     return MetricMatrix(
         tuple(names), tuple(cols[j] for j in keep),
-        np.array(data, dtype=float).reshape(len(names), len(keep)),
-        tuple(provenance for _ in names), tuple(diagnostics),
+        np.array(data, dtype=float).reshape(len(names), len(keep)), tuple(diagnostics),
     )
 
 
@@ -115,15 +110,16 @@ def normalize(m: MetricMatrix, refcol: str, skip: set[str] | None = None) -> Met
     out_cols = [c for c in m.cols if c != refcol]
     data = np.empty((int(good.sum()), len(out_cols)))
     rows = tuple(r for i, r in enumerate(m.rows) if good[i])
-    prov = tuple(pv for i, pv in enumerate(m.provenance) if good[i]) if m.provenance else ()
     for j, c in enumerate(out_cols):
         col = m.column(c)[good]
         data[:, j] = col if c in skip else col / ref[good]
-    return MetricMatrix(rows, tuple(out_cols), data, prov, tuple(diagnostics))
+    return MetricMatrix(rows, tuple(out_cols), data, tuple(diagnostics))
 
 
 def standardize(m: MetricMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Y, means, stds): each column shifted to mean 0 and sample std 1."""
+    if len(m.rows) < 2:
+        raise PcaError("need at least two observations")
     means = m.values.mean(axis=0)
     stds = m.values.std(axis=0, ddof=1)
     flat = [m.cols[j] for j in np.flatnonzero(stds == 0)]

@@ -264,6 +264,16 @@ def test_pca_ref_notes_each_rejected_row(tmp_path, capsys):
     assert [line.split(",")[0] for line in scores[1:]] == ["x", "z", "w"]
 
 
+@pytest.mark.parametrize("exclude", ["y,z", "x,y,z"])
+def test_pca_too_few_rows_is_one_error_line(tmp_path, capsys, recwarn, exclude):
+    csv_path = tmp_path / "m.csv"
+    csv_path.write_text("benchmark,a,b\nx,1,4\ny,2,5\nz,3,7\n")
+    assert main(["pca", str(csv_path), "--exclude", exclude]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: need at least two observations"]
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_ck_csv(capsys):
     assert main(["ck", "corpus:dup-diamond"]) == 0
     out = capsys.readouterr().out

@@ -26,9 +26,8 @@ def paper_matrix() -> MetricMatrix:
     return read_metrics_csv(text).without_rows(EXCLUDED)
 
 
-def _mat(rows, cols, vals, prov=None):
-    arr = np.array(vals, dtype=float)
-    return MetricMatrix(tuple(rows), tuple(cols), arr, tuple(prov or ()))
+def _mat(rows, cols, vals):
+    return MetricMatrix(tuple(rows), tuple(cols), np.array(vals, dtype=float))
 
 
 def test_normalize_divides_and_drops_ref():
