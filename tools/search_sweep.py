@@ -1,0 +1,67 @@
+"""Fingerprint every schedule search, for comparing two versions of cirlab.
+
+Enumerates each corpus small variant and, at chunk=2, each pass output that
+rewrites it; each at the entry's `small_budget`, at budget 40, and at the
+small budget with a 150-state ceiling. Then a few larger contention
+programs at the default bounds. Prints one line per search: a label,
+`states_explored`, `memo_hits`, `exhausted`, the trace count and the
+SHA-256 of the sorted traces; for a pass output, a second line with the
+`check_refinement` verdict against its input and the witness. Run it
+against two checkouts and diff the outputs:
+
+    PYTHONPATH=src python tools/search_sweep.py > after.txt
+    PYTHONPATH=<other checkout>/src python tools/search_sweep.py > before.txt
+"""
+
+import hashlib
+
+from cirlab.corpus import coalesce_mini, coarsen_loop, corpus
+from cirlab.parser import parse
+from cirlab.passes import PASS_NAMES, PassOptions, run_pass
+from cirlab.scheduler import check_refinement, enumerate_results
+
+CUT_BUDGET = 40  # cuts most small variants' searches short
+CEILING = 150  # cuts the contended coalesce-mini original, not its output
+LARGER = (("coarsen_loop(4,2)", coarsen_loop(4, threads=2)),
+          ("coarsen_loop(8,2)", coarsen_loop(8, threads=2)),
+          ("coarsen_loop(2,3)", coarsen_loop(2, threads=3)),
+          ("coalesce_mini(5,contended)", coalesce_mini(5, contended=True)))
+
+
+def search_line(program, **bounds) -> str:
+    rs = enumerate_results(program, **bounds)
+    ordered = sorted(rs.traces, key=lambda t: (t.events, t.status, t.reason or ""))
+    digest = hashlib.sha256(repr([(t.events, t.status, t.reason) for t in ordered]).encode())
+    return (f"states={rs.states_explored} memo_hits={rs.memo_hits} exhausted={rs.exhausted} "
+            f"traces={len(rs.traces)} sha={digest.hexdigest()[:16]}")
+
+
+def cases():
+    """(label, program, its input program or None, small budget)."""
+    for e in corpus():
+        if e.small is None:
+            continue
+        yield f"{e.name}/small", e.small, None, e.small_budget
+        for name in PASS_NAMES:
+            out, report = run_pass(e.small, name, PassOptions(chunk=2))
+            if report.rewrites:
+                yield f"{e.name}/small/{name}", out, e.small, e.small_budget
+
+
+def main() -> None:
+    for label, program, original, budget in cases():
+        for config, bounds in ((f"budget={budget}", {"step_budget": budget}),
+                               (f"budget={CUT_BUDGET}", {"step_budget": CUT_BUDGET}),
+                               (f"budget={budget},max_states={CEILING}",
+                                {"step_budget": budget, "max_states": CEILING})):
+            print(label, config, search_line(program, **bounds))
+            if original is not None:
+                v = check_refinement(original, program, **bounds)
+                print(label, config, f"verdict={v.kind} states={v.states_explored} "
+                                     f"witness={v.witness}")
+    for label, text in LARGER:
+        print(label, "default", search_line(parse(text)))
+
+
+if __name__ == "__main__":
+    main()
