@@ -131,16 +131,14 @@ def cmd_check(args) -> int:
     before = load_program(args.before)
     after = load_program(args.after)
     try:
-        verdict = check_refinement(
-            before, after, step_budget=args.budget,
-            preemption_bound=args.preemptions, max_states=args.max_states,
-        )
+        verdict = check_refinement(before, after, step_budget=args.budget,
+                                   max_states=args.max_states)
     except ValueError as e:  # a bound out of range, or more threads than supported
         raise CliError(str(e))
     out = {"verdict": verdict.kind, "statesExplored": verdict.states_explored}
     for side, rs in (("original", verdict.original), ("transformed", verdict.transformed)):
         out[side] = {"states": rs.states_explored, "memoHits": rs.memo_hits,
-                     "exhausted": rs.exhausted}
+                     "exhausted": rs.exhausted, "ceilingHit": rs.ceiling_hit}
     if verdict.witness is not None:
         out["witness"] = {
             "events": list(verdict.witness.events),
@@ -280,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("before")
     p.add_argument("after")
     p.add_argument("--budget", type=int, default=10_000, help="max steps per schedule")
-    p.add_argument("--preemptions", type=int, default=None, help="context-switch bound")
     p.add_argument("--max-states", type=int, default=2_000_000)
     p.set_defaults(fn=cmd_check)
 

@@ -16,8 +16,9 @@ workload metric it counts toward, from which `run` builds the metric vector.
 
 Each `Machine` decodes its program once (`Machine._decode`) into per-block
 lists of `(handler, instr, cost, op)` entries that its clones share, so a step
-is one index and one call. `run` asks the schedule to pick a thread only while
-two or more are live; the last one runs alone (`Machine._run_alone`).
+is one index and one call. `run` and the schedule enumerator share one stop
+rule, `Machine.schedulable`. `run` asks the schedule to pick a thread only
+while two or more are live; the last one runs alone (`Machine._run_alone`).
 """
 
 from __future__ import annotations
@@ -350,6 +351,24 @@ class Machine:
 
     def enabled_threads(self) -> list[int]:
         return [t.tid for t in self.threads if self.enabled(t.tid)]
+
+    def schedulable(self, budget: int) -> list[int]:
+        """The threads that may step next, or [] once the run has stopped.
+
+        The stop rule of `run` and of the schedule enumerator: a machine
+        stops when it is already terminal, when no thread is enabled
+        (`deadlock`, or `terminated` once none is live), or when it has run
+        `budget` steps (`step-budget-exhausted`); [] sets `status`.
+        """
+        if self.status is not None:
+            return []
+        enabled = self.enabled_threads()
+        if not enabled:
+            self.status = "deadlock" if self.live else "terminated"
+        elif self.steps >= budget:
+            self.status = "step-budget-exhausted"
+            return []
+        return enabled
 
     def next_is_local(self, tid: int) -> bool:
         """True iff thread `tid`'s next step touches only its own frames.
@@ -714,20 +733,13 @@ def run(program: Program, schedule: RoundRobin | Explicit | str = "rr:1",
         raise ValueError(f"schedule names thread {max(policy.seq)}, "
                          f"but the program has {len(program.threads)} thread(s)")
     m = Machine(program)
-    while m.status is None:
-        if m.live == 1:
-            t = next(t for t in m.threads if t.status is not DONE)
-            if t.status is RUN:  # a notified thread first reacquires below
-                m._run_alone(t, budget)
-                break
-        enabled = m.enabled_threads()
-        if not enabled:
-            m.status = "deadlock" if m.live else "terminated"
-            break
-        if m.steps >= budget:
-            m.status = "step-budget-exhausted"
-            break
-        m._step(m.threads[policy.pick(enabled) - 1])
+    while enabled := m.schedulable(budget):
+        if m.live > 1:
+            m._step(m.threads[policy.pick(enabled) - 1])
+        elif (t := m.threads[enabled[0] - 1]).status is RUN:
+            m._run_alone(t, budget)
+        else:  # a notified thread first reacquires its monitor
+            m._step(t)
     trace = ResultTrace(tuple(m.events), m.status, m.reason)
     metrics = MetricVector(refcycles=m.cost)
     op_counts = Counter({op: n for op, n in m.op_counts.items() if n})

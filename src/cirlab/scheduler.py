@@ -4,11 +4,12 @@
 set of trace suffixes producible from each canonical machine state, so
 interleavings that converge on the same state are explored once. The result
 is the set R of observable results (output sequence + termination status).
+A path ends where `interp.run` would stop (`Machine.schedulable`).
 
-Without a preemption bound, a state where some enabled thread's next step is
-local (`Machine.next_is_local`) expands only the lowest such thread: an ample
-set of one (Godefroid, *Partial-Order Methods*, LNCS 1032, 1996). A local
-step commutes with every step of every other thread, so the orders it skips
+A state where some enabled thread's next step is local
+(`Machine.next_is_local`) expands only the lowest such thread: an ample set
+of one (Godefroid, *Partial-Order Methods*, LNCS 1032, 1996). A local step
+commutes with every step of every other thread, so the orders it skips
 reach the same results. The contract against the unreduced search:
 
 - a fully enumerated search (`exhausted`) gives exactly the same traces;
@@ -18,7 +19,7 @@ reach the same results. The contract against the unreduced search:
   first, so they can push a failing guard, or a prefix, past the budget.
 
 Verdicts cannot change, since `check_refinement` compares only terminated
-traces. Preemption-bounded searches keep full branching.
+traces.
 
 `check_refinement` decides whether a transformed program can only produce
 results the original could: every terminated trace of the transformed
@@ -42,82 +43,68 @@ _Suffix = tuple[tuple[int, ...], str, str | None]
 class ResultSet:
     """The set R over all schedules; `exhausted` means enumeration completed.
 
-    When `exhausted` is False (step budget or state ceiling hit, or the
-    preemption bound ruled out a context switch) `traces` holds the results
-    found within the bounds, and any subset claim is only "bounded", never
-    proved. `memo_hits` counts the states whose results came from the memo
-    instead of being explored again.
+    When `exhausted` is False (a path hit the step budget, or the search hit
+    the state ceiling, which `ceiling_hit` tells apart) `traces` holds the
+    results found within the bounds, and any subset claim is only "bounded",
+    never proved. `memo_hits` counts the states whose results came from the
+    memo instead of being explored again.
     """
 
     traces: frozenset[ResultTrace]
     exhausted: bool
     states_explored: int
     memo_hits: int
+    ceiling_hit: bool
 
     def terminated(self) -> frozenset[ResultTrace]:
         return frozenset(t for t in self.traces if t.status == "terminated")
 
 
 class _Explorer:
-    def __init__(self, preemption_bound: int | None, max_states: int):
-        self.pbound = preemption_bound
+    def __init__(self, step_budget: int, max_states: int):
+        self.budget = step_budget
         self.max_states = max_states
         self.memo: dict[object, frozenset[_Suffix]] = {}
-        self.seen: set[object] = set()
-        self.states = 0  # distinct canonical states expanded
+        self.seen: set[object] = set()  # canonical states expanded
         self.memo_hits = 0
         self.ceiling_hit = False
-        self.bound_hit = False  # the preemption bound removed a choice
 
-    def explore(self, m: Machine, rem: int, last: int, preempts: int
-                ) -> tuple[frozenset[_Suffix], bool]:
+    def explore(self, m: Machine) -> tuple[frozenset[_Suffix], bool]:
         """(suffix set from this state, True iff no path hit the step budget or ceiling).
 
         Once the state ceiling is hit no state is expanded further, so the
         suffix sets returned from then on hold only what was already found.
         """
-        if m.status is not None:
-            return frozenset({((), m.status, m.reason)}), True
-        enabled = m.enabled_threads()
+        enabled = m.schedulable(self.budget)
         if not enabled:
-            status = "deadlock" if m.alive() else "terminated"
-            return frozenset({((), status, None)}), True
-        if rem <= 0:
-            return frozenset({((), "step-budget-exhausted", None)}), False
+            return (frozenset({((), m.status, m.reason)}),
+                    m.status != "step-budget-exhausted")
         if self.ceiling_hit:
             return frozenset(), False
 
-        key = (m.canon_key(), last, preempts) if self.pbound is not None else m.canon_key()
+        key = m.canon_key()
         hit = self.memo.get(key)
         if hit is not None:
             self.memo_hits += 1
             return hit, True
         if key not in self.seen:
-            if self.states >= self.max_states:
+            if len(self.seen) >= self.max_states:
                 self.ceiling_hit = True
                 return frozenset(), False
-            self.states += 1
             self.seen.add(key)
 
         choices = enabled
-        if self.pbound is None:
-            if len(enabled) > 1:  # an ample set of one; see the module docstring
-                local = next((tid for tid in enabled if m.next_is_local(tid)), None)
-                if local is not None:
-                    choices = [local]
-        elif last in enabled and preempts >= self.pbound:
-            choices = [last]
-            self.bound_hit = self.bound_hit or len(enabled) > 1
+        if len(enabled) > 1:  # an ample set of one; see the module docstring
+            local = next((tid for tid in enabled if m.next_is_local(tid)), None)
+            if local is not None:
+                choices = [local]
 
         out: set[_Suffix] = set()
         complete = True
         for tid in choices:
             child = m.clone()
             emitted = tuple(child.step(tid))
-            p2 = preempts
-            if self.pbound is not None and last != 0 and tid != last and last in enabled:
-                p2 += 1
-            suffixes, ok = self.explore(child, rem - 1, tid, p2)
+            suffixes, ok = self.explore(child)
             complete = complete and ok
             for ev, status, reason in suffixes:
                 out.add((emitted + ev, status, reason))
@@ -130,13 +117,12 @@ class _Explorer:
 def enumerate_results(
     program: Program,
     step_budget: int = 10_000,
-    preemption_bound: int | None = None,
     max_states: int = 2_000_000,
 ) -> ResultSet:
     """Compute R(program) by DFS over all schedules, up to the given bounds.
 
     The result is `exhausted` only if no path hit the step budget or the
-    state ceiling and the preemption bound removed no choice.
+    state ceiling.
     """
     if len(program.threads) > 4:
         raise ValueError("enumeration supports at most 4 threads")
@@ -144,18 +130,15 @@ def enumerate_results(
         raise ValueError(f"step budget must be at least 1, got {step_budget}")
     if max_states < 1:
         raise ValueError(f"state ceiling must be at least 1, got {max_states}")
-    if preemption_bound is not None and preemption_bound < 0:
-        raise ValueError(f"preemption bound must be at least 0, got {preemption_bound}")
-    ex = _Explorer(preemption_bound, max_states)
-    m = Machine(program)
+    ex = _Explorer(step_budget, max_states)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, step_budget + 500))
     try:
-        suffixes, complete = ex.explore(m, step_budget, 0, 0)
+        suffixes, complete = ex.explore(Machine(program))
     finally:
         sys.setrecursionlimit(old_limit)
     traces = frozenset(ResultTrace(ev, status, reason) for ev, status, reason in suffixes)
-    return ResultSet(traces, complete and not ex.bound_hit, ex.states, ex.memo_hits)
+    return ResultSet(traces, complete, len(ex.seen), ex.memo_hits, ex.ceiling_hit)
 
 
 @dataclass(frozen=True)
@@ -171,28 +154,29 @@ class Verdict:
     """
 
     kind: str
-    witness: ResultTrace | None = None
-    states_explored: int = 0
-    original: ResultSet | None = None
-    transformed: ResultSet | None = None
+    witness: ResultTrace | None
+    original: ResultSet
+    transformed: ResultSet
+
+    @property
+    def states_explored(self) -> int:
+        return self.original.states_explored + self.transformed.states_explored
 
 
 def check_refinement(
     original: Program,
     transformed: Program,
     step_budget: int = 10_000,
-    preemption_bound: int | None = None,
     max_states: int = 2_000_000,
 ) -> Verdict:
     """Check that every terminated result of `transformed` is one of `original`'s."""
-    r_orig = enumerate_results(original, step_budget, preemption_bound, max_states)
-    r_new = enumerate_results(transformed, step_budget, preemption_bound, max_states)
-    states = r_orig.states_explored + r_new.states_explored
+    r_orig = enumerate_results(original, step_budget, max_states)
+    r_new = enumerate_results(transformed, step_budget, max_states)
     allowed = r_orig.traces
     for t in sorted(r_new.terminated(), key=lambda t: (t.events, t.status)):
         if t not in allowed:
             kind = "violates" if r_orig.exhausted else "inconclusive"
-            return Verdict(kind, t, states, r_orig, r_new)
+            return Verdict(kind, t, r_orig, r_new)
     if r_orig.exhausted and r_new.exhausted:
-        return Verdict("refines", None, states, r_orig, r_new)
-    return Verdict("bounded-ok", None, states, r_orig, r_new)
+        return Verdict("refines", None, r_orig, r_new)
+    return Verdict("bounded-ok", None, r_orig, r_new)

@@ -6,7 +6,9 @@ import pytest
 
 from cirlab import cli
 from cirlab.cli import main
-from cirlab.corpus import coarsen_loop, racing_outputs, vec_add
+from cirlab.corpus import coarsen_loop, corpus_entry, racing_outputs, vec_add
+from cirlab.ir import print_program
+from cirlab.passes import PassOptions, run_pass
 
 
 METRICS_CSV = importlib.resources.files("cirlab") / "data" / "benchmark_metrics.csv"
@@ -57,10 +59,8 @@ def test_bad_schedule_is_an_error_line(capsys, cmd, schedule):
      "state ceiling must be at least 1, got -1"),
     (["check", "corpus:racing-outputs", "--max-states", "0"],
      "state ceiling must be at least 1, got 0"),
-    (["check", "corpus:racing-outputs", "--preemptions", "-1"],
-     "preemption bound must be at least 0, got -1"),
     (["run", "--schedule", "explicit:1,9"], "schedule names thread 9, but the program has 2 thread(s)"),
-], ids=["run-budget", "check-budget", "max-states-negative", "max-states-zero", "preemptions",
+], ids=["run-budget", "check-budget", "max-states-negative", "max-states-zero",
         "schedule-thread"])
 def test_bound_out_of_range_is_an_error_line(capsys, args, message):
     assert main([args[0], "corpus:racing-outputs"] + args[1:]) == 1
@@ -131,9 +131,35 @@ def test_check_json_reports_each_side(cir_file, capsys):
     assert set(verdict) == {"verdict", "statesExplored", "original", "transformed"}
     sides = [verdict["original"], verdict["transformed"]]
     for side in sides:
-        assert set(side) == {"states", "memoHits", "exhausted"}
+        assert set(side) == {"states", "memoHits", "exhausted", "ceilingHit"}
         assert side["exhausted"] is True and side["memoHits"] > 0
     assert verdict["statesExplored"] == sum(side["states"] for side in sides)
+
+
+def test_check_json_says_which_bound_cut_a_side(cir_file, capsys):
+    # the contended original takes 172 states, its coalesced form 130
+    small = corpus_entry("coalesce-mini").small
+    coalesced, _ = run_pass(small, "atomic_coalesce", PassOptions(chunk=2))
+    before = cir_file("before.cir", print_program(small))
+    after = cir_file("after.cir", print_program(coalesced))
+    assert main(["check", before, after, "--budget", "600", "--max-states", "150"]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["verdict"] == "bounded-ok"
+    orig, trans = verdict["original"], verdict["transformed"]
+    assert orig["exhausted"] is False and orig["ceilingHit"] is True
+    assert trans["exhausted"] is True and trans["ceilingHit"] is False
+
+    assert main(["check", before, after, "--budget", "10"]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    for side in (verdict["original"], verdict["transformed"]):
+        assert side["exhausted"] is False and side["ceilingHit"] is False
+
+
+def test_check_has_no_preemption_bound(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["check", "corpus:racing-outputs", "corpus:racing-outputs", "--preemptions", "1"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --preemptions 1" in capsys.readouterr().err
 
 
 def test_check_too_many_threads_is_an_error_line(cir_file, capsys):

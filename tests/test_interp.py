@@ -3,6 +3,7 @@ import pytest
 from cirlab.interp import InterpreterError, cost_model, run
 from cirlab import ir
 from cirlab.parser import parse
+from cirlab.scheduler import enumerate_results
 
 
 def test_single_thread_two_outputs():
@@ -461,10 +462,16 @@ def test_division_semantics_truncate_toward_zero():
 
 
 # Once only one thread is live, `run` steps it without asking the schedule.
-# These pin what that thread can still run into on its own.
+# These pin what that thread can still run into on its own, and that the
+# schedule enumerator, which shares `run`'s stop rule, ends where `run` does.
 
 def _result(r):
     return str(r.trace), r.steps, r.metrics.refcycles
+
+
+def _search_finds(p, *runs):
+    rs = enumerate_results(p)
+    return rs.exhausted and {r.trace for r in runs} <= rs.traces
 
 
 def test_monitor_held_by_a_finished_thread_deadlocks_the_last_thread():
@@ -492,9 +499,12 @@ def test_monitor_held_by_a_finished_thread_deadlocks_the_last_thread():
     """
     p = parse(text)
     # the holder returns still owning L; the contender is alone when it reaches it
-    assert _result(run(p, "rr:1")) == ("[] deadlock", 7, 14)
+    held = run(p, "rr:1")
+    assert _result(held) == ("[] deadlock", 7, 14)
     # the contender takes L first; the holder is alone once it is free again
-    assert _result(run(p, "explicit:2,2,2,1")) == ("[1] terminated", 11, 32)
+    freed = run(p, "explicit:2,2,2,1")
+    assert _result(freed) == ("[1] terminated", 11, 32)
+    assert _search_finds(p, held, freed)
 
 
 def test_last_thread_parking_without_a_permit_deadlocks():
@@ -515,7 +525,9 @@ def test_last_thread_parking_without_a_permit_deadlocks():
     thread parker()
     thread idle()
     """
-    assert _result(run(parse(text))) == ("[1, 2] deadlock", 6, 13)
+    r = run(parse(text))
+    assert _result(r) == ("[1, 2] deadlock", 6, 13)
+    assert _search_finds(parse(text), r)
 
 
 def test_last_thread_waiting_deadlocks():
@@ -538,7 +550,9 @@ def test_last_thread_waiting_deadlocks():
     thread waiter()
     thread idle()
     """
-    assert _result(run(parse(text))) == ("[1] deadlock", 6, 20)
+    r = run(parse(text))
+    assert _result(r) == ("[1] deadlock", 6, 20)
+    assert _search_finds(parse(text), r)
 
 
 @pytest.mark.parametrize("budget, want", [
@@ -590,3 +604,4 @@ def test_failing_guard_on_the_last_thread_deopts():
     r = run(parse(text))
     assert _result(r) == ("[1] deopt(bounds)", 5, 5)
     assert r.op_counts["guard"] == 1 and r.op_counts["output"] == 1
+    assert _search_finds(parse(text), r)

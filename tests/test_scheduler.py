@@ -128,33 +128,6 @@ def test_state_ceiling_on_corpus_original_is_not_a_violation():
     assert v.kind == "bounded-ok"
 
 
-def test_preemption_bound_zero_is_subset():
-    p = parse(RACING_INCREMENT)
-    full = enumerate_results(p)
-    bounded = enumerate_results(p, preemption_bound=0)
-    assert bounded.traces <= full.traces
-    assert len(bounded.traces) < len(full.traces) or bounded.traces == full.traces
-    if bounded.traces != full.traces:
-        assert not bounded.exhausted
-
-
-def test_preemption_bound_that_prunes_is_not_a_violation():
-    # with no preemption the original cannot output [1, 3, 2], but it can
-    original = parse(
-        "fn a() {\ne:\n  x = const 1\n  output x\n  y = const 2\n  output y\n  ret\n}\n"
-        "fn b() {\ne:\n  z = const 3\n  output z\n  ret\n}\nthread a()\nthread b()"
-    )
-    merged = parse(
-        "fn a() {\ne:\n  x = const 1\n  output x\n  z = const 3\n  output z\n"
-        "  y = const 2\n  output y\n  ret\n}\nthread a()"
-    )
-    assert check_refinement(original, merged).kind == "refines"
-    v = check_refinement(original, merged, preemption_bound=0)
-    assert not v.original.exhausted and v.transformed.exhausted
-    assert v.kind == "inconclusive"
-    assert v.witness is not None and v.witness.events == (1, 3, 2)
-
-
 def test_wait_notify_enumerates_to_single_result():
     text = """
     class S { fields ready, data; }
