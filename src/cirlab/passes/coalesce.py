@@ -38,13 +38,15 @@ class _RetryLoop:
 
 
 def _match_retry_loop(b: Block, pure_fns: frozenset[str]) -> _RetryLoop | str:
-    if b.params:
-        return "loop carries values"
-    if len(b.instrs) < 2:
+    """The retry loop `b`, or why not; "shape" when `b` is no CAS retry loop."""
+    t = b.term
+    if (len(b.instrs) < 2 or b.instrs[0].op != "getfield" or b.instrs[-1].op != "cas"
+            or not isinstance(t, CondBr) or t.cond != b.instrs[-1].dest
+            or t.else_target != b.name or t.then_target == b.name):
         return "shape"
     read, cas = b.instrs[0], b.instrs[-1]
-    if read.op != "getfield" or cas.op != "cas":
-        return "shape"
+    if b.params or t.else_args:
+        return "loop carries values"
     if cas.args[0] != read.args[0] or cas.field != read.field:
         return "read and cas disagree on the location"
     if cas.args[1] != read.dest:
@@ -52,13 +54,6 @@ def _match_retry_loop(b: Block, pure_fns: frozenset[str]) -> _RetryLoop | str:
     segment = b.instrs[1:-1]
     if not all(is_pure(i, pure_fns) for i in segment):
         return "impure update"
-    t = b.term
-    if not isinstance(t, CondBr) or t.cond != cas.dest:
-        return "shape"
-    if t.else_target != b.name or t.else_args:
-        return "shape"
-    if t.then_target == b.name:
-        return "shape"
     return _RetryLoop(b, read.args[0], read.field, read.dest, segment, cas,
                       t.then_target, t.then_args)
 
@@ -68,16 +63,15 @@ def _fuse_in_fn(f: Function, pure_fns: frozenset[str], report: PassReport) -> Fu
     bmap = f.block_map()
     for b in f.blocks:
         first = _match_retry_loop(b, pure_fns)
-        if isinstance(first, str):
+        if first == "shape":
             continue
-        nxt = bmap.get(first.success_target)
-        if nxt is None or nxt.name == b.name:
+        nxt = bmap.get(b.term.then_target)
+        second = "shape" if nxt is None else _match_retry_loop(nxt, pure_fns)
+        if second == "shape":  # not a pair of retry loops
             continue
-        second = _match_retry_loop(nxt, pure_fns)
         where = f"{f.name}/{b.name}+{nxt.name}"
-        if isinstance(second, str):
-            if second != "shape":
-                report.skip(where, second)
+        if isinstance(first, str) or isinstance(second, str):
+            report.skip(where, first if isinstance(first, str) else second)
             continue
         if (second.obj, second.field) != (first.obj, first.field):
             report.skip(where, "retry loops target different locations")

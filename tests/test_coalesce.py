@@ -265,3 +265,77 @@ def test_impure_helper_call_in_update_is_skipped():
     assert report.rewrites == 0
     assert p2 == p
     assert report.skips == [("main/L1+L2", "impure update")]
+
+
+def _retry_pair(l1_update: str, l2_update: str, l1_params: str = "") -> str:
+    return f"""
+    class Cell {{ fields x, y; }}
+    fn plus_y(v) {{
+    e:
+      g = classref Cell
+      k = getfield g, y
+      r = binop add, v, k
+      ret r
+    }}
+    fn main(v0) {{
+    entry:
+      g = classref Cell
+      putfield g, x, v0
+      br L1({l1_params and "v0"})
+    L1({l1_params}):
+      v = getfield g, x
+      {l1_update}
+      ok = cas g, x, v, nv
+      condbr ok, L2(), L1({l1_params})
+    L2():
+      w = getfield g, x
+      {l2_update}
+      ok2 = cas g, x, w, nw
+      condbr ok2, fin(), L2()
+    fin():
+      r = getfield g, x
+      output r
+      ret
+    }}
+    thread main(4)
+    """
+
+
+def test_impure_helper_call_in_first_update_is_skipped():
+    # the first loop's reason is reported under the pair, as the second's is
+    p = parse(_retry_pair("nv = call plus_y(v)", "nw = binop add, w, w"))
+    p2, report = run_pass(p, "atomic_coalesce")
+    assert report.rewrites == 0
+    assert p2 == p
+    assert report.skips == [("main/L1+L2", "impure update")]
+
+
+def test_retry_loop_carrying_values_is_skipped():
+    p = parse(_retry_pair("nv = binop add, v, c", "nw = binop add, w, w", l1_params="c"))
+    p2, report = run_pass(p, "atomic_coalesce")
+    assert report.rewrites == 0
+    assert report.skips == [("main/L1+L2", "loop carries values")]
+
+
+def test_plain_blocks_with_parameters_are_not_reported():
+    p = parse("""
+    class Cell { fields x; }
+    fn main(v0) {
+    entry:
+      g = classref Cell
+      br A(v0)
+    A(a):
+      putfield g, x, a
+      br B(a)
+    B(b):
+      v = getfield g, x
+      ok = cas g, x, v, b
+      condbr ok, C(b), B(b)
+    C(c):
+      output c
+      ret
+    }
+    thread main(4)
+    """)
+    p2, report = run_pass(p, "atomic_coalesce")
+    assert report.rewrites == 0 and report.skips == []
