@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from cirlab import corpus
 from cirlab.interp import run
 from cirlab.parser import parse
@@ -267,7 +269,8 @@ def test_impure_helper_call_in_update_is_skipped():
     assert report.skips == [("main/L1+L2", "impure update")]
 
 
-def _retry_pair(l1_update: str, l2_update: str, l1_params: str = "") -> str:
+def _retry_pair(l1_update: str, l1_params: str) -> str:
+    """Two retry loops on Cell.x; only the first loop's update and parameters vary."""
     return f"""
     class Cell {{ fields x, y; }}
     fn plus_y(v) {{
@@ -289,7 +292,7 @@ def _retry_pair(l1_update: str, l2_update: str, l1_params: str = "") -> str:
       condbr ok, L2(), L1({l1_params})
     L2():
       w = getfield g, x
-      {l2_update}
+      nw = binop add, w, w
       ok2 = cas g, x, w, nw
       condbr ok2, fin(), L2()
     fin():
@@ -301,20 +304,16 @@ def _retry_pair(l1_update: str, l2_update: str, l1_params: str = "") -> str:
     """
 
 
-def test_impure_helper_call_in_first_update_is_skipped():
-    # the first loop's reason is reported under the pair, as the second's is
-    p = parse(_retry_pair("nv = call plus_y(v)", "nw = binop add, w, w"))
+@pytest.mark.parametrize("l1_update, l1_params, reason", [
+    ("nv = call plus_y(v)", "", "impure update"),
+    ("nv = binop add, v, c", "c", "loop carries values"),
+], ids=["impure-first-update", "first-loop-carries-values"])
+def test_first_loop_reason_is_reported_for_the_pair(l1_update, l1_params, reason):
+    p = parse(_retry_pair(l1_update, l1_params))
     p2, report = run_pass(p, "atomic_coalesce")
     assert report.rewrites == 0
     assert p2 == p
-    assert report.skips == [("main/L1+L2", "impure update")]
-
-
-def test_retry_loop_carrying_values_is_skipped():
-    p = parse(_retry_pair("nv = binop add, v, c", "nw = binop add, w, w", l1_params="c"))
-    p2, report = run_pass(p, "atomic_coalesce")
-    assert report.rewrites == 0
-    assert report.skips == [("main/L1+L2", "loop carries values")]
+    assert report.skips == [("main/L1+L2", reason)]
 
 
 def test_plain_blocks_with_parameters_are_not_reported():
