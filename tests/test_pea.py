@@ -1,4 +1,5 @@
 from cirlab.interp import run
+from cirlab.ir import format_instr
 from cirlab.parser import parse
 from cirlab.passes import run_pass
 from cirlab.passes.util import static_op_count
@@ -206,3 +207,77 @@ def test_idempotent_on_golden_programs():
         p1, _ = run_pass(parse(text), "pea_atomic")
         p2, rep2 = run_pass(p1, "pea_atomic")
         assert p1 == p2
+
+
+def test_object_published_on_both_returning_arms_gets_one_name_per_point():
+    text = """
+    class A { fields x; }
+    class G { fields ref; }
+    fn main(sel) {
+    b0:
+      o = new A
+      five = const 5
+      putfield o, x, five
+      one = const 1
+      c = binop eq, sel, one
+      condbr c, left(), right()
+    left():
+      g = classref G
+      putfield g, ref, o
+      r = getfield g, ref
+      v = getfield r, x
+      output v
+      ret
+    right():
+      g2 = classref G
+      putfield g2, ref, o
+      ret
+    }
+    thread main(1)
+    """
+    p = parse(text)
+    p2, report = run_pass(p, "pea_atomic")
+    assert validate(p2) == []
+    blocks = p2.fn_map()["main"].block_map()
+    assert [format_instr(i) for i in blocks["left"].instrs[1:4]] == [
+        "o_m2 = new A", "putfield o_m2, x, five", "putfield g, ref, o_m2"]
+    assert [format_instr(i) for i in blocks["right"].instrs[1:4]] == [
+        "o_m1 = new A", "putfield o_m1, x, five", "putfield g2, ref, o_m1"]
+    assert report.details["main"] == [
+        "allocations eliminated 0, delayed 1, cas folded 0, reads folded 0, writes folded 1"]
+    assert run(p2).trace == run(p).trace
+    assert run(p2).trace.events == (5,)
+
+
+def test_instanceof_on_a_virtual_object_folds_to_a_constant():
+    text = """
+    class A { fields x; }
+    class B extends A { fields y; }
+    class C { fields z; }
+    fn main() {
+    b0:
+      o = new B
+      t = instanceof o, A
+      f = instanceof o, C
+      condbr t, other(), no()
+    other():
+      condbr f, no(), yes()
+    yes():
+      one = const 1
+      output one
+      ret
+    no():
+      zero = const 0
+      output zero
+      ret
+    }
+    thread main()
+    """
+    p = parse(text)
+    p2, report = run_pass(p, "pea_atomic")
+    assert validate(p2) == []
+    assert [format_instr(i) for i in p2.fn_map()["main"].blocks[0].instrs] == [
+        "t = const true", "f = const false"]
+    assert report.rewrites == 3  # one virtualized, two folded
+    assert run(p2).trace == run(p).trace
+    assert run(p2).trace.events == (1,)
