@@ -14,17 +14,25 @@ Virtual state must agree wherever control flow merges. A merge that would
 combine different states for the same allocation (the loop-carried case)
 aborts that allocation: it is blacklisted and the function re-analyzed, so
 the pass degrades gracefully instead of inserting merge-point phis.
+
+The analysis is the rewrite: each sweep over the blocks simulates every
+block and writes its code, and the code of the sweep whose entry states
+no longer change is the output. Until that sweep ends, a materialized
+object is named `<alloc>@<block>:<idx>:<seq>`, which no program can use;
+the pass then gives it the allocation's own name, or `<alloc>_m<n>` when
+it is materialized at more than one point.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 from .. import ir
 from ..cfg import def_index, dominates, dominators, reachable_rpo
-from ..ir import Block, Function, Instr, NameGen, Program
+from ..ir import Block, Function, Instr, NameGen, Program, Terminator
 from . import PassOptions, PassReport
-from .util import remove_dead_pure
+from .util import remove_dead_pure, rewrite_functions
 
 
 class _Conflict(Exception):
@@ -55,12 +63,10 @@ class _FnPea:
                 if i.op == "new" and i.dest is not None:
                     self.defblock[i.dest] = b.name
         self.blacklist: set[str] = set()
-        # populated by the collection replay
+        # what one sweep decided; `analyze` resets them before each sweep
         self.rename: dict[str, str] = {}
-        self.matpoints: dict[str, list[tuple[str, int, int]]] = {}
-        self.matnames: dict[tuple[str, int, int], str] = {}
-        self.counts = {"virtualized": 0, "materialized": 0, "cas_folded": 0,
-                       "reads_folded": 0, "writes_folded": 0, "instanceof_folded": 0}
+        self.matpoints: dict[str, list[str]] = {}
+        self.counts: Counter = Counter()
 
     # -- operand resolution -------------------------------------------------
 
@@ -91,36 +97,34 @@ class _FnPea:
 
     # -- one-block transfer -------------------------------------------------
 
-    def transfer(self, bname: str, state: dict, emit: list[Instr] | None, collect: bool):
-        """Simulate block `bname` from `state`, optionally emitting rewritten code.
+    def transfer(self, bname: str, state: dict) -> tuple[list[Instr], Terminator]:
+        """Simulate block `bname` from `state`; returns its rewritten code.
 
-        collect=True records rename and materialization decisions; the
-        converged analysis is replayed once in that mode, then once emitting.
+        `state` is updated to the block's exit state. Folded reads go into
+        `rename`, and each materialization into `counts` and `matpoints`
+        under the placeholder name `<alloc>@<block>:<idx>:<seq>`, which
+        the returned code also uses; `run` gives the placeholders their
+        final names.
         """
         b = self.bmap[bname]
+        out: list[Instr] = []
         seq = 0
 
-        def mat(alloc: str, idx: int) -> str:
+        def mat(alloc: str, idx: int) -> None:
             nonlocal seq
-            st = state[alloc]
-            point = (bname, idx, seq)
+            _, cls, fields = state[alloc]
+            name = f"{alloc}@{bname}:{idx}:{seq}"
             seq += 1
-            if collect:
-                self.matpoints.setdefault(alloc, []).append(point)
-                self.counts["materialized"] += 1
-            name = self.matnames.get(point, f"{alloc}@{bname}:{idx}:{point[2]}")
-            cls, fields = st[1], st[2]
+            self.matpoints.setdefault(alloc, []).append(name)
+            self.counts["materialized"] += 1
             state[alloc] = ("esc", name)
             order = [fl for fl in self.program.declared_fields(cls) if fl in fields]
             for fl in order:
                 v = self.res(fields[fl])
                 if state.get(v, ("",))[0] == "virt":
                     mat(v, idx)
-            if emit is not None:
-                emit.append(ir.new(name, cls))
-                for fl in order:
-                    emit.append(ir.putfield(name, fl, self.use(fields[fl], state)))
-            return name
+            out.append(ir.new(name, cls))
+            out.extend(ir.putfield(name, fl, self.use(fields[fl], state)) for fl in order)
 
         def escape_operands(names: tuple[str, ...], idx: int) -> None:
             for n in names:
@@ -129,22 +133,19 @@ class _FnPea:
                     mat(v, idx)
 
         def emit_renamed(i: Instr) -> None:
-            if emit is not None:
-                emit.append(replace(i, args=tuple(self.use(a, state) for a in i.args)))
+            out.append(replace(i, args=tuple(self.use(a, state) for a in i.args)))
 
         for idx, i in enumerate(b.instrs):
             op = i.op
             if op == "new" and i.dest is not None and i.dest not in self.blacklist:
                 state[i.dest] = ("virt", i.cls, {})
-                if collect:
-                    self.counts["virtualized"] += 1
+                self.counts["virtualized"] += 1
                 continue
             if op == "putfield":
                 ov = self.virt(i.args[0], state)
                 if ov is not None:
                     state[ov][2][i.field] = self.use(i.args[1], state)
-                    if collect:
-                        self.counts["writes_folded"] += 1
+                    self.counts["writes_folded"] += 1
                     continue
                 escape_operands((i.args[1],), idx)
                 emit_renamed(i)
@@ -154,9 +155,8 @@ class _FnPea:
                 if ov is not None:
                     fields = state[ov][2]
                     if i.field in fields:
-                        if collect:
-                            self.rename[i.dest] = fields[i.field]
-                            self.counts["reads_folded"] += 1
+                        self.rename[i.dest] = fields[i.field]
+                        self.counts["reads_folded"] += 1
                         continue
                     mat(ov, idx)  # reading a never-written field: give up here
                 emit_renamed(i)
@@ -165,19 +165,15 @@ class _FnPea:
                 ov = self.virt(i.args[0], state)
                 if ov is not None:
                     fields = state[ov][2]
-                    folded = False
+                    eq = None
                     if i.field in fields:
-                        cur = fields[i.field]
-                        eq = self._static_eq(self.use(cur, state), self.use(i.args[1], state))
-                        if eq is not None:
-                            if eq:
-                                fields[i.field] = self.use(i.args[2], state)
-                            if emit is not None:
-                                emit.append(ir.const(i.dest, eq))
-                            if collect:
-                                self.counts["cas_folded"] += 1
-                            folded = True
-                    if folded:
+                        eq = self._static_eq(self.use(fields[i.field], state),
+                                             self.use(i.args[1], state))
+                    if eq is not None:
+                        if eq:
+                            fields[i.field] = self.use(i.args[2], state)
+                        out.append(ir.const(i.dest, eq))
+                        self.counts["cas_folded"] += 1
                         continue
                     mat(ov, idx)
                 escape_operands((i.args[1], i.args[2]), idx)
@@ -186,11 +182,8 @@ class _FnPea:
             if op == "instanceof":
                 ov = self.virt(i.args[0], state)
                 if ov is not None:
-                    verdict = i.cls in self.program.ancestry(state[ov][1])
-                    if emit is not None:
-                        emit.append(ir.const(i.dest, verdict))
-                    if collect:
-                        self.counts["instanceof_folded"] += 1
+                    out.append(ir.const(i.dest, i.cls in self.program.ancestry(state[ov][1])))
+                    self.counts["instanceof_folded"] += 1
                     continue
                 emit_renamed(i)
                 continue
@@ -199,27 +192,33 @@ class _FnPea:
             emit_renamed(i)
 
         escape_operands(b.term.uses(), len(b.instrs))
-        term = b.term.rename({a: self.use(a, state) for a in b.term.uses()})
-        return state, term
+        return out, b.term.rename({a: self.use(a, state) for a in b.term.uses()})
 
     # -- whole-function driver ----------------------------------------------
 
-    def analyze(self) -> dict[str, dict]:
-        """Iterate transfer until block entry states converge; may raise _Conflict."""
+    def analyze(self) -> dict[str, tuple[list[Instr], Terminator]]:
+        """Sweep transfer until block entry states converge; may raise _Conflict.
+
+        Returns each reachable block's code from the converged sweep, whose
+        renames, counts and materialization points are the ones kept.
+        """
         entry: dict[str, dict] = {self.order[0]: {}}
         for _ in range(2 * len(self.order) + 3):
+            self.rename, self.matpoints, self.counts = {}, {}, Counter()
+            code = {}
             changed = False
             for bname in self.order:
                 if bname not in entry:
                     continue
-                st, _ = self.transfer(bname, _copy_state(entry[bname]), None, False)
+                st = _copy_state(entry[bname])
+                code[bname] = self.transfer(bname, st)
                 for succ in self.bmap[bname].term.targets():
                     merged = self._merge(entry.get(succ), st, succ)
                     if entry.get(succ) != merged:
                         entry[succ] = merged
                         changed = True
             if not changed:
-                return entry
+                return code
         # non-convergence: drop an arbitrary remaining allocation and retry
         remaining = sorted(set(self.defblock) - self.blacklist)
         raise _Conflict(remaining[0])
@@ -242,54 +241,47 @@ class _FnPea:
     def run(self) -> Function:
         while True:
             try:
-                entry_states = self.analyze()
+                code = self.analyze()
                 break
             except _Conflict as c:
                 self.blacklist.add(c.alloc)
-        # replay 1: collect renames and materialization points
-        for bname in self.order:
-            self.transfer(bname, _copy_state(entry_states[bname]), None, True)
+        # one materialization keeps the allocation's name; several get fresh ones
         gen = NameGen(self.f.defined_names())
+        names: dict[str, str] = {}
         for alloc, points in self.matpoints.items():
-            if len(points) == 1:
-                self.matnames[points[0]] = alloc
-            else:
-                for n, pt in enumerate(points, start=1):
-                    self.matnames[pt] = gen.fresh(f"{alloc}_m{n}")
-        # replay 2: emit the rewritten blocks
-        new_blocks = []
+            for n, point in enumerate(points, start=1):
+                names[point] = alloc if len(points) == 1 else gen.fresh(f"{alloc}_m{n}")
+        blocks = []
         for b in self.f.blocks:
-            if b.name not in self.order:
-                new_blocks.append(b)
-                continue
-            emitted: list[Instr] = []
-            _, term = self.transfer(b.name, _copy_state(entry_states[b.name]), emitted, False)
-            new_blocks.append(Block(b.name, b.params, tuple(emitted), term))
-        return Function(self.f.name, self.f.params, tuple(new_blocks))
+            if b.name in code:
+                instrs, term = code[b.name]
+                b = Block(b.name, b.params,
+                          tuple(replace(i.rename(names), dest=names.get(i.dest, i.dest))
+                                for i in instrs),
+                          term.rename(names))
+            blocks.append(b)
+        return Function(self.f.name, self.f.params, tuple(blocks))
+
+
+def _pea_fn(p: Program, f: Function, report: PassReport) -> Function | None:
+    if not any(i.op == "new" for b in f.blocks for i in b.instrs):
+        return None
+    pea = _FnPea(p, f)
+    nf = pea.run()
+    c = pea.counts
+    if sum(c.values()) == 0 or (nf := remove_dead_pure(nf)) == f:
+        return None
+    eliminated = c["virtualized"] - len(pea.matpoints)
+    report.rewrites += sum(c.values())
+    report.note(
+        f.name,
+        f"allocations eliminated {eliminated}, delayed {len(pea.matpoints)}, "
+        f"cas folded {c['cas_folded']}, reads folded {c['reads_folded']}, "
+        f"writes folded {c['writes_folded']}",
+    )
+    return nf
 
 
 def pea_atomic(p: Program, options: PassOptions, report: PassReport) -> Program:
     """Scalar-replace non-escaping allocations, folding CAS on virtual fields."""
-    new_fns = []
-    for f in p.functions:
-        if not any(i.op == "new" for b in f.blocks for i in b.instrs):
-            new_fns.append(f)
-            continue
-        pea = _FnPea(p, f)
-        nf = pea.run()
-        c = pea.counts
-        if sum(c.values()) > 0:
-            nf = remove_dead_pure(nf)
-        if nf == f:
-            new_fns.append(f)
-            continue
-        eliminated = c["virtualized"] - len(pea.matpoints)
-        report.rewrites += sum(c.values())
-        report.note(
-            f.name,
-            f"allocations eliminated {eliminated}, delayed {len(pea.matpoints)}, "
-            f"cas folded {c['cas_folded']}, reads folded {c['reads_folded']}, "
-            f"writes folded {c['writes_folded']}",
-        )
-        new_fns.append(nf)
-    return replace(p, functions=tuple(new_fns))
+    return rewrite_functions(p, lambda f: _pea_fn(p, f, report), rounds=1)

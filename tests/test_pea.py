@@ -1,8 +1,9 @@
 from cirlab.interp import run
-from cirlab.ir import format_instr
+from cirlab.ir import format_instr, print_program
 from cirlab.parser import parse
 from cirlab.passes import run_pass
 from cirlab.passes.util import static_op_count
+from cirlab.scheduler import check_refinement
 from cirlab.validate import validate
 
 # transliteration of the allocate-then-CAS-twice pattern:
@@ -281,3 +282,72 @@ def test_instanceof_on_a_virtual_object_folds_to_a_constant():
     assert report.rewrites == 3  # one virtualized, two folded
     assert run(p2).trace == run(p).trace
     assert run(p2).trace.events == (1,)
+
+
+# a read folded from a virtual field is published in b0; b1 writes the object
+FOLDED_READ_PUBLISHED = """
+class A { fields x; }
+class B { fields y; }
+class G { fields ref; }
+fn main() {
+b0:
+  o = new A
+  b = new B
+  putfield o, x, b
+  t = getfield o, x
+  g = classref G
+  putfield g, ref, t
+  br b1()
+b1:
+  seven = const 7
+  putfield b, y, seven
+  g2 = classref G
+  r = getfield g2, ref
+  v = getfield r, y
+  output v
+  ret
+}
+thread main()
+"""
+
+# the same without A: b escapes in b0 and is written again in b1
+PUBLISHED_THEN_WRITTEN = """
+class B { fields y; }
+class G { fields ref; }
+fn main() {
+b0:
+  b = new B
+  g = classref G
+  putfield g, ref, b
+  br b1()
+b1:
+  seven = const 7
+  putfield b, y, seven
+  g2 = classref G
+  r = getfield g2, ref
+  v = getfield r, y
+  output v
+  ret
+}
+thread main()
+"""
+
+
+def test_read_folded_in_one_block_escapes_before_a_later_block_writes():
+    p = parse(FOLDED_READ_PUBLISHED)
+    p2, report = run_pass(p, "pea_atomic")
+    assert report.rewrites > 0
+    assert validate(p2) == []
+    assert run(p).trace.events == run(p2).trace.events == (7,)
+    assert check_refinement(p, p2).kind == "refines"
+
+
+def test_object_escaped_in_an_earlier_block_keeps_its_name():
+    p = parse(PUBLISHED_THEN_WRITTEN)
+    p2, report = run_pass(p, "pea_atomic")
+    assert report.rewrites > 0
+    assert validate(p2) == []
+    text = print_program(p2)
+    assert "@" not in text
+    assert parse(text) == p2
+    assert run(p2).trace.events == (7,)
