@@ -118,12 +118,12 @@ class _FnPea:
             self.matpoints.setdefault(alloc, []).append(name)
             self.counts["materialized"] += 1
             state[alloc] = ("esc", name)
+            out.append(ir.new(name, cls))  # before its fields, which may point back
             order = [fl for fl in self.program.declared_fields(cls) if fl in fields]
             for fl in order:
                 v = self.res(fields[fl])
                 if state.get(v, ("",))[0] == "virt":
                     mat(v, idx)
-            out.append(ir.new(name, cls))
             out.extend(ir.putfield(name, fl, self.use(fields[fl], state)) for fl in order)
 
         def escape_operands(names: tuple[str, ...], idx: int) -> None:

@@ -351,3 +351,39 @@ def test_object_escaped_in_an_earlier_block_keeps_its_name():
     assert "@" not in text
     assert parse(text) == p2
     assert run(p2).trace.events == (7,)
+
+
+def test_virtual_objects_pointing_at_each_other_are_allocated_before_linked():
+    text = """
+    class Box { fields w, n; }
+    class G { fields ref; }
+    fn main() {
+    b0:
+      one = const 1
+      two = const 2
+      a = new Box
+      b = new Box
+      putfield a, n, one
+      putfield b, n, two
+      putfield a, w, b
+      putfield b, w, a
+      g = classref G
+      putfield g, ref, a
+      r = getfield g, ref
+      s = getfield r, w
+      t = getfield s, w
+      sn = getfield s, n
+      tn = getfield t, n
+      output sn
+      output tn
+      ret
+    }
+    thread main()
+    """
+    p = parse(text)
+    p2, _ = run_pass(p, "pea_atomic")
+    assert validate(p2) == []
+    assert [format_instr(i) for i in p2.fn_map()["main"].blocks[0].instrs[3:9]] == [
+        "a = new Box", "b = new Box", "putfield b, w, a", "putfield b, n, two",
+        "putfield a, w, b", "putfield a, n, one"]
+    assert run(p).trace.events == run(p2).trace.events == (2, 1)
