@@ -1,3 +1,5 @@
+import random
+
 from cirlab.interp import run
 from cirlab.ir import format_instr, print_program
 from cirlab.parser import parse
@@ -387,3 +389,142 @@ def test_virtual_objects_pointing_at_each_other_are_allocated_before_linked():
         "a = new Box", "b = new Box", "putfield b, w, a", "putfield b, n, two",
         "putfield a, w, b", "putfield a, n, one"]
     assert run(p).trace.events == run(p2).trace.events == (2, 1)
+
+
+GEN_HEADER = """
+class Box { fields v, nx; }
+class G { fields ref; }
+
+fn sink(o) {
+e:
+  x = getfield o, v
+  ret x
+}
+"""
+
+
+def gen_multiblock_program(seed: int) -> str:
+    """A single-thread program of block chains and diamonds over local boxes.
+
+    It allocates boxes, writes ints and boxes into their fields (sometimes
+    linking two boxes both ways), reads and CASes them, tests them with
+    `instanceof`, publishes them to `G.ref` and passes them to `sink`.
+    Every `Box` gets its int field `v` written where it is allocated, and
+    `nx` is read only from a box whose `nx` a dominating block wrote, so
+    the program never faults. A name defined in a diamond arm is used only
+    in that arm; a merge block may take one int or box parameter. `G.ref`
+    starts as a published box, and the last block reads back whatever box
+    it holds by then.
+    """
+    rng = random.Random(seed)
+    lines = ["fn main(seed) {", "b0:", "  g0 = classref G", "  init = new Box",
+             "  putfield init, v, seed", "  putfield g0, ref, init"]
+    n = 0
+
+    def fresh(prefix: str) -> str:
+        nonlocal n
+        n += 1
+        return f"{prefix}{n}"
+
+    def stmt(ints: list, objs: list, linked: set, conds: list) -> None:
+        roll = rng.random()
+        o = rng.choice(objs[-2:] if rng.random() < 0.7 else objs)
+        if roll < 0.12:
+            c = fresh("c")
+            lines.append(f"  {c} = const {rng.randint(-9, 9)}")
+            ints.append(c)
+        elif roll < 0.27:
+            b = fresh("o")
+            lines.extend([f"  {b} = new Box", f"  putfield {b}, v, {rng.choice(ints)}"])
+            if rng.random() < 0.3:  # link it and `o` both ways: a cycle
+                lines.extend([f"  putfield {b}, nx, {o}", f"  putfield {o}, nx, {b}"])
+                linked.update((b, o))
+            objs.append(b)
+        elif roll < 0.37:
+            lines.append(f"  putfield {o}, v, {rng.choice(ints)}")
+        elif roll < 0.46:
+            lines.append(f"  putfield {o}, nx, {rng.choice(objs[-2:])}")
+            linked.add(o)
+        elif roll < 0.58:
+            r = fresh("r")
+            lines.append(f"  {r} = getfield {o}, v")
+            ints.append(r)
+        elif roll < 0.64 and o in linked:
+            q = fresh("q")
+            lines.append(f"  {q} = getfield {o}, nx")
+            objs.append(q)
+        elif roll < 0.72:
+            ok = fresh("ok")
+            lines.append(f"  {ok} = cas {o}, v, {rng.choice(ints)}, {rng.choice(ints)}")
+            conds.append(ok)
+        elif roll < 0.76 and o in linked:
+            ok = fresh("ok")
+            lines.append(f"  {ok} = cas {o}, nx, {rng.choice(objs)}, {rng.choice(objs)}")
+            conds.append(ok)
+        elif roll < 0.78:
+            t = fresh("t")
+            lines.append(f"  {t} = instanceof {o}, Box")
+            conds.append(t)
+        elif roll < 0.85:
+            g = fresh("g")
+            lines.extend([f"  {g} = classref G", f"  putfield {g}, ref, {o}"])
+        elif roll < 0.91:
+            s = fresh("s")
+            lines.extend([f"  {s} = call sink({o})", f"  output {s}"])
+        else:
+            lines.append(f"  output {rng.choice(ints)}")
+
+    def stmts(ints: list, objs: list, linked: set, conds: list, k: int) -> None:
+        for _ in range(k):
+            stmt(ints, objs, linked, conds)
+
+    def segments(ints: list, objs: list, linked: set, conds: list, depth: int) -> None:
+        for _ in range(rng.randint(1, 3)):
+            if depth > 1 or rng.random() < 0.4:  # a chain edge
+                nxt = fresh("L")
+                lines.extend([f"  br {nxt}()", f"{nxt}():"])
+                stmts(ints, objs, linked, conds, rng.randint(0, 4))
+                continue
+            if conds and rng.random() < 0.6:
+                c = rng.choice(conds)
+            else:
+                c = fresh("lt")
+                lines.append(f"  {c} = binop lt, {rng.choice(ints)}, {rng.choice(ints)}")
+            left, right, merge = fresh("T"), fresh("F"), fresh("M")
+            param_kind = rng.choice((None, None, "int", "obj"))
+            param = fresh("m") if param_kind else None
+            lines.append(f"  condbr {c}, {left}(), {right}()")
+            for arm in (left, right):
+                arm_ints, arm_objs, arm_linked = list(ints), list(objs), set(linked)
+                lines.append(f"{arm}():")
+                stmts(arm_ints, arm_objs, arm_linked, list(conds), rng.randint(0, 4))
+                if rng.random() < 0.3:
+                    segments(arm_ints, arm_objs, arm_linked, list(conds), depth + 1)
+                arg = ""
+                if param_kind:
+                    arg = rng.choice(arm_ints if param_kind == "int" else arm_objs)
+                lines.append(f"  br {merge}({arg})")
+            lines.append(f"{merge}({param or ''}):")
+            if param_kind:
+                (ints if param_kind == "int" else objs).append(param)
+            stmts(ints, objs, linked, conds, rng.randint(0, 3))
+
+    ints, objs, linked, conds = ["seed"], ["init"], set(), []
+    stmts(ints, objs, linked, conds, rng.randint(1, 5))
+    segments(ints, objs, linked, conds, 0)
+    lines += ["  gr = classref G", "  back = getfield gr, ref", "  bv = getfield back, v",
+              "  output bv", "  ret", "}"]
+    return "\n".join([GEN_HEADER, *lines, f"thread main({rng.randint(-3, 3)})"])
+
+
+def test_multiblock_programs_keep_their_output():
+    rewritten = 0
+    for seed in range(200):
+        p = parse(gen_multiblock_program(seed))
+        assert validate(p) == [], seed
+        p2, report = run_pass(p, "pea_atomic")
+        rewritten += report.rewrites > 0
+        assert validate(p2) == [], seed
+        assert parse(print_program(p2)) == p2, seed
+        assert run(p2).trace == run(p).trace, seed
+    assert rewritten >= 150  # the generator must exercise the pass
