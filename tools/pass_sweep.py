@@ -1,11 +1,12 @@
 """Fingerprint every pass's output, for comparing two versions of cirlab.
 
 Runs each pass, at the default options and at chunk=2, and the full
-pipeline over every corpus program, its small variant, and the fuzz
-generator's programs for seeds 0-199. Prints one line per case: a label
-and the SHA-256 of the printed output program, the JSON of every report,
-and the output program's runs within a fixed step budget (events, status,
-reason, metric row, sorted op counts and steps, or the message of the
+pipeline over every corpus program, its small variant, the fuzz
+generator's programs for seeds 0-199 and the multi-block generator's
+programs of `tests/test_pea.py` for seeds 0-99. Prints one line per case:
+a label and the SHA-256 of the printed output program, the JSON of every
+report, and the output program's runs within a fixed step budget (events,
+status, reason, metric row, sorted op counts and steps, or the message of the
 InterpreterError it raised). Every program runs under `rr:1`; a program
 with more than one thread also runs under `rr:3` and `explicit:2,1,1`, the
 last of which falls back to the lowest enabled thread whenever its pick is
@@ -28,6 +29,7 @@ from cirlab.ir import print_program  # noqa: E402
 from cirlab.parser import parse  # noqa: E402
 from cirlab.passes import PASS_NAMES, PassOptions, pipeline, run_pass  # noqa: E402
 from tests.test_fuzz import gen_program  # noqa: E402
+from tests.test_pea import gen_multiblock_program  # noqa: E402
 
 
 RUN_BUDGET = 20_000  # steps per run; longer runs end step-budget-exhausted
@@ -61,6 +63,8 @@ def cases():
             yield f"{e.name}/small", e.small
     for seed in range(200):
         yield f"fuzz/{seed}", parse(gen_program(seed))
+    for seed in range(100):
+        yield f"pea/{seed}", parse(gen_multiblock_program(seed))
 
 
 def main() -> None:
