@@ -138,7 +138,8 @@ def cmd_check(args) -> int:
     out = {"verdict": verdict.kind, "statesExplored": verdict.states_explored}
     for side, rs in (("original", verdict.original), ("transformed", verdict.transformed)):
         out[side] = {"states": rs.states_explored, "memoHits": rs.memo_hits,
-                     "exhausted": rs.exhausted, "ceilingHit": rs.ceiling_hit}
+                     "exhausted": rs.exhausted, "ceilingHit": rs.ceiling_hit,
+                     "traces": len(rs.traces)}
     if verdict.witness is not None:
         out["witness"] = {
             "events": list(verdict.witness.events),

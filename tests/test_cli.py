@@ -131,7 +131,7 @@ def test_check_json_reports_each_side(cir_file, capsys):
     assert set(verdict) == {"verdict", "statesExplored", "original", "transformed"}
     sides = [verdict["original"], verdict["transformed"]]
     for side in sides:
-        assert set(side) == {"states", "memoHits", "exhausted", "ceilingHit"}
+        assert set(side) == {"states", "memoHits", "exhausted", "ceilingHit", "traces"}
         assert side["exhausted"] is True and side["memoHits"] > 0
     assert verdict["statesExplored"] == sum(side["states"] for side in sides)
 
@@ -153,6 +153,21 @@ def test_check_json_says_which_bound_cut_a_side(cir_file, capsys):
     verdict = json.loads(capsys.readouterr().out)
     for side in (verdict["original"], verdict["transformed"]):
         assert side["exhausted"] is False and side["ceilingHit"] is False
+
+
+@pytest.mark.parametrize("budget", [["--budget", "400"], []])
+def test_check_json_counts_the_traces_each_side_found(cir_file, capsys, budget):
+    # the state ceiling cuts the coarsened search before it finishes any trace
+    small = corpus_entry("coarsen-mini").small
+    coarsened, _ = run_pass(small, "lock_coarsen", PassOptions(chunk=2))
+    before = cir_file("before.cir", print_program(small))
+    after = cir_file("after.cir", print_program(coarsened))
+    assert main(["check", before, after, "--max-states", "150", *budget]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["verdict"] == "bounded-ok"
+    assert verdict["original"]["traces"] == 1
+    assert verdict["transformed"]["traces"] == 0
+    assert verdict["transformed"]["ceilingHit"] is True
 
 
 def test_check_has_no_preemption_bound(capsys):
