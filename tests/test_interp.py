@@ -1,5 +1,6 @@
 import pytest
 
+from cirlab.corpus import waitnotify_flag
 from cirlab.interp import InterpreterError, cost_model, run
 from cirlab import ir
 from cirlab.parser import parse
@@ -605,3 +606,12 @@ def test_failing_guard_on_the_last_thread_deopts():
     assert _result(r) == ("[1] deopt(bounds)", 5, 5)
     assert r.op_counts["guard"] == 1 and r.op_counts["output"] == 1
     assert _search_finds(parse(text), r)
+
+
+def test_notified_last_thread_reacquires_its_monitor_first():
+    # the notifier ends right after its notify, so the waiter is the last live
+    # thread and must take its monitor back before it runs on alone
+    p = parse(waitnotify_flag())
+    r = run(p, "explicit:1,2,2")
+    assert _result(r) == ("[42] terminated", 26, 68)
+    assert _search_finds(p, r)
