@@ -133,7 +133,7 @@ class _FnPea:
                     mat(v, idx)
 
         def emit_renamed(i: Instr) -> None:
-            out.append(replace(i, args=tuple(self.use(a, state) for a in i.args)))
+            out.append(i.rename({a: u for a in i.args if (u := self.use(a, state)) != a}))
 
         for idx, i in enumerate(b.instrs):
             op = i.op
@@ -255,12 +255,15 @@ class _FnPea:
         for b in self.f.blocks:
             if b.name in code:
                 instrs, term = code[b.name]
-                b = Block(b.name, b.params,
-                          tuple(replace(i.rename(names), dest=names.get(i.dest, i.dest))
-                                for i in instrs),
+                b = Block(b.name, b.params, tuple(_named(i, names) for i in instrs),
                           term.rename(names))
             blocks.append(b)
         return Function(self.f.name, self.f.params, tuple(blocks))
+
+
+def _named(i: Instr, names: dict[str, str]) -> Instr:
+    i = i.rename(names)
+    return replace(i, dest=names[i.dest]) if i.dest in names else i
 
 
 def _pea_fn(p: Program, f: Function, report: PassReport) -> Function | None:
