@@ -227,7 +227,7 @@ class _FnPea:
         if into is None:
             return _copy_state(frm)
         out = {}
-        for k in set(into) | set(frm):
+        for k in into | frm:  # in state order: the first conflict found is blacklisted
             a, b = into.get(k), frm.get(k)
             if a is not None and a == b:
                 out[k] = a

@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import cirlab
 from cirlab.interp import run
 from cirlab.ir import format_instr, print_program
 from cirlab.parser import parse
@@ -528,3 +533,21 @@ def test_multiblock_programs_keep_their_output():
         assert parse(print_program(p2)) == p2, seed
         assert run(p2).trace == run(p).trace, seed
     assert rewritten >= 150  # the generator must exercise the pass
+
+
+def test_output_does_not_depend_on_string_hashing():
+    # two allocations of this program conflict at the same merge; which one
+    # is blacklisted first must not follow the order of a set of names
+    script = ("import sys\n"
+              "from cirlab.ir import print_program\n"
+              "from cirlab.parser import parse\n"
+              "from cirlab.passes import run_pass\n"
+              "print(print_program(run_pass(parse(sys.stdin.read()), 'pea_atomic')[0]))\n")
+    src = str(Path(cirlab.__file__).resolve().parent.parent)
+    outputs = {
+        subprocess.run([sys.executable, "-c", script], input=gen_multiblock_program(49),
+                       env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(h)},
+                       capture_output=True, text=True, check=True).stdout
+        for h in range(4)
+    }
+    assert len(outputs) == 1
