@@ -139,7 +139,7 @@ def cmd_check(args) -> int:
     for side, rs in (("original", verdict.original), ("transformed", verdict.transformed)):
         out[side] = {"states": rs.states_explored, "memoHits": rs.memo_hits,
                      "exhausted": rs.exhausted, "ceilingHit": rs.ceiling_hit,
-                     "traces": len(rs.traces)}
+                     "traces": len(rs.traces), "seconds": round(rs.seconds, 6)}
     if verdict.witness is not None:
         out["witness"] = {
             "events": list(verdict.witness.events),

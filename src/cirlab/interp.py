@@ -580,6 +580,9 @@ class Machine:
     # -- cloning and canonicalization (used by the schedule enumerator) ----
 
     def clone(self) -> "Machine":
+        """A copy to step on its own. Its `events` start empty: the enumerator,
+        the one caller, reads only what each step emits, so copying the events
+        so far would cost a list copy per search edge for nothing."""
         # attributes in `__init__`'s order, so that clones keep its key-sharing
         # instance dict (reading `__dict__` would give that up)
         m = Machine.__new__(Machine)
@@ -594,7 +597,7 @@ class Machine:
         for t in self.threads:
             fs = [Frame(f.fn, f.block, f.code, dict(f.locals), f.ret_dest, f.idx) for f in t.frames]
             m.threads.append(ThreadState(t.tid, fs, t.status, t.wait_obj, t.saved_count, t.permit))
-        m.live, m.events = self.live, list(self.events)
+        m.live, m.events = self.live, []
         m.cost, m.steps, m.status = self.cost, self.steps, self.status
         m.reason, m._live = self.reason, self._live
         return m
@@ -623,6 +626,8 @@ class Machine:
         queue: list[int] = []
 
         def cv(v: Value):
+            if type(v) is int:  # the common case; a bool's type is bool
+                return v
             if isinstance(v, Ref):
                 c = renum.get(v.i)
                 if c is None:
@@ -637,15 +642,17 @@ class Machine:
                 return ("n",)
             return v
 
+        live_names, field_order = self._live_names, self._field_order
         roots = [cv(self.singletons[name]) for name in sorted(self.singletons)]
         tparts = []
         for t in self.threads:
-            frames = tuple((f.fn, f.block, f.idx, f.ret_dest,
-                            tuple(cv(f.locals[k]) if k in f.locals else None
-                                  for k in self._live_names(f)))
-                           for f in t.frames)
+            frames = []
+            for f in t.frames:
+                env = f.locals
+                frames.append((f.fn, f.block, f.idx, f.ret_dest,
+                               tuple([cv(env[k]) if k in env else None for k in live_names(f)])))
             tparts.append((t.status, cv(Ref(t.wait_obj)) if t.wait_obj is not None else None,
-                           t.saved_count, t.permit, frames))
+                           t.saved_count, t.permit, tuple(frames)))
         hparts = []
         qi = 0
         while qi < len(queue):
@@ -653,9 +660,10 @@ class Machine:
             qi += 1
             h = self.heap[oid]
             if isinstance(h, HObj):
-                hparts.append(("O", h.cls, tuple(cv(h.fields[f]) for f in self._field_order[h.cls])))
+                fields = h.fields
+                hparts.append(("O", h.cls, tuple([cv(fields[f]) for f in field_order[h.cls]])))
             else:
-                hparts.append(("A", tuple(cv(e) for e in h.elems)))
+                hparts.append(("A", tuple([cv(e) for e in h.elems])))
             mon = self.monitors.get(oid)
             if mon is not None and (mon.owner is not None or mon.waitset):
                 hparts.append(("M", mon.owner, mon.count, tuple(sorted(mon.waitset))))

@@ -6,6 +6,14 @@ interleavings that converge on the same state are explored once. The result
 is the set R of observable results (output sequence + termination status).
 A path ends where `interp.run` would stop (`Machine.schedulable`).
 
+Once one thread is live, no choice is left: as in `interp.run`, that thread
+runs alone to the end (`Machine._run_alone`), and the whole tail counts as
+one state, memoized unless the step budget cut it, so a tail that many
+interleavings reach runs once. The tail stops at `steps >= budget`, exactly
+where `Machine.schedulable` would stop the path, so the step-budget contract
+below is the same as for a search that steps the last thread one state at a
+time.
+
 A state where some enabled thread's next step is local
 (`Machine.next_is_local`) expands only the lowest such thread: an ample set
 of one (Godefroid, *Partial-Order Methods*, LNCS 1032, 1996). A local step
@@ -30,9 +38,10 @@ guard soundness is covered separately by the guard-implication property.
 from __future__ import annotations
 
 import sys
+import time
 from dataclasses import dataclass
 
-from .interp import Machine, ResultTrace
+from .interp import RUN, Machine, ResultTrace
 from .ir import Program
 
 #: suffix entry: (events-tuple, status, reason)
@@ -47,7 +56,8 @@ class ResultSet:
     the state ceiling, which `ceiling_hit` tells apart) `traces` holds the
     results found within the bounds, and any subset claim is only "bounded",
     never proved. `memo_hits` counts the states whose results came from the
-    memo instead of being explored again.
+    memo instead of being explored again, and `seconds` is the search's wall
+    time.
     """
 
     traces: frozenset[ResultTrace]
@@ -55,6 +65,7 @@ class ResultSet:
     states_explored: int
     memo_hits: int
     ceiling_hit: bool
+    seconds: float
 
     def terminated(self) -> frozenset[ResultTrace]:
         return frozenset(t for t in self.traces if t.status == "terminated")
@@ -74,6 +85,7 @@ class _Explorer:
 
         Once the state ceiling is hit no state is expanded further, so the
         suffix sets returned from then on hold only what was already found.
+        `m` is the caller's to give up: the last thread's tail runs on it.
         """
         enabled = m.schedulable(self.budget)
         if not enabled:
@@ -93,22 +105,39 @@ class _Explorer:
                 return frozenset(), False
             self.seen.add(key)
 
+        if m.live == 1:  # the last live thread runs alone, as in `interp.run`
+            # `m.events` is empty: `m` is the initial machine, or a clone (which
+            # starts with none) after the `ret` that left one thread live
+            t = m.threads[enabled[0] - 1]
+            if t.status is not RUN:  # a notified thread first reacquires its monitor
+                m._step(t)
+            m._run_alone(t, self.budget)
+            result = frozenset({(tuple(m.events), m.status, m.reason)})
+            complete = m.status != "step-budget-exhausted"
+            if complete:
+                self.memo[key] = result
+            return result, complete
+
         choices = enabled
         if len(enabled) > 1:  # an ample set of one; see the module docstring
             local = next((tid for tid in enabled if m.next_is_local(tid)), None)
             if local is not None:
                 choices = [local]
 
-        out: set[_Suffix] = set()
+        out: set[_Suffix] | frozenset[_Suffix] = set()
         complete = True
         for tid in choices:
             child = m.clone()
             emitted = tuple(child.step(tid))
             suffixes, ok = self.explore(child)
             complete = complete and ok
-            for ev, status, reason in suffixes:
-                out.add((emitted + ev, status, reason))
-        result = frozenset(out)
+            if emitted:
+                out.update([(emitted + ev, status, reason) for ev, status, reason in suffixes])
+            elif len(choices) == 1:  # one silent step: this state's set is the child's
+                out = suffixes
+            else:
+                out |= suffixes
+        result = frozenset(out)  # no copy when `out` is the child's frozenset
         if complete:
             self.memo[key] = result
         return result, complete
@@ -130,6 +159,7 @@ def enumerate_results(
         raise ValueError(f"step budget must be at least 1, got {step_budget}")
     if max_states < 1:
         raise ValueError(f"state ceiling must be at least 1, got {max_states}")
+    start = time.perf_counter()
     ex = _Explorer(step_budget, max_states)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, step_budget + 500))
@@ -138,7 +168,8 @@ def enumerate_results(
     finally:
         sys.setrecursionlimit(old_limit)
     traces = frozenset(ResultTrace(ev, status, reason) for ev, status, reason in suffixes)
-    return ResultSet(traces, complete, len(ex.seen), ex.memo_hits, ex.ceiling_hit)
+    return ResultSet(traces, complete, len(ex.seen), ex.memo_hits, ex.ceiling_hit,
+                     time.perf_counter() - start)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from cirlab.corpus import corpus_entry
+from cirlab.corpus import corpus_entry, guard_bounds_loop
 from cirlab.interp import Explicit, run
 from cirlab.parser import parse
 from cirlab.passes import PassOptions, run_pass
 from cirlab.scheduler import check_refinement, enumerate_results
+from test_reduction import reference
 
 RACING_OUTPUTS = """
 fn t1() {
@@ -119,7 +120,7 @@ def test_trace_missing_from_partial_original_is_inconclusive():
 
 
 def test_state_ceiling_on_corpus_original_is_not_a_violation():
-    # the original (172 states) hits the ceiling, the coalesced program (130) does not
+    # the original (153 states) hits the ceiling, the coalesced program (114) does not
     e = corpus_entry("coalesce-mini")
     coalesced, _ = run_pass(e.small, "atomic_coalesce", PassOptions(chunk=2))
     v = check_refinement(e.small, coalesced, step_budget=e.small_budget, max_states=150)
@@ -243,3 +244,164 @@ def test_mutual_refinement_implies_equal_result_sets():
     ab, ba = check_refinement(a, b), check_refinement(b, a)
     assert ab.kind == "refines" and ba.kind == "refines"
     assert ab.original.traces == ab.transformed.traces
+
+
+# each program's second thread ends in SPIN, so its tail, once the first
+# thread is done, is long enough for a step budget to cut inside it
+SPIN = """
+  s0 = const 0
+  s5 = const 5
+  br spin(s0)
+spin(si):
+  s1 = const 1
+  sj = binop add, si, s1
+  again = binop lt, sj, s5
+  condbr again, spin(sj), spun()
+spun():
+"""
+
+# the second park has no thread left to unpark it
+PARKS_ALONE = """
+class G { fields n; }
+fn waker() {
+e:
+  g = classref G
+  one = const 1
+  putfield g, n, one
+  two = const 2
+  unpark two
+  ret
+}
+fn sleeper() {
+e:
+  g = classref G
+  v = getfield g, n
+  output v
+  park
+%s  park
+  ret
+}
+thread waker()
+thread sleeper()
+""" % SPIN
+
+# a waiter that starts after the setter has notified waits alone
+WAITS_ALONE = """
+class S { fields ready; }
+fn waiter() {
+e:
+  s = classref S
+  monitorenter s
+  f = getfield s, ready
+  output f
+%s  wait s
+  monitorexit s
+  ret
+}
+fn setter() {
+e:
+  s = classref S
+  one = const 1
+  monitorenter s
+  putfield s, ready, one
+  notify s
+  monitorexit s
+  ret
+}
+thread waiter()
+thread setter()
+""" % SPIN
+
+# once the setter returns, the notified waiter is left to reacquire the monitor
+NOTIFIED_REACQUIRES = """
+class S { fields ready; }
+fn waiter() {
+e:
+  s = classref S
+  monitorenter s
+  br chk()
+chk():
+  f = getfield s, ready
+  one = const 1
+  go = binop eq, f, one
+  condbr go, fin(), slp()
+slp():
+  wait s
+  br chk()
+fin():
+%s  output f
+  monitorexit s
+  ret
+}
+fn setter() {
+e:
+  s = classref S
+  one = const 1
+  monitorenter s
+  putfield s, ready, one
+  notify s
+  monitorexit s
+  ret
+}
+thread waiter()
+thread setter()
+""" % SPIN
+
+# the guard fails only when the writer ran before the read
+DEOPTS_ALONE = """
+class G { fields n; }
+fn writer() {
+e:
+  g = classref G
+  one = const 1
+  putfield g, n, one
+  ret
+}
+fn reader() {
+e:
+  g = classref G
+  v = getfield g, n
+  output v
+%s  one = const 1
+  ok = binop lt, v, one
+  guard ok, late
+  ret
+}
+thread writer()
+thread reader()
+""" % SPIN
+
+
+@pytest.mark.parametrize("text", [PARKS_ALONE, WAITS_ALONE, NOTIFIED_REACQUIRES, DEOPTS_ALONE],
+                         ids=["parks", "waits", "reacquires", "deopts"])
+def test_last_thread_alone_matches_reference(text):
+    p = parse(text)
+    ref, ref_exhausted = reference(p, 200)
+    rs = enumerate_results(p, 200)
+    assert ref_exhausted and rs.exhausted and rs.traces == ref
+    # thread 1 runs first and ends, then thread 2 runs alone; cut 3 steps short of its end
+    cut = run(p, Explicit((1,))).steps - 3
+    ref, ref_exhausted = reference(p, cut)
+    rs = enumerate_results(p, cut)
+    assert not ref_exhausted and not rs.exhausted
+    for status in ("terminated", "deadlock"):
+        assert {t for t in rs.traces if t.status == status} == \
+            {t for t in ref if t.status == status}
+    assert rs.traces <= ref
+
+
+def test_last_thread_alone_covers_each_ending():
+    def statuses(text):
+        return {(t.status, t.reason) for t in enumerate_results(parse(text), 200).traces}
+
+    assert statuses(PARKS_ALONE) == {("deadlock", None)}
+    assert statuses(WAITS_ALONE) == {("deadlock", None), ("terminated", None)}
+    assert statuses(NOTIFIED_REACQUIRES) == {("terminated", None)}
+    assert statuses(DEOPTS_ALONE) == {("deopt", "late"), ("terminated", None)}
+
+
+def test_single_thread_program_is_one_state():
+    p = parse(guard_bounds_loop(8000, 16000))
+    rs = enumerate_results(p, step_budget=200_000)
+    assert rs.exhausted and rs.states_explored == 1 and rs.memo_hits == 0
+    assert rs.traces == {run(p, budget=200_000).trace}

@@ -2,12 +2,12 @@
 
 Enumerates each corpus small variant and, at chunk=2, each pass output that
 rewrites it; each at the entry's `small_budget`, at budget 40, and at the
-small budget with a 150-state ceiling. Then a few larger contention
-programs at the default bounds. Prints one line per search: a label,
-`states_explored`, `memo_hits`, `exhausted`, the trace count and the
-SHA-256 of the sorted traces; for a pass output, a second line with the
-`check_refinement` verdict against its input and the witness. Run it
-against two checkouts and diff the outputs:
+small budget with a 150-state ceiling. Then a few larger programs at the
+default bounds: contention loops and one single-thread loop. Prints one
+line per search: a label, `states_explored`, `memo_hits`, `exhausted`, the
+trace count and the SHA-256 of the sorted traces; for a pass output, a
+second line with the `check_refinement` verdict against its input and the
+witness. Run it against two checkouts and diff the outputs:
 
     PYTHONPATH=src python tools/search_sweep.py > after.txt
     PYTHONPATH=<other checkout>/src python tools/search_sweep.py > before.txt
@@ -15,7 +15,7 @@ against two checkouts and diff the outputs:
 
 import hashlib
 
-from cirlab.corpus import coalesce_mini, coarsen_loop, corpus
+from cirlab.corpus import coalesce_mini, coarsen_loop, corpus, guard_bounds_loop
 from cirlab.parser import parse
 from cirlab.passes import PASS_NAMES, PassOptions, run_pass
 from cirlab.scheduler import check_refinement, enumerate_results
@@ -25,7 +25,9 @@ CEILING = 150  # cuts the contended coalesce-mini original, not its output
 LARGER = (("coarsen_loop(4,2)", coarsen_loop(4, threads=2)),
           ("coarsen_loop(8,2)", coarsen_loop(8, threads=2)),
           ("coarsen_loop(2,3)", coarsen_loop(2, threads=3)),
-          ("coalesce_mini(5,contended)", coalesce_mini(5, contended=True)))
+          ("coarsen_loop(4,3)", coarsen_loop(4, threads=3)),
+          ("coalesce_mini(5,contended)", coalesce_mini(5, contended=True)),
+          ("guard_bounds_loop(200,400)", guard_bounds_loop(200, 400)))
 
 
 def search_line(program, **bounds) -> str:
