@@ -4,7 +4,10 @@
 set of trace suffixes producible from each canonical machine state, so
 interleavings that converge on the same state are explored once. The result
 is the set R of observable results (output sequence + termination status).
-A path ends where `interp.run` would stop (`Machine.schedulable`).
+A path ends where `interp.run` would stop (`Machine.schedulable`). The key
+leaves out the step count, so a memo entry also records the longest path
+below its state, and is reused only where that path fits the budget left: a
+subtree that finished at a shallow depth can be cut at a deeper one.
 
 Once one thread is live, no choice is left: as in `interp.run`, that thread
 runs alone to the end (`Machine._run_alone`), and the whole tail counts as
@@ -18,7 +21,14 @@ A state where some enabled thread's next step is local
 (`Machine.next_is_local`) expands only the lowest such thread: an ample set
 of one (Godefroid, *Partial-Order Methods*, LNCS 1032, 1996). A local step
 commutes with every step of every other thread, so the orders it skips
-reach the same results. The contract against the unreduced search:
+reach the same results. A state that expands one thread, whose step emits
+nothing, goes on stepping that thread while its next step is local and the
+budget allows, and keys only the state the chain ends in: a chain of local
+steps counts as one state. A thread whose next step is local is an ample set
+of one in any state, so each state inside the chain may expand that thread
+alone; the chain only leaves those states unkeyed (one transaction in the
+sense of Lipton, *Reduction*, CACM 1975). The contract against the
+unreduced search, which holds as written:
 
 - a fully enumerated search (`exhausted`) gives exactly the same traces;
 - a search cut by the step budget gives the same `terminated` and `deadlock`
@@ -75,72 +85,81 @@ class _Explorer:
     def __init__(self, step_budget: int, max_states: int):
         self.budget = step_budget
         self.max_states = max_states
-        self.memo: dict[object, frozenset[_Suffix]] = {}
+        # canonical state -> (suffixes, longest path), for states from which every path ended
+        self.memo: dict[object, tuple[frozenset[_Suffix], int]] = {}
         self.seen: set[object] = set()  # canonical states expanded
         self.memo_hits = 0
         self.ceiling_hit = False
 
-    def explore(self, m: Machine) -> tuple[frozenset[_Suffix], bool]:
-        """(suffix set from this state, True iff no path hit the step budget or ceiling).
+    def explore(self, m: Machine) -> tuple[frozenset[_Suffix], int | None]:
+        """(suffix set from this state, the most steps at which a path from it
+        ended, or None if the step budget or the ceiling cut a path).
 
         Once the state ceiling is hit no state is expanded further, so the
         suffix sets returned from then on hold only what was already found.
-        `m` is the caller's to give up: the last thread's tail runs on it.
+        `m` is the caller's to give up: the last choice steps it in place,
+        and the last thread's tail runs on it.
         """
         enabled = m.schedulable(self.budget)
         if not enabled:
-            return (frozenset({((), m.status, m.reason)}),
-                    m.status != "step-budget-exhausted")
+            end = None if m.status == "step-budget-exhausted" else m.steps
+            return frozenset({((), m.status, m.reason)}), end
         if self.ceiling_hit:
-            return frozenset(), False
+            return frozenset(), None
 
         key = m.canon_key()
+        start = m.steps
         hit = self.memo.get(key)
-        if hit is not None:
+        if hit is not None and start + hit[1] <= self.budget:  # its longest path fits
             self.memo_hits += 1
-            return hit, True
+            return hit[0], start + hit[1]
         if key not in self.seen:
             if len(self.seen) >= self.max_states:
                 self.ceiling_hit = True
-                return frozenset(), False
+                return frozenset(), None
             self.seen.add(key)
 
         if m.live == 1:  # the last live thread runs alone, as in `interp.run`
-            # `m.events` is empty: `m` is the initial machine, or a clone (which
-            # starts with none) after the `ret` that left one thread live
+            # `m.events` is empty: `m` is the initial machine, a clone (which
+            # starts with none), or a machine `explore` stepped and cleared
             t = m.threads[enabled[0] - 1]
             if t.status is not RUN:  # a notified thread first reacquires its monitor
                 m._step(t)
             m._run_alone(t, self.budget)
             result = frozenset({(tuple(m.events), m.status, m.reason)})
-            complete = m.status != "step-budget-exhausted"
-            if complete:
-                self.memo[key] = result
-            return result, complete
+            end = None if m.status == "step-budget-exhausted" else m.steps
+        else:
+            choices = enabled
+            if len(enabled) > 1:  # an ample set of one; see the module docstring
+                local = next((tid for tid in enabled if m.next_is_local(tid)), None)
+                if local is not None:
+                    choices = [local]
 
-        choices = enabled
-        if len(enabled) > 1:  # an ample set of one; see the module docstring
-            local = next((tid for tid in enabled if m.next_is_local(tid)), None)
-            if local is not None:
-                choices = [local]
-
-        out: set[_Suffix] | frozenset[_Suffix] = set()
-        complete = True
-        for tid in choices:
-            child = m.clone()
-            emitted = tuple(child.step(tid))
-            suffixes, ok = self.explore(child)
-            complete = complete and ok
-            if emitted:
-                out.update([(emitted + ev, status, reason) for ev, status, reason in suffixes])
-            elif len(choices) == 1:  # one silent step: this state's set is the child's
-                out = suffixes
-            else:
-                out |= suffixes
-        result = frozenset(out)  # no copy when `out` is the child's frozenset
-        if complete:
-            self.memo[key] = result
-        return result, complete
+            out: set[_Suffix] | frozenset[_Suffix] = set()
+            end = start
+            last = choices[-1]
+            for tid in choices:
+                child = m if tid == last else m.clone()
+                emitted = tuple(child.step(tid))
+                if emitted:
+                    child.events.clear()
+                elif len(choices) == 1:  # a chain of local steps is one edge
+                    t = child.threads[tid - 1]
+                    while (child.status is None and child.steps < self.budget
+                           and child.live > 1 and child.next_is_local(tid)):
+                        child._step(t)
+                suffixes, child_end = self.explore(child)
+                end = None if end is None or child_end is None else max(end, child_end)
+                if emitted:
+                    out.update([(emitted + ev, status, reason) for ev, status, reason in suffixes])
+                elif len(choices) == 1:  # one silent step: this state's set is the child's
+                    out = suffixes
+                else:
+                    out |= suffixes
+            result = frozenset(out)  # no copy when `out` is the child's frozenset
+        if end is not None:
+            self.memo[key] = result, end - start
+        return result, end
 
 
 def enumerate_results(
@@ -164,11 +183,11 @@ def enumerate_results(
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, step_budget + 500))
     try:
-        suffixes, complete = ex.explore(Machine(program))
+        suffixes, end = ex.explore(Machine(program))
     finally:
         sys.setrecursionlimit(old_limit)
     traces = frozenset(ResultTrace(ev, status, reason) for ev, status, reason in suffixes)
-    return ResultSet(traces, complete, len(ex.seen), ex.memo_hits, ex.ceiling_hit,
+    return ResultSet(traces, end is not None, len(ex.seen), ex.memo_hits, ex.ceiling_hit,
                      time.perf_counter() - start)
 
 

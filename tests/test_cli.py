@@ -138,12 +138,12 @@ def test_check_json_reports_each_side(cir_file, capsys):
 
 
 def test_check_json_says_which_bound_cut_a_side(cir_file, capsys):
-    # the contended original takes 153 states, its coalesced form 114
+    # the contended original takes 133 states, its coalesced form 92
     small = corpus_entry("coalesce-mini").small
     coalesced, _ = run_pass(small, "atomic_coalesce", PassOptions(chunk=2))
     before = cir_file("before.cir", print_program(small))
     after = cir_file("after.cir", print_program(coalesced))
-    assert main(["check", before, after, "--budget", "600", "--max-states", "150"]) == 0
+    assert main(["check", before, after, "--budget", "600", "--max-states", "100"]) == 0
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["verdict"] == "bounded-ok"
     orig, trans = verdict["original"], verdict["transformed"]
@@ -158,12 +158,14 @@ def test_check_json_says_which_bound_cut_a_side(cir_file, capsys):
 
 @pytest.mark.parametrize("budget", [["--budget", "400"], []])
 def test_check_json_counts_the_traces_each_side_found(cir_file, capsys, budget):
-    # the state ceiling cuts the coarsened search before it finishes any trace
+    # checked in reverse: the coarsened program finishes its first trace within
+    # 27 states and the uncoarsened one needs 36, so a ceiling of 30 cuts the
+    # transformed side's search before it finishes any trace
     small = corpus_entry("coarsen-mini").small
     coarsened, _ = run_pass(small, "lock_coarsen", PassOptions(chunk=2))
-    before = cir_file("before.cir", print_program(small))
-    after = cir_file("after.cir", print_program(coarsened))
-    assert main(["check", before, after, "--max-states", "100", *budget]) == 0
+    before = cir_file("before.cir", print_program(coarsened))
+    after = cir_file("after.cir", print_program(small))
+    assert main(["check", before, after, "--max-states", "30", *budget]) == 0
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["verdict"] == "bounded-ok"
     assert verdict["original"]["traces"] == 1

@@ -120,10 +120,10 @@ def test_trace_missing_from_partial_original_is_inconclusive():
 
 
 def test_state_ceiling_on_corpus_original_is_not_a_violation():
-    # the original (153 states) hits the ceiling, the coalesced program (114) does not
+    # the original (133 states) hits the ceiling, the coalesced program (92) does not
     e = corpus_entry("coalesce-mini")
     coalesced, _ = run_pass(e.small, "atomic_coalesce", PassOptions(chunk=2))
-    v = check_refinement(e.small, coalesced, step_budget=e.small_budget, max_states=150)
+    v = check_refinement(e.small, coalesced, step_budget=e.small_budget, max_states=100)
     assert not v.original.exhausted and v.original.traces
     assert v.transformed.exhausted
     assert v.kind == "bounded-ok"
@@ -372,6 +372,19 @@ thread reader()
 """ % SPIN
 
 
+def keeps_the_cut_contract(p, budget) -> bool:
+    """Check `enumerate_results` against `reference` as the `scheduler` docstring
+    states for a search the step budget may cut; returns the `exhausted` flag."""
+    ref, ref_exhausted = reference(p, budget)
+    rs = enumerate_results(p, budget)
+    assert rs.exhausted == ref_exhausted
+    for status in ("terminated", "deadlock"):
+        assert {t for t in rs.traces if t.status == status} == \
+            {t for t in ref if t.status == status}
+    assert rs.traces <= ref
+    return rs.exhausted
+
+
 @pytest.mark.parametrize("text", [PARKS_ALONE, WAITS_ALONE, NOTIFIED_REACQUIRES, DEOPTS_ALONE],
                          ids=["parks", "waits", "reacquires", "deopts"])
 def test_last_thread_alone_matches_reference(text):
@@ -380,14 +393,7 @@ def test_last_thread_alone_matches_reference(text):
     rs = enumerate_results(p, 200)
     assert ref_exhausted and rs.exhausted and rs.traces == ref
     # thread 1 runs first and ends, then thread 2 runs alone; cut 3 steps short of its end
-    cut = run(p, Explicit((1,))).steps - 3
-    ref, ref_exhausted = reference(p, cut)
-    rs = enumerate_results(p, cut)
-    assert not ref_exhausted and not rs.exhausted
-    for status in ("terminated", "deadlock"):
-        assert {t for t in rs.traces if t.status == status} == \
-            {t for t in ref if t.status == status}
-    assert rs.traces <= ref
+    assert not keeps_the_cut_contract(p, run(p, Explicit((1,))).steps - 3)
 
 
 def test_last_thread_alone_covers_each_ending():
@@ -405,3 +411,61 @@ def test_single_thread_program_is_one_state():
     rs = enumerate_results(p, step_budget=200_000)
     assert rs.exhausted and rs.states_explored == 1 and rs.memo_hits == 0
     assert rs.traces == {run(p, budget=200_000).trace}
+
+
+def test_memo_reuses_a_subtree_only_where_its_longest_path_fits():
+    # a subtree that ends within the budget at a shallow depth can be cut at a
+    # deeper one; reusing it there claimed exhausted=True at budgets 29 to 38
+    e = corpus_entry("coalesce-mini")
+    flags = {keeps_the_cut_contract(e.small, budget) for budget in range(3, 40)}
+    assert flags == {False, True}
+
+
+# the worker reads n, then takes 11 local steps (pure ops, two calls and their
+# returns, a branch) that the search steps as one edge, up to a monitorenter
+# that deadlocks if the writer parked while it held the monitor
+LOCAL_RUN = """
+class G { fields n; }
+fn add3(x) {
+e:
+  three = const 3
+  y = binop add, x, three
+  ret y
+}
+fn worker() {
+e:
+  g = classref G
+  a = getfield g, n
+  b = call add3(a)
+  c = binop mul, b, b
+  d = call add3(c)
+  br f(d)
+f(x):
+  e2 = binop sub, x, a
+  monitorenter g
+  monitorexit g
+  output e2
+  two = const 2
+  unpark two
+  ret
+}
+fn writer() {
+e:
+  g = classref G
+  one = const 1
+  putfield g, n, one
+  monitorenter g
+  park
+  monitorexit g
+  ret
+}
+thread worker()
+thread writer()
+"""
+
+
+def test_local_step_chains_keep_the_contract_at_every_cut():
+    p = parse(LOCAL_RUN)
+    full = run(p, Explicit((1,))).steps  # every schedule that terminates runs as many
+    flags = [keeps_the_cut_contract(p, budget) for budget in range(1, full + 1)]
+    assert flags[-1] and not any(flags[:-1])

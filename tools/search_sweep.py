@@ -2,7 +2,9 @@
 
 Enumerates each corpus small variant and, at chunk=2, each pass output that
 rewrites it; each at the entry's `small_budget`, at budget 40, and at the
-small budget with a 150-state ceiling. Then a few larger programs at the
+small budget with a 150-state ceiling. Then a small variant at a cut budget
+where reusing a memo entry without checking that its longest path fits the
+budget left claimed a finished search, and a few larger programs at the
 default bounds: contention loops and one single-thread loop. Prints one
 line per search: a label, `states_explored`, `memo_hits`, `exhausted`, the
 trace count and the SHA-256 of the sorted traces; for a pass output, a
@@ -15,7 +17,7 @@ witness. Run it against two checkouts and diff the outputs:
 
 import hashlib
 
-from cirlab.corpus import coalesce_mini, coarsen_loop, corpus, guard_bounds_loop
+from cirlab.corpus import coalesce_mini, coarsen_loop, corpus, corpus_entry, guard_bounds_loop
 from cirlab.parser import parse
 from cirlab.passes import PASS_NAMES, PassOptions, run_pass
 from cirlab.scheduler import check_refinement, enumerate_results
@@ -61,6 +63,9 @@ def main() -> None:
                 v = check_refinement(original, program, **bounds)
                 print(label, config, f"verdict={v.kind} states={v.states_explored} "
                                      f"witness={v.witness}")
+    # a cut budget at which a memo entry reused past the budget claimed a finished search
+    print("coalesce-mini/small budget=33",
+          search_line(corpus_entry("coalesce-mini").small, step_budget=33))
     for label, text in LARGER:
         print(label, "default", search_line(parse(text)))
 
