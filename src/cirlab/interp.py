@@ -18,7 +18,15 @@ Each `Machine` decodes its program once (`Machine._decode`) into per-block
 lists of `(handler, instr, cost, op)` entries that its clones share, so a step
 is one index and one call. `run` and the schedule enumerator share one stop
 rule, `Machine.schedulable`. `run` asks the schedule to pick a thread only
-while two or more are live; the last one runs alone (`Machine._run_alone`).
+while two or more are live (`Machine._run_shared`); the last one runs alone
+(`Machine._run_alone`). While two or more are live, `run` keeps the enabled
+set `schedulable` gave it and asks `schedulable` again only after a step that
+could change that set: a `monitorenter`, `monitorexit`, `wait`, `notify`,
+`notifyall` or `unpark`, a step that reacquires a monitor, a step after which
+the stepping thread is not `RUN` or is about to enter a monitor, and a step
+that stops the machine or uses up the step budget. Any other step changes no
+monitor and no other thread's status, so every thread stays as enabled as it
+was.
 """
 
 from __future__ import annotations
@@ -174,6 +182,10 @@ RUN, WAITING, REACQUIRE, PARKED, DONE = "run", "waiting", "reacquire", "parked",
 
 #: opcodes whose step reads and writes only the running thread's own frames
 _LOCAL_OPS = PURE_OPS | {"call"}
+
+#: opcodes whose step can change whether another thread is enabled: they take,
+#: free or hand over a monitor, or wake a waiting or parked thread
+_SYNC_OPS = frozenset({"monitorenter", "monitorexit", "wait", "notify", "notifyall", "unpark"})
 
 
 class ThreadState:
@@ -410,6 +422,34 @@ class Machine:
             self.op_counts[op] += 1
         handler(self, t, fr, instr)
         self.cost += cost
+
+    def _run_shared(self, enabled: list[int], pick, budget: int) -> None:
+        """`_step` the threads `pick(enabled)` chooses, two or more being live, until a
+        step could change `enabled`, the set `schedulable` just gave (see the module
+        docstring), or stops the machine or uses up `budget`."""
+        threads, counts, enter = self.threads, self.op_counts, Machine._op_monitorenter
+        steps, cost = self.steps, self.cost
+        while True:
+            t = threads[pick(enabled) - 1]
+            if t.status is REACQUIRE:  # takes its monitor back
+                self.steps, self.cost = steps, cost
+                self._step(t)
+                return
+            fr = t.frames[-1]
+            handler, instr, c, op = fr.code[fr.idx]
+            steps += 1
+            cost += c
+            fr.idx += 1
+            if op is not None:
+                counts[op] += 1
+            handler(self, t, fr, instr)
+            if (op in _SYNC_OPS or t.status is not RUN or steps >= budget
+                    or self.status is not None):
+                break
+            fr = t.frames[-1]
+            if fr.code[fr.idx][0] is enter:
+                break
+        self.steps, self.cost = steps, cost
 
     def _run_alone(self, t: ThreadState, budget: int) -> None:
         """`_step` `t`, the one live thread, until the machine stops. No thread is
@@ -679,10 +719,14 @@ class RoundRobin:
     _left: int = 0
 
     def pick(self, enabled: list[int]) -> int:
-        if self._cur not in enabled or self._left <= 0:
-            later = [i for i in enabled if i > self._cur]
-            self._cur = min(later) if later else min(enabled)
-            self._left = self.quantum
+        """The next thread; `enabled` is sorted, as `Machine.schedulable` gives it."""
+        if self._left <= 0 or self._cur not in enabled:
+            for i in enabled:  # the first thread after the current one, else the lowest
+                if i > self._cur:
+                    break
+            else:
+                i = enabled[0]
+            self._cur, self._left = i, self.quantum
         self._left -= 1
         return self._cur
 
@@ -702,7 +746,7 @@ class Explicit:
     def pick(self, enabled: list[int]) -> int:
         want = self.seq[self._ptr % len(self.seq)]
         self._ptr += 1
-        return want if want in enabled else min(enabled)
+        return want if want in enabled else enabled[0]  # sorted
 
 
 def parse_schedule(spec: str) -> RoundRobin | Explicit:
@@ -743,7 +787,7 @@ def run(program: Program, schedule: RoundRobin | Explicit | str = "rr:1",
     m = Machine(program)
     while enabled := m.schedulable(budget):
         if m.live > 1:
-            m._step(m.threads[policy.pick(enabled) - 1])
+            m._run_shared(enabled, policy.pick, budget)
         elif (t := m.threads[enabled[0] - 1]).status is RUN:
             m._run_alone(t, budget)
         else:  # a notified thread first reacquires its monitor

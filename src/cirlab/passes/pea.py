@@ -32,7 +32,7 @@ from .. import ir
 from ..cfg import def_index, dominates, dominators, reachable_rpo
 from ..ir import Block, Function, Instr, NameGen, Program, Terminator
 from . import PassOptions, PassReport
-from .util import remove_dead_pure, rewrite_functions
+from .util import remove_dead_pure
 
 
 class _Conflict(Exception):
@@ -266,14 +266,16 @@ def _named(i: Instr, names: dict[str, str]) -> Instr:
     return replace(i, dest=names[i.dest]) if i.dest in names else i
 
 
-def _pea_fn(p: Program, f: Function, report: PassReport) -> Function | None:
+def _pea_fn(p: Program, f: Function, report: PassReport) -> Function:
+    """`f` rewritten and without dead pure instructions, or `f` itself if that
+    changes nothing."""
     if not any(i.op == "new" for b in f.blocks for i in b.instrs):
-        return None
+        return f
     pea = _FnPea(p, f)
     nf = pea.run()
     c = pea.counts
     if sum(c.values()) == 0 or (nf := remove_dead_pure(nf)) == f:
-        return None
+        return f
     eliminated = c["virtualized"] - len(pea.matpoints)
     report.rewrites += sum(c.values())
     report.note(
@@ -287,4 +289,4 @@ def _pea_fn(p: Program, f: Function, report: PassReport) -> Function | None:
 
 def pea_atomic(p: Program, options: PassOptions, report: PassReport) -> Program:
     """Scalar-replace non-escaping allocations, folding CAS on virtual fields."""
-    return rewrite_functions(p, lambda f: _pea_fn(p, f, report), rounds=1)
+    return replace(p, functions=tuple(_pea_fn(p, f, report) for f in p.functions))

@@ -1,10 +1,101 @@
+from collections import Counter
+
 import pytest
 
-from cirlab.corpus import waitnotify_flag
-from cirlab.interp import InterpreterError, cost_model, run
+from cirlab.corpus import coarsen_loop, corpus, waitnotify_flag
+from cirlab.interp import (DONE, Explicit, InterpreterError, Machine, ResultTrace, cost_model,
+                           parse_schedule, run)
 from cirlab import ir
 from cirlab.parser import parse
 from cirlab.scheduler import enumerate_results
+from test_fuzz import gen_program
+
+
+MONITOR_BLOCKS = """
+    class L { fields done; }
+    fn holder() {
+    e:
+      g = classref L
+      monitorenter g
+      one = const 1
+      output one
+      monitorexit g
+      ret
+    }
+    fn contender() {
+    e:
+      g = classref L
+      monitorenter g
+      two = const 2
+      output two
+      monitorexit g
+      ret
+    }
+    thread holder()
+    thread contender()
+"""
+# tries to run T2 right after T1 acquires; T2 stays blocked
+MONITOR_BLOCKS_SCHEDULE = "explicit:1,1,2,2,2,1,1,1,2,2,2,2"
+
+WAIT_NOTIFY = """
+    class S { fields ready, data; }
+    fn waiter() {
+    e:
+      s = classref S
+      monitorenter s
+      br chk()
+    chk():
+      f = getfield s, ready
+      one = const 1
+      done = binop eq, f, one
+      condbr done, fin(), slp()
+    slp():
+      wait s
+      br chk()
+    fin():
+      d = getfield s, data
+      monitorexit s
+      output d
+      ret
+    }
+    fn setter() {
+    e:
+      s = classref S
+      v = const 42
+      one = const 1
+      monitorenter s
+      putfield s, data, v
+      putfield s, ready, one
+      notify s
+      monitorexit s
+      ret
+    }
+    thread waiter()
+    thread setter()
+"""
+WAIT_NOTIFY_SCHEDULES = ("rr:1", "rr:5", "explicit:2,2,2,2,2,2,2,2,2,1", "explicit:1,2")
+
+UNPARK_PERMIT = """
+    fn main() {
+    b0:
+      me = const 1
+      unpark me
+      unpark me
+      park
+      park
+      ret
+    }
+    fn other() {
+    e:
+      one = const 1
+      unpark one
+      ret
+    }
+    thread main()
+    thread other()
+"""
+# double unpark banks only one permit: first park consumes it, second parks
+UNPARK_PERMIT_SCHEDULE = "explicit:1,1,1,1,1,2,2,2,1"
 
 
 def test_single_thread_two_outputs():
@@ -188,75 +279,14 @@ def test_reentrant_monitor():
 
 
 def test_monitor_blocks_other_thread():
-    text = """
-    class L { fields done; }
-    fn holder() {
-    e:
-      g = classref L
-      monitorenter g
-      one = const 1
-      output one
-      monitorexit g
-      ret
-    }
-    fn contender() {
-    e:
-      g = classref L
-      monitorenter g
-      two = const 2
-      output two
-      monitorexit g
-      ret
-    }
-    thread holder()
-    thread contender()
-    """
-    p = parse(text)
-    # schedule tries to run T2 right after T1 acquires; T2 stays blocked
-    r = run(p, "explicit:1,1,2,2,2,1,1,1,2,2,2,2")
+    r = run(parse(MONITOR_BLOCKS), MONITOR_BLOCKS_SCHEDULE)
     assert r.trace.events == (1, 2)
     assert r.trace.status == "terminated"
 
 
 def test_wait_notify_flag_protocol():
-    text = """
-    class S { fields ready, data; }
-    fn waiter() {
-    e:
-      s = classref S
-      monitorenter s
-      br chk()
-    chk():
-      f = getfield s, ready
-      one = const 1
-      done = binop eq, f, one
-      condbr done, fin(), slp()
-    slp():
-      wait s
-      br chk()
-    fin():
-      d = getfield s, data
-      monitorexit s
-      output d
-      ret
-    }
-    fn setter() {
-    e:
-      s = classref S
-      v = const 42
-      one = const 1
-      monitorenter s
-      putfield s, data, v
-      putfield s, ready, one
-      notify s
-      monitorexit s
-      ret
-    }
-    thread waiter()
-    thread setter()
-    """
-    p = parse(text)
-    for sched in ("rr:1", "rr:5", "explicit:2,2,2,2,2,2,2,2,2,1", "explicit:1,2"):
+    p = parse(WAIT_NOTIFY)
+    for sched in WAIT_NOTIFY_SCHEDULES:
         r = run(p, sched)
         assert r.trace.events == (42,), sched
         assert r.trace.status == "terminated"
@@ -281,27 +311,7 @@ def test_wait_without_monitor_fails_run():
 
 
 def test_unpark_banks_single_permit():
-    text = """
-    fn main() {
-    b0:
-      me = const 1
-      unpark me
-      unpark me
-      park
-      park
-      ret
-    }
-    fn other() {
-    e:
-      one = const 1
-      unpark one
-      ret
-    }
-    thread main()
-    thread other()
-    """
-    # double unpark banks only one permit: first park consumes it, second parks
-    r = run(parse(text), "explicit:1,1,1,1,1,2,2,2,1")
+    r = run(parse(UNPARK_PERMIT), UNPARK_PERMIT_SCHEDULE)
     assert r.trace.status == "terminated"
     assert r.metrics.park == 2
 
@@ -615,3 +625,158 @@ def test_notified_last_thread_reacquires_its_monitor_first():
     r = run(p, "explicit:1,2,2")
     assert _result(r) == ("[42] terminated", 26, 68)
     assert _search_finds(p, r)
+
+
+# `run` keeps the enabled set across the steps that cannot change it. The
+# reference below is the loop without that: it asks `schedulable` and the
+# schedule before every step, and must agree with `run` on every pick.
+
+DIFF_BUDGET = 20_000
+
+
+class Logged:
+    """A schedule that logs each pick: the enabled list it saw, and its choice."""
+
+    def __init__(self, spec: str):
+        self.policy, self.log = parse_schedule(spec), []
+
+    def pick(self, enabled: list[int]) -> int:
+        choice = self.policy.pick(enabled)
+        self.log.append((tuple(enabled), choice))
+        return choice
+
+
+def _observed(trace, steps, refcycles, op_counts, picks):
+    return trace, steps, refcycles, +Counter(op_counts), picks
+
+
+def reference_run(program, spec: str, budget: int = DIFF_BUDGET):
+    """(what `run` reports plus its picks, Counter of the explicit picks with two
+    or more threads live that fell back because the wanted thread was blocked
+    or finished)."""
+    policy = parse_schedule(spec)
+    m = Machine(program)
+    picks, fallbacks = [], Counter()
+    try:
+        while enabled := m.schedulable(budget):
+            want = policy.seq[policy._ptr % len(policy.seq)] if isinstance(policy, Explicit) else 0
+            choice = policy.pick(enabled)
+            if m.live > 1:  # `run` asks the schedule only then
+                picks.append((tuple(enabled), choice))
+                if want and want not in enabled:
+                    fallbacks["finished" if m.threads[want - 1].status is DONE else "blocked"] += 1
+            m._step(m.threads[choice - 1])
+    except InterpreterError as e:
+        return ("InterpreterError", str(e)), fallbacks
+    trace = ResultTrace(tuple(m.events), m.status, m.reason)
+    return _observed(trace, m.steps, m.cost, m.op_counts, picks), fallbacks
+
+
+def fast_run(program, spec: str, budget: int = DIFF_BUDGET):
+    policy = Logged(spec)
+    try:
+        r = run(program, policy, budget)
+    except InterpreterError as e:
+        return "InterpreterError", str(e)
+    return _observed(r.trace, r.steps, r.metrics.refcycles, r.op_counts, policy.log)
+
+
+def _multi_thread_programs():
+    for e in corpus():
+        for label, p in ((e.name, e.program), (f"{e.name}/small", e.small)):
+            if p is not None and len(p.threads) > 1:
+                yield label, p
+    yield "coarsen_loop(6, 3)", parse(coarsen_loop(6, threads=3))
+    for seed in range(50):
+        yield f"fuzz/{seed}", parse(gen_program(seed))
+    yield "monitor-blocks", parse(MONITOR_BLOCKS)
+    yield "wait-notify", parse(WAIT_NOTIFY)
+    yield "unpark-permit", parse(UNPARK_PERMIT)
+
+
+MULTI_THREAD_PROGRAMS = dict(_multi_thread_programs())
+# the waker unparks the sleeper and runs on, which must not hide the sleeper
+MULTI_THREAD_PROGRAMS["unpark-wakes"] = parse("""
+    fn sleeper() {
+    e:
+      park
+      one = const 1
+      output one
+      ret
+    }
+    fn waker() {
+    e:
+      me = const 1
+      unpark me
+      two = const 2
+      output two
+      output two
+      ret
+    }
+    thread sleeper()
+    thread waker()
+""")
+# a failed guard ends the run while the other thread is still live
+MULTI_THREAD_PROGRAMS["deopt-shared"] = parse("""
+    fn guarded() {
+    e:
+      one = const 1
+      output one
+      f = const false
+      guard f, bounds
+      output one
+      ret
+    }
+    fn spinner() {
+    e:
+      two = const 2
+      output two
+      output two
+      output two
+      ret
+    }
+    thread guarded()
+    thread spinner()
+""")
+
+
+def diff_schedules(program) -> tuple[str, ...]:
+    """`rr:1`, `rr:3`, `rr:7`, and an explicit schedule that mostly wants the
+    last thread, which then often blocks or finishes while others are live."""
+    n = len(program.threads)
+    favour_last = ",".join(map(str, [n, n, n, *range(1, n)]))
+    return "rr:1", "rr:3", "rr:7", f"explicit:{favour_last}"
+
+
+@pytest.mark.parametrize("label", MULTI_THREAD_PROGRAMS)
+def test_run_matches_the_step_by_step_reference(label):
+    p = MULTI_THREAD_PROGRAMS[label]
+    for spec in diff_schedules(p):
+        assert fast_run(p, spec) == reference_run(p, spec)[0], spec
+
+
+def test_explicit_reference_picks_hit_blocked_and_finished_threads():
+    fallbacks = Counter()
+    for p in MULTI_THREAD_PROGRAMS.values():
+        fallbacks += reference_run(p, diff_schedules(p)[-1])[1]
+    assert fallbacks["blocked"] > 0 and fallbacks["finished"] > 0, fallbacks
+
+
+@pytest.mark.parametrize("text, specs", [
+    (MONITOR_BLOCKS, (MONITOR_BLOCKS_SCHEDULE,)),
+    (WAIT_NOTIFY, WAIT_NOTIFY_SCHEDULES),
+    (UNPARK_PERMIT, (UNPARK_PERMIT_SCHEDULE,)),
+    (waitnotify_flag(), ("explicit:1,2,2",)),  # the waiter reacquires its monitor alone
+], ids=["monitor-blocks", "wait-notify", "unpark-permit", "reacquire"])
+def test_run_matches_the_reference_under_the_schedules_of_the_tests_above(text, specs):
+    p = parse(text)
+    for spec in specs:
+        assert fast_run(p, spec) == reference_run(p, spec)[0], spec
+
+
+def test_run_matches_the_reference_at_every_budget():
+    p = parse(waitnotify_flag())
+    for spec in diff_schedules(p):
+        full = run(p, spec).steps
+        for budget in range(1, full + 1):
+            assert fast_run(p, spec, budget) == reference_run(p, spec, budget)[0], (spec, budget)

@@ -10,7 +10,10 @@ status, reason, metric row, sorted op counts and steps, or the message of the
 InterpreterError it raised). Every program runs under `rr:1`; a program
 with more than one thread also runs under `rr:3` and `explicit:2,1,1`, the
 last of which falls back to the lowest enabled thread whenever its pick is
-blocked or finished. Run it against two checkouts and diff the outputs:
+blocked or finished. Each program with more than one thread gets one more
+line, labelled `cut`: the SHA-256 of its `rr:2` run with the step budget cut
+to half the steps of its `rr:1` run, so that most such runs stop while two
+threads are live. Run it against two checkouts and diff the outputs:
 
     PYTHONPATH=src python tools/pass_sweep.py > after.txt
     PYTHONPATH=<other checkout>/src python tools/pass_sweep.py > before.txt
@@ -36,14 +39,21 @@ RUN_BUDGET = 20_000  # steps per run; longer runs end step-budget-exhausted
 MULTI_THREAD_SCHEDULES = ("rr:3", "explicit:2,1,1")
 
 
-def run_summary(program, schedule: str) -> str:
+def run_summary(program, schedule: str, budget: int = RUN_BUDGET) -> tuple[str, int]:
+    """The summary of one run, and its steps (`budget` if it raised)."""
     try:
-        r = run(program, schedule, RUN_BUDGET)
+        r = run(program, schedule, budget)
     except InterpreterError as e:
-        return f"InterpreterError: {e}"
+        return f"InterpreterError: {e}", budget
     t = r.trace
     return repr((t.events, t.status, t.reason, r.metrics.row(),
-                 sorted(r.op_counts.items()), r.steps))
+                 sorted(r.op_counts.items()), r.steps)), r.steps
+
+
+def cut_fingerprint(program) -> str:
+    """The SHA-256 of the `rr:2` run cut at half the steps of the `rr:1` run."""
+    steps = run_summary(program, "rr:1")[1]
+    return hashlib.sha256(run_summary(program, "rr:2", max(1, steps // 2))[0].encode()).hexdigest()
 
 
 def fingerprint(program, reports) -> str:
@@ -52,7 +62,7 @@ def fingerprint(program, reports) -> str:
         h.update(json.dumps(r.to_dict(), sort_keys=True).encode())
     schedules = ("rr:1",) + (MULTI_THREAD_SCHEDULES if len(program.threads) > 1 else ())
     for schedule in schedules:
-        h.update(run_summary(program, schedule).encode())
+        h.update(run_summary(program, schedule)[0].encode())
     return h.hexdigest()
 
 
@@ -67,14 +77,20 @@ def cases():
         yield f"pea/{seed}", parse(gen_multiblock_program(seed))
 
 
+def print_case(label: str, out, reports) -> None:
+    print(label, fingerprint(out, reports))
+    if len(out.threads) > 1:
+        print(label, "cut", cut_fingerprint(out))
+
+
 def main() -> None:
     for label, program in cases():
         for opt_label, options in (("default", PassOptions()), ("chunk2", PassOptions(chunk=2))):
             for name in PASS_NAMES:
                 out, report = run_pass(program, name, options)
-                print(label, opt_label, name, fingerprint(out, [report]))
+                print_case(f"{label} {opt_label} {name}", out, [report])
             out, reports = pipeline(program, PASS_NAMES, options)
-            print(label, opt_label, "pipeline", fingerprint(out, reports))
+            print_case(f"{label} {opt_label} pipeline", out, reports)
 
 
 if __name__ == "__main__":
