@@ -3,25 +3,30 @@
 The dominator computation is the classic iterative scheme over a reverse
 postorder; unreachable blocks are excluded from the result and reported
 alongside it.
+
+The per-function analyses are memoized (`ir.memo`): each is computed once
+per `Function` object, and every caller shares the result, so none may
+mutate it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .ir import Block, CondBr, Function, Instr
+from .ir import Block, CondBr, Function, Instr, memo
 
 
-def predecessors(f: Function) -> dict[str, list[str]]:
+@memo
+def predecessors(f: Function) -> dict[str, tuple[str, ...]]:
     preds: dict[str, list[str]] = {b.name: [] for b in f.blocks}
     for b in f.blocks:
         for t in b.term.targets():
             if t in preds:
                 preds[t].append(b.name)
-    return preds
+    return {name: tuple(ps) for name, ps in preds.items()}
 
 
+@memo
 def def_index(f: Function) -> dict[str, Instr]:
     """Value name -> the instruction defining it."""
     out: dict[str, Instr] = {}
@@ -32,6 +37,7 @@ def def_index(f: Function) -> dict[str, Instr]:
     return out
 
 
+@memo
 def liveness(f: Function) -> dict[str, tuple[frozenset[str], ...]]:
     """Block name -> the names live before each instruction index.
 
@@ -62,7 +68,8 @@ def liveness(f: Function) -> dict[str, tuple[frozenset[str], ...]]:
     return out
 
 
-def reachable_rpo(f: Function) -> list[str]:
+@memo
+def reachable_rpo(f: Function) -> tuple[str, ...]:
     """Blocks reachable from the entry, in reverse postorder.
 
     Branch targets missing from the function are skipped, so unresolved
@@ -85,17 +92,18 @@ def reachable_rpo(f: Function) -> list[str]:
             if t not in seen:
                 stack.append((t, False))
     order.reverse()
-    return order
+    return tuple(order)
 
 
-def dominators(f: Function) -> tuple[dict[str, str | None], list[str]]:
+@memo
+def dominators(f: Function) -> tuple[dict[str, str | None], tuple[str, ...]]:
     """(immediate-dominator map, unreachable block names).
 
     The entry block maps to None; unreachable blocks are absent from the map.
     """
     order = reachable_rpo(f)
-    unreachable = [b.name for b in f.blocks if b.name not in set(order)]
     index = {name: i for i, name in enumerate(order)}
+    unreachable = tuple(b.name for b in f.blocks if b.name not in index)
     preds = predecessors(f)
     idom: dict[str, str | None] = {order[0]: None}
 
@@ -139,7 +147,8 @@ class Loop:
     blocks: frozenset[str]
 
 
-def natural_loops(f: Function) -> list[Loop]:
+@memo
+def natural_loops(f: Function) -> tuple[Loop, ...]:
     idom, _ = dominators(f)
     preds = predecessors(f)
     by_header: dict[str, set[str]] = {}
@@ -159,10 +168,10 @@ def natural_loops(f: Function) -> list[Loop]:
                     stack.extend(q for q in preds[n] if q in idom)
                 by_header.setdefault(t, set()).update(body)
                 latches.setdefault(t, set()).add(b.name)
-    return [
+    return tuple(
         Loop(h, tuple(sorted(latches[h])), frozenset(body))
         for h, body in sorted(by_header.items())
-    ]
+    )
 
 
 @dataclass(frozen=True)
@@ -187,12 +196,10 @@ class WhileLoop:
     two_block: bool  # the body is one block, entered only from the header, that is the latch
 
 
-def while_loops(f: Function) -> Iterator[WhileLoop]:
+@memo
+def while_loops(f: Function) -> tuple[WhileLoop, ...]:
     """The natural loops of `f` that have the canonical while shape."""
-    for loop in natural_loops(f):
-        wl = match_while_loop(f, loop)
-        if wl is not None:
-            yield wl
+    return tuple(filter(None, (match_while_loop(f, loop) for loop in natural_loops(f))))
 
 
 def match_while_loop(f: Function, loop: Loop) -> WhileLoop | None:
@@ -213,7 +220,7 @@ def match_while_loop(f: Function, loop: Loop) -> WhileLoop | None:
     loop_defs = frozenset().union(*(bmap[n].defined_names() for n in loop.blocks))
     two_block = (
         loop.blocks == {loop.header, body_target} and loop.latches[0] == body_target
-        and preds[body_target] == [loop.header]
+        and preds[body_target] == (loop.header,)
     )
     return WhileLoop(
         loop, header, t.cond, body_target, body_args, exit_target, exit_args,
@@ -221,7 +228,8 @@ def match_while_loop(f: Function, loop: Loop) -> WhileLoop | None:
     )
 
 
-def param_args(f: Function) -> dict[str, set[str]]:
+@memo
+def param_args(f: Function) -> dict[str, frozenset[str]]:
     """Block parameter -> the argument names its incoming edges pass.
 
     Parameters of blocks that no edge enters are absent.
@@ -233,7 +241,7 @@ def param_args(f: Function) -> dict[str, set[str]]:
             if target in bmap:
                 for param, a in zip(bmap[target].params, args):
                     flows.setdefault(param, set()).add(a)
-    return flows
+    return {param: frozenset(args) for param, args in flows.items()}
 
 
 def iv_aliases(f: Function, loop_blocks: frozenset[str], header: str, iv_param: str) -> set[str]:

@@ -36,7 +36,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 
-from .ir import INT_MAX, OPCODES, PURE_OPS, Br, CondBr, Instr, Program, Ret
+from .ir import INT_MAX, OPCODES, PURE_OPS, Br, CondBr, Function, Instr, Program, Ret, memo
 
 
 class InterpreterError(Exception):
@@ -230,6 +230,14 @@ def _branch(term: Br | CondBr, blocks: dict, code: dict):
     return h
 
 
+@memo
+def _live_names(f: Function) -> dict[str, tuple[tuple[str, ...], ...]]:
+    """Block -> the names live before each instruction index (`cfg.liveness`),
+    each in name order; `Machine.canon_key` keys a frame by them."""
+    from .cfg import liveness  # not at import time: `run` never needs it
+    return {b: tuple(tuple(sorted(names)) for names in points) for b, points in liveness(f).items()}
+
+
 class Machine:
     """Mutable execution state for one run; confine each instance to one driver."""
 
@@ -252,8 +260,6 @@ class Machine:
         self.cost = self.steps = 0
         self.status: str | None = None  # set once terminal
         self.reason: str | None = None
-        # fn -> block -> live names per instruction index, filled by canon_key
-        self._live: dict[str, dict[str, tuple[tuple[str, ...], ...]]] = {}
 
     def _decode(self) -> None:
         """Build the decoded form, which clones share: `code` maps fn -> block ->
@@ -639,16 +645,8 @@ class Machine:
             m.threads.append(ThreadState(t.tid, fs, t.status, t.wait_obj, t.saved_count, t.permit))
         m.live, m.events = self.live, []
         m.cost, m.steps, m.status = self.cost, self.steps, self.status
-        m.reason, m._live = self.reason, self._live
+        m.reason = self.reason
         return m
-
-    def _live_names(self, f: Frame) -> tuple[str, ...]:
-        by_block = self._live.get(f.fn)
-        if by_block is None:
-            from .cfg import liveness  # not at import time: `run` never needs it
-            by_block = self._live[f.fn] = {b: tuple(tuple(sorted(names)) for names in points)
-                                           for b, points in liveness(self.fns[f.fn]).items()}
-        return by_block[f.block][f.idx]
 
     def canon_key(self):
         """Schedule-independent state fingerprint.
@@ -682,15 +680,15 @@ class Machine:
                 return ("n",)
             return v
 
-        live_names, field_order = self._live_names, self._field_order
+        fns, field_order = self.fns, self._field_order
         roots = [cv(self.singletons[name]) for name in sorted(self.singletons)]
         tparts = []
         for t in self.threads:
             frames = []
             for f in t.frames:
-                env = f.locals
+                env, live = f.locals, _live_names(fns[f.fn])[f.block][f.idx]
                 frames.append((f.fn, f.block, f.idx, f.ret_dest,
-                               tuple([cv(env[k]) if k in env else None for k in live_names(f)])))
+                               tuple([cv(env[k]) if k in env else None for k in live])))
             tparts.append((t.status, cv(Ref(t.wait_obj)) if t.wait_obj is not None else None,
                            t.saved_count, t.permit, tuple(frames)))
         hparts = []

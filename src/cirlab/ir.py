@@ -11,11 +11,22 @@ a failed guard is the only non-return exit.
 Cross-thread state lives behind ``classref C``, which yields the per-class
 singleton object (the moral equivalent of static fields); thread arguments
 themselves are literals.
+
+Pure analyses of a `Function` or a `Program` (its block and function maps,
+the `cfg` analyses, `validate`) are computed once per object through `memo`:
+the object is frozen and every field is a tuple, so a result stays valid for
+as long as the object exists. `memo` keeps the result in the instance
+`__dict__`, which dataclass `==`, `hash`, `repr` and `replace` never read,
+since they see only the fields. Every caller of a memoized analysis shares
+its result, so none may mutate it; results are tuples and frozensets where a
+list or a set is not needed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import wraps
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -24,6 +35,25 @@ BINOPS = ("add", "sub", "mul", "div", "mod", "lt", "le", "eq")
 VBINOPS = ("add", "sub", "mul")
 #: the operator kinds each opcode with a `kind` slot accepts
 KINDS = {"binop": BINOPS, "vbinop": VBINOPS}
+
+
+def memo(fn: Callable) -> Callable:
+    """`fn(obj)`, computed once per `obj` and kept in `obj.__dict__`.
+
+    Only for a pure function of a frozen IR object; see the module docstring.
+    """
+    key = f"_memo_{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def cached(obj):
+        d = obj.__dict__
+        try:
+            return d[key]
+        except KeyError:
+            out = d[key] = fn(obj)
+            return out
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -217,6 +247,7 @@ class Function:
     def entry(self) -> Block:
         return self.blocks[0]
 
+    @memo
     def block_map(self) -> dict[str, Block]:
         return {b.name: b for b in self.blocks}
 
@@ -226,6 +257,7 @@ class Function:
             names |= b.defined_names()
         return names
 
+    @memo
     def instr_count(self) -> int:
         return sum(len(b.instrs) + 1 for b in self.blocks)
 
@@ -252,9 +284,11 @@ class Program:
     functions: tuple[Function, ...]
     threads: tuple[ThreadDecl, ...]
 
+    @memo
     def class_map(self) -> dict[str, ClassDef]:
         return {c.name: c for c in self.classes}
 
+    @memo
     def fn_map(self) -> dict[str, Function]:
         return {f.name: f for f in self.functions}
 

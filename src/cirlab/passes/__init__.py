@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 
 @dataclass
@@ -49,7 +50,9 @@ class UnknownPassError(Exception):
     pass
 
 
+@cache
 def _registry():
+    # imported on first use, because the pass modules import this one
     from .pea import pea_atomic
     from .coarsen import lock_coarsen
     from .coalesce import atomic_coalesce

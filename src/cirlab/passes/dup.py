@@ -39,7 +39,7 @@ def _edge_facts(f: Function, idom, preds, defs, pred: str
         t = b.term
         if isinstance(t, CondBr) and t.then_target != t.else_target:
             for target, val in ((t.then_target, True), (t.else_target, False)):
-                if preds[target] == [cur] and dominates(idom, target, pred):
+                if preds[target] == (cur,) and dominates(idom, target, pred):
                     name_facts.setdefault(t.cond, val)
                     d = defs.get(t.cond)
                     if d is not None and d.op == "instanceof":

@@ -2,13 +2,15 @@
 
 `validate` returns a list of diagnostics (empty means the program is well
 formed). Resolution checks are split out because the parser also runs them.
+The diagnostics of a `Program`, and the per-function dataflow checks, are
+computed once per object (`ir.memo`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ir import OPCODES, Br, CondBr, Function, Program, Ret
+from .ir import OPCODES, Br, CondBr, Function, Program, Ret, memo
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,8 @@ def _class_diagnostics(p: Program) -> list[Diagnostic]:
     return out
 
 
-def _defined_once(f: Function) -> list[Diagnostic]:
+@memo
+def _defined_once(f: Function) -> tuple[Diagnostic, ...]:
     out = []
     seen: set[str] = set()
     for name in f.params:
@@ -132,10 +135,11 @@ def _defined_once(f: Function) -> list[Diagnostic]:
             if i.dest in seen:
                 out.append(_d(f"fn {f.name}/{b.name}", f"value {i.dest!r} defined more than once"))
             seen.add(i.dest)
-    return out
+    return tuple(out)
 
 
-def _def_before_use(f: Function) -> list[Diagnostic]:
+@memo
+def _def_before_use(f: Function) -> tuple[Diagnostic, ...]:
     """Every use must be reached by its definition along all paths.
 
     Forward dataflow: defs available at block entry = intersection over
@@ -180,7 +184,7 @@ def _def_before_use(f: Function) -> list[Diagnostic]:
         for u in b.term.uses():
             if u not in live:
                 out.append(_d(f"fn {f.name}/{name}", f"use of {u!r} before definition"))
-    return out
+    return tuple(out)
 
 
 def _fn_diagnostics(p: Program, f: Function) -> list[Diagnostic]:
@@ -224,6 +228,11 @@ def _fn_diagnostics(p: Program, f: Function) -> list[Diagnostic]:
 
 def validate(p: Program) -> list[Diagnostic]:
     """All invariant violations; empty list means valid."""
+    return list(_diagnostics(p))
+
+
+@memo
+def _diagnostics(p: Program) -> tuple[Diagnostic, ...]:
     out = resolution_diagnostics(p)
     out.extend(_class_diagnostics(p))
     fn_names = set()
@@ -240,4 +249,4 @@ def validate(p: Program) -> list[Diagnostic]:
             out.append(
                 _d("thread", f"{t.fn} takes {len(fmap[t.fn].params)} params, got {len(t.args)} args")
             )
-    return out
+    return tuple(out)

@@ -1,11 +1,17 @@
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
+from cirlab import cfg
 from cirlab.cfg import (
     dominators, dominates, liveness, match_while_loop, natural_loops, while_loops,
 )
-from cirlab.corpus import corpus_entry
-from cirlab.ir import Block, Br, CondBr, Function, Ret
+from cirlab.corpus import corpus, corpus_entry
+from cirlab.ir import Block, Br, CondBr, Function, Ret, print_program
 from cirlab.parser import parse
+from cirlab.passes import PASS_NAMES, run_pass
+from cirlab.validate import validate
+from test_fuzz import gen_program
 
 
 def _fn_from_edges(n_blocks: int, edges: dict[int, tuple[int, ...]]) -> Function:
@@ -87,7 +93,7 @@ def test_diamond_with_tail():
 def test_unreachable_blocks_reported():
     f = _fn_from_edges(3, {0: (1,)})  # b2 unreachable
     idom, unreachable = dominators(f)
-    assert unreachable == ["b2"]
+    assert unreachable == ("b2",)
     assert "b2" not in idom
 
 
@@ -217,3 +223,48 @@ def test_iv_aliases_follow_in_loop_copies_only():
     (loop,) = natural_loops(f)
     assert iv_aliases(f, loop.blocks, "loop", "i") == {"i", "i2", "i4"}
     assert iv_aliases(f, loop.blocks, "loop", "n") == {"n", "m"}
+
+
+#: every memoized analysis of a function
+ANALYSES = (
+    cfg.predecessors, cfg.reachable_rpo, cfg.dominators, cfg.natural_loops, cfg.while_loops,
+    cfg.liveness, cfg.param_args, cfg.def_index, Function.block_map, Function.instr_count,
+)
+
+
+def _pass_chain(p):
+    """`p` and the output of each pass in turn, all computed before any is inspected."""
+    progs = [p]
+    for name in PASS_NAMES:
+        progs.append(run_pass(progs[-1], name)[0])
+    return progs
+
+
+def test_memoized_analyses_equal_those_of_a_fresh_parse():
+    # the passes run before anything is compared, so a pass that mutated an
+    # analysis it read would leave a memo that a fresh parse does not have
+    inputs = [e.program for e in corpus()] + [parse(gen_program(seed)) for seed in range(50)]
+    for p in inputs:
+        for q in _pass_chain(p):
+            fresh = parse(print_program(q))
+            assert fresh == q
+            assert validate(q) == validate(fresh)
+            assert q.fn_map() == fresh.fn_map() and q.class_map() == fresh.class_map()
+            for f, g in zip(q.functions, fresh.functions, strict=True):
+                for analysis in ANALYSES:
+                    assert analysis(f) == analysis(g), (analysis.__name__, f.name)
+
+
+def test_analyses_leave_eq_hash_and_repr_alone():
+    for entry in corpus():
+        p = entry.program
+        q = parse(print_program(p))
+        nodes = (q, *q.functions)
+        before = [(hash(n), repr(n)) for n in nodes]
+        validate(q)
+        for f in q.functions:
+            for analysis in ANALYSES:
+                analysis(f)
+        assert [(hash(n), repr(n)) for n in nodes] == before
+        assert q == p and hash(q) == hash(p)
+        assert all(replace(f) == f for f in q.functions)

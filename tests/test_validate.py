@@ -1,7 +1,10 @@
+from cirlab.corpus import corpus
 from cirlab.ir import Block, Br, ClassDef, Function, Program, Ret, ThreadDecl
 from cirlab import ir
 from cirlab.parser import parse
+from cirlab.passes import PASS_NAMES, run_pass
 from cirlab.validate import validate
+from test_fuzz import gen_program
 
 
 def test_valid_program_no_diagnostics():
@@ -61,6 +64,10 @@ def test_use_before_def_on_one_path():
     p = parse(text)
     msgs = [d.message for d in validate(p)]
     assert any("use of 'v' before definition" in m for m in msgs)
+    # each call returns a list of its own, so a caller that edits one leaves
+    # the next call's answer alone
+    validate(p).clear()
+    assert [d.message for d in validate(p)] == msgs
 
 
 def test_double_definition():
@@ -120,3 +127,15 @@ def test_unknown_opcode_is_a_diagnostic():
     f = Function("main", (), (Block("b0", (), (ir.Instr("bogus"),), Ret(None)),))
     p = Program((), (f,), (ThreadDecl("main"),))
     assert "unknown opcode 'bogus'" in [d.message for d in validate(p)]
+
+
+def test_each_pass_twice_on_one_program_object():
+    # the second run reads the analyses the first one left on the same objects
+    inputs = [e.program for e in corpus()] + [parse(gen_program(seed)) for seed in range(50)]
+    for p in inputs:
+        for name in PASS_NAMES:
+            out, report = run_pass(p, name)
+            again, report_again = run_pass(p, name)
+            assert again == out and report_again == report, name
+            assert validate(out) == validate(again) == []
+            p = out
