@@ -306,37 +306,3 @@ def find_induction_var(f: Function, wl: WhileLoop) -> InductionVar | None:
         args = next(a for t, a in bmap[p].term.edges() if t == header.name)
         init_args[p] = args[pos]
     return InductionVar(iv, limit, cond_def.kind, init_args, frozenset(aliases))
-
-
-def monitor_balance(f: Function) -> list[str]:
-    """Problems with monitorenter/monitorexit nesting depth along paths.
-
-    Propagates the total lock depth through the CFG and reports blocks whose
-    predecessors disagree, paths that go negative, and returns at depth > 0.
-    """
-    problems: list[str] = []
-    depth_in: dict[str, int] = {f.entry.name: 0}
-    bmap = f.block_map()
-    work = [f.entry.name]
-    while work:
-        name = work.pop()
-        d = depth_in[name]
-        b = bmap[name]
-        for i in b.instrs:
-            if i.op == "monitorenter":
-                d += 1
-            elif i.op == "monitorexit":
-                d -= 1
-                if d < 0:
-                    problems.append(f"{f.name}/{name}: monitorexit without matching enter")
-                    d = 0
-        if not b.term.targets() and d != 0:
-            problems.append(f"{f.name}/{name}: returns while holding {d} monitor(s)")
-        for t in b.term.targets():
-            if t in depth_in:
-                if depth_in[t] != d:
-                    problems.append(f"{f.name}/{t}: inconsistent monitor depth at merge")
-            else:
-                depth_in[t] = d
-                work.append(t)
-    return problems

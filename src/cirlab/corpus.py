@@ -581,6 +581,112 @@ thread setter()
 """
 
 
+#: publish_pair's publishing step, per store: b reaches `G.ref`, or slot 0 of
+#: the array at `G.arr`, which the writer shares first
+_PUBLISH = {
+    "putfield": "  putfield g, ref, b",
+    "cas": "  ok = cas g, ref, zero, b",
+    "arraystore": "  a = newarray one\n  putfield g, arr, a\n  arraystore a, zero, b",
+}
+#: publish_pair's reader, up to `br look(r)` with the box at G.ref (or G.arr[0])
+_FETCH = {
+    "putfield": "  r = getfield g, ref\n  br look(r)",
+    "cas": "  r = getfield g, ref\n  br look(r)",
+    "arraystore": ("  a = getfield g, arr\n  na = binop eq, a, zero\n  condbr na, none(), arr()\n"
+                   "arr():\n  r = arrayload a, zero\n  br look(r)"),
+}
+
+
+def publish_pair(store: str) -> str:
+    """A writer links box c under box b, publishes b with one `store` (putfield,
+    cas or arraystore), then writes c; a reader prints c.v through G.ref (or
+    G.arr[0]), or -1 before the publication. Only a reader that runs between the
+    publication and the last write prints 1, so a search that takes that write
+    for a step on a thread-local cell misses the trace [1]."""
+    return f"""
+class G {{ fields ref, arr; }}
+class Box {{ fields v, next; }}
+fn writer() {{
+e:
+  g = classref G
+  zero = const 0
+  one = const 1
+  b = new Box
+  c = new Box
+  putfield c, v, one
+  putfield b, next, c
+{_PUBLISH[store]}
+  two = const 2
+  putfield c, v, two
+  ret
+}}
+fn reader() {{
+e:
+  g = classref G
+  zero = const 0
+{_FETCH[store]}
+look(p):
+  np = binop eq, p, zero
+  condbr np, none(), some()
+some():
+  n = getfield p, next
+  x = getfield n, v
+  output x
+  ret
+none():
+  m = const -1
+  output m
+  ret
+}}
+thread writer()
+thread reader()
+"""
+
+
+def private_boxes(iters: int, threads: int = 2) -> str:
+    """Threads that each update a box and an array only they can reach, `iters`
+    times, then add what they hold to a shared total, unlocked, and print it."""
+    decls = "\n".join(f"thread worker({k})" for k in range(1, threads + 1))
+    return f"""
+class Total {{ fields n; }}
+class Box {{ fields v; }}
+
+fn worker(k) {{
+e:
+  s = classref Total
+  zero = const 0
+  one = const 1
+  two = const 2
+  iters = const {iters}
+  b = new Box
+  a = newarray two
+  br loop(zero)
+loop(i):
+  x = getfield b, v
+  y = binop add, x, k
+  putfield b, v, y
+  y2 = binop add, y, i
+  ok = cas b, v, y, y2
+  slot = binop mod, i, two
+  arraystore a, slot, y2
+  w = arrayload a, zero
+  i2 = binop add, i, one
+  more = binop lt, i2, iters
+  condbr more, loop(i2), done(w)
+done(last):
+  t = getfield b, v
+  old = getfield s, n
+  sum = binop add, old, t
+  sum2 = binop add, sum, last
+  putfield s, n, sum2
+  output sum2
+  ret
+}}
+
+{decls}
+"""
+
+
 def corpus() -> list[CorpusEntry]:
     """The named corpus; every program validates and terminates under rr:1."""
     return [

@@ -145,17 +145,22 @@ def _binop_fn(kind: str):
 
 
 class HObj:
-    __slots__ = ("cls", "fields")
+    """An object; `owner` is the tid of the one thread that can reach it, or 0
+    once any other thread may (see `Machine._publish`)."""
 
-    def __init__(self, cls: str, fields: dict[str, Value]):
-        self.cls, self.fields = cls, fields
+    __slots__ = ("cls", "fields", "owner")
+
+    def __init__(self, cls: str, fields: dict[str, Value], owner: int):
+        self.cls, self.fields, self.owner = cls, fields, owner
 
 
 class HArr:
-    __slots__ = ("elems",)
+    """An array; `owner` as for `HObj`."""
 
-    def __init__(self, elems: list[Value]):
-        self.elems = elems
+    __slots__ = ("elems", "owner")
+
+    def __init__(self, elems: list[Value], owner: int):
+        self.elems, self.owner = elems, owner
 
 
 class Monitor:
@@ -180,8 +185,14 @@ class Frame:
 # which are detected by peeking at their next instruction
 RUN, WAITING, REACQUIRE, PARKED, DONE = "run", "waiting", "reacquire", "parked", "done"
 
-#: opcodes whose step reads and writes only the running thread's own frames
-_LOCAL_OPS = PURE_OPS | {"call"}
+#: opcodes whose step commutes with every step of every other thread: it reads
+#: and writes only the running thread's own frames, or allocates a cell that
+#: only that thread can reach, whose heap number `canon_key` renumbers away
+_LOCAL_OPS = PURE_OPS | {"call", "new", "newarray"}
+
+#: opcodes whose step reads or writes the heap cell its operand 0 refers to,
+#: and no other shared state; local when the running thread owns that cell
+_CELL_OPS = frozenset({"getfield", "putfield", "cas", "arrayload", "arraystore"})
 
 #: opcodes whose step can change whether another thread is enabled: they take,
 #: free or hand over a monitor, or wake a waiting or parked thread
@@ -247,7 +258,7 @@ class Machine:
         self._field_order = {c.name: tuple(program.declared_fields(c.name)) for c in program.classes}
         self.heap: list[HObj | HArr] = []
         self.monitors: dict[int, Monitor] = {}
-        self.singletons = {c.name: self._alloc_obj(c.name) for c in program.classes}
+        self.singletons = {c.name: self._alloc_obj(c.name, 0) for c in program.classes}
         self.op_counts: dict[str, int] = {}  # every opcode of the program, executed or not
         self._decode()
         self.threads: list[ThreadState] = []
@@ -290,13 +301,26 @@ class Machine:
 
     # -- heap -------------------------------------------------------------
 
-    def _alloc_obj(self, cls: str) -> Ref:
-        self.heap.append(HObj(cls, {f: 0 for f in self._field_order[cls]}))
+    def _alloc_obj(self, cls: str, owner: int) -> Ref:
+        self.heap.append(HObj(cls, {f: 0 for f in self._field_order[cls]}, owner))
         return Ref(len(self.heap) - 1)
 
-    def _alloc_arr(self, n: int) -> Ref:
-        self.heap.append(HArr([0] * n))
+    def _alloc_arr(self, n: int, owner: int) -> Ref:
+        self.heap.append(HArr([0] * n, owner))
         return Ref(len(self.heap) - 1)
+
+    def _publish(self, r: Ref) -> None:
+        """A store just put `r` into a shared cell: mark the cell `r` refers to,
+        and every cell it reaches, shared. Keeps the ownership invariant (see
+        `next_is_local`); a shared cell reaches only shared cells, so the walk
+        stops at them."""
+        heap, todo = self.heap, [r.i]
+        while todo:
+            h = heap[todo.pop()]
+            if h.owner:
+                h.owner = 0
+                todo += [x.i for x in (h.fields.values() if type(h) is HObj else h.elems)
+                         if type(x) is Ref]
 
     def _deref(self, v: Value, what: str, kind: type) -> HObj | HArr:
         """The heap cell `v` refers to, which must be a `kind` (HObj or HArr)."""
@@ -308,20 +332,20 @@ class Machine:
             raise InterpreterError(f"{what}: reference is {found}")
         return h
 
-    def _fields(self, v: Value, fld: str, what: str) -> dict[str, Value]:
-        """The fields of object `v`, which must have field `fld`."""
+    def _obj(self, v: Value, fld: str, what: str) -> HObj:
+        """Object `v`, which must have field `fld`."""
         o = self._deref(v, what, HObj)
         if fld not in o.fields:
             raise InterpreterError(f"{what}: class {o.cls} has no field {fld!r}")
-        return o.fields
+        return o
 
-    def _index(self, env: dict[str, Value], i: Instr) -> tuple[list[Value], int]:
-        """(elements of array operand 0, the in-bounds int operand 1)."""
-        elems = self._deref(env[i.args[0]], i.op, HArr).elems
+    def _index(self, env: dict[str, Value], i: Instr) -> tuple[HArr, int]:
+        """(array operand 0, the in-bounds int operand 1)."""
+        a = self._deref(env[i.args[0]], i.op, HArr)
         k = _int(env[i.args[1]], i.op)
-        if not 0 <= k < len(elems):
+        if not 0 <= k < len(a.elems):
             raise InterpreterError(f"{i.op}: index out of bounds")
-        return elems, k
+        return a, k
 
     def _monitor(self, oid: int) -> Monitor:
         m = self.monitors.get(oid)
@@ -389,19 +413,38 @@ class Machine:
         return enabled
 
     def next_is_local(self, tid: int) -> bool:
-        """True iff thread `tid`'s next step touches only its own frames.
+        """True iff thread `tid`'s next step commutes with every step of every
+        other thread.
 
-        Such a step commutes with every step of every other thread: a pure
-        op, a call, a branch, or a return to a caller. A return from the
-        last frame is not local, since `unpark` reads the DONE it sets.
+        Such a step touches only the thread's own frames and the heap cells
+        it owns: a pure op, a call, a branch, a return to a caller, a `new` or
+        `newarray`, or a `getfield`, `putfield`, `cas`, `arrayload` or
+        `arraystore` on a cell whose `owner` is `tid`. A return from the last
+        frame is not local, since `unpark` reads the DONE it sets.
+
+        Ownership invariant: a cell owned by thread t is referenced only from
+        t's frames and from other cells t owns. A cell starts owned by the
+        thread that allocates it (singletons start shared), and a store of a
+        reference into a shared cell shares the cell stored and all it
+        reaches (`_publish`); no other step puts a reference where another
+        thread can read it. So no other thread can reach t's cell without a
+        step of t, and an allocation commutes with other threads' steps up to
+        heap numbering. `canon_key` leaves `owner` out: the bit only decides
+        which orders the search may skip, never a result, so states that
+        differ only in it have the same result set.
         """
         t = self.threads[tid - 1]
         if t.status is not RUN:
             return False
         fr = t.frames[-1]
-        handler, _, _, op = fr.code[fr.idx]
+        handler, instr, _, op = fr.code[fr.idx]
         if op is not None:
-            return op in _LOCAL_OPS
+            if op in _LOCAL_OPS:
+                return True
+            if op not in _CELL_OPS:
+                return False
+            v = fr.locals.get(instr.args[0])
+            return type(v) is Ref and self.heap[v.i].owner == tid
         return handler is not Machine._op_ret or len(t.frames) > 1
 
     # -- execution --------------------------------------------------------
@@ -487,35 +530,41 @@ class Machine:
         fr.locals[i.dest] = self.singletons[i.cls]
 
     def _op_new(self, t, fr, i):
-        fr.locals[i.dest] = self._alloc_obj(i.cls)
+        fr.locals[i.dest] = self._alloc_obj(i.cls, t.tid)
 
     def _op_newarray(self, t, fr, i):
         n = _int(fr.locals[i.args[0]], "newarray")
         if n < 0:
             raise InterpreterError("newarray: negative length")
-        fr.locals[i.dest] = self._alloc_arr(n)
+        fr.locals[i.dest] = self._alloc_arr(n, t.tid)
 
     def _op_getfield(self, t, fr, i):
-        fr.locals[i.dest] = self._fields(fr.locals[i.args[0]], i.field, "getfield")[i.field]
+        fr.locals[i.dest] = self._obj(fr.locals[i.args[0]], i.field, "getfield").fields[i.field]
 
     def _op_putfield(self, t, fr, i):
-        fields = self._fields(fr.locals[i.args[0]], i.field, "putfield")
-        fields[i.field] = fr.locals[i.args[1]]
+        o, v = self._obj(fr.locals[i.args[0]], i.field, "putfield"), fr.locals[i.args[1]]
+        o.fields[i.field] = v
+        if not o.owner and type(v) is Ref:
+            self._publish(v)
 
     def _op_arrayload(self, t, fr, i):
-        elems, k = self._index(fr.locals, i)
-        fr.locals[i.dest] = elems[k]
+        a, k = self._index(fr.locals, i)
+        fr.locals[i.dest] = a.elems[k]
 
     def _op_arraystore(self, t, fr, i):
-        elems, k = self._index(fr.locals, i)
-        elems[k] = fr.locals[i.args[2]]
+        a, k = self._index(fr.locals, i)
+        a.elems[k] = v = fr.locals[i.args[2]]
+        if not a.owner and type(v) is Ref:
+            self._publish(v)
 
     def _op_cas(self, t, fr, i):
         env, (obj, expect, new) = fr.locals, i.args
-        fields = self._fields(env[obj], i.field, "cas")
-        ok = _values_equal(fields[i.field], env[expect])
+        o = self._obj(env[obj], i.field, "cas")
+        ok = _values_equal(o.fields[i.field], env[expect])
         if ok:
-            fields[i.field] = env[new]
+            o.fields[i.field] = v = env[new]
+            if not o.owner and type(v) is Ref:
+                self._publish(v)
         env[i.dest] = ok
 
     def _op_monitorenter(self, t, fr, i):
@@ -633,8 +682,8 @@ class Machine:
         # instance dict (reading `__dict__` would give that up)
         m = Machine.__new__(Machine)
         m.program, m.fns, m._field_order = self.program, self.fns, self._field_order
-        m.heap = [HObj(h.cls, dict(h.fields)) if isinstance(h, HObj) else HArr(list(h.elems))
-                  for h in self.heap]
+        m.heap = [HObj(h.cls, dict(h.fields), h.owner) if isinstance(h, HObj)
+                  else HArr(list(h.elems), h.owner) for h in self.heap]
         m.monitors = {oid: Monitor(mon.owner, mon.count, list(mon.waitset))
                       for oid, mon in self.monitors.items()}
         m.singletons, m.op_counts = self.singletons, self.op_counts.copy()

@@ -165,5 +165,10 @@ def handle_simplify(p: Program, options: PassOptions, report: PassReport) -> Pro
     fn_names = {f.name for f in p.functions}
     devirted = tuple(_devirtualize(f, fn_names, report) for f in p.functions)
     new_p = _inline_all(replace(p, functions=devirted), options.inline_budget, report)
-    # handle constants left dangling by the rewrite disappear with their uses
-    return replace(new_p, functions=tuple(remove_dead_pure(f) for f in new_p.functions))
+    if not report.rewrites:
+        return p  # which `run_pass` would return anyway
+    # handle constants left dangling by the rewrite disappear with their uses,
+    # and every function loses its dead pure instructions; `_inline_all`
+    # already cleaned each function it inlined into
+    return replace(new_p, functions=tuple(
+        remove_dead_pure(f) if f is d else f for f, d in zip(new_p.functions, devirted)))

@@ -21,14 +21,26 @@ A state where some enabled thread's next step is local
 (`Machine.next_is_local`) expands only the lowest such thread: an ample set
 of one (Godefroid, *Partial-Order Methods*, LNCS 1032, 1996). A local step
 commutes with every step of every other thread, so the orders it skips
-reach the same results. A state that expands one thread, whose step emits
-nothing, goes on stepping that thread while its next step is local and the
-budget allows, and keys only the state the chain ends in: a chain of local
-steps counts as one state. A thread whose next step is local is an ample set
-of one in any state, so each state inside the chain may expand that thread
-alone; the chain only leaves those states unkeyed (one transaction in the
-sense of Lipton, *Reduction*, CACM 1975). The contract against the
-unreduced search, which holds as written:
+reach the same results. Local steps are the pure ops, calls, branches,
+returns to a caller, allocations (`new`, `newarray`: `canon_key` renumbers
+references by reachability, so allocation order is invisible), and field,
+CAS and array accesses to a heap cell the stepping thread owns. Each cell
+records its owner, the allocating thread, until a store of a reference to
+it, or to a cell that reaches it, into a shared cell makes it shared; so a
+cell a thread owns is referenced only from that thread's frames and other
+cells it owns, and no other thread can touch it without a step of its
+owner first. `canon_key` leaves the owner out: it only decides which orders
+are skipped, and a memo entry is the exact result set of its state, so two
+states that differ only in ownership may share one.
+
+A state that expands one thread, whose step emits nothing, goes on stepping
+that thread while its next step is local and the budget allows, and keys
+only the state the chain ends in: a chain of local steps counts as one
+state. A thread whose next step is local is an ample set of one in any
+state, so each state inside the chain may expand that thread alone; the
+chain only leaves those states unkeyed (one transaction in the sense of
+Lipton, *Reduction*, CACM 1975). The contract against the unreduced
+search, which holds as written:
 
 - a fully enumerated search (`exhausted`) gives exactly the same traces;
 - a search cut by the step budget gives the same `terminated` and `deadlock`

@@ -3,12 +3,12 @@ import math
 import pytest
 
 from cirlab import corpus
-from cirlab.cfg import monitor_balance
 from cirlab.interp import run
 from cirlab.parser import parse
 from cirlab.passes import PassOptions, run_pass
 from cirlab.scheduler import check_refinement
 from cirlab.validate import validate
+from test_pipeline import monitor_balance
 
 
 def _coarsen(text, chunk):

@@ -2,14 +2,48 @@
 
 import pytest
 
-from cirlab.cfg import monitor_balance
 from cirlab.corpus import corpus
 from cirlab.interp import run
-from cirlab.ir import print_program
+from cirlab.ir import Function, print_program
 from cirlab.parser import parse
 from cirlab.passes import PASS_NAMES, PassOptions, UnknownPassError, pipeline, run_pass
 from cirlab.scheduler import check_refinement
 from cirlab.validate import validate
+
+
+def monitor_balance(f: Function) -> list[str]:
+    """Problems with monitorenter/monitorexit nesting depth along paths.
+
+    Propagates the total lock depth through the CFG and reports blocks whose
+    predecessors disagree, paths that go negative, and returns at depth > 0.
+    """
+    problems: list[str] = []
+    depth_in: dict[str, int] = {f.entry.name: 0}
+    bmap = f.block_map()
+    work = [f.entry.name]
+    while work:
+        name = work.pop()
+        d = depth_in[name]
+        b = bmap[name]
+        for i in b.instrs:
+            if i.op == "monitorenter":
+                d += 1
+            elif i.op == "monitorexit":
+                d -= 1
+                if d < 0:
+                    problems.append(f"{f.name}/{name}: monitorexit without matching enter")
+                    d = 0
+        if not b.term.targets() and d != 0:
+            problems.append(f"{f.name}/{name}: returns while holding {d} monitor(s)")
+        for t in b.term.targets():
+            if t in depth_in:
+                if depth_in[t] != d:
+                    problems.append(f"{f.name}/{t}: inconsistent monitor depth at merge")
+            else:
+                depth_in[t] = d
+                work.append(t)
+    return problems
+
 
 OPTS = PassOptions(chunk=2)  # small chunk so coarsening fires on tiny variants
 ENTRIES = corpus()

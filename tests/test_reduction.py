@@ -6,6 +6,8 @@ and the heap in allocation order) and is exact under a step budget: a state
 whose every path ends is reused only where its longest path fits the budget
 left, and a state the budget cut is memoized per budget left.
 `enumerate_results` must match it as the `scheduler` docstring states.
+A last test checks, in every reachable state, the ownership invariant that
+lets steps on thread-local heap cells count as local.
 """
 
 import pickle
@@ -13,14 +15,15 @@ import sys
 
 import pytest
 
-from cirlab.corpus import corpus, corpus_entry
-from cirlab.interp import HObj, Machine, ResultTrace
+from cirlab.corpus import corpus, corpus_entry, private_boxes, publish_pair
+from cirlab.interp import HObj, Machine, Ref, ResultTrace
 from cirlab.parser import parse
 from cirlab.passes import PASS_NAMES, PassOptions, run_pass
 from cirlab.scheduler import enumerate_results
 from test_fuzz import gen_program
 
 FUZZ_SEEDS = 40
+PUBLISHING_STORES = ("putfield", "cas", "arraystore")
 
 
 def full_key(m: Machine) -> bytes:
@@ -153,8 +156,9 @@ thread notifier()
 
 def _cases():
     """(id, program, step budget, budgets that cut it): corpus small variants,
-    the two programs above and generated programs, each followed by the
-    output of every pass that rewrites it.
+    the two programs above, one `publish_pair` per publishing store and
+    generated programs, each followed by the output of every pass that
+    rewrites it.
 
     Generated programs are cut at 4 and 8 steps only: at 12 and 16 their
     budget-cut searches, each a tree search, take 0.05 to 0.8 s apiece.
@@ -163,6 +167,8 @@ def _cases():
                for e in corpus()]
     sources += [(name, parse(text), 200, PassOptions(), (4, 8, 12, 16))
                 for name, text in (("stale-read", STALE_READ), ("reacquire-race", REACQUIRE_RACE))]
+    sources += [(f"publish-{store}", parse(publish_pair(store)), 200, PassOptions(),
+                 (12, 16, 20, 24)) for store in PUBLISHING_STORES]
     sources += [(f"gen{s}", parse(gen_program(s)), 3000, PassOptions(), (4, 8))
                 for s in range(FUZZ_SEEDS)]
     for name, program, budget, options, cuts in sources:
@@ -239,3 +245,53 @@ def test_coarsen_mini_enumerates_far_fewer_states():
     rs = enumerate_results(e.small, e.small_budget)
     assert rs.exhausted and rs.states_explored < 2_500  # 20,394 without reduction
     assert rs.memo_hits > 0
+
+
+def _reach_violations(m: Machine) -> list[tuple[str, int, int]]:
+    """(root, cell, owner) for each cell reachable from a root that its owner
+    forbids: the singletons may reach only shared cells, and thread u's frames
+    only shared cells and cells u owns."""
+    roots = [("singletons", 0, list(m.singletons.values()))]
+    roots += [(f"thread {t.tid}", t.tid, [v for f in t.frames for v in f.locals.values()])
+              for t in m.threads]
+    bad = []
+    for name, tid, values in roots:
+        seen = set()
+        todo = [v.i for v in values if isinstance(v, Ref)]
+        while todo:
+            i = todo.pop()
+            if i in seen:
+                continue
+            seen.add(i)
+            h = m.heap[i]
+            if h.owner not in (0, tid):
+                bad.append((name, i, h.owner))
+            todo += [v.i for v in (h.fields.values() if isinstance(h, HObj) else h.elems)
+                     if isinstance(v, Ref)]
+    return bad
+
+
+OWNERSHIP_PROGRAMS = (
+    [pytest.param(gen_program(s), id=f"gen{s}") for s in range(FUZZ_SEEDS)]
+    + [pytest.param(publish_pair(s), id=f"publish-{s}") for s in PUBLISHING_STORES]
+    + [pytest.param(private_boxes(2), id="private-boxes")])
+
+
+@pytest.mark.parametrize("text", OWNERSHIP_PROGRAMS)
+def test_owned_cells_are_out_of_other_threads_reach(text):
+    # the ownership invariant `Machine.next_is_local` relies on, in every
+    # state over every schedule, owner bits included in the state
+    todo, seen, owned = [Machine(parse(text))], set(), 0
+    while todo:
+        m = todo.pop()
+        key = full_key(m), tuple(h.owner for h in m.heap)
+        if key in seen:
+            continue
+        seen.add(key)
+        assert _reach_violations(m) == []
+        owned += any(h.owner for h in m.heap)
+        for tid in m.schedulable(3000):
+            child = m.clone()
+            child.step(tid)
+            todo.append(child)
+    assert owned or " new " not in text  # a program that allocates holds a local cell

@@ -1,11 +1,13 @@
 """Fingerprint every schedule search, for comparing two versions of cirlab.
 
-Enumerates each corpus small variant and, at chunk=2, each pass output that
-rewrites it; each at the entry's `small_budget`, at budget 40, and at the
-small budget with a 150-state ceiling. Then a small variant at a cut budget
-where reusing a memo entry without checking that its longest path fits the
-budget left claimed a finished search, and a few larger programs at the
-default bounds: contention loops and one single-thread loop. Prints one
+Enumerates each corpus small variant and `publish_pair` for each publishing
+store and, at chunk=2, each pass output that rewrites one of them; each at
+its small budget, at budget 40, and at the small budget with a 150-state
+ceiling. Then a small variant at a cut budget where reusing a memo entry
+without checking that its longest path fits the budget left claimed a
+finished search, and a few larger programs at the default bounds:
+contention loops, one single-thread loop, and threads that each update a
+box and an array only they can reach (`private_boxes`). Prints one
 line per search: a label, `states_explored`, `memo_hits`, `exhausted`, the
 trace count and the SHA-256 of the sorted traces; for a pass output, a
 second line with the `check_refinement` verdict against its input and the
@@ -17,7 +19,8 @@ witness. Run it against two checkouts and diff the outputs:
 
 import hashlib
 
-from cirlab.corpus import coalesce_mini, coarsen_loop, corpus, corpus_entry, guard_bounds_loop
+from cirlab.corpus import (coalesce_mini, coarsen_loop, corpus, corpus_entry, guard_bounds_loop,
+                           private_boxes, publish_pair)
 from cirlab.parser import parse
 from cirlab.passes import PASS_NAMES, PassOptions, run_pass
 from cirlab.scheduler import check_refinement, enumerate_results
@@ -29,7 +32,10 @@ LARGER = (("coarsen_loop(4,2)", coarsen_loop(4, threads=2)),
           ("coarsen_loop(2,3)", coarsen_loop(2, threads=3)),
           ("coarsen_loop(4,3)", coarsen_loop(4, threads=3)),
           ("coalesce_mini(5,contended)", coalesce_mini(5, contended=True)),
-          ("guard_bounds_loop(200,400)", guard_bounds_loop(200, 400)))
+          ("guard_bounds_loop(200,400)", guard_bounds_loop(200, 400)),
+          ("private_boxes(3,2)", private_boxes(3)),
+          ("private_boxes(8,2)", private_boxes(8)),
+          ("private_boxes(3,3)", private_boxes(3, threads=3)))
 
 
 def search_line(program, **bounds) -> str:
@@ -40,16 +46,23 @@ def search_line(program, **bounds) -> str:
             f"traces={len(rs.traces)} sha={digest.hexdigest()[:16]}")
 
 
+def sources():
+    """(label, program, small budget)."""
+    for e in corpus():
+        if e.small is not None:
+            yield f"{e.name}/small", e.small, e.small_budget
+    for store in ("putfield", "cas", "arraystore"):
+        yield f"publish_pair({store})", parse(publish_pair(store)), 200
+
+
 def cases():
     """(label, program, its input program or None, small budget)."""
-    for e in corpus():
-        if e.small is None:
-            continue
-        yield f"{e.name}/small", e.small, None, e.small_budget
+    for label, program, budget in sources():
+        yield label, program, None, budget
         for name in PASS_NAMES:
-            out, report = run_pass(e.small, name, PassOptions(chunk=2))
+            out, report = run_pass(program, name, PassOptions(chunk=2))
             if report.rewrites:
-                yield f"{e.name}/small/{name}", out, e.small, e.small_budget
+                yield f"{label}/{name}", out, program, budget
 
 
 def main() -> None:
