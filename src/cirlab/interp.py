@@ -191,8 +191,23 @@ RUN, WAITING, REACQUIRE, PARKED, DONE = "run", "waiting", "reacquire", "parked",
 _LOCAL_OPS = PURE_OPS | {"call", "new", "newarray"}
 
 #: opcodes whose step reads or writes the heap cell its operand 0 refers to,
-#: and no other shared state; local when the running thread owns that cell
+#: and no other shared state; local when the running thread owns that cell, or
+#: when no other thread may still make a conflicting access to it
 _CELL_OPS = frozenset({"getfield", "putfield", "cas", "arrayload", "arraystore"})
+
+#: opcodes of `_CELL_OPS` that index an array; the rest name a field
+_ARRAY_OPS = frozenset({"arrayload", "arraystore"})
+
+#: look-ahead labels (see `_reach_table`) besides the field accesses ("r", field)
+#: and ("w", field): an array read or write, an output, a guard, and an unknown callee
+AR, AW, OUT, STOP, TOP = "ar", "aw", "out", "stop", "top"
+
+_OP_LABELS = {"arrayload": (AR,), "arraystore": (AW,), "vbinop": (AR, AW), "output": (OUT,),
+              "guard": (STOP,), "callvirtual": (TOP,), "callhandle": (TOP,)}
+
+#: the labels another thread's reach must not hold for a step on a shared cell,
+#: or an output, to count as local (see `Machine.next_is_local`)
+_CONFLICTS = {"arrayload": (AW, TOP), "arraystore": (AR, AW, TOP), "output": (OUT, STOP, TOP)}
 
 #: opcodes whose step can change whether another thread is enabled: they take,
 #: free or hand over a monitor, or wake a waiting or parked thread
@@ -241,6 +256,60 @@ def _branch(term: Br | CondBr, blocks: dict, code: dict):
     return h
 
 
+def _labels(i: Instr) -> tuple:
+    """The look-ahead labels of `i` itself; a `call` adds its callee's."""
+    if i.op == "getfield":
+        return (("r", i.field),)
+    if i.op == "putfield":
+        return (("w", i.field),)
+    if i.op == "cas":
+        return (("r", i.field), ("w", i.field))
+    return _OP_LABELS.get(i.op, ())
+
+
+def _reach_table(fns: dict[str, Function]) -> dict[str, dict[str, list[frozenset]]]:
+    """fn -> block -> for each index, the labels a frame there may still produce,
+    its callees' included; the last index is the terminator's.
+
+    A static over-approximation: a fixpoint of each block's entry set over the
+    branches and the call graph. A `ret` adds nothing, since the caller's frame
+    holds the rest of its code. Equal sets are one object.
+    """
+    entry_key = {name: (name, f.entry.name) for name, f in fns.items() if f.blocks}
+    parts = {}  # (fn, block) -> (own labels, callee entry keys, successor keys)
+    for name, f in fns.items():
+        bm = f.block_map()
+        for b in f.blocks:
+            parts[name, b.name] = (
+                {x for i in b.instrs for x in _labels(i)},
+                [entry_key[i.fn] for i in b.instrs if i.op == "call" and i.fn in entry_key],
+                [(name, t) for t in b.term.targets() if t in bm])
+    entry = dict.fromkeys(parts, frozenset())
+    changed = True
+    while changed:
+        changed = False
+        for key, (own, calls, succs) in parts.items():
+            s = frozenset(own.union(*[entry[k] for k in calls], *[entry[k] for k in succs]))
+            if s != entry[key]:
+                entry[key], changed = s, True
+    interned: dict[frozenset, frozenset] = {}
+    table: dict[str, dict[str, list[frozenset]]] = {}
+    for name, f in fns.items():
+        blocks = table[name] = {}
+        for b in f.blocks:
+            acc = frozenset().union(*[entry[k] for k in parts[name, b.name][2]])
+            points = [interned.setdefault(acc, acc)]
+            for i in reversed(b.instrs):
+                extra = set(_labels(i))
+                if i.op == "call" and i.fn in entry_key:
+                    extra |= entry[entry_key[i.fn]]
+                if not extra <= acc:
+                    acc = acc | extra
+                points.append(interned.setdefault(acc, acc))
+            blocks[b.name] = points[::-1]
+    return table
+
+
 @memo
 def _live_names(f: Function) -> dict[str, tuple[tuple[str, ...], ...]]:
     """Block -> the names live before each instruction index (`cfg.liveness`),
@@ -261,6 +330,7 @@ class Machine:
         self.singletons = {c.name: self._alloc_obj(c.name, 0) for c in program.classes}
         self.op_counts: dict[str, int] = {}  # every opcode of the program, executed or not
         self._decode()
+        self._reach: list = []  # holds `_reach_table` once `_reached` builds it; clones share it
         self.threads: list[ThreadState] = []
         for n, decl in enumerate(program.threads, start=1):
             params, block, code = self._callees[decl.fn]
@@ -413,13 +483,30 @@ class Machine:
         return enabled
 
     def next_is_local(self, tid: int) -> bool:
-        """True iff thread `tid`'s next step commutes with every step of every
-        other thread.
+        """True iff thread `tid`'s next step commutes with every step the other
+        threads can take before `tid` steps again.
 
-        Such a step touches only the thread's own frames and the heap cells
-        it owns: a pure op, a call, a branch, a return to a caller, a `new` or
-        `newarray`, or a `getfield`, `putfield`, `cas`, `arrayload` or
-        `arraystore` on a cell whose `owner` is `tid`. A return from the last
+        Such a step is a pure op, a call, a branch, a return to a caller, a
+        `new` or `newarray`, or one of these, when it cannot raise:
+
+        - a `getfield`, `putfield`, `cas`, `arrayload` or `arraystore` on a
+          cell whose `owner` is `tid`;
+        - the same on a shared cell, when no frame of another thread may
+          still make a conflicting access (`_reached`): a `getfield` of f
+          conflicts with a write of f, a `putfield` or `cas` of f with a read
+          or write of f, an `arrayload` with an array write, an `arraystore`
+          with an array read or write;
+        - an `output`, when no other thread may still output or run a
+          `guard`, whose deopt would end the trace without it.
+
+        An unknown callee (`callvirtual`, `callhandle`) conflicts with all of
+        them; the `scheduler` docstring tabulates these conflict sets. A cell
+        op cannot raise when its reference is to a cell of the right kind,
+        with the field or the in-range int index it names; an `output` cannot
+        when its value is an int. A `binop` counts as pure even where it may
+        divide by zero: a fault raises out of the whole search, and making it
+        a result that ends one path, for which such a step must not count as
+        local either, is left to a later change. A return from the last
         frame is not local, since `unpark` reads the DONE it sets.
 
         Ownership invariant: a cell owned by thread t is referenced only from
@@ -438,14 +525,43 @@ class Machine:
             return False
         fr = t.frames[-1]
         handler, instr, _, op = fr.code[fr.idx]
-        if op is not None:
-            if op in _LOCAL_OPS:
-                return True
-            if op not in _CELL_OPS:
+        if op is None:
+            return handler is not Machine._op_ret or len(t.frames) > 1
+        if op in _LOCAL_OPS:
+            return True
+        env = fr.locals
+        if op == "output":
+            return type(env.get(instr.args[0])) is int and not self._reached(tid, _CONFLICTS[op])
+        if op not in _CELL_OPS:
+            return False
+        v = env.get(instr.args[0])
+        if type(v) is not Ref:
+            return False
+        h = self.heap[v.i]
+        if op in _ARRAY_OPS:
+            k = env.get(instr.args[1])
+            if type(h) is not HArr or type(k) is not int or not 0 <= k < len(h.elems):
                 return False
-            v = fr.locals.get(instr.args[0])
-            return type(v) is Ref and self.heap[v.i].owner == tid
-        return handler is not Machine._op_ret or len(t.frames) > 1
+            conflict = _CONFLICTS[op]
+        else:
+            if type(h) is not HObj or instr.field not in h.fields:
+                return False
+            write = ("w", instr.field)
+            conflict = (write, TOP) if op == "getfield" else (("r", instr.field), write, TOP)
+        return h.owner == tid or not self._reached(tid, conflict)
+
+    def _reached(self, tid: int, conflict: tuple) -> bool:
+        """True iff a frame of a thread other than `tid` may still produce a
+        label in `conflict` (`_reach_table`, built on first use)."""
+        if not self._reach:
+            self._reach.append(_reach_table(self.fns))
+        table = self._reach[0]
+        for u in self.threads:
+            if u.tid != tid:
+                for f in u.frames:
+                    if not table[f.fn][f.block][f.idx].isdisjoint(conflict):
+                        return True
+        return False
 
     # -- execution --------------------------------------------------------
 
@@ -688,6 +804,7 @@ class Machine:
                       for oid, mon in self.monitors.items()}
         m.singletons, m.op_counts = self.singletons, self.op_counts.copy()
         m._callees, m._ancestry, m._vtable = self._callees, self._ancestry, self._vtable
+        m._reach = self._reach
         m.threads = []
         for t in self.threads:
             fs = [Frame(f.fn, f.block, f.code, dict(f.locals), f.ret_dest, f.idx) for f in t.frames]

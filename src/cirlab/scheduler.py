@@ -20,33 +20,56 @@ time.
 A state where some enabled thread's next step is local
 (`Machine.next_is_local`) expands only the lowest such thread: an ample set
 of one (Godefroid, *Partial-Order Methods*, LNCS 1032, 1996). A local step
-commutes with every step of every other thread, so the orders it skips
-reach the same results. Local steps are the pure ops, calls, branches,
-returns to a caller, allocations (`new`, `newarray`: `canon_key` renumbers
-references by reachability, so allocation order is invisible), and field,
-CAS and array accesses to a heap cell the stepping thread owns. Each cell
-records its owner, the allocating thread, until a store of a reference to
-it, or to a cell that reaches it, into a shared cell makes it shared; so a
-cell a thread owns is referenced only from that thread's frames and other
-cells it owns, and no other thread can touch it without a step of its
-owner first. `canon_key` leaves the owner out: it only decides which orders
-are skipped, and a memo entry is the exact result set of its state, so two
-states that differ only in ownership may share one.
+commutes with every step the other threads can take before its thread steps
+again, so the orders it skips reach the same results. Local steps are the
+pure ops, calls, branches, returns to a caller, allocations (`new`,
+`newarray`: `canon_key` renumbers references by reachability, so allocation
+order is invisible), field, CAS and array accesses to a heap cell the
+stepping thread owns, and the accesses and outputs that the static
+look-ahead below admits. Each cell records its owner, the allocating thread,
+until a store of a reference to it, or to a cell that reaches it, into a
+shared cell makes it shared; so a cell a thread owns is referenced only from
+that thread's frames and other cells it owns, and no other thread can touch
+it without a step of its owner first. `canon_key` leaves the owner out: it
+only decides which orders are skipped, and a memo entry is the exact result
+set of its state, so two states that differ only in ownership may share one.
 
-A state that expands one thread, whose step emits nothing, goes on stepping
-that thread while its next step is local and the budget allows, and keys
-only the state the chain ends in: a chain of local steps counts as one
-state. A thread whose next step is local is an ample set of one in any
-state, so each state inside the chain may expand that thread alone; the
-chain only leaves those states unkeyed (one transaction in the sense of
-Lipton, *Reduction*, CACM 1975). The contract against the unreduced
-search, which holds as written:
+The look-ahead is the stubborn-set condition with a static reach (Valmari,
+*Stubborn sets for reduced state space generation*, LNCS 483, 1990;
+Godefroid, ch. 4). A table built once per search, on first use, and shared
+by its clones gives for each (function, block, index) the labels a frame
+there may still produce, callees included: ("r", f) and ("w", f) for reads
+and writes of field f (`cas` both), `ar` and `aw` for array reads and
+writes (`vbinop` both), `out` for `output`, `stop` for `guard`, and `top`
+for `callvirtual` and `callhandle`, whose callee is unknown. A step on a
+shared cell, or an output, is local when no frame of another live thread
+reaches a label of its conflict set:
+
+    getfield f                 {("w", f), top}
+    putfield f, cas f          {("r", f), ("w", f), top}
+    arrayload                  {aw, top}
+    arraystore                 {ar, aw, top}
+    output                     {out, stop, top}
+
+An output conflicts with a guard because a deopt ends the trace: run first,
+the output would hide the trace that deopts before it. A cell op or output
+that may raise is never local (see `Machine.next_is_local`).
+
+A state that expands one thread goes on stepping that thread while its next
+step is local and the budget allows, and keys only the state the chain ends
+in: a chain of local steps counts as one state, and what the chain outputs
+is the edge's emission. A thread whose next step is local is an ample set
+of one in any state, so each state inside the chain may expand that thread
+alone; the chain only leaves those states unkeyed (one transaction in the
+sense of Lipton, *Reduction*, CACM 1975). The contract against the
+unreduced search, which holds as written:
 
 - a fully enumerated search (`exhausted`) gives exactly the same traces;
 - a search cut by the step budget gives the same `terminated` and `deadlock`
   traces and the same `exhausted` flag, but its `deopt` and
-  `step-budget-exhausted` traces can be strict subsets: local steps run
-  first, so they can push a failing guard, or a prefix, past the budget.
+  `step-budget-exhausted` traces can be strict subsets: local steps,
+  outputs among them, run first, so they can push a failing guard, or a
+  prefix, past the budget.
 
 Verdicts cannot change, since `check_refinement` compares only terminated
 traces.
@@ -152,14 +175,15 @@ class _Explorer:
             last = choices[-1]
             for tid in choices:
                 child = m if tid == last else m.clone()
-                emitted = tuple(child.step(tid))
-                if emitted:
-                    child.events.clear()
-                elif len(choices) == 1:  # a chain of local steps is one edge
+                child.step(tid)
+                if len(choices) == 1:  # a chain of local steps is one edge
                     t = child.threads[tid - 1]
                     while (child.status is None and child.steps < self.budget
                            and child.live > 1 and child.next_is_local(tid)):
                         child._step(t)
+                emitted = tuple(child.events)  # what the edge emitted, chain included
+                if emitted:
+                    child.events.clear()
                 suffixes, child_end = self.explore(child)
                 end = None if end is None or child_end is None else max(end, child_end)
                 if emitted:

@@ -138,12 +138,12 @@ def test_check_json_reports_each_side(cir_file, capsys):
 
 
 def test_check_json_says_which_bound_cut_a_side(cir_file, capsys):
-    # the contended original takes 133 states, its coalesced form 92
+    # the contended original takes 78 states, its coalesced form 51
     small = corpus_entry("coalesce-mini").small
     coalesced, _ = run_pass(small, "atomic_coalesce", PassOptions(chunk=2))
     before = cir_file("before.cir", print_program(small))
     after = cir_file("after.cir", print_program(coalesced))
-    assert main(["check", before, after, "--budget", "600", "--max-states", "100"]) == 0
+    assert main(["check", before, after, "--budget", "600", "--max-states", "60"]) == 0
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["verdict"] == "bounded-ok"
     orig, trans = verdict["original"], verdict["transformed"]

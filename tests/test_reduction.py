@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from cirlab.corpus import corpus, corpus_entry, private_boxes, publish_pair
-from cirlab.interp import HObj, Machine, Ref, ResultTrace
+from cirlab.interp import HObj, InterpreterError, Machine, Ref, ResultTrace
 from cirlab.parser import parse
 from cirlab.passes import PASS_NAMES, PassOptions, run_pass
 from cirlab.scheduler import enumerate_results
@@ -153,10 +153,225 @@ thread waiter()
 thread notifier()
 """
 
+# an output conflicts with another thread's guard: run first, it would hide
+# the deopt trace [], where the guard fails before anything is printed
+OUTPUT_THEN_DEOPT = """
+fn out1() {
+e:
+  one = const 1
+  output one
+  ret
+}
+fn fail() {
+e:
+  f = const false
+  guard f, boom
+  ret
+}
+thread out1()
+thread fail()
+"""
+
+# looper writes G.x only after its loop, so G.x stays in its reach until then;
+# its reads of G.y conflict with other's write until that write is done
+LATE_WRITE = """
+class G { fields x, y; }
+fn looper(n) {
+e:
+  g = classref G
+  zero = const 0
+  br l(zero, zero)
+l(i, last):
+  v = getfield g, y
+  one = const 1
+  i2 = binop add, i, one
+  more = binop lt, i2, n
+  condbr more, l(i2, v), w(v)
+w(seen):
+  putfield g, x, seen
+  ret
+}
+fn other() {
+e:
+  g = classref G
+  a = getfield g, x
+  one = const 1
+  putfield g, y, one
+  b = getfield g, x
+  output a
+  output b
+  ret
+}
+thread looper(3)
+thread other()
+"""
+
+# G.x is written by a callee and at each level of a recursion; both threads print
+CALLEE_WRITES = """
+class G { fields x; }
+fn set(v) {
+e:
+  g = classref G
+  putfield g, x, v
+  ret
+}
+fn rec(n) {
+e:
+  zero = const 0
+  done = binop le, n, zero
+  condbr done, base(), down()
+base():
+  g = classref G
+  v = getfield g, x
+  output v
+  ret
+down():
+  one = const 1
+  m = binop sub, n, one
+  call rec(m)
+  call set(n)
+  ret
+}
+fn caller() {
+e:
+  g = classref G
+  v = getfield g, x
+  output v
+  seven = const 7
+  call set(seven)
+  w = getfield g, x
+  output w
+  ret
+}
+thread caller()
+thread rec(2)
+"""
+
+# an unknown callee may access anything, so no step of the reader that touches
+# G.x commutes with the other thread's frame while it can still reach the call
+UNKNOWN_CALLEE = """
+class G { fields x; methods bump=bump; }
+fn bump(self) {
+e:
+  v = getfield self, x
+  one = const 1
+  v2 = binop add, v, one
+  putfield self, x, v2
+  ret v2
+}
+fn reader() {
+e:
+  g = classref G
+  a = getfield g, x
+  output a
+  b = getfield g, x
+  output b
+  ret
+}
+fn caller() {
+e:
+  g = classref G
+  h = handleconst bump
+%s
+  output r
+  ret
+}
+thread reader()
+thread caller()
+"""
+
+# writer publishes an array through G.a, then sets G.ready; the reader loads
+# and stores elements only once it sees G.ready
+SHARED_ARRAY = """
+class G { fields a, ready; }
+fn writer() {
+e:
+  g = classref G
+  zero = const 0
+  one = const 1
+  two = const 2
+  five = const 5
+  arr = newarray two
+  arraystore arr, zero, five
+  putfield g, a, arr
+  putfield g, ready, one
+  six = const 6
+  arraystore arr, zero, six
+  v = arrayload arr, one
+  output v
+  ret
+}
+fn reader() {
+e:
+  g = classref G
+  r = getfield g, ready
+  one = const 1
+  ok = binop eq, r, one
+  condbr ok, go(), no()
+go():
+  arr = getfield g, a
+  zero = const 0
+  v = arrayload arr, zero
+  arraystore arr, one, v
+  output v
+  ret
+no():
+  ret
+}
+thread writer()
+thread reader()
+"""
+
+# `early` prints once and then only writes G.x, so the other threads' outputs
+# stop conflicting with it; `late` reads G.x, which `early` writes in its loop
+EARLY_OUTPUT = """
+class G { fields x; }
+fn early(n) {
+e:
+  g = classref G
+  one = const 1
+  output one
+  zero = const 0
+  br l(zero)
+l(i):
+  putfield g, x, i
+  k = const 1
+  i2 = binop add, i, k
+  more = binop lt, i2, n
+  condbr more, l(i2), fin()
+fin():
+  ret
+}
+fn late() {
+e:
+  two = const 2
+  output two
+  g = classref G
+  v = getfield g, x
+  output v
+  ret
+}
+fn once() {
+e:
+  three = const 3
+  output three
+  ret
+}
+thread early(3)
+thread late()
+thread once()
+"""
+
+LOOKAHEAD_PROGRAMS = (("output-then-deopt", OUTPUT_THEN_DEOPT), ("late-write", LATE_WRITE),
+                      ("callee-writes", CALLEE_WRITES),
+                      ("callvirtual", UNKNOWN_CALLEE % "  r = callvirtual g.bump()"),
+                      ("callhandle", UNKNOWN_CALLEE % "  r = callhandle h(g)"),
+                      ("shared-array", SHARED_ARRAY), ("early-output", EARLY_OUTPUT))
+
 
 def _cases():
     """(id, program, step budget, budgets that cut it): corpus small variants,
-    the two programs above, one `publish_pair` per publishing store and
+    the programs above, one `publish_pair` per publishing store and
     generated programs, each followed by the output of every pass that
     rewrites it.
 
@@ -166,7 +381,8 @@ def _cases():
     sources = [(e.name, e.small, e.small_budget, PassOptions(chunk=2), (4, 8, 12, 16))
                for e in corpus()]
     sources += [(name, parse(text), 200, PassOptions(), (4, 8, 12, 16))
-                for name, text in (("stale-read", STALE_READ), ("reacquire-race", REACQUIRE_RACE))]
+                for name, text in (("stale-read", STALE_READ), ("reacquire-race", REACQUIRE_RACE),
+                                   *LOOKAHEAD_PROGRAMS)]
     sources += [(f"publish-{store}", parse(publish_pair(store)), 200, PassOptions(),
                  (12, 16, 20, 24)) for store in PUBLISHING_STORES]
     sources += [(f"gen{s}", parse(gen_program(s)), 3000, PassOptions(), (4, 8))
@@ -245,6 +461,49 @@ def test_coarsen_mini_enumerates_far_fewer_states():
     rs = enumerate_results(e.small, e.small_budget)
     assert rs.exhausted and rs.states_explored < 2_500  # 20,394 without reduction
     assert rs.memo_hits > 0
+
+
+LOCALITY = """
+class C { fields f; }
+class G { fields n; }
+fn main() {
+e:
+  zero = const 0
+  two = const 2
+  t = const true
+  o = new C
+  a = newarray two
+  g = classref G
+%s
+  ret
+}
+thread main()
+"""
+
+
+@pytest.mark.parametrize("step, local", [
+    ("v = getfield o, f", True),
+    ("v = getfield a, f", False),  # an array, not an object
+    ("v = getfield o, n", False),  # C has no field n
+    ("c = cas o, n, zero, two", False),
+    ("putfield zero, f, two", False),  # not a reference
+    ("v = getfield g, n", True),  # a shared cell no other thread can reach
+    ("putfield g, f, two", False),
+    ("v = arrayload a, zero", True),
+    ("v = arrayload o, zero", False),  # an object, not an array
+    ("arraystore a, two, zero", False),  # out of range
+    ("v = arrayload a, t", False),  # a bool index
+    ("output two", True),
+    ("output t", False),  # not an int
+])
+def test_a_step_that_can_raise_is_not_local(step, local):
+    m = Machine(parse(LOCALITY % step))
+    for _ in range(6):
+        m.step(1)
+    assert m.next_is_local(1) is local
+    if not local:
+        with pytest.raises(InterpreterError):
+            m.step(1)
 
 
 def _reach_violations(m: Machine) -> list[tuple[str, int, int]]:

@@ -105,25 +105,25 @@ def test_state_ceiling_marks_non_exhausted():
 
 def test_state_ceiling_keeps_partial_results():
     full = enumerate_results(parse(RACING_INCREMENT))
-    partial = enumerate_results(parse(RACING_INCREMENT), max_states=20)
+    partial = enumerate_results(parse(RACING_INCREMENT), max_states=10)
     assert not partial.exhausted
-    assert partial.states_explored <= 20
+    assert partial.states_explored <= 10
     assert partial.traces and partial.traces < full.traces
 
 
 def test_trace_missing_from_partial_original_is_inconclusive():
-    # the original can output 1, but not within the first 20 states it explores
+    # the original (27 states) can output 1, but not within the first 10 states it explores
     outputs_one = parse("fn t() {\ne:\n  v = const 1\n  output v\n  ret\n}\nthread t()")
-    v = check_refinement(parse(RACING_INCREMENT), outputs_one, max_states=20)
+    v = check_refinement(parse(RACING_INCREMENT), outputs_one, max_states=10)
     assert v.kind == "inconclusive"
     assert v.witness is not None and v.witness.events == (1,)
 
 
 def test_state_ceiling_on_corpus_original_is_not_a_violation():
-    # the original (133 states) hits the ceiling, the coalesced program (92) does not
+    # the original (78 states) hits the ceiling, the coalesced program (51) does not
     e = corpus_entry("coalesce-mini")
     coalesced, _ = run_pass(e.small, "atomic_coalesce", PassOptions(chunk=2))
-    v = check_refinement(e.small, coalesced, step_budget=e.small_budget, max_states=100)
+    v = check_refinement(e.small, coalesced, step_budget=e.small_budget, max_states=60)
     assert not v.original.exhausted and v.original.traces
     assert v.transformed.exhausted
     assert v.kind == "bounded-ok"
