@@ -16,17 +16,19 @@ workload metric it counts toward, from which `run` builds the metric vector.
 
 Each `Machine` decodes its program once (`Machine._decode`) into per-block
 lists of `(handler, instr, cost, op)` entries that its clones share, so a step
-is one index and one call. `run` and the schedule enumerator share one stop
-rule, `Machine.schedulable`. `run` asks the schedule to pick a thread only
-while two or more are live (`Machine._run_shared`); the last one runs alone
-(`Machine._run_alone`). While two or more are live, `run` keeps the enabled
-set `schedulable` gave it and asks `schedulable` again only after a step that
-could change that set: a `monitorenter`, `monitorexit`, `wait`, `notify`,
-`notifyall` or `unpark`, a step that reacquires a monitor, a step after which
-the stepping thread is not `RUN` or is about to enter a monitor, and a step
-that stops the machine or uses up the step budget. Any other step changes no
-monitor and no other thread's status, so every thread stays as enabled as it
-was.
+is one index and one call. One loop, `Machine._advance`, steps the decoded
+code in batches, and one driver, `Machine._drive`, runs it until
+`Machine.schedulable`, the stop rule of `run` and of the schedule enumerator,
+stops the machine; `run` and the enumerator's last-thread tail both call
+`_drive`. The driver asks the schedule to pick a thread only while two or
+more are live; the last one runs alone. A batch keeps the enabled set
+`schedulable` gave and hands back, so that `schedulable` is asked again, only
+after a step that could change that set: a `monitorenter`, `monitorexit`,
+`wait`, `notify`, `notifyall` or `unpark` while another thread is live, a
+step that reacquires a monitor, a step after which the stepping thread is not
+`RUN` or its next `monitorenter` is blocked, and a step that stops the
+machine or uses up the step budget. Any other step changes no monitor and no
+other thread's status, so every thread stays as enabled as it was.
 """
 
 from __future__ import annotations
@@ -588,54 +590,53 @@ class Machine:
         handler(self, t, fr, instr)
         self.cost += cost
 
-    def _run_shared(self, enabled: list[int], pick, budget: int) -> None:
-        """`_step` the threads `pick(enabled)` chooses, two or more being live, until a
-        step could change `enabled`, the set `schedulable` just gave (see the module
-        docstring), or stops the machine or uses up `budget`."""
+    def _advance(self, t: ThreadState, budget: int, pick=None, enabled=None) -> None:
+        """`_step` `t`, an enabled thread, then `t` again or, given `pick`, the thread
+        `pick(enabled)` chooses, while no step could change `enabled`, the set
+        `schedulable` gave. Hands back after a sync op while another thread is live,
+        after a step that leaves its thread not `RUN` or before a blocked
+        `monitorenter`, and at `budget` or once the machine stops; the status is
+        `schedulable`'s to set. A thread in `REACQUIRE` takes one step and hands back."""
+        if t.status is REACQUIRE:
+            self._step(t)
+            return
         threads, counts, enter = self.threads, self.op_counts, Machine._op_monitorenter
+        shared = self.live > 1
         steps, cost = self.steps, self.cost
+        fr = t.frames[-1]
+        handler, instr, c, op = fr.code[fr.idx]
         while True:
-            t = threads[pick(enabled) - 1]
-            if t.status is REACQUIRE:  # takes its monitor back
-                self.steps, self.cost = steps, cost
-                self._step(t)
-                return
-            fr = t.frames[-1]
-            handler, instr, c, op = fr.code[fr.idx]
             steps += 1
             cost += c
             fr.idx += 1
             if op is not None:
                 counts[op] += 1
             handler(self, t, fr, instr)
-            if (op in _SYNC_OPS or t.status is not RUN or steps >= budget
+            if (shared and op in _SYNC_OPS or t.status is not RUN or steps >= budget
                     or self.status is not None):
                 break
             fr = t.frames[-1]
-            if fr.code[fr.idx][0] is enter:
+            handler, instr, c, op = fr.code[fr.idx]
+            if handler is enter and not self.enabled(t.tid):
                 break
+            if pick is not None and (u := threads[pick(enabled) - 1]) is not t:
+                t = u
+                if t.status is REACQUIRE:
+                    self.steps, self.cost = steps, cost
+                    self._step(t)
+                    return
+                fr = t.frames[-1]
+                handler, instr, c, op = fr.code[fr.idx]
         self.steps, self.cost = steps, cost
 
-    def _run_alone(self, t: ThreadState, budget: int) -> None:
-        """`_step` `t`, the one live thread, until the machine stops. No thread is
-        left to wake `t` or free a monitor, so if `t` parks, waits or blocks, it deadlocks."""
-        frames, counts, tid = t.frames, self.op_counts, t.tid
-        steps, cost, enter = self.steps, self.cost, Machine._op_monitorenter
-        while self.status is None:
-            fr = frames[-1]
-            handler, instr, c, op = fr.code[fr.idx]
-            if t.status is not RUN or handler is enter and not self.enabled(tid):
-                self.status = "deadlock"
-            elif steps >= budget:
-                self.status = "step-budget-exhausted"
+    def _drive(self, budget: int, pick=None) -> None:
+        """`_advance` until `schedulable` stops the machine, asking `pick` for the
+        thread to step while two or more threads are live."""
+        while enabled := self.schedulable(budget):
+            if self.live > 1:
+                self._advance(self.threads[pick(enabled) - 1], budget, pick, enabled)
             else:
-                steps += 1
-                cost += c
-                fr.idx += 1
-                if op is not None:
-                    counts[op] += 1
-                handler(self, t, fr, instr)
-        self.steps, self.cost = steps, cost
+                self._advance(self.threads[enabled[0] - 1], budget)
 
     # -- opcode handlers (see `_decode`) ----------------------------------
 
@@ -949,13 +950,7 @@ def run(program: Program, schedule: RoundRobin | Explicit | str = "rr:1",
         raise ValueError(f"schedule names thread {max(policy.seq)}, "
                          f"but the program has {len(program.threads)} thread(s)")
     m = Machine(program)
-    while enabled := m.schedulable(budget):
-        if m.live > 1:
-            m._run_shared(enabled, policy.pick, budget)
-        elif (t := m.threads[enabled[0] - 1]).status is RUN:
-            m._run_alone(t, budget)
-        else:  # a notified thread first reacquires its monitor
-            m._step(t)
+    m._drive(budget, policy.pick)
     trace = ResultTrace(tuple(m.events), m.status, m.reason)
     metrics = MetricVector(refcycles=m.cost)
     op_counts = Counter({op: n for op, n in m.op_counts.items() if n})

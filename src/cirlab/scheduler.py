@@ -9,13 +9,14 @@ leaves out the step count, so a memo entry also records the longest path
 below its state, and is reused only where that path fits the budget left: a
 subtree that finished at a shallow depth can be cut at a deeper one.
 
-Once one thread is live, no choice is left: as in `interp.run`, that thread
-runs alone to the end (`Machine._run_alone`), and the whole tail counts as
+Once one thread is live, no choice is left: the tail runs to the end through
+the driver `interp.run` uses (`Machine._drive`), and the whole tail counts as
 one state, memoized unless the step budget cut it, so a tail that many
-interleavings reach runs once. The tail stops at `steps >= budget`, exactly
-where `Machine.schedulable` would stop the path, so the step-budget contract
-below is the same as for a search that steps the last thread one state at a
-time.
+interleavings reach runs once. The driver's loop, `Machine._advance`, hands
+back at `steps >= budget` and whenever the thread stops running or its next
+`monitorenter` is blocked, and `Machine.schedulable` stops the path there, so
+the step-budget contract below is the same as for a search that steps the
+last thread one state at a time.
 
 A state where some enabled thread's next step is local
 (`Machine.next_is_local`) expands only the lowest such thread: an ample set
@@ -86,7 +87,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .interp import RUN, Machine, ResultTrace
+from .interp import Machine, ResultTrace
 from .ir import Program
 
 #: suffix entry: (events-tuple, status, reason)
@@ -157,10 +158,7 @@ class _Explorer:
         if m.live == 1:  # the last live thread runs alone, as in `interp.run`
             # `m.events` is empty: `m` is the initial machine, a clone (which
             # starts with none), or a machine `explore` stepped and cleared
-            t = m.threads[enabled[0] - 1]
-            if t.status is not RUN:  # a notified thread first reacquires its monitor
-                m._step(t)
-            m._run_alone(t, self.budget)
+            m._drive(self.budget)
             result = frozenset({(tuple(m.events), m.status, m.reason)})
             end = None if m.status == "step-budget-exhausted" else m.steps
         else:

@@ -738,6 +738,35 @@ MULTI_THREAD_PROGRAMS["deopt-shared"] = parse("""
     thread guarded()
     thread spinner()
 """)
+# the holder re-enters the monitor it owns while the contender's pure steps lead it
+# to a monitorenter that blocks until the holder's second exit
+MULTI_THREAD_PROGRAMS["reentrant-contended"] = parse("""
+    class L { fields n; }
+    fn holder() {
+    e:
+      g = classref L
+      monitorenter g
+      monitorenter g
+      one = const 1
+      output one
+      monitorexit g
+      monitorexit g
+      ret
+    }
+    fn contender() {
+    e:
+      g = classref L
+      two = const 2
+      four = binop add, two, two
+      six = binop add, four, two
+      monitorenter g
+      output six
+      monitorexit g
+      ret
+    }
+    thread holder()
+    thread contender()
+""")
 
 
 def diff_schedules(program) -> tuple[str, ...]:
@@ -775,8 +804,11 @@ def test_run_matches_the_reference_under_the_schedules_of_the_tests_above(text, 
 
 
 def test_run_matches_the_reference_at_every_budget():
-    p = parse(waitnotify_flag())
-    for spec in diff_schedules(p):
-        full = run(p, spec).steps
-        for budget in range(1, full + 1):
-            assert fast_run(p, spec, budget) == reference_run(p, spec, budget)[0], (spec, budget)
+    # one thread live from the start, two threads sharing, and a waiter that reacquires
+    for text in (coarsen_loop(2, threads=1), MONITOR_BLOCKS, waitnotify_flag()):
+        p = parse(text)
+        for spec in diff_schedules(p):
+            full = run(p, spec).steps
+            for budget in range(1, full + 1):
+                assert fast_run(p, spec, budget) == reference_run(p, spec, budget)[0], \
+                    (text, spec, budget)
