@@ -250,10 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--schedule", default="rr:1", help="rr:k or explicit:t1,t2,...")
         p.add_argument("--budget", type=int, default=1_000_000, help="max interpreter steps")
 
+    defaults = PassOptions()
+
     def add_pass_knobs(p):
-        p.add_argument("--chunk", type=int, default=32, help="lock-coarsening chunk size")
-        p.add_argument("--width", type=int, default=4, help="vector width")
-        p.add_argument("--inline-budget", type=int, default=40,
+        p.add_argument("--chunk", type=int, default=defaults.chunk, help="lock-coarsening chunk size")
+        p.add_argument("--width", type=int, default=defaults.width, help="vector width")
+        p.add_argument("--inline-budget", type=int, default=defaults.inline_budget,
                        help="max callee size for inlining")
 
     p = sub.add_parser("run", help="execute a program under one schedule")

@@ -53,45 +53,46 @@ def _devirtualize(f: Function, fn_names: set[str], report: PassReport) -> Functi
     return Function(f.name, f.params, tuple(blocks)) if count else f
 
 
-def _recursive_functions(p: Program) -> frozenset[str]:
-    calls = {
-        f.name: {i.fn for b in f.blocks for i in b.instrs if i.op == "call"}
-        for f in p.functions
-    }
+def _call_graph(p: Program) -> tuple[list[str], frozenset[str]]:
+    """(callee-first order, recursive functions), from one walk of the call graph.
 
-    def reaches(src: str, dst: str, seen: set[str]) -> bool:
-        if src == dst and seen:
-            return True
-        if src in seen:
-            return False
-        seen.add(src)
-        return any(reaches(n, dst, seen) for n in calls.get(src, ()))
-
-    return frozenset(f.name for f in p.functions if f.name in calls[f.name]
-                     or any(reaches(n, f.name, set()) for n in calls[f.name]))
-
-
-def _bottom_up_order(p: Program) -> list[str]:
+    A depth-first walk lists each function when it finishes, and its
+    low-links (Tarjan's) find the strongly connected components: a function
+    is recursive when its component has more than one member or it calls
+    itself.
+    """
     calls = {
         f.name: [i.fn for b in f.blocks for i in b.instrs if i.op == "call"]
         for f in p.functions
     }
     order: list[str] = []
-    state: dict[str, int] = {}
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    recursive: set[str] = set()
 
     def visit(name: str) -> None:
-        if state.get(name):
-            return
-        state[name] = 1
+        index[name] = low[name] = len(index)
+        stack.append(name)
+        on_stack.add(name)
         for n in calls.get(name, ()):
-            if state.get(n) != 1:
+            if n not in index:
                 visit(n)
-        state[name] = 2
+            if n in on_stack:
+                low[name] = min(low[name], low[n])
         order.append(name)
+        if low[name] == index[name]:
+            component = stack[stack.index(name):]
+            del stack[-len(component):]
+            on_stack.difference_update(component)
+            if len(component) > 1 or name in calls.get(name, ()):
+                recursive.update(component)
 
     for f in p.functions:
-        visit(f.name)
-    return order
+        if f.name not in index:
+            visit(f.name)
+    return order, frozenset(recursive)
 
 
 def _inline_site(f: Function, callee: Function, bname: str, idx: int) -> Function:
@@ -124,9 +125,9 @@ def _inline_site(f: Function, callee: Function, bname: str, idx: int) -> Functio
 
 
 def _inline_all(p: Program, budget: int, report: PassReport) -> Program:
-    recursive = _recursive_functions(p)
+    order, recursive = _call_graph(p)
     fns = {f.name: f for f in p.functions}
-    for name in _bottom_up_order(p):
+    for name in order:
         if name not in fns:
             continue
         f = fns[name]

@@ -2,8 +2,12 @@
 
 `validate` returns a list of diagnostics (empty means the program is well
 formed). Resolution checks are split out because the parser also runs them.
-The diagnostics of a `Program`, and the per-function dataflow checks, are
-computed once per object (`ir.memo`).
+A use is defined when its definition dominates it (`cfg.dominators`), the
+SSA rule. A name defined more than once is reported as such, and its uses
+are checked against the first definition met in reverse postorder only, so
+they may be reported as uses before definition too. The diagnostics of a
+`Program`, and the per-function dataflow checks, are computed once per
+object (`ir.memo`).
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ def _class_diagnostics(p: Program) -> list[Diagnostic]:
                 continue
             inherited = set()
             cur = c.superclass
-            while cur is not None:
+            while cur in cmap:  # an undeclared class is reported by resolution
                 inherited.update(cmap[cur].fields)
                 cur = cmap[cur].superclass
             for f in c.fields:
@@ -140,54 +144,44 @@ def _defined_once(f: Function) -> tuple[Diagnostic, ...]:
 
 @memo
 def _def_before_use(f: Function) -> tuple[Diagnostic, ...]:
-    """Every use must be reached by its definition along all paths.
+    """Every use must be dominated by its definition: the SSA rule.
 
-    Forward dataflow: defs available at block entry = intersection over
-    predecessors of (their entry set + their own defs); entry starts from the
-    function params. Unreachable blocks are skipped (reported separately).
+    A name's home is the block that defines it: the entry for a function
+    param, its own block for a block param or an instruction result. Blocks
+    are walked in reverse postorder, which reaches every dominator of a block
+    first, and a home is recorded where the walk meets its definition; so a
+    use is defined when its name has a home by then that dominates the use's
+    block. A name defined more than once keeps its first home. Unreachable
+    blocks are skipped (reported separately).
     """
     # imported on first use: the parser imports this module, and start-up need
     # not pay for setting up cfg's loop dataclasses
-    from .cfg import predecessors, reachable_rpo
+    from .cfg import dominates, dominators, reachable_rpo
+
+    idom, _ = dominators(f)
+    home = dict.fromkeys(f.params, f.entry.name)
+
+    def undefined(uses: tuple[str, ...], block: str) -> list[Diagnostic]:
+        return [_d(f"fn {f.name}/{block}", f"use of {u!r} before definition")
+                for u in uses if u not in home or not dominates(idom, home[u], block)]
 
     out: list[Diagnostic] = []
     bmap = f.block_map()
-    preds = predecessors(f)
-    avail_in: dict[str, set[str]] = {f.entry.name: set(f.params)}
-    order = reachable_rpo(f)
-    changed = True
-    while changed:
-        changed = False
-        for name in order:
-            if name == f.entry.name:
-                inset = set(f.params)
-            else:
-                ps = [q for q in preds[name] if q in avail_in]
-                if not ps:
-                    continue
-                inset = set.intersection(
-                    *[avail_in[q] | bmap[q].defined_names() for q in ps]
-                )
-            if name not in avail_in or avail_in[name] != inset:
-                avail_in[name] = inset
-                changed = True
-
-    for name in order:
+    for name in reachable_rpo(f):
         b = bmap[name]
-        live = set(avail_in.get(name, set())) | set(b.params)
+        for q in b.params:
+            home.setdefault(q, name)
         for i in b.instrs:
-            for u in i.uses():
-                if u not in live:
-                    out.append(_d(f"fn {f.name}/{name}", f"use of {u!r} before definition"))
+            out.extend(undefined(i.uses(), name))
             if i.dest is not None:
-                live.add(i.dest)
-        for u in b.term.uses():
-            if u not in live:
-                out.append(_d(f"fn {f.name}/{name}", f"use of {u!r} before definition"))
+                home.setdefault(i.dest, name)
+        out.extend(undefined(b.term.uses(), name))
     return tuple(out)
 
 
 def _fn_diagnostics(p: Program, f: Function) -> list[Diagnostic]:
+    if not f.blocks:
+        return [_d(f"fn {f.name}", "function has no blocks"), *_defined_once(f)]
     out = []
     names = set()
     for b in f.blocks:

@@ -33,10 +33,24 @@ def _fn_from_edges(n_blocks: int, edges: dict[int, tuple[int, ...]]) -> Function
     return Function("f", ("c",), tuple(blocks))
 
 
-def brute_force_dominators(f: Function) -> dict[str, set[str]]:
-    """dom(b) = blocks on every path from entry to b, by path enumeration."""
+def draw_cfg(data, min_blocks: int = 1, min_succ: int = 0) -> Function:
+    """A random CFG of `min_blocks` to 8 blocks, each with `min_succ` to 2
+    successors; the last block may have none."""
+    n = data.draw(st.integers(min_value=min_blocks, max_value=8))
+    edges = {}
+    for i in range(n):
+        k = data.draw(st.integers(min_value=min_succ if i < n - 1 else 0, max_value=2))
+        if k:
+            succ = data.draw(
+                st.lists(st.integers(min_value=0, max_value=n - 1), min_size=k, max_size=k)
+            )
+            edges[i] = tuple(succ)
+    return _fn_from_edges(n, edges)
+
+
+def simple_paths(f: Function) -> list[tuple[str, ...]]:
+    """Every path from the entry that repeats no block, its prefixes included."""
     bmap = f.block_map()
-    entry = f.entry.name
 
     def paths(frm: str, seen: tuple[str, ...]):
         if frm in seen:
@@ -46,7 +60,13 @@ def brute_force_dominators(f: Function) -> dict[str, set[str]]:
         for t in bmap[frm].term.targets():
             yield from paths(t, seen)
 
-    all_paths = list(paths(entry, ()))
+    return list(paths(f.entry.name, ()))
+
+
+def brute_force_dominators(f: Function) -> dict[str, set[str]]:
+    """dom(b) = blocks on every path from entry to b, by path enumeration."""
+    bmap = f.block_map()
+    all_paths = simple_paths(f)
     doms: dict[str, set[str]] = {}
     for b in bmap:
         simple = [set(p) for p in all_paths if p[-1] == b]
@@ -112,17 +132,7 @@ def test_dominators_match_brute_force_on_corpus_cfgs():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_dominators_match_brute_force(data):
-    n = data.draw(st.integers(min_value=1, max_value=8))
-    edges = {}
-    for i in range(n):
-        k = data.draw(st.integers(min_value=0, max_value=2))
-        if k:
-            succ = data.draw(
-                st.lists(st.integers(min_value=0, max_value=n - 1), min_size=k, max_size=k)
-            )
-            edges[i] = tuple(succ)
-    f = _fn_from_edges(n, edges)
-    check_against_oracle(f)
+    check_against_oracle(draw_cfg(data))
 
 
 LOOP = """

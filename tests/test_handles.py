@@ -161,6 +161,63 @@ def test_recursion_not_inlined():
     assert run(p2).trace.events == (120,)
 
 
+def test_mutual_recursion_through_a_third_function_not_inlined():
+    # a -> b -> a and a -> c -> b: c is recursive too, though b has finished
+    # when a depth-first walk from a reaches it through c
+    text = """
+    fn dec(x) {
+    e:
+      one = const 1
+      r = binop sub, x, one
+      ret r
+    }
+    fn a(n) {
+    b0:
+      zero = const 0
+      c = binop le, n, zero
+      condbr c, done(), more()
+    done():
+      ret zero
+    more():
+      m = call dec(n)
+      x = call b(m)
+      y = call c(m)
+      r = binop add, x, y
+      ret r
+    }
+    fn b(n) {
+    e:
+      m = call dec(n)
+      x = call a(m)
+      one = const 1
+      r = binop add, x, one
+      ret r
+    }
+    fn c(n) {
+    e:
+      m = call dec(n)
+      x = call b(m)
+      ret x
+    }
+    fn main() {
+    b0:
+      five = const 5
+      r = call a(five)
+      output r
+      ret
+    }
+    thread main()
+    """
+    p = parse(text)
+    p2, report = run_pass(p, "handle_simplify")
+    assert validate(p2) == []
+    calls = sorted((f.name, i.fn) for f in p2.functions for b in f.blocks for i in b.instrs
+                   if i.op == "call")
+    assert calls == [("a", "b"), ("a", "c"), ("b", "a"), ("c", "b"), ("main", "a")]
+    assert report.details == {name: ["inlined 1 callsite(s)"] for name in "abc"}
+    assert run(p2).trace == run(p).trace
+
+
 def test_nested_inlining_bottom_up():
     text = """
     fn leaf(x) {

@@ -1,9 +1,14 @@
+from dataclasses import replace
+
+from hypothesis import given, settings, strategies as st
+
 from cirlab.corpus import corpus
 from cirlab.ir import Block, Br, ClassDef, Function, Program, Ret, ThreadDecl
 from cirlab import ir
 from cirlab.parser import parse
 from cirlab.passes import PASS_NAMES, run_pass
 from cirlab.validate import validate
+from test_cfg import draw_cfg, simple_paths
 from test_fuzz import gen_program
 
 
@@ -68,6 +73,50 @@ def test_use_before_def_on_one_path():
     # the next call's answer alone
     validate(p).clear()
     assert [d.message for d in validate(p)] == msgs
+
+
+def use_before_def_oracle(f: Function) -> list[str]:
+    """Each use that some simple path from the entry reaches before its
+    definition runs, for a function that defines each name at most once."""
+    home = {q: (f.entry.name, -1) for q in f.params}
+    for b in f.blocks:
+        home.update({i.dest: (b.name, k) for k, i in enumerate(b.instrs) if i.dest})
+    paths = simple_paths(f)
+    out = []
+    for b in f.blocks:
+        reaching = [path for path in paths if path[-1] == b.name]
+        for k, uses in enumerate([i.uses() for i in b.instrs] + [b.term.uses()]):
+            for u in uses:
+                hb, hk = home.get(u, (None, 0))
+                if not all(hb in path[:-1] or (hb == b.name and hk < k) for path in reaching):
+                    out.append(f"fn {f.name}/{b.name}: use of {u!r} before definition")
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_use_before_def_matches_a_path_oracle(data):
+    f = draw_cfg(data, min_blocks=3, min_succ=1)
+    names = ["v0", "v1", "v2", "v3"]
+    # the block defining each name: each is defined once, but "v3" nowhere
+    home = {v: data.draw(st.integers(0, len(f.blocks) - 1)) for v in names[:3]}
+    uses = st.sampled_from(names + ["c"])  # "c" is the function param
+    blocks = []
+    for bi, b in enumerate(f.blocks):
+        instrs = [ir.output(u) for u in data.draw(st.lists(uses, max_size=4))]
+        for v in names:
+            if home.get(v) == bi:
+                use = data.draw(st.none() | uses)
+                instrs.insert(data.draw(st.integers(0, len(instrs))),
+                              ir.binop(v, "add", use, use) if use else ir.const(v, 0))
+        term = b.term
+        if isinstance(term, Ret):
+            term = Ret(data.draw(st.none() | uses))
+        blocks.append(Block(b.name, b.params, tuple(instrs), term))
+    f = replace(f, blocks=tuple(blocks))
+    p = Program((), (f,), (ThreadDecl(f.name, (True,)),))
+    found = [str(d) for d in validate(p) if "before definition" in d.message]
+    assert sorted(found) == sorted(use_before_def_oracle(f))
 
 
 def test_double_definition():
@@ -139,3 +188,22 @@ def test_each_pass_twice_on_one_program_object():
             assert again == out and report_again == report, name
             assert validate(out) == validate(again) == []
             p = out
+
+
+def test_undeclared_grandparent_is_reported_not_raised():
+    # built directly: the parser would reject the unknown superclass itself
+    p = Program(
+        classes=(ClassDef("A", "B", ("x",)), ClassDef("B", "Z", ("y",))),
+        functions=(Function("main", (), (Block("b0", (), (), Ret(None)),)),),
+        threads=(ThreadDecl("main"),),
+    )
+    assert [str(d) for d in validate(p)] == ["class B: unknown superclass 'Z'"]
+
+
+def test_function_without_blocks_is_reported_not_raised():
+    p = Program(
+        (),
+        (Function("main", (), (Block("b0", (), (), Ret(None)),)), Function("empty", ("x",), ())),
+        (ThreadDecl("main"),),
+    )
+    assert [str(d) for d in validate(p)] == ["fn empty: function has no blocks"]
