@@ -215,6 +215,13 @@ _CONFLICTS = {"arrayload": (AW, TOP), "arraystore": (AR, AW, TOP), "output": (OU
 #: free or hand over a monitor, or wake a waiting or parked thread
 _SYNC_OPS = frozenset({"monitorenter", "monitorexit", "wait", "notify", "notifyall", "unpark"})
 
+#: opcodes whose step depends on thread ids: `unpark` takes one, and `notify`
+#: wakes the waiting thread with the lowest (`notifyall` wakes them all)
+_TID_OPS = frozenset({"notify", "unpark"})
+
+_UNSET = object()  # `canon_key`'s stand-in for a live name not yet assigned
+_HIDDEN = ("r",)  # `canon_key`'s stand-in for a reference in a thread's sort key
+
 
 class ThreadState:
     __slots__ = ("tid", "frames", "status", "wait_obj", "saved_count", "permit")
@@ -320,6 +327,23 @@ def _live_names(f: Function) -> dict[str, tuple[tuple[str, ...], ...]]:
     return {b: tuple(tuple(sorted(names)) for names in points) for b, points in liveness(f).items()}
 
 
+def _thread_groups(p: Program) -> tuple[int, ...] | None:
+    """Each thread's group number, or None when `Machine.canon_key` keeps
+    threads in tid order.
+
+    Threads declared with the same function and the same literal args (`1`
+    and `true` differ) form one group. None when no group has two threads,
+    or when an instruction of the program depends on thread ids (`_TID_OPS`).
+    """
+    numbers: dict = {}
+    groups = tuple(numbers.setdefault((d.fn, tuple((type(a), a) for a in d.args)), len(numbers))
+                   for d in p.threads)
+    if len(numbers) == len(groups) or any(
+            i.op in _TID_OPS for f in p.functions for b in f.blocks for i in b.instrs):
+        return None
+    return groups
+
+
 class Machine:
     """Mutable execution state for one run; confine each instance to one driver."""
 
@@ -333,6 +357,7 @@ class Machine:
         self.op_counts: dict[str, int] = {}  # every opcode of the program, executed or not
         self._decode()
         self._reach: list = []  # holds `_reach_table` once `_reached` builds it; clones share it
+        self._keying: list = []  # holds `_key_tables` once `canon_key` builds them; likewise
         self.threads: list[ThreadState] = []
         for n, decl in enumerate(program.threads, start=1):
             params, block, code = self._callees[decl.fn]
@@ -805,7 +830,7 @@ class Machine:
                       for oid, mon in self.monitors.items()}
         m.singletons, m.op_counts = self.singletons, self.op_counts.copy()
         m._callees, m._ancestry, m._vtable = self._callees, self._ancestry, self._vtable
-        m._reach = self._reach
+        m._reach, m._keying = self._reach, self._keying
         m.threads = []
         for t in self.threads:
             fs = [Frame(f.fn, f.block, f.code, dict(f.locals), f.ret_dest, f.idx) for f in t.frames]
@@ -815,64 +840,136 @@ class Machine:
         m.reason = self.reason
         return m
 
+    def _key_tables(self) -> tuple:
+        """What `canon_key` reads besides the state: the singletons' key parts
+        and their renumbering (heap index -> ("r", number), in class name
+        order), fn -> block -> the live names at each index (`_live_names`),
+        the thread groups (`_thread_groups`), and the identity map of tids."""
+        names = sorted(self.singletons)
+        seed = {self.singletons[n].i: ("r", c) for c, n in enumerate(names)}
+        live = {name: _live_names(f) for name, f in self.fns.items()}
+        ident = {t.tid: t.tid for t in self.threads}
+        ident[None] = None
+        return tuple(seed.values()), seed, live, _thread_groups(self.program), ident
+
     def canon_key(self):
         """Schedule-independent state fingerprint.
 
         Heap references are renumbered in deterministic encounter order
-        (thread roots first, then reachable object graph), so states that
-        differ only in allocation numbering compare equal. A frame keys only
-        the locals live at its position (`cfg.liveness`), in name order, with
-        None for a live name not yet assigned (a caller's pending call
-        destination), so states that differ only in dead values compare
-        equal too. Emitted events, op counts, cost, and step counts are
-        deliberately excluded.
-        """
-        renum: dict[int, int] = {}
-        queue: list[int] = []
+        (singletons first, by class name, then the threads' frames, then the
+        object graph they reach), so states that differ only in allocation
+        numbering compare equal. A frame keys only the locals live at its
+        position (`cfg.liveness`), in name order, with None for a live name
+        not yet assigned (a caller's pending call destination), so states
+        that differ only in dead values compare equal too. Emitted events,
+        op counts, cost, and step counts are deliberately excluded. The
+        tables this reads besides the state (`_key_tables`) are built on the
+        first call and shared by clones, so they live for one search.
 
-        def cv(v: Value):
-            if type(v) is int:  # the common case; a bool's type is bool
-                return v
-            if isinstance(v, Ref):
+        Threads declared with the same function and the same literal args
+        form a group (`_thread_groups`). A result names no thread, so a state
+        and its image under a permutation of a group's threads have the same
+        result set (symmetry reduction: Emerson & Sistla, *Symmetry and model
+        checking*, FMSD 1996; Ip & Dill, *Better verification through
+        symmetry*, FMSD 1996). So the key lists threads by group, and within
+        a group by the hash of a sort key: the thread's part with each
+        reference that is not a singleton's hidden, ties in tid order. (A
+        hash orders parts whose slots hold different types, an int in one
+        and a tuple in another, which comparing the parts would not.) Only
+        then are references renumbered, in that thread order, and each
+        monitor's owner and waiters are named by their rank in it. A thread
+        part with no hidden reference is already its final encoding. Equal
+        keys still mean states equal up to a permutation within groups, so
+        the order of the parts decides only which such states merge, and a
+        tie between different parts costs a merge, never soundness. This
+        needs that no step reads a tid: a program with `notify`, which wakes
+        the lowest waiting tid, or `unpark`, which takes one, keeps tid order,
+        as does one without a group of two; `notifyall` is fine.
+
+        Cell owners (`HObj.owner`, `HArr.owner`) are tids too. They stay out
+        of the key and are not permuted: they only decide which orders the
+        search skips, and a memo entry is the exact result set of its state,
+        so two states that differ only in ownership may share it.
+        """
+        if not self._keying:
+            self._keying.append(self._key_tables())
+        roots, seed, live, groups, rank = self._keying[0]
+        renum = seed.copy()  # heap index -> ("r", number)
+        queue = list(seed)
+
+        def cv(v: Value):  # callers pass ints through themselves
+            if type(v) is Ref:
                 c = renum.get(v.i)
                 if c is None:
-                    c = renum[v.i] = len(renum)
+                    c = renum[v.i] = ("r", len(renum))
                     queue.append(v.i)
-                return ("r", c)
-            if isinstance(v, Handle):
+                return c
+            if type(v) is Handle:
                 return ("h", v.fn)
-            if isinstance(v, bool):
+            if type(v) is bool:
                 return ("b", v)
             if v is None:
                 return ("n",)
-            return v
+            return None  # _UNSET
 
-        fns, field_order = self.fns, self._field_order
-        roots = [cv(self.singletons[name]) for name in sorted(self.singletons)]
-        tparts = []
-        for t in self.threads:
+        def part(t: ThreadState, cv) -> tuple:
             frames = []
             for f in t.frames:
-                env, live = f.locals, _live_names(fns[f.fn])[f.block][f.idx]
-                frames.append((f.fn, f.block, f.idx, f.ret_dest,
-                               tuple([cv(env[k]) if k in env else None for k in live])))
-            tparts.append((t.status, cv(Ref(t.wait_obj)) if t.wait_obj is not None else None,
-                           t.saved_count, t.permit, tuple(frames)))
+                get, vals = f.locals.get, []
+                for k in live[f.fn][f.block][f.idx]:
+                    v = get(k, _UNSET)
+                    vals.append(v if type(v) is int else cv(v))
+                frames.append((f.fn, f.block, f.idx, f.ret_dest, tuple(vals)))
+            return (t.status, None if t.wait_obj is None else cv(Ref(t.wait_obj)),
+                    t.saved_count, t.permit, tuple(frames))
+
+        threads = self.threads
+        if groups is None:
+            tparts = [part(t, cv) for t in threads]
+        else:
+            hidden: list[Ref] = []
+
+            def hide(v: Value):  # `cv`, with a reference that is not a singleton's hidden
+                if type(v) is Ref:
+                    c = seed.get(v.i)
+                    if c is None:
+                        hidden.append(v)
+                        return _HIDDEN
+                    return c
+                return cv(v)
+
+            drafts = []
+            for t, g in zip(threads, groups):
+                n = len(hidden)
+                enc = part(t, hide)
+                drafts.append((g, hash(enc), t.tid, enc if len(hidden) == n else None))
+            drafts.sort()  # the tids differ, so the parts are never compared
+            tparts = [enc if enc is not None else part(threads[tid - 1], cv)
+                      for _, _, tid, enc in drafts]
+            rank = {tid: r for r, (_, _, tid, _) in enumerate(drafts, 1)}
+            rank[None] = None
         hparts = []
+        heap, monitors, field_order = self.heap, self.monitors, self._field_order
         qi = 0
         while qi < len(queue):
             oid = queue[qi]
             qi += 1
-            h = self.heap[oid]
-            if isinstance(h, HObj):
+            h, vals = heap[oid], []
+            if type(h) is HObj:
                 fields = h.fields
-                hparts.append(("O", h.cls, tuple([cv(fields[f]) for f in field_order[h.cls]])))
+                for name in field_order[h.cls]:
+                    v = fields[name]
+                    vals.append(v if type(v) is int else cv(v))
+                hparts.append(("O", h.cls, tuple(vals)))
             else:
-                hparts.append(("A", tuple([cv(e) for e in h.elems])))
-            mon = self.monitors.get(oid)
+                for v in h.elems:
+                    vals.append(v if type(v) is int else cv(v))
+                hparts.append(("A", tuple(vals)))
+            mon = monitors.get(oid)
             if mon is not None and (mon.owner is not None or mon.waitset):
-                hparts.append(("M", mon.owner, mon.count, tuple(sorted(mon.waitset))))
-        return (tuple(roots), tuple(tparts), tuple(hparts), self.status)
+                hparts.append(("M", rank[mon.owner], mon.count,
+                               tuple(sorted([rank[w] for w in mon.waitset]))))
+        return (roots, tuple(tparts), tuple(hparts), self.status)
 
 
 @dataclass

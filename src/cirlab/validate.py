@@ -63,6 +63,8 @@ def resolution_diagnostics(p: Program) -> list[Diagnostic]:
                     out.append(_d(where, f"unknown function {i.fn!r}"))
                 if "method" in slots and i.method not in all_selectors:
                     out.append(_d(where, f"method {i.method!r} is not declared by any class"))
+            if not isinstance(b.term, (Br, CondBr, Ret)):
+                continue  # `block has no terminator` (`_fn_diagnostics`)
             for t in b.term.targets():
                 if t not in blocks:
                     out.append(_d(where, f"branch to unknown block {t!r}"))
@@ -152,8 +154,11 @@ def _def_before_use(f: Function) -> tuple[Diagnostic, ...]:
     first, and a home is recorded where the walk meets its definition; so a
     use is defined when its name has a home by then that dominates the use's
     block. A name defined more than once keeps its first home. Unreachable
-    blocks are skipped (reported separately).
+    blocks are skipped (reported separately), and so is the whole check when
+    a block has no terminator, since the function then has no CFG.
     """
+    if not all(isinstance(b.term, (Br, CondBr, Ret)) for b in f.blocks):
+        return ()
     # imported on first use: the parser imports this module, and start-up need
     # not pay for setting up cfg's loop dataclasses
     from .cfg import dominates, dominators, reachable_rpo

@@ -181,9 +181,9 @@ def test_check_has_no_preemption_bound(capsys):
 
 
 def test_check_too_many_threads_is_an_error_line(cir_file, capsys):
-    f = cir_file("five.cir", "fn t() {\ne:\n  ret\n}\n" + "thread t()\n" * 5)
+    f = cir_file("seven.cir", "fn t() {\ne:\n  ret\n}\n" + "thread t()\n" * 7)
     assert main(["check", f, f]) == 1
-    assert capsys.readouterr().err.strip() == "error: enumeration supports at most 4 threads"
+    assert capsys.readouterr().err.strip() == "error: enumeration supports at most 6 threads"
 
 
 def test_compare(capsys, cir_file):

@@ -6,8 +6,10 @@ and the heap in allocation order) and is exact under a step budget: a state
 whose every path ends is reused only where its longest path fits the budget
 left, and a state the budget cut is memoized per budget left.
 `enumerate_results` must match it as the `scheduler` docstring states.
-A last test checks, in every reachable state, the ownership invariant that
-lets steps on thread-local heap cells count as local.
+Programs with identical threads check the symmetry reduction of
+`Machine.canon_key` against it too, and against the search with tid-order
+keys. A last test checks, in every reachable state, the ownership invariant
+that lets steps on thread-local heap cells count as local.
 """
 
 import pickle
@@ -15,7 +17,8 @@ import sys
 
 import pytest
 
-from cirlab.corpus import corpus, corpus_entry, private_boxes, publish_pair
+from cirlab import interp
+from cirlab.corpus import coarsen_loop, corpus, corpus_entry, private_boxes, publish_pair
 from cirlab.interp import HObj, InterpreterError, Machine, Ref, ResultTrace
 from cirlab.parser import parse
 from cirlab.passes import PASS_NAMES, PassOptions, run_pass
@@ -368,6 +371,108 @@ LOOKAHEAD_PROGRAMS = (("output-then-deopt", OUTPUT_THEN_DEOPT), ("late-write", L
                       ("callhandle", UNKNOWN_CALLEE % "  r = callhandle h(g)"),
                       ("shared-array", SHARED_ARRAY), ("early-output", EARLY_OUTPUT))
 
+# two identical threads take a monitor in turn and wait on it, the first at
+# site a and the second at site b; a third wakes them once with the op filled
+# in, and a woken thread prints its site. `notify` wakes the lower tid, so
+# with it only a schedule where thread 2 waits first prints [20] with thread
+# 1 left waiting
+WAIT_SITES = """
+class S { fields n; }
+fn waiter() {
+e:
+  s = classref S
+  monitorenter s
+  k = getfield s, n
+  one = const 1
+  k2 = binop add, k, one
+  putfield s, n, k2
+  zero = const 0
+  first = binop eq, k, zero
+  condbr first, a(), b()
+a():
+  wait s
+  ten = const 10
+  output ten
+  monitorexit s
+  ret
+b():
+  wait s
+  twenty = const 20
+  output twenty
+  monitorexit s
+  ret
+}
+fn waker() {
+e:
+  s = classref S
+  monitorenter s
+  %s s
+  monitorexit s
+  ret
+}
+thread waiter()
+thread waiter()
+thread waker()
+"""
+
+# two identical threads bump G.n; the one that read 0 parks and then prints
+# 10, the other unparks thread 1 and prints 20. Only a schedule where thread 2
+# reads 0 first prints [20] with a thread left parked
+PARK_FIRST = """
+class G { fields n; }
+fn w() {
+e:
+  g = classref G
+  k = getfield g, n
+  one = const 1
+  k2 = binop add, k, one
+  putfield g, n, k2
+  zero = const 0
+  first = binop eq, k, zero
+  condbr first, sleep(), wake()
+sleep():
+  park
+  ten = const 10
+  output ten
+  ret
+wake():
+  unpark one
+  twenty = const 20
+  output twenty
+  ret
+}
+thread w()
+thread w()
+"""
+
+# identical threads that each put what they read of G.n in a box of their
+# own, then race to publish it: until then the box is only in a thread's frames
+RACING_BOXES = """
+class G { fields slot, n; }
+class Box { fields v; }
+fn w() {
+e:
+  g = classref G
+  k = getfield g, n
+  b = new Box
+  putfield b, v, k
+  one = const 1
+  putfield g, n, one
+  zero = const 0
+  ok = cas g, slot, zero, b
+  p = getfield g, slot
+  x = getfield p, v
+  output x
+  ret
+}
+thread w()
+thread w()
+"""
+
+# identical threads, grouped unless the program reads tids (`notify`, `unpark`)
+SYMMETRY_PROGRAMS = (("racing-boxes", RACING_BOXES), ("wait-sites-notify", WAIT_SITES % "notify"),
+                     ("wait-sites-notifyall", WAIT_SITES % "notifyall"), ("park-first", PARK_FIRST))
+
 
 def _cases():
     """(id, program, step budget, budgets that cut it): corpus small variants,
@@ -376,13 +481,17 @@ def _cases():
     rewrites it.
 
     Generated programs are cut at 4 and 8 steps only: at 12 and 16 their
-    budget-cut searches, each a tree search, take 0.05 to 0.8 s apiece.
+    budget-cut searches, each a tree search, take 0.05 to 0.8 s apiece. Of the
+    `coarsen_loop` programs with identical threads only (1, 3) is here: the
+    reference takes 24 s for (2, 3) and 170 s for (1, 4).
     """
     sources = [(e.name, e.small, e.small_budget, PassOptions(chunk=2), (4, 8, 12, 16))
                for e in corpus()]
     sources += [(name, parse(text), 200, PassOptions(), (4, 8, 12, 16))
                 for name, text in (("stale-read", STALE_READ), ("reacquire-race", REACQUIRE_RACE),
-                                   *LOOKAHEAD_PROGRAMS)]
+                                   *LOOKAHEAD_PROGRAMS, *SYMMETRY_PROGRAMS)]
+    sources.append(("coarsen_loop(1,3)", parse(coarsen_loop(1, threads=3)), 400,
+                    PassOptions(chunk=2), (16, 20, 24, 30)))
     sources += [(f"publish-{store}", parse(publish_pair(store)), 200, PassOptions(),
                  (12, 16, 20, 24)) for store in PUBLISHING_STORES]
     sources += [(f"gen{s}", parse(gen_program(s)), 3000, PassOptions(), (4, 8))
@@ -461,6 +570,67 @@ def test_coarsen_mini_enumerates_far_fewer_states():
     rs = enumerate_results(e.small, e.small_budget)
     assert rs.exhausted and rs.states_explored < 2_500  # 20,394 without reduction
     assert rs.memo_hits > 0
+
+
+def test_identical_threads_match_the_tid_order_search(monkeypatch):
+    program = parse(coarsen_loop(1, threads=4))
+    assert interp._thread_groups(program) == (0, 0, 0, 0)
+    budgets = (400, 34, 38, 42)
+    grouped = [enumerate_results(program, b) for b in budgets]
+    monkeypatch.setattr(interp, "_thread_groups", lambda p: None)
+    tid_order = [enumerate_results(program, b) for b in budgets]
+    assert ([(rs.traces, rs.exhausted) for rs in grouped]
+            == [(rs.traces, rs.exhausted) for rs in tid_order])
+    assert grouped[0].states_explored * 10 < tid_order[0].states_explored  # 535 and 8,575
+
+
+@pytest.mark.parametrize("text, steps, monitor", [
+    (coarsen_loop(1, threads=2), 6, lambda tid: (tid, [])),  # holds the monitor
+    (WAIT_SITES % "notifyall", 10, lambda tid: (None, [tid])),  # waits on it
+], ids=["owner", "waitset"])
+def test_a_state_and_its_mirror_share_a_key(text, steps, monitor):
+    # thread 1 runs ahead in one machine, thread 2 in the other: the two
+    # states differ only by swapping the threads, monitor included
+    machines = [Machine(parse(text)), Machine(parse(text))]
+    for tid, m in enumerate(machines, 1):
+        for _ in range(steps):
+            m.step(tid)
+        [mon] = m.monitors.values()
+        assert (mon.owner, mon.waitset) == monitor(tid)
+    assert machines[0].canon_key() == machines[1].canon_key()
+
+
+def test_a_box_only_a_thread_holds_is_keyed_by_its_contents():
+    def key_after(turns):
+        m = Machine(parse(RACING_BOXES))
+        for tid, steps in turns:
+            for _ in range(steps):
+                m.step(tid)
+        return m.canon_key()
+
+    # both threads just wrote G.n and hold boxes (0, 0) or (0, 1): the thread
+    # parts tie, and only the boxes they refer to tell the states apart
+    assert key_after([(1, 5), (2, 5), (1, 1), (2, 1)]) != key_after([(1, 6), (2, 6)])
+
+
+@pytest.mark.parametrize("text", [WAIT_SITES % "notify", PARK_FIRST], ids=["notify", "unpark"])
+def test_programs_that_read_tids_keep_tid_order(text):
+    # only a schedule where thread 2 goes first prints [20] with a thread left
+    # blocked, so it must not share a key with its image where thread 1 goes
+    # first; CASES checks these programs against `reference`
+    program = parse(text)
+    assert interp._thread_groups(program) is None
+    assert ResultTrace((20,), "deadlock") in enumerate_results(program, 200).traces
+
+
+def test_threads_with_different_args_are_never_grouped():
+    loop = coarsen_loop(1, threads=0)
+    assert interp._thread_groups(parse(loop + "thread worker(1)\nthread worker(true)\n")) is None
+    program = parse(loop + "thread worker(1)\nthread worker(0)\nthread worker(1)\n")
+    assert interp._thread_groups(program) == (0, 1, 0)
+    ref, ref_exhausted = reference(program, 400)
+    rs = enumerate_results(program, 400)
+    assert ref_exhausted and rs.exhausted and rs.traces == ref
 
 
 LOCALITY = """

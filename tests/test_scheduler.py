@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cirlab.corpus import corpus_entry, guard_bounds_loop
-from cirlab.interp import Explicit, run
+from cirlab.interp import Explicit, ResultTrace, run
 from cirlab.parser import parse
 from cirlab.passes import PassOptions, run_pass
 from cirlab.scheduler import check_refinement, enumerate_results
@@ -217,9 +217,11 @@ def test_bounded_verdict_when_not_exhausted():
 
 
 def test_too_many_threads_rejected():
-    text = "fn t() {\ne:\n  ret\n}\n" + "\n".join(["thread t()"] * 5)
+    text = "fn t() {\ne:\n  ret\n}\n" + "\n".join(["thread t()"] * 7)
     with pytest.raises(ValueError):
         enumerate_results(parse(text))
+    rs = enumerate_results(parse(text.rsplit("\n", 1)[0]))  # six threads
+    assert rs.exhausted and rs.traces == {ResultTrace((), "terminated")}
 
 
 def test_mutual_refinement_implies_equal_result_sets():

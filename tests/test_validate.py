@@ -207,3 +207,8 @@ def test_function_without_blocks_is_reported_not_raised():
         (ThreadDecl("main"),),
     )
     assert [str(d) for d in validate(p)] == ["fn empty: function has no blocks"]
+
+
+def test_block_without_terminator_is_a_diagnostic():
+    p = Program((), (Function("main", (), (Block("b0", (), (), None),)),), (ThreadDecl("main"),))
+    assert [str(d) for d in validate(p)] == ["fn main/b0: block has no terminator"]

@@ -6,8 +6,10 @@ its small budget, at budget 40, and at the small budget with a 150-state
 ceiling. Then a small variant at a cut budget where reusing a memo entry
 without checking that its longest path fits the budget left claimed a
 finished search, and a few larger programs at the default bounds:
-contention loops, one single-thread loop, and threads that each update a
-box and an array only they can reach (`private_boxes`). Prints one
+contention loops, one single-thread loop, threads that each update a box
+and an array only they can reach (`private_boxes`), and two identical
+waiters woken by `notify` (which keeps tid-order state keys) or by
+`notifyall` (whose identical threads share states). Prints one
 line per search: a label, `states_explored`, `memo_hits`, `exhausted`, the
 trace count and the SHA-256 of the sorted traces; for a pass output, a
 second line with the `check_refinement` verdict against its input and the
@@ -20,17 +22,21 @@ witness. Run it against two checkouts and diff the outputs:
 import hashlib
 
 from cirlab.corpus import (coalesce_mini, coarsen_loop, corpus, corpus_entry, guard_bounds_loop,
-                           private_boxes, publish_pair)
+                           private_boxes, publish_pair, waitnotify_flag)
 from cirlab.parser import parse
 from cirlab.passes import PASS_NAMES, PassOptions, run_pass
 from cirlab.scheduler import check_refinement, enumerate_results
 
 CUT_BUDGET = 40  # cuts most small variants' searches short
 CEILING = 150  # cuts the contended coalesce-mini original, not its output
+TWO_WAITERS = waitnotify_flag().replace("thread waiter()", "thread waiter()\nthread waiter()")
 LARGER = (("coarsen_loop(4,2)", coarsen_loop(4, threads=2)),
           ("coarsen_loop(8,2)", coarsen_loop(8, threads=2)),
           ("coarsen_loop(2,3)", coarsen_loop(2, threads=3)),
           ("coarsen_loop(4,3)", coarsen_loop(4, threads=3)),
+          ("coarsen_loop(2,4)", coarsen_loop(2, threads=4)),
+          ("waitnotify_flag(2 waiters,notify)", TWO_WAITERS),
+          ("waitnotify_flag(2 waiters,notifyall)", TWO_WAITERS.replace("notify s", "notifyall s")),
           ("coalesce_mini(5,contended)", coalesce_mini(5, contended=True)),
           ("guard_bounds_loop(200,400)", guard_bounds_loop(200, 400)),
           ("private_boxes(3,2)", private_boxes(3)),
