@@ -6,9 +6,12 @@ action cannot proceed (monitor held elsewhere, empty park permit, waiting)
 is simply not enabled; it re-executes nothing while blocked.
 
 Runtime values are 64-bit signed ints, bools, heap references, null, and
-function handles. Fields and array elements start at integer 0. Dynamic
-type confusion (e.g. getfield on an int) raises InterpreterError and fails
-the run; a failed guard instead ends the whole trace with a deopt status.
+function handles. Fields and array elements start at integer 0. A `Machine`
+raises ValueError for a program that fails `validate` (memoized, so checked
+once per program), so every name, block, callee and operator kind resolves.
+InterpreterError is only a dynamic fault of a valid program (type confusion,
+e.g. getfield on an int, bounds, division, monitor misuse) and fails the run;
+a failed guard instead ends the whole trace with a deopt status.
 
 A run counts executed opcodes and a deterministic cost in "reference
 cycle" units per `cost_model`; `ir.OPCODES` gives each opcode's cost and the
@@ -39,10 +42,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .ir import INT_MAX, OPCODES, PURE_OPS, Br, CondBr, Function, Instr, Program, Ret, memo
+from .validate import validate
 
 
 class InterpreterError(Exception):
-    """A dynamic fault (type confusion, monitor misuse, bounds, division)."""
+    """A dynamic fault of a valid program (type confusion, monitor misuse,
+    bounds, division); see the module docstring."""
 
 
 @dataclass(frozen=True)
@@ -134,13 +139,11 @@ def _binop_fn(kind: str):
     """The function computing binop `kind`, with its type checks."""
     if kind == "eq":
         return _values_equal
-    op = _INT_OPS.get(kind)
+    op = _INT_OPS[kind]
 
     def f(a: Value, b: Value) -> Value:
         if type(a) is not int or type(b) is not int:
             raise InterpreterError(f"binop {kind}: expected ints")
-        if op is None:
-            raise InterpreterError(f"unknown binop {kind!r}")
         return op(a, b)
 
     return f
@@ -245,9 +248,8 @@ def _binop(i: Instr):
 
 def _branch(term: Br | CondBr, blocks: dict, code: dict):
     """The handler of branch `term`: a closure over (target, params, entry list,
-    args) per edge. A branch to a missing block fails on the next step."""
-    edges = [(target, blocks[target].params if target in blocks else (), code.get(target), args)
-             for target, args in term.edges()]
+    args) per edge."""
+    edges = [(target, blocks[target].params, code[target], args) for target, args in term.edges()]
     then, other, cond = edges[0], edges[-1], getattr(term, "cond", None)
 
     def h(m, t, fr, i):
@@ -284,15 +286,14 @@ def _reach_table(fns: dict[str, Function]) -> dict[str, dict[str, list[frozenset
     branches and the call graph. A `ret` adds nothing, since the caller's frame
     holds the rest of its code. Equal sets are one object.
     """
-    entry_key = {name: (name, f.entry.name) for name, f in fns.items() if f.blocks}
+    entry_key = {name: (name, f.entry.name) for name, f in fns.items()}
     parts = {}  # (fn, block) -> (own labels, callee entry keys, successor keys)
     for name, f in fns.items():
-        bm = f.block_map()
         for b in f.blocks:
             parts[name, b.name] = (
                 {x for i in b.instrs for x in _labels(i)},
-                [entry_key[i.fn] for i in b.instrs if i.op == "call" and i.fn in entry_key],
-                [(name, t) for t in b.term.targets() if t in bm])
+                [entry_key[i.fn] for i in b.instrs if i.op == "call"],
+                [(name, t) for t in b.term.targets()])
     entry = dict.fromkeys(parts, frozenset())
     changed = True
     while changed:
@@ -310,7 +311,7 @@ def _reach_table(fns: dict[str, Function]) -> dict[str, dict[str, list[frozenset
             points = [interned.setdefault(acc, acc)]
             for i in reversed(b.instrs):
                 extra = set(_labels(i))
-                if i.op == "call" and i.fn in entry_key:
+                if i.op == "call":
                     extra |= entry[entry_key[i.fn]]
                 if not extra <= acc:
                     acc = acc | extra
@@ -323,7 +324,7 @@ def _reach_table(fns: dict[str, Function]) -> dict[str, dict[str, list[frozenset
 def _live_names(f: Function) -> dict[str, tuple[tuple[str, ...], ...]]:
     """Block -> the names live before each instruction index (`cfg.liveness`),
     each in name order; `Machine.canon_key` keys a frame by them."""
-    from .cfg import liveness  # not at import time: `run` never needs it
+    from .cfg import liveness  # on first use, as in `validate._def_before_use`
     return {b: tuple(tuple(sorted(names)) for names in points) for b, points in liveness(f).items()}
 
 
@@ -348,6 +349,9 @@ class Machine:
     """Mutable execution state for one run; confine each instance to one driver."""
 
     def __init__(self, program: Program):
+        diagnostics = validate(program)
+        if diagnostics:
+            raise ValueError(f"invalid program: {'; '.join(map(str, diagnostics))}")
         self.program = program
         self.fns = program.fn_map()
         self._field_order = {c.name: tuple(program.declared_fields(c.name)) for c in program.classes}
@@ -379,7 +383,7 @@ class Machine:
         blocks = {name: f.block_map() for name, f in fns.items()}
         code = {name: {b: [] for b in bm} for name, bm in blocks.items()}
         self._callees = {name: (f.params, f.entry.name, code[name][f.entry.name])
-                         for name, f in fns.items() if f.blocks}
+                         for name, f in fns.items()}
         self._ancestry = {c.name: frozenset(p.ancestry(c.name)) for c in p.classes}
         self._vtable = {(c, sel): p.resolve_method(c, sel)
                         for c in self._ancestry for d in p.classes for sel, _ in d.methods}
@@ -389,9 +393,8 @@ class Machine:
                 for i in b.instrs:
                     op = sys.intern(i.op)
                     self.op_counts[op] = 0
-                    handler = (_binop(i) if op == "binop"
-                               else getattr(Machine, f"_op_{op}", Machine._op_unknown))
-                    entries.append((handler, i, cost_model(i) if op in OPCODES else 0, op))
+                    handler = _binop(i) if op == "binop" else getattr(Machine, f"_op_{op}")
+                    entries.append((handler, i, cost_model(i), op))
                 term = (Machine._op_ret if isinstance(b.term, Ret)
                         else _branch(b.term, blocks[name], code[name]))
                 entries.append((term, b.term, 1, None))
@@ -454,10 +457,7 @@ class Machine:
               dest: str | None) -> None:
         """Call `fname` with the values of `args` in `env`."""
         vals = [env[a] for a in args]
-        callee = self._callees.get(fname)
-        if callee is None:
-            raise InterpreterError(f"call: unknown function {fname!r}")
-        params, block, code = callee
+        params, block, code = self._callees[fname]
         if len(vals) != len(params):
             raise InterpreterError(f"call: {fname} takes {len(params)} args, got {len(vals)}")
         t.frames.append(Frame(fname, block, code, dict(zip(params, vals)), dest))
@@ -791,7 +791,7 @@ class Machine:
         self.events.append(_int(fr.locals[i.args[0]], "output"))
 
     def _op_vbinop(self, t, fr, i):
-        env, (dx, ax, bx, ox), w = fr.locals, i.args, i.width or 0
+        env, (dx, ax, bx, ox), w = fr.locals, i.args, i.width
         d, a, b = (self._deref(env[x], "vbinop", HArr).elems for x in (dx, ax, bx))
         off = _int(env[ox], "vbinop")
         if off < 0 or off + w > min(len(d), len(a), len(b)):
@@ -810,9 +810,6 @@ class Machine:
             if i.value is None:
                 raise InterpreterError(f"{fr.fn} returned no value to a destination")
             t.frames[-1].locals[fr.ret_dest] = value
-
-    def _op_unknown(self, t, fr, i):
-        raise InterpreterError(f"unknown opcode {i.op!r}")
 
     # -- cloning and canonicalization (used by the schedule enumerator) ----
 
@@ -841,16 +838,16 @@ class Machine:
         return m
 
     def _key_tables(self) -> tuple:
-        """What `canon_key` reads besides the state: the singletons' key parts
-        and their renumbering (heap index -> ("r", number), in class name
-        order), fn -> block -> the live names at each index (`_live_names`),
-        the thread groups (`_thread_groups`), and the identity map of tids."""
+        """What `canon_key` reads besides the state: the singletons'
+        renumbering (heap index -> ("r", number), in class name order), fn ->
+        block -> the live names at each index (`_live_names`), the thread
+        groups (`_thread_groups`), and the identity map of tids."""
         names = sorted(self.singletons)
         seed = {self.singletons[n].i: ("r", c) for c, n in enumerate(names)}
         live = {name: _live_names(f) for name, f in self.fns.items()}
         ident = {t.tid: t.tid for t in self.threads}
         ident[None] = None
-        return tuple(seed.values()), seed, live, _thread_groups(self.program), ident
+        return seed, live, _thread_groups(self.program), ident
 
     def canon_key(self):
         """Schedule-independent state fingerprint.
@@ -862,7 +859,8 @@ class Machine:
         position (`cfg.liveness`), in name order, with None for a live name
         not yet assigned (a caller's pending call destination), so states
         that differ only in dead values compare equal too. Emitted events,
-        op counts, cost, and step counts are deliberately excluded. The
+        op counts, cost, step counts and `status` (the search keys only
+        machines that have not stopped) are deliberately excluded. The
         tables this reads besides the state (`_key_tables`) are built on the
         first call and shared by clones, so they live for one search.
 
@@ -893,7 +891,7 @@ class Machine:
         """
         if not self._keying:
             self._keying.append(self._key_tables())
-        roots, seed, live, groups, rank = self._keying[0]
+        seed, live, groups, rank = self._keying[0]
         renum = seed.copy()  # heap index -> ("r", number)
         queue = list(seed)
 
@@ -969,7 +967,7 @@ class Machine:
             if mon is not None and (mon.owner is not None or mon.waitset):
                 hparts.append(("M", rank[mon.owner], mon.count,
                                tuple(sorted([rank[w] for w in mon.waitset]))))
-        return (roots, tuple(tparts), tuple(hparts), self.status)
+        return tuple(tparts), tuple(hparts)
 
 
 @dataclass

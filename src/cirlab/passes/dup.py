@@ -6,7 +6,9 @@ on its incoming path (boolean names known true/false, and instanceof tests
 it is dominated by). The merge is duplicated into the predecessors only if
 at least one check dies in at least one copy (the benefit gate): a decided
 instanceof becomes a boolean constant and a decided conditional branch
-becomes a direct jump. Copies where nothing is known keep the check.
+becomes a direct jump. Copies where nothing is known keep the check. A
+merge whose params or results are used in a later block is skipped: the
+copies rename them, and threading them on as block params is not done.
 """
 
 from __future__ import annotations
@@ -94,6 +96,17 @@ def _prune_unreachable(f: Function) -> Function:
     return Function(f.name, f.params, tuple(b for b in f.blocks if b.name in live))
 
 
+def _used_elsewhere(f: Function, merge: Block) -> bool:
+    """True iff a block other than `merge` uses one of its params or results.
+
+    The copies in the predecessors define them under fresh names, so such a
+    use would be left dangling once `merge` is pruned.
+    """
+    defined = {*merge.params, *(i.dest for i in merge.instrs if i.dest is not None)}
+    return any(not defined.isdisjoint(i.uses())
+               for b in f.blocks if b is not merge for i in (*b.instrs, b.term))
+
+
 def _dup_once(f: Function, report: PassReport) -> Function | None:
     idom, _ = dominators(f)
     preds = predecessors(f)
@@ -116,6 +129,9 @@ def _dup_once(f: Function, report: PassReport) -> Function | None:
             facts[q] = (nf, inf, subst)
             total += _fold_count(merge, subst, nf, inf)
         if total == 0:
+            continue
+        if _used_elsewhere(f, merge):
+            report.skip(f"{f.name}/{name}", "merge defines values used after it")
             continue
         gen = NameGen.for_function(f)
         new_blocks = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ir import OPCODES, Br, CondBr, Function, Program, Ret, memo
+from .ir import KINDS, OPCODES, Br, CondBr, Function, Program, Ret, memo
 
 
 @dataclass(frozen=True)
@@ -199,6 +199,8 @@ def _fn_diagnostics(p: Program, f: Function) -> list[Diagnostic]:
     fmap = p.fn_map()
     for b in f.blocks:
         for i in b.instrs:
+            if i.op in KINDS and i.kind not in KINDS[i.op]:
+                out.append(_d(f"fn {f.name}/{b.name}", f"unknown {i.op} kind {i.kind!r}"))
             if i.op == "vbinop" and (i.width is None or i.width < 2):
                 out.append(_d(f"fn {f.name}/{b.name}", "vbinop width must be >= 2"))
             if i.op == "call" and i.fn in fmap and len(i.args) != len(fmap[i.fn].params):

@@ -196,3 +196,34 @@ def test_side_entry_into_branch_target_blocks_fact():
         src = text.replace("thread main(0, 1)", f"thread main({sel}, 1)")
         a, b = parse(src), run_pass(parse(src), "dup_simulate")[0]
         assert run(a).trace == run(b).trace, sel
+
+
+def test_merge_whose_values_are_used_after_it_is_skipped():
+    # the copies of `join` would define `k` and `v` under fresh names, and
+    # pruning `join` would leave the uses in `yes` and `no` dangling
+    text = """
+    fn main(sel) {
+    entry:
+      one = const 1
+      c = binop eq, sel, one
+      condbr c, a(), b()
+    a():
+      br join(one)
+    b():
+      br join(sel)
+    join(v):
+      k = const 5
+      condbr c, yes(), no()
+    yes():
+      output k
+      ret
+    no():
+      output v
+      ret
+    }
+    thread main(1)
+    """
+    p = parse(text)
+    p2, report = run_pass(p, "dup_simulate")
+    assert report.rewrites == 0 and p2 is p
+    assert report.skips == [("main/join", "merge defines values used after it")]

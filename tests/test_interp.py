@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -7,7 +8,8 @@ from cirlab.interp import (DONE, Explicit, InterpreterError, Machine, ResultTrac
                            parse_schedule, run)
 from cirlab import ir
 from cirlab.parser import parse
-from cirlab.scheduler import enumerate_results
+from cirlab.ir import Block, Br, Function, Instr, Program, Ret, ThreadDecl
+from cirlab.scheduler import check_refinement, enumerate_results
 from test_fuzz import gen_program
 
 
@@ -812,3 +814,43 @@ def test_run_matches_the_reference_at_every_budget():
             for budget in range(1, full + 1):
                 assert fast_run(p, spec, budget) == reference_run(p, spec, budget)[0], \
                     (text, spec, budget)
+
+
+def _main(*instrs: Instr, params=(), term=Ret(None), blocks=(), threads=("main",), fns=()):
+    """A program whose `main` runs `instrs` in its entry block, then `term`."""
+    main = Function("main", params, (Block("b0", (), instrs, term), *blocks))
+    return Program((), (main, *fns), tuple(ThreadDecl(t) for t in threads))
+
+
+_HELPER = Function("helper", ("x",), (Block("e", (), (), Ret(None)),))
+
+#: programs that fail `validate`, each with one of its diagnostics; before the
+#: gate some raised KeyError, TypeError or InterpreterError, and the last ran
+INVALID_PROGRAMS = {
+    "use-before-def": (_main(ir.output("x")), "fn main/b0: use of 'x' before definition"),
+    "new-unknown-class": (_main(ir.new("o", "Nope")), "fn main: unknown class 'Nope'"),
+    "classref-unknown-class": (_main(Instr("classref", dest="g", cls="Nope")),
+                               "fn main: unknown class 'Nope'"),
+    "thread-too-few-args": (_main(ir.output("x"), params=("x",)),
+                            "thread: main takes 1 params, got 0 args"),
+    "unknown-thread-fn": (_main(threads=("main", "nope")),
+                          "thread: unknown entry function 'nope'"),
+    "branch-to-missing-block": (_main(term=Br("nowhere")),
+                                "fn main: branch to unknown block 'nowhere'"),
+    "unknown-call-target": (_main(ir.call(None, "nope")), "fn main: unknown function 'nope'"),
+    "unknown-binop-kind": (_main(ir.const("a", 2), ir.binop("b", "pow", "a", "a")),
+                           "fn main/b0: unknown binop kind 'pow'"),
+    "bad-call-in-unreached-block": (
+        _main(blocks=(Block("dead", (), (ir.call(None, "helper"),), Ret(None)),), fns=(_HELPER,)),
+        "fn main/dead: call passes 0 args, helper takes 1"),
+}
+
+
+@pytest.mark.parametrize("program, diagnostic", INVALID_PROGRAMS.values(), ids=INVALID_PROGRAMS)
+def test_a_program_that_fails_validate_is_refused(program, diagnostic):
+    ok = _main(ir.const("one", 1), ir.output("one"))
+    message = f"invalid program: .*{re.escape(diagnostic)}"
+    for attempt in (lambda: run(program), lambda: enumerate_results(program),
+                    lambda: check_refinement(ok, program), lambda: check_refinement(program, ok)):
+        with pytest.raises(ValueError, match=message):
+            attempt()

@@ -2,13 +2,16 @@ import os
 import random
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
+
+import pytest
 
 import cirlab
 from cirlab.interp import run
 from cirlab.ir import format_instr, print_program
 from cirlab.parser import parse
-from cirlab.passes import run_pass
+from cirlab.passes import PASS_NAMES, pipeline, run_pass
 from cirlab.passes.util import static_op_count
 from cirlab.scheduler import check_refinement
 from cirlab.validate import validate
@@ -522,17 +525,27 @@ def gen_multiblock_program(seed: int) -> str:
     return "\n".join([GEN_HEADER, *lines, f"thread main({rng.randint(-3, 3)})"])
 
 
-def test_multiblock_programs_keep_their_output():
+@cache
+def _multiblock_input(seed: int):
+    """The multi-block program of `seed`, checked valid, and its trace."""
+    p = parse(gen_multiblock_program(seed))
+    assert validate(p) == [], seed
+    return p, run(p).trace
+
+
+@pytest.mark.parametrize("names", [(n,) for n in PASS_NAMES] + [PASS_NAMES],
+                         ids=[*PASS_NAMES, "pipeline"])
+def test_multiblock_programs_keep_their_output(names):
     rewritten = 0
     for seed in range(200):
-        p = parse(gen_multiblock_program(seed))
-        assert validate(p) == [], seed
-        p2, report = run_pass(p, "pea_atomic")
-        rewritten += report.rewrites > 0
+        p, trace = _multiblock_input(seed)
+        p2, reports = pipeline(p, names)
+        rewritten += any(r.rewrites for r in reports)
         assert validate(p2) == [], seed
         assert parse(print_program(p2)) == p2, seed
-        assert run(p2).trace == run(p).trace, seed
-    assert rewritten >= 150  # the generator must exercise the pass
+        assert run(p2).trace == trace, seed
+    if names == ("pea_atomic",):
+        assert rewritten >= 150  # the generator must exercise the pass
 
 
 def test_output_does_not_depend_on_string_hashing():

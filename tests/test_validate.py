@@ -178,6 +178,16 @@ def test_unknown_opcode_is_a_diagnostic():
     assert "unknown opcode 'bogus'" in [d.message for d in validate(p)]
 
 
+def test_unknown_operator_kind_is_a_diagnostic():
+    # built directly: the parser would reject the kind itself
+    f = Function("main", (), (Block("b0", (), (
+        ir.const("n", 4), ir.newarray("a", "n"), ir.const("z", 0),
+        ir.binop("p", "pow", "n", "n"), ir.vbinop("div", "a", "a", "a", "z", 2)), Ret(None)),))
+    p = Program((), (f,), (ThreadDecl("main"),))
+    assert [str(d) for d in validate(p)] == ["fn main/b0: unknown binop kind 'pow'",
+                                             "fn main/b0: unknown vbinop kind 'div'"]
+
+
 def test_each_pass_twice_on_one_program_object():
     # the second run reads the analyses the first one left on the same objects
     inputs = [e.program for e in corpus()] + [parse(gen_program(seed)) for seed in range(50)]

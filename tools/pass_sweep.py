@@ -13,7 +13,9 @@ last of which falls back to the lowest enabled thread whenever its pick is
 blocked or finished. Each program with more than one thread gets one more
 line, labelled `cut`: the SHA-256 of its `rr:2` run with the step budget cut
 to half the steps of its `rr:1` run, so that most such runs stop while two
-threads are live. Run it against two checkouts and diff the outputs:
+threads are live. An output that fails `validate` stops the sweep: `run`
+raises ValueError for it, which, unlike an InterpreterError, is not caught.
+Run it against two checkouts and diff the outputs:
 
     PYTHONPATH=src python tools/pass_sweep.py > after.txt
     PYTHONPATH=<other checkout>/src python tools/pass_sweep.py > before.txt
