@@ -17,10 +17,12 @@ A run counts executed opcodes and a deterministic cost in "reference
 cycle" units per `cost_model`; `ir.OPCODES` gives each opcode's cost and the
 workload metric it counts toward, from which `run` builds the metric vector.
 
-Each `Machine` decodes its program once (`Machine._decode`) into per-block
-lists of `(handler, instr, cost, op)` entries that its clones share, so a step
-is one index and one call. One loop, `Machine._advance`, steps the decoded
-code in batches, and one driver, `Machine._drive`, runs it until
+A `Machine` holds only execution state. All it derives from its program is
+one `_Code`, which it builds and its clones share, so it lives for one `run`
+or one search: each block decoded to a list of `(handler, instr, cost, op)`
+entries, so a step is one index and one call, and the tables the handlers
+and the search read. One loop, `Machine._advance`, steps the decoded code in
+batches, and one driver, `Machine._drive`, runs it until
 `Machine.schedulable`, the stop rule of `run` and of the schedule enumerator,
 stops the machine; `run` and the enumerator's last-thread tail both call
 `_drive`. The driver asks the schedule to pick a thread only while two or
@@ -40,6 +42,7 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ir import INT_MAX, OPCODES, PURE_OPS, Br, CondBr, Function, Instr, Program, Ret, memo
 from .validate import validate
@@ -345,48 +348,32 @@ def _thread_groups(p: Program) -> tuple[int, ...] | None:
     return groups
 
 
-class Machine:
-    """Mutable execution state for one run; confine each instance to one driver."""
+class _Code:
+    """All a `Machine` derives from its valid `program`, shared by its clones.
+
+    Each block decodes to a list of (handler, instr, cost, op) entries,
+    terminator last: a step moves `frame.idx` past an entry and calls
+    `handler(machine, thread, frame, instr)`, an `_op_<opcode>` method or a
+    `_binop` or `_branch` closure. `callees` maps fn -> (params, entry block,
+    entry list), `vtable` (class, selector) -> fn, `ancestry` and `field_order`
+    a class to its ancestors and fields, `singletons` to its singleton (heap
+    cell k for the k-th class), and `op_counts` each opcode of the program to
+    0. Only the search reads `reach` and `keying`.
+    """
 
     def __init__(self, program: Program):
-        diagnostics = validate(program)
-        if diagnostics:
-            raise ValueError(f"invalid program: {'; '.join(map(str, diagnostics))}")
-        self.program = program
-        self.fns = program.fn_map()
-        self._field_order = {c.name: tuple(program.declared_fields(c.name)) for c in program.classes}
-        self.heap: list[HObj | HArr] = []
-        self.monitors: dict[int, Monitor] = {}
-        self.singletons = {c.name: self._alloc_obj(c.name, 0) for c in program.classes}
-        self.op_counts: dict[str, int] = {}  # every opcode of the program, executed or not
-        self._decode()
-        self._reach: list = []  # holds `_reach_table` once `_reached` builds it; clones share it
-        self._keying: list = []  # holds `_key_tables` once `canon_key` builds them; likewise
-        self.threads: list[ThreadState] = []
-        for n, decl in enumerate(program.threads, start=1):
-            params, block, code = self._callees[decl.fn]
-            frame = Frame(decl.fn, block, code, dict(zip(params, decl.args)), None)
-            self.threads.append(ThreadState(n, [frame]))
-        self.live = len(self.threads)  # threads not DONE
-        self.events: list[int] = []
-        self.cost = self.steps = 0
-        self.status: str | None = None  # set once terminal
-        self.reason: str | None = None
-
-    def _decode(self) -> None:
-        """Build the decoded form, which clones share: `code` maps fn -> block ->
-        [(handler, instr, cost, op)]; a step moves `frame.idx` past an entry and calls
-        `handler(machine, thread, frame, instr)`, an `_op_<opcode>` method or a `_binop`
-        or `_branch` closure. `_callees` maps fn -> (params, entry block, entry list),
-        `_vtable` (class, selector) -> fn, and `_ancestry` a class to its ancestors."""
-        p, fns = self.program, self.fns
+        p = self.program = program
+        fns = self.fns = p.fn_map()
+        self.field_order = {c.name: tuple(p.declared_fields(c.name)) for c in p.classes}
+        self.singletons = {c.name: Ref(k) for k, c in enumerate(p.classes)}
+        self.ancestry = {c.name: frozenset(p.ancestry(c.name)) for c in p.classes}
+        self.vtable = {(c, sel): p.resolve_method(c, sel)
+                       for c in self.ancestry for d in p.classes for sel, _ in d.methods}
         blocks = {name: f.block_map() for name, f in fns.items()}
         code = {name: {b: [] for b in bm} for name, bm in blocks.items()}
-        self._callees = {name: (f.params, f.entry.name, code[name][f.entry.name])
-                         for name, f in fns.items()}
-        self._ancestry = {c.name: frozenset(p.ancestry(c.name)) for c in p.classes}
-        self._vtable = {(c, sel): p.resolve_method(c, sel)
-                        for c in self._ancestry for d in p.classes for sel, _ in d.methods}
+        self.callees = {name: (f.params, f.entry.name, code[name][f.entry.name])
+                        for name, f in fns.items()}
+        self.op_counts: dict[str, int] = {}
         for name, bm in blocks.items():
             for b in bm.values():
                 entries = code[name][b.name]
@@ -399,15 +386,47 @@ class Machine:
                         else _branch(b.term, blocks[name], code[name]))
                 entries.append((term, b.term, 1, None))
 
+    @cached_property
+    def reach(self) -> dict[str, dict[str, list[frozenset]]]:
+        """`_reach_table` of the program, for `Machine._reached`."""
+        return _reach_table(self.fns)
+
+    @cached_property
+    def keying(self) -> tuple:
+        """What `Machine.canon_key` reads besides the state: the singletons'
+        renumbering (heap index -> ("r", number), by class name), fn -> block ->
+        the live names at each index (`_live_names`), the thread groups
+        (`_thread_groups`), and the identity map of tids."""
+        seed = {self.singletons[n].i: ("r", c) for c, n in enumerate(sorted(self.singletons))}
+        live = {name: _live_names(f) for name, f in self.fns.items()}
+        ident = {tid: tid for tid in (None, *range(1, len(self.program.threads) + 1))}
+        return seed, live, _thread_groups(self.program), ident
+
+
+class Machine:
+    """Mutable execution state for one run; confine each instance to one driver."""
+
+    def __init__(self, program: Program):
+        diagnostics = validate(program)
+        if diagnostics:
+            raise ValueError(f"invalid program: {'; '.join(map(str, diagnostics))}")
+        code = self.code = _Code(program)
+        self.heap: list[HObj | HArr] = [HObj(cls, dict.fromkeys(code.field_order[cls], 0), 0)
+                                        for cls in code.singletons]
+        self.monitors: dict[int, Monitor] = {}
+        self.op_counts = code.op_counts.copy()
+        self.threads: list[ThreadState] = []
+        for n, decl in enumerate(program.threads, start=1):
+            params, block, entries = code.callees[decl.fn]
+            frame = Frame(decl.fn, block, entries, dict(zip(params, decl.args)), None)
+            self.threads.append(ThreadState(n, [frame]))
+        self.live = len(self.threads)  # threads not DONE
+        self.events: list[int] = []
+        self.cost = self.steps = 0
+        self.status: str | None = None  # set once terminal
+        self.reason: str | None = None
+
     # -- heap -------------------------------------------------------------
-
-    def _alloc_obj(self, cls: str, owner: int) -> Ref:
-        self.heap.append(HObj(cls, {f: 0 for f in self._field_order[cls]}, owner))
-        return Ref(len(self.heap) - 1)
-
-    def _alloc_arr(self, n: int, owner: int) -> Ref:
-        self.heap.append(HArr([0] * n, owner))
-        return Ref(len(self.heap) - 1)
 
     def _publish(self, r: Ref) -> None:
         """A store just put `r` into a shared cell: mark the cell `r` refers to,
@@ -457,10 +476,10 @@ class Machine:
               dest: str | None) -> None:
         """Call `fname` with the values of `args` in `env`."""
         vals = [env[a] for a in args]
-        params, block, code = self._callees[fname]
+        params, block, entries = self.code.callees[fname]
         if len(vals) != len(params):
             raise InterpreterError(f"call: {fname} takes {len(params)} args, got {len(vals)}")
-        t.frames.append(Frame(fname, block, code, dict(zip(params, vals)), dest))
+        t.frames.append(Frame(fname, block, entries, dict(zip(params, vals)), dest))
 
     def _owned(self, t: ThreadState, v: Value, what: str) -> Monitor:
         mon = self.monitors.get(v.i) if isinstance(v, Ref) else None
@@ -578,11 +597,8 @@ class Machine:
         return h.owner == tid or not self._reached(tid, conflict)
 
     def _reached(self, tid: int, conflict: tuple) -> bool:
-        """True iff a frame of a thread other than `tid` may still produce a
-        label in `conflict` (`_reach_table`, built on first use)."""
-        if not self._reach:
-            self._reach.append(_reach_table(self.fns))
-        table = self._reach[0]
+        """True iff a frame of another thread may still produce a label in `conflict`."""
+        table = self.code.reach
         for u in self.threads:
             if u.tid != tid:
                 for f in u.frames:
@@ -663,22 +679,24 @@ class Machine:
             else:
                 self._advance(self.threads[enabled[0] - 1], budget)
 
-    # -- opcode handlers (see `_decode`) ----------------------------------
+    # -- opcode handlers (see `_Code`) -----------------------------------
 
     def _op_const(self, t, fr, i):
         fr.locals[i.dest] = i.value
 
     def _op_classref(self, t, fr, i):
-        fr.locals[i.dest] = self.singletons[i.cls]
+        fr.locals[i.dest] = self.code.singletons[i.cls]
 
     def _op_new(self, t, fr, i):
-        fr.locals[i.dest] = self._alloc_obj(i.cls, t.tid)
+        fr.locals[i.dest] = Ref(len(self.heap))
+        self.heap.append(HObj(i.cls, dict.fromkeys(self.code.field_order[i.cls], 0), t.tid))
 
     def _op_newarray(self, t, fr, i):
         n = _int(fr.locals[i.args[0]], "newarray")
         if n < 0:
             raise InterpreterError("newarray: negative length")
-        fr.locals[i.dest] = self._alloc_arr(n, t.tid)
+        fr.locals[i.dest] = Ref(len(self.heap))
+        self.heap.append(HArr([0] * n, t.tid))
 
     def _op_getfield(self, t, fr, i):
         fr.locals[i.dest] = self._obj(fr.locals[i.args[0]], i.field, "getfield").fields[i.field]
@@ -766,7 +784,7 @@ class Machine:
         if v is not None and not isinstance(v, Ref):
             raise InterpreterError("instanceof: not a reference")
         o = self.heap[v.i] if v is not None else None
-        fr.locals[i.dest] = isinstance(o, HObj) and i.cls in self._ancestry[o.cls]
+        fr.locals[i.dest] = isinstance(o, HObj) and i.cls in self.code.ancestry[o.cls]
 
     def _op_handleconst(self, t, fr, i):
         fr.locals[i.dest] = Handle(i.fn)
@@ -776,7 +794,7 @@ class Machine:
 
     def _op_callvirtual(self, t, fr, i):
         o = self._deref(fr.locals[i.args[0]], "callvirtual", HObj)
-        fname = self._vtable.get((o.cls, i.method))
+        fname = self.code.vtable.get((o.cls, i.method))
         if fname is None:
             raise InterpreterError(f"callvirtual: {o.cls} has no method {i.method!r}")
         self._push(t, fr.locals, fname, i.args, i.dest)
@@ -814,40 +832,25 @@ class Machine:
     # -- cloning and canonicalization (used by the schedule enumerator) ----
 
     def clone(self) -> "Machine":
-        """A copy to step on its own. Its `events` start empty: the enumerator,
-        the one caller, reads only what each step emits, so copying the events
-        so far would cost a list copy per search edge for nothing."""
+        """A copy to step on its own, sharing `code`. Its `events` start empty:
+        the enumerator, the one caller, reads only what each step emits, so
+        copying them would cost a list copy per search edge for nothing."""
         # attributes in `__init__`'s order, so that clones keep its key-sharing
         # instance dict (reading `__dict__` would give that up)
         m = Machine.__new__(Machine)
-        m.program, m.fns, m._field_order = self.program, self.fns, self._field_order
+        m.code = self.code
         m.heap = [HObj(h.cls, dict(h.fields), h.owner) if isinstance(h, HObj)
                   else HArr(list(h.elems), h.owner) for h in self.heap]
         m.monitors = {oid: Monitor(mon.owner, mon.count, list(mon.waitset))
                       for oid, mon in self.monitors.items()}
-        m.singletons, m.op_counts = self.singletons, self.op_counts.copy()
-        m._callees, m._ancestry, m._vtable = self._callees, self._ancestry, self._vtable
-        m._reach, m._keying = self._reach, self._keying
+        m.op_counts = self.op_counts.copy()
         m.threads = []
         for t in self.threads:
             fs = [Frame(f.fn, f.block, f.code, dict(f.locals), f.ret_dest, f.idx) for f in t.frames]
             m.threads.append(ThreadState(t.tid, fs, t.status, t.wait_obj, t.saved_count, t.permit))
         m.live, m.events = self.live, []
-        m.cost, m.steps, m.status = self.cost, self.steps, self.status
-        m.reason = self.reason
+        m.cost, m.steps, m.status, m.reason = self.cost, self.steps, self.status, self.reason
         return m
-
-    def _key_tables(self) -> tuple:
-        """What `canon_key` reads besides the state: the singletons'
-        renumbering (heap index -> ("r", number), in class name order), fn ->
-        block -> the live names at each index (`_live_names`), the thread
-        groups (`_thread_groups`), and the identity map of tids."""
-        names = sorted(self.singletons)
-        seed = {self.singletons[n].i: ("r", c) for c, n in enumerate(names)}
-        live = {name: _live_names(f) for name, f in self.fns.items()}
-        ident = {t.tid: t.tid for t in self.threads}
-        ident[None] = None
-        return seed, live, _thread_groups(self.program), ident
 
     def canon_key(self):
         """Schedule-independent state fingerprint.
@@ -860,9 +863,7 @@ class Machine:
         not yet assigned (a caller's pending call destination), so states
         that differ only in dead values compare equal too. Emitted events,
         op counts, cost, step counts and `status` (the search keys only
-        machines that have not stopped) are deliberately excluded. The
-        tables this reads besides the state (`_key_tables`) are built on the
-        first call and shared by clones, so they live for one search.
+        machines that have not stopped) are deliberately excluded.
 
         Threads declared with the same function and the same literal args
         form a group (`_thread_groups`). A result names no thread, so a state
@@ -889,9 +890,7 @@ class Machine:
         search skips, and a memo entry is the exact result set of its state,
         so two states that differ only in ownership may share it.
         """
-        if not self._keying:
-            self._keying.append(self._key_tables())
-        seed, live, groups, rank = self._keying[0]
+        seed, live, groups, rank = self.code.keying
         renum = seed.copy()  # heap index -> ("r", number)
         queue = list(seed)
 
@@ -947,7 +946,7 @@ class Machine:
             rank = {tid: r for r, (_, _, tid, _) in enumerate(drafts, 1)}
             rank[None] = None
         hparts = []
-        heap, monitors, field_order = self.heap, self.monitors, self._field_order
+        heap, monitors, field_order = self.heap, self.monitors, self.code.field_order
         qi = 0
         while qi < len(queue):
             oid = queue[qi]

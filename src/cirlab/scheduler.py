@@ -50,14 +50,14 @@ set of its state, so two states that differ only in ownership may share one.
 
 The look-ahead is the stubborn-set condition with a static reach (Valmari,
 *Stubborn sets for reduced state space generation*, LNCS 483, 1990;
-Godefroid, ch. 4). A table built once per search, on first use, and shared
-by its clones gives for each (function, block, index) the labels a frame
-there may still produce, callees included: ("r", f) and ("w", f) for reads
-and writes of field f (`cas` both), `ar` and `aw` for array reads and
-writes (`vbinop` both), `out` for `output`, `stop` for `guard`, and `top`
-for `callvirtual` and `callhandle`, whose callee is unknown. A step on a
-shared cell, or an output, is local when no frame of another live thread
-reaches a label of its conflict set:
+Godefroid, ch. 4). A table (`interp._reach_table`) gives for each
+(function, block, index) the labels a frame there may still produce,
+callees included: ("r", f) and ("w", f) for reads and writes of field f
+(`cas` both), `ar` and `aw` for array reads and writes (`vbinop` both),
+`out` for `output`, `stop` for `guard`, and `top` for `callvirtual` and
+`callhandle`, whose callee is unknown. A step on a shared cell, or an
+output, is local when no frame of another live thread reaches a label of
+its conflict set:
 
     getfield f                 {("w", f), top}
     putfield f, cas f          {("r", f), ("w", f), top}

@@ -2,6 +2,8 @@
 
 `validate` returns a list of diagnostics (empty means the program is well
 formed). Resolution checks are split out because the parser also runs them.
+Each instruction's destination and operand count must fit its `ir.OPCODES`
+syntax, as the parser already requires of the text.
 A use is defined when its definition dominates it (`cfg.dominators`), the
 SSA rule. A name defined more than once is reported as such, and its uses
 are checked against the first definition met in reverse postorder only, so
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ir import KINDS, OPCODES, Br, CondBr, Function, Program, Ret, memo
+from .ir import KINDS, OPCODES, Br, CondBr, Function, Instr, Program, Ret, memo
 
 
 @dataclass(frozen=True)
@@ -184,6 +186,24 @@ def _def_before_use(f: Function) -> tuple[Diagnostic, ...]:
     return tuple(out)
 
 
+def _shape(i: Instr) -> list[str]:
+    """What the parser would refuse in `i`'s destination and operand count,
+    per its opcode's `ir.OPCODES` entry: each `v` slot is one operand, and
+    an `args` slot any number of them."""
+    spec, out = OPCODES[i.op], []
+    if spec.dest is True and i.dest is None:
+        out.append(f"{i.op} requires a destination")
+    if spec.dest is False and i.dest is not None:
+        out.append(f"{i.op} takes no destination")
+    n, got = spec.slots.count("v"), len(i.args)
+    if "args" in spec.slots:
+        if got < n:
+            out.append(f"{i.op} takes at least {n} operand{'s' * (n != 1)}, got {got}")
+    elif got != n:
+        out.append(f"{i.op} takes {n} operand{'s' * (n != 1)}, got {got}")
+    return out
+
+
 def _fn_diagnostics(p: Program, f: Function) -> list[Diagnostic]:
     if not f.blocks:
         return [_d(f"fn {f.name}", "function has no blocks"), *_defined_once(f)]
@@ -199,6 +219,8 @@ def _fn_diagnostics(p: Program, f: Function) -> list[Diagnostic]:
     fmap = p.fn_map()
     for b in f.blocks:
         for i in b.instrs:
+            if i.op in OPCODES:
+                out.extend(_d(f"fn {f.name}/{b.name}", m) for m in _shape(i))
             if i.op in KINDS and i.kind not in KINDS[i.op]:
                 out.append(_d(f"fn {f.name}/{b.name}", f"unknown {i.op} kind {i.kind!r}"))
             if i.op == "vbinop" and (i.width is None or i.width < 2):

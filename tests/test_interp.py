@@ -6,7 +6,7 @@ import pytest
 from cirlab.corpus import coarsen_loop, corpus, waitnotify_flag
 from cirlab.interp import (DONE, Explicit, InterpreterError, Machine, ResultTrace, cost_model,
                            parse_schedule, run)
-from cirlab import ir
+from cirlab import interp, ir
 from cirlab.parser import parse
 from cirlab.ir import Block, Br, Function, Instr, Program, Ret, ThreadDecl
 from cirlab.scheduler import check_refinement, enumerate_results
@@ -825,7 +825,9 @@ def _main(*instrs: Instr, params=(), term=Ret(None), blocks=(), threads=("main",
 _HELPER = Function("helper", ("x",), (Block("e", (), (), Ret(None)),))
 
 #: programs that fail `validate`, each with one of its diagnostics; before the
-#: gate some raised KeyError, TypeError or InterpreterError, and the last ran
+#: gate some raised KeyError, TypeError or InterpreterError, and the last ran,
+#: and before `validate` checked operand counts, `output-without-operand`
+#: raised IndexError
 INVALID_PROGRAMS = {
     "use-before-def": (_main(ir.output("x")), "fn main/b0: use of 'x' before definition"),
     "new-unknown-class": (_main(ir.new("o", "Nope")), "fn main: unknown class 'Nope'"),
@@ -843,6 +845,7 @@ INVALID_PROGRAMS = {
     "bad-call-in-unreached-block": (
         _main(blocks=(Block("dead", (), (ir.call(None, "helper"),), Ret(None)),), fns=(_HELPER,)),
         "fn main/dead: call passes 0 args, helper takes 1"),
+    "output-without-operand": (_main(Instr("output")), "fn main/b0: output takes 1 operand, got 0"),
 }
 
 
@@ -854,3 +857,26 @@ def test_a_program_that_fails_validate_is_refused(program, diagnostic):
                     lambda: check_refinement(ok, program), lambda: check_refinement(program, ok)):
         with pytest.raises(ValueError, match=message):
             attempt()
+
+
+def test_a_run_or_a_search_derives_the_program_tables_once(monkeypatch):
+    built = Counter()
+
+    def counted(name):
+        real = getattr(interp, name)
+        monkeypatch.setattr(interp, name, lambda *a: built.update([name]) or real(*a))
+
+    counted("_reach_table")  # `_Code.reach`
+    counted("_thread_groups")  # `_Code.keying`
+    program = parse(coarsen_loop(1, threads=2))
+    m = Machine(program)
+    clone = m.clone()
+    assert clone.code is m.code
+    # state only, in one order, so that clones share `__init__`'s instance dict keys
+    assert list(vars(m)) == list(vars(clone)) == [
+        "code", "heap", "monitors", "op_counts", "threads", "live", "events", "cost", "steps",
+        "status", "reason"]
+    run(program, "rr:1")
+    assert not built
+    enumerate_results(program)
+    assert built == {"_reach_table": 1, "_thread_groups": 1}

@@ -680,7 +680,7 @@ def _reach_violations(m: Machine) -> list[tuple[str, int, int]]:
     """(root, cell, owner) for each cell reachable from a root that its owner
     forbids: the singletons may reach only shared cells, and thread u's frames
     only shared cells and cells u owns."""
-    roots = [("singletons", 0, list(m.singletons.values()))]
+    roots = [("singletons", 0, list(m.code.singletons.values()))]
     roots += [(f"thread {t.tid}", t.tid, [v for f in t.frames for v in f.locals.values()])
               for t in m.threads]
     bad = []

@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import pytest
+
 from hypothesis import given, settings, strategies as st
 
 from cirlab.corpus import corpus
@@ -222,3 +224,33 @@ def test_function_without_blocks_is_reported_not_raised():
 def test_block_without_terminator_is_a_diagnostic():
     p = Program((), (Function("main", (), (Block("b0", (), (), None),)),), (ThreadDecl("main"),))
     assert [str(d) for d in validate(p)] == ["fn main/b0: block has no terminator"]
+
+
+def _main(*instrs: ir.Instr) -> Program:
+    return Program((), (Function("main", (), (Block("b0", (), instrs, Ret(None)),)),),
+                   (ThreadDecl("main"),))
+
+
+#: one program per operand shape of `ir.OPCODES`: a required destination,
+#: none allowed, an optional one, a `v` slot that is exactly one operand, and
+#: an `args` slot that takes any number of them
+OPERAND_SHAPES = {
+    "binop-without-dest": (ir.Instr("binop", None, ("x", "x"), kind="add"),
+                           ["binop requires a destination"]),
+    "output-with-dest": (ir.Instr("output", "y", ("x",)), ["output takes no destination"]),
+    "call-without-dest": (ir.call(None, "main"), []),
+    "call-with-dest": (ir.call("y", "main"), []),
+    "output-without-operand": (ir.Instr("output"), ["output takes 1 operand, got 0"]),
+    "binop-with-one-operand": (ir.Instr("binop", "y", ("x",), kind="add"),
+                               ["binop takes 2 operands, got 1"]),
+    "park-with-an-operand": (ir.Instr("park", args=("x",)), ["park takes 0 operands, got 1"]),
+    "callhandle-without-handle": (ir.Instr("callhandle", "y"),
+                                  ["callhandle takes at least 1 operand, got 0"]),
+    "callhandle-with-two-args": (ir.Instr("callhandle", "y", ("x", "x", "x")), []),
+}
+
+
+@pytest.mark.parametrize("instr, messages", OPERAND_SHAPES.values(), ids=OPERAND_SHAPES)
+def test_operand_shapes_follow_the_opcode_table(instr, messages):
+    p = _main(ir.const("x", 1), instr)
+    assert [str(d) for d in validate(p)] == [f"fn main/b0: {m}" for m in messages]
