@@ -25,15 +25,30 @@ and the search read. One loop, `Machine._advance`, steps the decoded code in
 batches, and one driver, `Machine._drive`, runs it until
 `Machine.schedulable`, the stop rule of `run` and of the schedule enumerator,
 stops the machine; `run` and the enumerator's last-thread tail both call
-`_drive`. The driver asks the schedule to pick a thread only while two or
-more are live; the last one runs alone. A batch keeps the enabled set
-`schedulable` gave and hands back, so that `schedulable` is asked again, only
-after a step that could change that set: a `monitorenter`, `monitorexit`,
-`wait`, `notify`, `notifyall` or `unpark` while another thread is live, a
-step that reacquires a monitor, a step after which the stepping thread is not
-`RUN` or its next `monitorenter` is blocked, and a step that stops the
-machine or uses up the step budget. Any other step changes no monitor and no
-other thread's status, so every thread stays as enabled as it was.
+`_drive`. The driver asks the schedule only while two or more threads are
+live; the last one runs alone. It asks for a grant, not a pick:
+`grant(enabled)` names the thread the next n picks would choose, and
+`take(enabled, k)` moves the schedule on by the k steps used, so a thread
+that keeps the schedule's choice costs one question per run of steps, not
+one per step. A batch keeps the enabled set `schedulable` gave and hands
+back, so that `schedulable` is asked again, only after a step that could
+change that set: a `monitorenter`, `monitorexit`, `wait`, `notify`,
+`notifyall` or `unpark` while another thread is live, a step that reacquires
+a monitor, a step after which the stepping thread is not `RUN` or its next
+`monitorenter` is blocked, and a step that stops the machine or uses up the
+step budget. Any other step changes no monitor and no other thread's status,
+so every thread stays as enabled as it was.
+
+Inside natural loops the batch also takes compiled runs (superoperators:
+Proebsting, POPL 1995; Ertl & Gregg, JILP 2003): `_compiled_runs` turns each
+stretch of ops that cannot block, emit, stop the machine or change frames
+into one generated Python function, which re-checks what each handler
+checks and falls back to the handler where a check fails, so every fault
+comes from the handler. The generated code is kept per `Function`
+(`ir.memo`), since the same functions run again and again, and each source
+is compiled once; the entry lists stay per `_Code`. `_step` still takes one
+instruction at a time: the search steps with it, and the tests compare `run`
+against it.
 """
 
 from __future__ import annotations
@@ -41,10 +56,12 @@ from __future__ import annotations
 import operator
 import sys
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .ir import INT_MAX, OPCODES, PURE_OPS, Br, CondBr, Function, Instr, Program, Ret, memo
+from .ir import (INT_MAX, INT_MIN, OPCODES, PURE_OPS, Br, CondBr, Function, Instr, Program, Ret,
+                 memo)
 from .validate import validate
 
 
@@ -270,6 +287,152 @@ def _branch(term: Br | CondBr, blocks: dict, code: dict):
     return h
 
 
+#: the opcodes a compiled run executes inline (see `_compiled_runs`), besides
+#: a `br` or `condbr`: none of them stops the machine, emits, blocks, touches a
+#: monitor or another thread, or pushes or pops a frame
+_RUN_OPS = frozenset({"const", "classref", "binop", "getfield", "putfield", "arrayload",
+                      "arraystore"})
+
+
+def _slow(m, t, fr, j: int) -> None:
+    """Step entry `j` of `fr`'s block through its decoded handler, as `_step`
+    does; a compiled run's way out when an inline check fails, so that every
+    fault and its message come from the handler."""
+    fr.idx = j + 1
+    handler, instr, _, _ = fr.code[j]
+    handler(m, t, fr, instr)
+
+
+def _checked(cond: str, body: list[str], j: int) -> list[str]:
+    """Lines running `body` when `cond` holds, else `_slow` at entry `j`."""
+    return [f"if {cond}:", *["    " + s for s in body], "else:", f"    _slow(m, t, fr, {j})"]
+
+
+def _instr_lines(j: int, i: Instr) -> list[str]:
+    """Lines executing entry `j`, instruction `i`, with its handler's checks
+    inline: int operands and the wrap of a binop, a reference to an object
+    with the field or to an array with the index, and `_publish` after a
+    store into a shared cell."""
+    a = [f"env[{x!r}]" for x in i.args]
+    d = f"env[{i.dest!r}]"
+    if i.op == "const":
+        return [f"{d} = {i.value!r}"]
+    if i.op == "classref":
+        return [f"{d} = m.code.singletons[{i.cls!r}]"]
+    if i.op == "binop":
+        lines, ints = [f"a = {a[0]}", f"b = {a[1]}"], "type(a) is int and type(b) is int"
+        if i.kind == "eq":
+            return lines + [f"{d} = type(a) is type(b) and a == b"]
+        if i.kind in ("lt", "le"):
+            body = [f"{d} = a {'<' if i.kind == 'lt' else '<='} b"]
+        elif i.kind in ("div", "mod"):
+            ints, body = f"{ints} and b", [f"{d} = _INT_OPS[{i.kind!r}](a, b)"]
+        else:
+            sym = {"add": "+", "sub": "-", "mul": "*"}[i.kind]
+            body = [f"r = a {sym} b", f"{d} = r if {INT_MIN} <= r <= {INT_MAX} else _wrap(r)"]
+        return lines + _checked(ints, body, j)
+    lines = [f"v = {a[0]}"]
+    if i.op in _ARRAY_OPS:
+        lines.append(f"k = {a[1]}")
+        cond = ("type(v) is Ref and type(o := heap[v.i]) is HArr"
+                " and type(k) is int and 0 <= k < len(o.elems)")
+        body = [f"{d} = o.elems[k]" if i.op == "arrayload" else f"o.elems[k] = w = {a[2]}"]
+    else:
+        cond = f"type(v) is Ref and type(o := heap[v.i]) is HObj and {i.field!r} in o.fields"
+        cell = f"o.fields[{i.field!r}]"
+        body = [f"{d} = {cell}" if i.op == "getfield" else f"{cell} = w = {a[1]}"]
+    if i.op in ("putfield", "arraystore"):
+        body += ["if not o.owner and type(w) is Ref:", "    m._publish(w)"]
+    return lines + _checked(cond, body, j)
+
+
+def _branch_lines(f: Function, term: Br | CondBr, j: int) -> list[str]:
+    """Lines taking branch `term`, entry `j`, as its `_branch` handler does."""
+    blocks = f.block_map()
+
+    def edge(target: str, args: tuple[str, ...]) -> list[str]:
+        params, lines = blocks[target].params, []
+        if params:
+            lines.append(f"{', '.join(f'env[{p!r}]' for p in params)} = "
+                         f"{', '.join(f'env[{a!r}]' for a in args)}")
+        return lines + [f"fr.block = {target!r}",
+                        f"fr.code = m.code.entries[{f.name!r}][{target!r}]", "fr.idx = 0"]
+
+    if isinstance(term, Br):
+        return edge(term.target, term.args)
+    (then, then_args), (other, other_args) = term.edges()
+    return [f"c = env[{term.cond!r}]",
+            "if c is True:", *["    " + s for s in edge(then, then_args)],
+            "elif c is False:", *["    " + s for s in edge(other, other_args)],
+            "else:", f"    _slow(m, t, fr, {j})"]
+
+
+@lru_cache(maxsize=256)
+def _load(src: str) -> dict:
+    """The namespace that generated source `src` defines. Kept for recent
+    sources: a compile costs a few milliseconds, as much as a short run saves,
+    and programs parsed from the same text have equal functions, so equal
+    sources. The source, not the `Function`, is the key: functions that
+    differ only in `const 1` and `const true` compare equal."""
+    scope = {"Ref": Ref, "HObj": HObj, "HArr": HArr, "_wrap": _wrap, "_slow": _slow,
+             "_INT_OPS": _INT_OPS}
+    exec(compile(src, "<compiled runs>", "exec"), scope)
+    return scope
+
+
+@memo
+def _compiled_runs(f: Function) -> dict[str, tuple]:
+    """Block -> for each entry index, None or the compiled run starting there:
+    (`run(machine, thread, frame)`, its steps, its cost).
+
+    Only blocks inside a natural loop are compiled. A run starts at index 0
+    or right after an op outside `_RUN_OPS`, takes the longest stretch of
+    `_RUN_OPS` from there and, when the stretch reaches the block's `br` or
+    `condbr`, that too, and counts only with two steps or more. It adds its
+    own op counts; the caller adds its steps and cost. The generated source
+    embeds every IR name with `repr` and reads the branch targets' entry
+    lists and the singletons from `machine.code`, never from this function,
+    so it depends on `f` alone: passes share a `Function` between programs,
+    whose classes and decoded code differ. So it is kept per `Function`
+    (`ir.memo`), and `_load` compiles each source once.
+    """
+    from .cfg import natural_loops  # on first use, as `_live_names` takes `liveness`
+    in_loop = set().union(*[loop.blocks for loop in natural_loops(f)])
+    src, made = [], []
+    for bi, b in enumerate(f.blocks):
+        if b.name not in in_loop:
+            continue
+        ops = [i.op for i in b.instrs]
+        for start in range(len(ops) + 1):
+            if start and ops[start - 1] in _RUN_OPS:
+                continue
+            end = start
+            while end < len(ops) and ops[end] in _RUN_OPS:
+                end += 1
+            branch = end == len(ops) and not isinstance(b.term, Ret)
+            if end - start + branch < 2:
+                continue
+            body = ["env = fr.locals"]
+            if any(op in _CELL_OPS for op in ops[start:end]):
+                body.append("heap = m.heap")
+            for j in range(start, end):
+                body += _instr_lines(j, b.instrs[j])
+            body += _branch_lines(f, b.term, end) if branch else [f"fr.idx = {end}"]
+            body += ["counts = m.op_counts",
+                     *[f"counts[{op!r}] += {n}" for op, n in Counter(ops[start:end]).items()]]
+            name = f"_run_{bi}_{start}"
+            src += [f"def {name}(m, t, fr):", *["    " + s for s in body]]
+            cost = sum(cost_model(i) for i in b.instrs[start:end]) + branch
+            made.append((b, start, name, end - start + branch, cost))
+    if not made:
+        return {}
+    scope = _load("\n".join(src))
+    table: dict[str, list] = {}
+    for b, start, name, steps, cost in made:
+        table.setdefault(b.name, [None] * (len(b.instrs) + 1))[start] = (scope[name], steps, cost)
+    return {name: tuple(starts) for name, starts in table.items()}
+
+
 def _labels(i: Instr) -> tuple:
     """The look-ahead labels of `i` itself; a `call` adds its callee's."""
     if i.op == "getfield":
@@ -357,8 +520,9 @@ class _Code:
     `_binop` or `_branch` closure. `callees` maps fn -> (params, entry block,
     entry list), `vtable` (class, selector) -> fn, `ancestry` and `field_order`
     a class to its ancestors and fields, `singletons` to its singleton (heap
-    cell k for the k-th class), and `op_counts` each opcode of the program to
-    0. Only the search reads `reach` and `keying`.
+    cell k for the k-th class), `entries` fn -> block -> entry list, and
+    `op_counts` each opcode of the program to 0. Only `Machine._advance` reads
+    `runs`, and only the search reads `reach` and `keying`.
     """
 
     def __init__(self, program: Program):
@@ -370,7 +534,7 @@ class _Code:
         self.vtable = {(c, sel): p.resolve_method(c, sel)
                        for c in self.ancestry for d in p.classes for sel, _ in d.methods}
         blocks = {name: f.block_map() for name, f in fns.items()}
-        code = {name: {b: [] for b in bm} for name, bm in blocks.items()}
+        code = self.entries = {name: {b: [] for b in bm} for name, bm in blocks.items()}
         self.callees = {name: (f.params, f.entry.name, code[name][f.entry.name])
                         for name, f in fns.items()}
         self.op_counts: dict[str, int] = {}
@@ -385,6 +549,13 @@ class _Code:
                 term = (Machine._op_ret if isinstance(b.term, Ret)
                         else _branch(b.term, blocks[name], code[name]))
                 entries.append((term, b.term, 1, None))
+
+    @cached_property
+    def runs(self) -> dict[int, tuple]:
+        """`id` of an entry list -> `_compiled_runs` of its block, for the
+        blocks that have one; the lists live as long as this object."""
+        return {id(self.entries[name][b]): starts for name, f in self.fns.items()
+                for b, starts in _compiled_runs(f).items()}
 
     @cached_property
     def reach(self) -> dict[str, dict[str, list[frozenset]]]:
@@ -631,53 +802,82 @@ class Machine:
         handler(self, t, fr, instr)
         self.cost += cost
 
-    def _advance(self, t: ThreadState, budget: int, pick=None, enabled=None) -> None:
-        """`_step` `t`, an enabled thread, then `t` again or, given `pick`, the thread
-        `pick(enabled)` chooses, while no step could change `enabled`, the set
-        `schedulable` gave. Hands back after a sync op while another thread is live,
-        after a step that leaves its thread not `RUN` or before a blocked
-        `monitorenter`, and at `budget` or once the machine stops; the status is
-        `schedulable`'s to set. A thread in `REACQUIRE` takes one step and hands back."""
+    def _advance(self, budget: int, enabled: list[int], policy=None) -> None:
+        """Step the threads in `enabled`, the set `schedulable` gave, while no
+        step could change it. Without `policy` (one thread live), `enabled[0]`
+        runs alone; with it, each thread runs for the steps `policy.grant`
+        grants it, and `policy.take` learns the steps used when a grant runs
+        out or the loop hands back.
+
+        Hands back after a sync op while another thread is live, after a step
+        that leaves its thread not `RUN` or before a blocked `monitorenter`, and
+        at `budget` or once the machine stops; the status is `schedulable`'s to
+        set. A thread in `REACQUIRE` takes one step and hands back. Where a
+        compiled run starts (`_compiled_runs`) and fits both the grant left and
+        the budget, one call takes all its steps: none of its ops can meet a
+        hand-back rule, so it stops where that many single steps would.
+        """
+        threads = self.threads
+        if policy is None:
+            t, until = threads[enabled[0] - 1], UNBOUNDED
+        else:
+            tid, n = policy.grant(enabled)
+            t, until = threads[tid - 1], self.steps + n
         if t.status is REACQUIRE:
             self._step(t)
+            if policy is not None:
+                policy.take(enabled, 1)
             return
-        threads, counts, enter = self.threads, self.op_counts, Machine._op_monitorenter
+        counts, enter, runs = self.op_counts, Machine._op_monitorenter, self.code.runs
         shared = self.live > 1
         steps, cost = self.steps, self.cost
+        stop = until if until < budget else budget  # no run may pass it
         fr = t.frames[-1]
         handler, instr, c, op = fr.code[fr.idx]
         while True:
-            steps += 1
-            cost += c
-            fr.idx += 1
-            if op is not None:
-                counts[op] += 1
-            handler(self, t, fr, instr)
-            if (shared and op in _SYNC_OPS or t.status is not RUN or steps >= budget
-                    or self.status is not None):
+            if (steps + 2 <= stop and (starts := runs.get(id(fr.code)))
+                    and (r := starts[fr.idx]) and steps + r[1] <= stop):
+                r[0](self, t, fr)
+                steps += r[1]
+                cost += r[2]
+            else:
+                steps += 1
+                cost += c
+                fr.idx += 1
+                if op is not None:
+                    counts[op] += 1
+                handler(self, t, fr, instr)
+                if shared and op in _SYNC_OPS or t.status is not RUN or self.status is not None:
+                    break
+            if steps >= budget:
                 break
             fr = t.frames[-1]
             handler, instr, c, op = fr.code[fr.idx]
             if handler is enter and not self.enabled(t.tid):
                 break
-            if pick is not None and (u := threads[pick(enabled) - 1]) is not t:
-                t = u
-                if t.status is REACQUIRE:
-                    self.steps, self.cost = steps, cost
-                    self._step(t)
-                    return
-                fr = t.frames[-1]
-                handler, instr, c, op = fr.code[fr.idx]
+            if steps == until:
+                policy.take(enabled, n)
+                tid, n = policy.grant(enabled)
+                until = steps + n
+                stop = until if until < budget else budget
+                if (u := threads[tid - 1]) is not t:
+                    t = u
+                    if t.status is REACQUIRE:
+                        self.steps, self.cost = steps, cost
+                        self._step(t)
+                        policy.take(enabled, 1)
+                        return
+                    fr = t.frames[-1]
+                    handler, instr, c, op = fr.code[fr.idx]
         self.steps, self.cost = steps, cost
+        if policy is not None:
+            policy.take(enabled, n - (until - steps))
 
-    def _drive(self, budget: int, pick=None) -> None:
-        """`_advance` until `schedulable` stops the machine, asking `pick` for the
-        thread to step while two or more threads are live."""
+    def _drive(self, budget: int, policy=None) -> None:
+        """`_advance` until `schedulable` stops the machine, asking `policy`
+        for grants while two or more threads are live."""
         while enabled := self.schedulable(budget):
-            if self.live > 1:
-                self._advance(self.threads[pick(enabled) - 1], budget, pick, enabled)
-            else:
-                self._advance(self.threads[enabled[0] - 1], budget)
+            self._advance(budget, enabled, policy if self.live > 1 else None)
 
     # -- opcode handlers (see `_Code`) -----------------------------------
 
@@ -969,25 +1169,51 @@ class Machine:
         return tuple(tparts), tuple(hparts)
 
 
+#: a grant with no end: with one thread enabled, every pick returns it
+UNBOUNDED = sys.maxsize
+
+
 @dataclass
 class RoundRobin:
-    """Run each enabled thread for up to `quantum` consecutive steps."""
+    """Run each enabled thread for up to `quantum` consecutive steps.
+
+    `enabled` is sorted, as `Machine.schedulable` gives it. `grant(enabled)`
+    is (tid, n): the next n `pick(enabled)` calls all return tid, n being
+    `UNBOUNDED` when one thread is enabled. It changes nothing;
+    `take(enabled, k)` then sets the state as k picks would, k >= 1.
+    """
 
     quantum: int = 1
     _cur: int = 0
     _left: int = 0
 
+    def __post_init__(self):
+        if not isinstance(self.quantum, int) or self.quantum < 1:
+            raise ValueError(f"round-robin quantum must be an int of at least 1, "
+                             f"got {self.quantum!r}")
+
+    def _next(self, enabled: list[int]) -> tuple[int, int]:
+        """(the next pick, the picks its thread has left counting that one)."""
+        if self._left > 0 and self._cur in enabled:
+            return self._cur, self._left
+        for i in enabled:  # the first thread after the current one, else the lowest
+            if i > self._cur:
+                return i, self.quantum
+        return enabled[0], self.quantum
+
+    def grant(self, enabled: list[int]) -> tuple[int, int]:
+        tid, n = self._next(enabled)
+        return tid, UNBOUNDED if len(enabled) == 1 else n
+
+    def take(self, enabled: list[int], k: int) -> None:
+        self._cur, left = self._next(enabled)
+        # past its quantum a lone enabled thread is chosen afresh and runs on
+        self._left = left - k if k <= left else (left - k) % self.quantum
+
     def pick(self, enabled: list[int]) -> int:
-        """The next thread; `enabled` is sorted, as `Machine.schedulable` gives it."""
-        if self._left <= 0 or self._cur not in enabled:
-            for i in enabled:  # the first thread after the current one, else the lowest
-                if i > self._cur:
-                    break
-            else:
-                i = enabled[0]
-            self._cur, self._left = i, self.quantum
-        self._left -= 1
-        return self._cur
+        tid, _ = self.grant(enabled)
+        self.take(enabled, 1)
+        return tid
 
 
 @dataclass
@@ -996,27 +1222,65 @@ class Explicit:
 
     When the scheduled thread is not enabled, the lowest-id enabled thread
     runs instead, which keeps every explicit schedule executable and maps it
-    onto some sequence of legal choices.
+    onto some sequence of legal choices. `grant`, `take` and `pick` as for
+    `RoundRobin`.
     """
 
     seq: tuple[int, ...]
     _ptr: int = 0
 
+    def __post_init__(self):
+        if not self.seq:
+            raise ValueError("an explicit schedule needs at least one thread id")
+        if min(self.seq) < 1:
+            raise ValueError(f"thread ids start at 1, got {min(self.seq)}")
+
+    def grant(self, enabled: list[int]) -> tuple[int, int]:
+        seq, size, lowest = self.seq, len(self.seq), enabled[0]  # sorted
+        ptr = self._ptr % size
+        tid = seq[ptr]
+        if tid not in enabled:
+            tid = lowest
+        n = 1
+        while n < size:
+            want = seq[(ptr + n) % size]
+            if (want if want in enabled else lowest) != tid:
+                return tid, n
+            n += 1
+        return tid, UNBOUNDED
+
+    def take(self, enabled: list[int], k: int) -> None:
+        self._ptr += k
+
     def pick(self, enabled: list[int]) -> int:
-        want = self.seq[self._ptr % len(self.seq)]
-        self._ptr += 1
-        return want if want in enabled else enabled[0]  # sorted
+        tid, _ = self.grant(enabled)
+        self.take(enabled, 1)
+        return tid
+
+
+@dataclass
+class _Picks:
+    """Grants of one step each from a schedule that only has `pick`.
+    `Machine._advance` asks for a grant only right before the step it grants,
+    so `grant` may pick then."""
+
+    pick: Callable[[list[int]], int]
+
+    def grant(self, enabled: list[int]) -> tuple[int, int]:
+        return self.pick(enabled), 1
+
+    def take(self, enabled: list[int], k: int) -> None:
+        pass
 
 
 def parse_schedule(spec: str) -> RoundRobin | Explicit:
     """Parse "rr:k" (k >= 1) or "explicit:t1,t2,..." (each t >= 1) schedules."""
     kind, _, rest = spec.partition(":")
     try:
-        if kind == "rr" and int(rest) >= 1:
+        if kind == "rr":
             return RoundRobin(int(rest))
-        seq = tuple(int(x) for x in rest.split(",")) if kind == "explicit" else ()
-        if seq and min(seq) >= 1:
-            return Explicit(seq)
+        if kind == "explicit":
+            return Explicit(tuple(int(x) for x in rest.split(",")))
     except ValueError:
         pass
     raise ValueError(f"bad schedule {spec!r} (use rr:k with k >= 1, or explicit:t1,t2,...)")
@@ -1035,7 +1299,8 @@ def run(program: Program, schedule: RoundRobin | Explicit | str = "rr:1",
     """Execute `program` deterministically under one schedule policy.
 
     Thread count never grows, so once one thread is left it runs alone: the
-    policy could pick no other.
+    policy could pick no other. A schedule object with only a `pick` method
+    gets grants of one step.
     """
     if budget < 1:
         raise ValueError(f"step budget must be at least 1, got {budget}")
@@ -1043,8 +1308,10 @@ def run(program: Program, schedule: RoundRobin | Explicit | str = "rr:1",
     if isinstance(policy, Explicit) and max(policy.seq) > len(program.threads):
         raise ValueError(f"schedule names thread {max(policy.seq)}, "
                          f"but the program has {len(program.threads)} thread(s)")
+    if not hasattr(policy, "grant"):
+        policy = _Picks(policy.pick)
     m = Machine(program)
-    m._drive(budget, policy.pick)
+    m._drive(budget, policy)
     trace = ResultTrace(tuple(m.events), m.status, m.reason)
     metrics = MetricVector(refcycles=m.cost)
     op_counts = Counter({op: n for op, n in m.op_counts.items() if n})

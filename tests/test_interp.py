@@ -1,12 +1,16 @@
+import copy
+import random
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from cirlab.corpus import coarsen_loop, corpus, waitnotify_flag
-from cirlab.interp import (DONE, Explicit, InterpreterError, Machine, ResultTrace, cost_model,
-                           parse_schedule, run)
-from cirlab import interp, ir
+from cirlab.corpus import (coarsen_loop, corpus, fj_kmeans_mini, guard_bounds_loop, vec_add,
+                           waitnotify_flag)
+from cirlab.interp import (DONE, UNBOUNDED, Explicit, InterpreterError, Machine, ResultTrace,
+                           RoundRobin, cost_model, parse_schedule, run)
+from cirlab import interp, ir, passes
 from cirlab.parser import parse
 from cirlab.ir import Block, Br, Function, Instr, Program, Ret, ThreadDecl
 from cirlab.scheduler import check_refinement, enumerate_results
@@ -880,3 +884,323 @@ def test_a_run_or_a_search_derives_the_program_tables_once(monkeypatch):
     assert not built
     enumerate_results(program)
     assert built == {"_reach_table": 1, "_thread_groups": 1}
+
+
+# -- schedule grants and compiled runs ----------------------------------------
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: RoundRobin(0), "round-robin quantum must be an int of at least 1, got 0"),
+    (lambda: RoundRobin(-3), "round-robin quantum must be an int of at least 1, got -3"),
+    (lambda: RoundRobin(2.5), "round-robin quantum must be an int of at least 1, got 2.5"),
+    (lambda: Explicit(()), "an explicit schedule needs at least one thread id"),
+    (lambda: Explicit((0,)), "thread ids start at 1, got 0"),
+    (lambda: Explicit((2, -1)), "thread ids start at 1, got -1"),
+], ids=["rr:0", "rr:-3", "rr:2.5", "explicit:", "explicit:0", "explicit:2,-1"])
+def test_a_schedule_policy_refuses_settings_no_schedule_has(make, message):
+    # `run` took the zero and negative settings silently, and `Explicit(())`
+    # failed in `max()`; `take`'s `% quantum` would turn a zero quantum into
+    # ZeroDivisionError, and a grant of 2.5 steps would never run out
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+def _policy_states(seed: int, count: int):
+    """Random `RoundRobin` and `Explicit` states, each with a sorted enabled set."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        enabled = sorted(rng.sample(range(1, 6), rng.randint(1, 4)))
+        if rng.random() < 0.5:
+            q = rng.randint(1, 5)
+            yield RoundRobin(q, rng.randint(0, 6), rng.randint(0, q + 1)), enabled
+        else:
+            seq = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 6)))
+            yield Explicit(seq, rng.randint(0, 20)), enabled
+
+
+def _classic_pick(policy, enabled: list[int]) -> int:
+    """One pick by the rules as `run` applied them one step at a time, written
+    apart from the policies' own code."""
+    if isinstance(policy, Explicit):
+        want = policy.seq[policy._ptr % len(policy.seq)]
+        policy._ptr += 1
+        return want if want in enabled else enabled[0]
+    if policy._left <= 0 or policy._cur not in enabled:
+        later = [i for i in enabled if i > policy._cur]
+        policy._cur, policy._left = (later or enabled)[0], policy.quantum
+    policy._left -= 1
+    return policy._cur
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_grant_is_that_many_picks_and_take_is_that_many_picks(seed):
+    for policy, enabled in _policy_states(seed, 300):
+        before = copy.deepcopy(policy)
+        tid, n = policy.grant(enabled)
+        assert policy == before, "grant changed the state"
+        # an unbounded grant is checked past several quanta, or cycles of `seq`
+        checked = n if n < UNBOUNDED else 20
+        for k in range(1, checked + 1):
+            classic, picked, taken = (copy.deepcopy(before) for _ in range(3))
+            want = [_classic_pick(classic, enabled) for _ in range(k)]
+            assert [picked.pick(enabled) for _ in range(k)] == want == [tid] * k, (before, k)
+            taken.take(enabled, k)
+            assert taken == picked == classic, (before, enabled, k)
+        if n < UNBOUNDED:  # and the grant is the longest such run
+            after = copy.deepcopy(before)
+            after.take(enabled, n)
+            assert _classic_pick(after, enabled) != tid, (before, enabled)
+
+
+def _reported(program, spec, budget: int):
+    """What `run` reports (trace, steps, cost, op counts), or its fault."""
+    try:
+        r = run(program, spec, budget)
+    except InterpreterError as e:
+        return "InterpreterError", str(e)
+    return r.trace, r.steps, r.metrics.refcycles, +Counter(r.op_counts)
+
+
+def _stepped(program, spec, budget: int):
+    """The same from the one-step-at-a-time reference."""
+    out = reference_run(program, spec, budget)[0]
+    return out if out[0] == "InterpreterError" else out[:4]
+
+
+@pytest.mark.parametrize("label", MULTI_THREAD_PROGRAMS)
+def test_run_with_the_real_policies_matches_the_reference(label):
+    # `Logged` makes `run` take one-step grants; these budgets cut real
+    # grants and compiled runs in the middle
+    p = MULTI_THREAD_PROGRAMS[label]
+    for spec in (*diff_schedules(p), "rr:2"):
+        for budget in (7, 23, 101, DIFF_BUDGET):
+            assert _reported(p, spec, budget) == _stepped(p, spec, budget), (spec, budget)
+
+
+def _single_thread_loops():
+    yield "guard_bounds_loop", parse(guard_bounds_loop(9, 7))
+    yield "fj_kmeans_mini", parse(fj_kmeans_mini(6))
+    vec = parse(vec_add(11, 5, 9))
+    yield "vec_add", vec
+    vectorized, _ = passes.pipeline(vec, ["guard_motion", "loop_vectorize"])
+    assert any(i.op == "vbinop" for f in vectorized.functions for b in f.blocks for i in b.instrs)
+    yield "vec_add/loop_vectorize", vectorized
+    yield "coarsen_loop(5, 1)", parse(coarsen_loop(5, threads=1))
+    yield "wrapping-arithmetic-and-int-bool-equality", parse("""
+        fn main() {
+        entry:
+          zero = const 0
+          three = const 3
+          br loop(zero, three)
+        loop(i, x):
+          big = const 6148914691236517205
+          y = binop mul, x, big
+          z = binop add, y, big
+          w = binop sub, z, big
+          one = const 1
+          yes = const true
+          same = binop eq, one, yes
+          condbr same, done(x), next(i, w)
+        next(j, v):
+          one2 = const 1
+          i2 = binop add, j, one2
+          ten = const 10
+          c = binop lt, i2, ten
+          condbr c, loop(i2, v), done(v)
+        done(r):
+          output r
+          ret
+        }
+        thread main()
+    """)
+
+
+SINGLE_THREAD_LOOPS = dict(_single_thread_loops())
+
+
+@pytest.mark.parametrize("label", SINGLE_THREAD_LOOPS)
+def test_compiled_runs_match_single_steps_at_every_budget(label):
+    p = SINGLE_THREAD_LOOPS[label]
+    assert any(interp._compiled_runs(f) for f in p.functions)
+    for budget in (*range(1, 61), DIFF_BUDGET):
+        assert _reported(p, "rr:1", budget) == _stepped(p, "rr:1", budget), budget
+
+
+#: loops whose compiled run meets a fault on a later trip: each must raise the
+#: handler's own error, as a step-by-step run does
+FAULTING_LOOPS = {
+    "division-by-a-counter-reaching-zero": ("""
+        fn main() {
+        entry:
+          three = const 3
+          zero = const 0
+          br loop(three)
+        loop(i):
+          hundred = const 100
+          q = binop div, hundred, i
+          one = const 1
+          j = binop sub, i, one
+          c = binop le, zero, j
+          condbr c, loop(j), done()
+        done():
+          ret
+        }
+        thread main()
+    """, "binop div: division by zero"),
+    "getfield-on-an-int": ("""
+        class Box { fields v; }
+        fn main() {
+        entry:
+          b = new Box
+          three = const 3
+          br loop(three, b)
+        loop(i, o):
+          v = getfield o, v
+          one = const 1
+          j = binop sub, i, one
+          br loop(j, j)
+        }
+        thread main()
+    """, "getfield: not a reference"),
+    "putfield-of-a-missing-field": ("""
+        class Box { fields v; }
+        class Tag { fields w; }
+        fn main() {
+        entry:
+          b = new Box
+          t = new Tag
+          three = const 3
+          br loop(three, b, t)
+        loop(i, o, other):
+          one = const 1
+          putfield o, v, one
+          j = binop sub, i, one
+          br loop(j, other, o)
+        }
+        thread main()
+    """, "putfield: class Tag has no field 'v'"),
+    "condbr-on-an-int": ("""
+        fn main() {
+        entry:
+          three = const 3
+          t = const true
+          br loop(three, t)
+        loop(i, c):
+          one = const 1
+          j = binop sub, i, one
+          condbr c, loop(j, j), done()
+        done():
+          ret
+        }
+        thread main()
+    """, "condbr: condition is not a boolean"),
+}
+
+
+@pytest.mark.parametrize("label", FAULTING_LOOPS)
+def test_a_fault_inside_a_compiled_run_is_the_handlers_own(label):
+    text, message = FAULTING_LOOPS[label]
+    p = parse(text)
+    assert interp._compiled_runs(p.functions[0])["loop"][0] is not None
+    with pytest.raises(InterpreterError, match=f"^{re.escape(message)}$"):
+        run(p)
+    assert _stepped(p, "rr:1", DIFF_BUDGET) == ("InterpreterError", message)
+
+
+def test_a_function_shared_by_two_programs_reads_each_programs_singletons():
+    first = parse("""
+        class A { fields n; }
+        class B { fields n; }
+        fn bump(k) {
+        entry:
+          zero = const 0
+          br loop(zero)
+        loop(i):
+          g = classref B
+          v = getfield g, n
+          one = const 1
+          v2 = binop add, v, one
+          putfield g, n, v2
+          i2 = binop add, i, one
+          c = binop lt, i2, k
+          condbr c, loop(i2), done()
+        done():
+          ret
+        }
+        fn main() {
+        e:
+          three = const 3
+          call bump(three)
+          a = classref A
+          b = classref B
+          x = getfield a, n
+          y = getfield b, n
+          output x
+          output y
+          ret
+        }
+        thread main()
+    """)
+    second = replace(first, classes=first.classes[::-1])  # B is heap cell 0 here, A in `first`
+    assert all(f is g for f, g in zip(first.functions, second.functions))
+    assert run(first).trace.events == run(second).trace.events == (0, 3)
+
+
+def test_functions_equal_but_for_an_int_and_a_bool_constant_run_their_own_code():
+    text = """
+        fn main() {
+        entry:
+          zero = const 0
+          br loop(zero)
+        loop(i):
+          go = const %s
+          one = const 1
+          i2 = binop add, i, one
+          condbr go, done(), loop(i2)
+        done():
+          ret
+        }
+        thread main()
+    """
+    boolean, integer = parse(text % "true"), parse(text % "1")
+    assert boolean.functions == integer.functions  # as 1 == True
+    assert run(boolean).trace.status == "terminated"
+    with pytest.raises(InterpreterError, match="condbr: condition is not a boolean"):
+        run(integer)
+
+
+PUBLISH_LOOP = """
+    class G { fields last; }
+    class Box { fields v; }
+    fn main(n) {
+    entry:
+      zero = const 0
+      br loop(zero)
+    loop(i):
+      o = new Box
+      g = classref G
+      putfield g, last, o
+      one = const 1
+      i2 = binop add, i, one
+      c = binop lt, i2, n
+      condbr c, loop(i2), done()
+    done():
+      ret
+    }
+    thread main(4)
+    thread main(5)
+"""
+
+
+@pytest.mark.parametrize("spec", ["rr:1", "rr:7"])
+def test_a_compiled_store_into_a_shared_cell_shares_the_cell_it_stores(spec):
+    # the store keeps the ownership invariant the search relies on
+    p = parse(PUBLISH_LOOP)
+    assert interp._compiled_runs(p.functions[0])["loop"][1] is not None
+    fast, slow = Machine(p), Machine(p)
+    fast._drive(DIFF_BUDGET, parse_schedule(spec))
+    policy = parse_schedule(spec)
+    while enabled := slow.schedulable(DIFF_BUDGET):
+        slow._step(slow.threads[policy.pick(enabled) - 1])
+    owners = [h.owner for h in fast.heap]
+    assert owners == [h.owner for h in slow.heap] == [0] * (2 + 4 + 5)  # singletons, boxes
