@@ -12,14 +12,29 @@ Grammar sketch::
     }
     thread name(lit, ...)
 
-Integers are decimal, comments run from ``//`` to end of line. Parsing also
-resolves names (classes, functions, fields, blocks); an unresolved name is
-reported as an error even though the text is grammatically fine.
+Lexical rules: a token is a decimal integer (``-`` only as its sign), an ASCII
+identifier or one of ``(){},;:=.``, and tokens are separated by spaces, tabs
+and newlines. A newline matters only after ``ret``, which takes its value from
+its own line. Comments run from ``//`` to end of line and may hold any
+character. Any other character, a carriage return too, is an unexpected
+character, and the first one in the text is reported before any syntax error.
+
+The lexer works a line at a time: it cuts a line at ``//``, searches it once
+for an unexpected character and takes its tokens with one ``findall``. A token
+is a plain string, kept with a parallel list of line numbers. The column of a
+token is worked out only when an error is raised there, by scanning its line
+again; a tab counts as one column, and the end of input sits just past the end
+of the last line.
+
+Parsing also resolves names (classes, functions, fields, blocks); an
+unresolved name is reported as an error even though the text is grammatically
+fine.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain, count, repeat
 
 from . import ir
 from .ir import Block, Br, ClassDef, CondBr, Function, Instr, Program, Ret, ThreadDecl
@@ -33,23 +48,38 @@ KEYWORDS = frozenset(
     | set(ir.OPCODES)
 )
 
-#: syntax slots (see `ir.OpSpec`) naming a declared entity, with what to call it
-_NAMED = {"cls": "class name", "field": "field name", "fn": "function name",
-          "method": "method name"}
+#: one token, after the spaces and tabs before it (taking them in the match
+#: makes `findall` about twice as fast as failing at each of them)
+_TOKEN = re.compile(r"[ \t]*([A-Za-z_][A-Za-z0-9_]*|[(){},;:=.]|-?\d+)")
+#: a character other than a blank, digit, ASCII letter, `_` or punctuation,
+#: or a `-` not before a digit; comments are cut off first. The leading class
+#: lets `search` skip ahead, twice as fast as a leading `-(?!\d)|` branch.
+_BAD = re.compile(r"[^ \t\dA-Za-z_(){},;:=.](?!(?<=-)\d)")
+_LITERALS = {"true": True, "false": False, "null": None}
 _PUNCT = frozenset(",().")
+#: syntax slots (see `ir.OpSpec`) holding one name, with what to call it
+_NAMED = {"v": "name", "cls": "class name", "field": "field name", "fn": "function name",
+          "method": "method name"}
+_TERMINATORS = frozenset({"br", "condbr", "ret"})
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>[ \t]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<nl>\n)
-  | (?P<int>-?\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[(){},;:=.])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+
+def _plan(slots: tuple[str, ...]) -> tuple[tuple[str, str | None, str | None], ...]:
+    """Each syntax slot that is not punctuation, with what to call the name it
+    holds (None if it holds something else) and the punctuation after it."""
+    steps = []
+    for s in slots:
+        if s not in _PUNCT:
+            steps.append([s, _NAMED.get(s), None])
+        elif steps and steps[-1][2] is None:
+            steps[-1][2] = s
+        else:
+            raise ValueError(f"syntax {' '.join(slots)!r}: punctuation must follow another slot,"
+                             " one at a time")
+    return tuple(map(tuple, steps))
+
+
+#: per opcode: whether it takes a destination, and its `_plan`
+_PLANS = {op: (spec.dest, _plan(spec.slots)) for op, spec in ir.OPCODES.items()}
 
 
 class ParseError(Exception):
@@ -64,69 +94,66 @@ class UnresolvedNameError(Exception):
     """A grammatically valid program referenced an undeclared name."""
 
 
-class _Tok:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", line, m.start() - line_start + 1)
-        elif kind != "ws" and kind != "comment":
-            toks.append(_Tok(kind, m.group(), line, m.start() - line_start + 1))
-    toks.append(_Tok("eof", "", line, len(text) - line_start + 1))
-    return toks
-
-
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.lines = text.split("\n")
+        code = [line.partition("//")[0] for line in self.lines] if "//" in text else self.lines
+        bad = list(map(_BAD.search, code))
+        if any(bad):
+            n, m = next((n, m) for n, m in enumerate(bad, 1) if m)
+            raise ParseError(f"unexpected character {m.group()!r}", n, m.start() + 1)
+        found = list(map(_TOKEN.findall, code))
+        self.toks = [*chain.from_iterable(found), ""]  # "" is the end of input
+        #: the line of each token
+        self.where = [*chain.from_iterable(map(repeat, count(1), map(len, found))), len(found)]
         self.i = 0
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def error(self, msg: str, i: int | None = None) -> ParseError:
+        """`msg` at token `i`, by default the current one."""
+        i = self.i if i is None else i
+        n = self.where[i]
+        line = self.lines[n - 1]
+        if i == len(self.toks) - 1:
+            return ParseError(msg, n, len(line) + 1)
+        starts = [m.start(1) for m in _TOKEN.finditer(line.partition("//")[0])]
+        return ParseError(msg, n, starts[i - self.where.index(n)] + 1)
 
-    def next(self) -> _Tok:
+    def expected(self, what: str, i: int | None = None) -> ParseError:
+        t = self.toks[self.i if i is None else i]
+        return self.error(f"expected {what}, found {t or 'end of input'!r}", i)
+
+    def expect(self, text: str) -> None:
+        if self.toks[self.i] != text:
+            raise self.expected(repr(text))
+        self.i += 1
+
+    def take(self, text: str) -> bool:
+        """Step over the current token if it is `text`."""
+        if self.toks[self.i] == text:
+            self.i += 1
+            return True
+        return False
+
+    def name(self, what: str = "name") -> str:
         t = self.toks[self.i]
+        if t in KEYWORDS or not t.isidentifier():
+            raise self.expected(what)
         self.i += 1
         return t
 
-    def error(self, msg: str) -> ParseError:
-        t = self.peek()
-        return ParseError(msg, t.line, t.col)
+    def namelist(self) -> list[str]:
+        names = [self.name()]
+        while self.take(","):
+            names.append(self.name())
+        return names
 
-    def expect(self, text: str) -> _Tok:
-        t = self.peek()
-        if t.text != text:
-            raise self.error(f"expected {text!r}, found {t.text or 'end of input'!r}")
-        return self.next()
-
-    def ident(self, what: str = "identifier") -> str:
-        t = self.peek()
-        if t.kind != "ident":
-            raise self.error(f"expected {what}, found {t.text or 'end of input'!r}")
-        return self.next().text
-
-    def name(self, what: str = "name") -> str:
-        t = self.peek()
-        if t.kind != "ident" or t.text in KEYWORDS:
-            raise self.error(f"expected {what}, found {t.text or 'end of input'!r}")
-        return self.next().text
-
-    def at(self, text: str) -> bool:
-        return self.peek().text == text
+    def params(self) -> tuple[str, ...]:
+        """An optional parenthesised name list."""
+        if not self.take("("):
+            return ()
+        names = () if self.toks[self.i] == ")" else tuple(self.namelist())
+        self.expect(")")
+        return names
 
     # -- top level ------------------------------------------------------
 
@@ -135,14 +162,14 @@ class _Parser:
         functions: list[Function] = []
         threads: list[ThreadDecl] = []
         while True:
-            t = self.peek()
-            if t.kind == "eof":
+            t = self.toks[self.i]
+            if not t:
                 break
-            if t.text == "class":
+            if t == "class":
                 classes.append(self.classdef())
-            elif t.text == "fn":
+            elif t == "fn":
                 functions.append(self.fndef())
-            elif t.text == "thread":
+            elif t == "thread":
                 threads.append(self.threaddecl())
             else:
                 raise self.error("expected 'class', 'fn', or 'thread'")
@@ -151,72 +178,46 @@ class _Parser:
     def classdef(self) -> ClassDef:
         self.expect("class")
         name = self.name("class name")
-        superclass = None
-        if self.at("extends"):
-            self.next()
-            superclass = self.name("superclass name")
+        superclass = self.name("superclass name") if self.take("extends") else None
         self.expect("{")
         fields: tuple[str, ...] = ()
         methods: list[tuple[str, str]] = []
-        while not self.at("}"):
-            if self.at("fields"):
-                self.next()
+        while not self.take("}"):
+            if self.take("fields"):
                 fields = tuple(self.namelist())
-                self.expect(";")
-            elif self.at("methods"):
-                self.next()
+            elif self.take("methods"):
                 while True:
                     sel = self.name("method name")
-                    if self.at("="):
-                        self.next()
-                        fname = self.name("function name")
-                    else:
-                        fname = sel
-                    methods.append((sel, fname))
-                    if not self.at(","):
+                    methods.append((sel, self.name("function name") if self.take("=") else sel))
+                    if not self.take(","):
                         break
-                    self.next()
-                self.expect(";")
             else:
                 raise self.error("expected 'fields', 'methods', or '}'")
-        self.expect("}")
+            self.expect(";")
         return ClassDef(name, superclass, fields, tuple(methods))
-
-    def namelist(self) -> list[str]:
-        names = [self.name()]
-        while self.at(","):
-            self.next()
-            names.append(self.name())
-        return names
 
     def threaddecl(self) -> ThreadDecl:
         self.expect("thread")
         fname = self.name("function name")
         self.expect("(")
         args: list[int | bool | None] = []
-        if not self.at(")"):
-            while True:
+        if self.toks[self.i] != ")":
+            args.append(self.literal())
+            while self.take(","):
                 args.append(self.literal())
-                if not self.at(","):
-                    break
-                self.next()
         self.expect(")")
         return ThreadDecl(fname, tuple(args))
 
     def literal(self) -> int | bool | None:
-        t = self.peek()
-        if t.kind == "int":
-            return int(self.next().text)
-        if t.text == "true":
-            self.next()
-            return True
-        if t.text == "false":
-            self.next()
-            return False
-        if t.text == "null":
-            self.next()
-            return None
-        raise self.error("expected literal")
+        t = self.toks[self.i]
+        if t in _LITERALS:
+            value = _LITERALS[t]
+        elif t[:1] == "-" or t[:1].isdecimal():
+            value = int(t)
+        else:
+            raise self.error("expected literal")
+        self.i += 1
+        return value
 
     # -- functions --------------------------------------------------------
 
@@ -224,112 +225,106 @@ class _Parser:
         self.expect("fn")
         name = self.name("function name")
         self.expect("(")
-        params: list[str] = []
-        if not self.at(")"):
-            params = self.namelist()
+        params = () if self.toks[self.i] == ")" else tuple(self.namelist())
         self.expect(")")
         self.expect("{")
         blocks: list[Block] = []
-        while not self.at("}"):
+        while not self.take("}"):
             blocks.append(self.block())
-        self.expect("}")
         if not blocks:
             raise self.error(f"function {name!r} has no blocks")
-        return Function(name, tuple(params), tuple(blocks))
+        return Function(name, params, tuple(blocks))
 
     def block(self) -> Block:
         label = self.name("block label")
-        params: list[str] = []
-        if self.at("("):
-            self.next()
-            if not self.at(")"):
-                params = self.namelist()
-            self.expect(")")
+        params = self.params()
         self.expect(":")
+        toks, i = self.toks, self.i
         instrs: list[Instr] = []
-        term = None
-        while term is None:
-            t = self.peek()
-            if t.text in ("br", "condbr", "ret"):
-                term = self.terminator()
-            elif t.kind == "eof" or t.text == "}":
-                raise self.error("block ended without a terminator")
-            else:
-                instrs.append(self.instr())
-        return Block(label, tuple(params), tuple(instrs), term)
+        while True:
+            op = toks[i]
+            dest = None
+            if op not in KEYWORDS and op.isidentifier():
+                dest = op
+                if toks[i + 1] != "=":
+                    raise self.expected("'='", i + 1)
+                i += 2
+                op = toks[i]
+            elif op in _TERMINATORS:
+                self.i = i
+                return Block(label, params, tuple(instrs), self.terminator())
+            elif not op or op == "}":
+                raise self.error("block ended without a terminator", i)
+            if op not in _PLANS:
+                raise self.error(f"unknown instruction {op!r}", i)
+            needs_dest, plan = _PLANS[op]
+            if (dest is None) is needs_dest:  # needs_dest is None when either will do
+                raise self.error(f"{op} requires a destination" if needs_dest
+                                 else f"{op} takes no destination", i)
+            i += 1
+            args: list[str] = []
+            imm: dict[str, object] = {}
+            for slot, what, sep in plan:
+                t = toks[i]
+                if what:  # one name
+                    if t in KEYWORDS or not t.isidentifier():
+                        raise self.expected(what, i)
+                    if slot == "v":
+                        args.append(t)
+                    else:
+                        imm[slot] = t
+                    i += 1
+                elif slot == "args":
+                    if t != ")":
+                        self.i = i
+                        args += self.namelist()
+                        i = self.i
+                elif slot == "lit":
+                    self.i = i
+                    imm["value"] = self.literal()
+                    i += 1
+                elif slot == "kind":
+                    if not t.isidentifier():
+                        raise self.expected(f"{op} kind", i)
+                    if t not in ir.KINDS[op]:  # reported at the token after it
+                        raise self.error(f"unknown {op} kind {t!r}", i + 1)
+                    imm["kind"] = t
+                    i += 1
+                elif slot == "reason":
+                    if not t.isidentifier():
+                        raise self.expected("reason tag", i)
+                    imm["reason"] = t
+                    i += 1
+                else:  # width
+                    if not (t[:1] == "-" or t[:1].isdecimal()):
+                        raise self.error(f"expected {op} width", i)
+                    imm["width"] = int(t)
+                    i += 1
+                if sep:
+                    if toks[i] != sep:
+                        raise self.expected(repr(sep), i)
+                    i += 1
+            instrs.append(Instr(op, dest, tuple(args), **imm))
 
     def edge(self) -> tuple[str, tuple[str, ...]]:
-        target = self.name("block label")
-        args: list[str] = []
-        if self.at("("):
-            self.next()
-            if not self.at(")"):
-                args = self.namelist()
-            self.expect(")")
-        return target, tuple(args)
+        return self.name("block label"), self.params()
 
     def terminator(self):
-        t = self.next()
-        if t.text == "br":
-            target, args = self.edge()
-            return Br(target, args)
-        if t.text == "condbr":
+        t = self.toks[self.i]
+        self.i += 1
+        if t == "br":
+            return Br(*self.edge())
+        if t == "condbr":
             cond = self.name("condition value")
             self.expect(",")
             t1, a1 = self.edge()
             self.expect(",")
-            t2, a2 = self.edge()
-            return CondBr(cond, t1, a1, t2, a2)
-        if t.text == "ret":
-            nxt = self.peek()
-            if nxt.kind == "ident" and nxt.text not in KEYWORDS and nxt.line == t.line:
-                return Ret(self.name())
+            return CondBr(cond, t1, a1, *self.edge())
+        i, t = self.i, self.toks[self.i]  # `ret` takes a value from its own line only
+        if self.where[i] != self.where[i - 1] or t in KEYWORDS or not t.isidentifier():
             return Ret(None)
-        raise ParseError("expected terminator", t.line, t.col)
-
-    def instr(self) -> Instr:
-        t = self.peek()
-        dest = None
-        if t.kind == "ident" and t.text not in KEYWORDS:
-            dest = self.next().text
-            self.expect("=")
-        op_tok = self.next()
-        op = op_tok.text
-        spec = ir.OPCODES.get(op)
-        if spec is None:
-            raise ParseError(f"unknown instruction {op!r}", op_tok.line, op_tok.col)
-        if spec.dest is True and dest is None:
-            raise ParseError(f"{op} requires a destination", op_tok.line, op_tok.col)
-        if spec.dest is False and dest is not None:
-            raise ParseError(f"{op} takes no destination", op_tok.line, op_tok.col)
-        return self._instr_body(op, spec.slots, dest)
-
-    def _instr_body(self, op: str, slots: tuple[str, ...], dest: str | None) -> Instr:
-        args: list[str] = []
-        imm: dict[str, object] = {}
-        for slot in slots:
-            if slot == "v":
-                args.append(self.name())
-            elif slot in _PUNCT:
-                self.expect(slot)
-            elif slot in _NAMED:
-                imm[slot] = self.name(_NAMED[slot])
-            elif slot == "args":
-                if not self.at(")"):
-                    args.extend(self.namelist())
-            elif slot == "lit":
-                imm["value"] = self.literal()
-            elif slot == "kind":
-                kind = imm["kind"] = self.ident(f"{op} kind")
-                if kind not in ir.KINDS[op]:
-                    raise self.error(f"unknown {op} kind {kind!r}")
-            elif slot == "reason":
-                imm["reason"] = self.ident("reason tag")
-            else:  # width
-                if self.peek().kind != "int":
-                    raise self.error(f"expected {op} width")
-                imm["width"] = int(self.next().text)
-        return Instr(op, dest, tuple(args), **imm)
+        self.i += 1
+        return Ret(t)
 
 
 def parse(text: str) -> Program:

@@ -8,8 +8,9 @@ A use is defined when its definition dominates it (`cfg.dominators`), the
 SSA rule. A name defined more than once is reported as such, and its uses
 are checked against the first definition met in reverse postorder only, so
 they may be reported as uses before definition too. The diagnostics of a
-`Program`, and the per-function dataflow checks, are computed once per
-object (`ir.memo`).
+`Program` and its resolution checks, and the per-function dataflow checks,
+are computed once per object (`ir.memo`), so a parsed program that is then
+validated has its names resolved once.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ def _d(where: str, message: str) -> Diagnostic:
     return Diagnostic(where, message)
 
 
-def resolution_diagnostics(p: Program) -> list[Diagnostic]:
+@memo
+def resolution_diagnostics(p: Program) -> tuple[Diagnostic, ...]:
     """Unresolved classes, functions, fields, methods, blocks, and thread entries."""
     out: list[Diagnostic] = []
     classes = {c.name for c in p.classes}
@@ -75,7 +77,7 @@ def resolution_diagnostics(p: Program) -> list[Diagnostic]:
         if t.fn not in functions:
             out.append(_d("thread", f"unknown entry function {t.fn!r}"))
 
-    return out
+    return tuple(out)
 
 
 def _superclass_cycles(p: Program) -> list[Diagnostic]:
@@ -256,7 +258,7 @@ def validate(p: Program) -> list[Diagnostic]:
 
 @memo
 def _diagnostics(p: Program) -> tuple[Diagnostic, ...]:
-    out = resolution_diagnostics(p)
+    out = list(resolution_diagnostics(p))
     out.extend(_class_diagnostics(p))
     fn_names = set()
     for f in p.functions:

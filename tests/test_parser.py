@@ -1,6 +1,13 @@
+import importlib
+import random
+import re
+
 import pytest
+from test_fuzz import gen_program
+from test_pea import gen_multiblock_program
 
 from cirlab import ir
+from cirlab.corpus import corpus
 from cirlab.parser import ParseError, UnresolvedNameError, parse
 from cirlab.ir import print_program
 
@@ -191,3 +198,90 @@ def test_every_opcode_roundtrips_and_instr_errors_are_pinned():
         with pytest.raises(ParseError) as e:
             parse(f"fn main(a) {{\nb0:\n  {line}\n  ret\n}}\nthread main(1)")
         assert (e.value.msg, e.value.line, e.value.col) == (msg, 3, col), line
+
+
+_HEAD, _TAIL = "fn main(a) {\nb0:\n", "\n  ret\n}\nthread main(1)"
+
+#: (input, (msg, line, col)), or None where the input is accepted
+ERROR_CONTRACT = (
+    (_HEAD + "  x = const 1 @ 2" + _TAIL, ("unexpected character '@'", 3, 15)),
+    ("// bad ¡@\r é / -\n" + _HEAD + "  x = const 1 // @\r" + _TAIL, None),
+    (_HEAD + "  x = const -" + _TAIL, ("unexpected character '-'", 3, 13)),
+    ("fn main(a) {\r\nb0:\n  ret\n}\nthread main(1)", ("unexpected character '\\r'", 1, 13)),
+    (_HEAD + "\tx = putfield a, f, a" + _TAIL, ("putfield takes no destination", 3, 6)),
+    (_HEAD + "  x = const 1", ("block ended without a terminator", 3, 14)),
+    (_HEAD + "  x = const 1\n\t \n", ("block ended without a terminator", 5, 1)),
+    (_HEAD + "  x =", ("unknown instruction ''", 3, 6)),
+    (_HEAD + "  ret\n}\nthread main(", ("expected literal", 5, 13)),
+    (_HEAD + "  ret\n}\nthread main( // 1)", ("expected literal", 5, 19)),
+    (_HEAD + "  x = frob a" + _TAIL, ("unknown instruction 'frob'", 3, 7)),
+    ("fn main(", ("expected name, found 'end of input'", 1, 9)),
+    # `ret` takes a value only from its own line: here `a` is the next label
+    (_HEAD + "  ret\n  a\n}\nthread main(1)", ("expected ':', found '}'", 5, 1)),
+    (_HEAD + "  ret a\n  b\n}\nthread main(1)", ("expected ':', found '}'", 5, 1)),
+    # the first bad character is reported, even after a syntax error
+    ("fn main( {\nb0:\n  ret ? \n}", ("unexpected character '?'", 3, 7)),
+)
+
+
+@pytest.mark.parametrize("text, want", ERROR_CONTRACT)
+def test_error_contract(text, want):
+    if want is None:
+        parse(text)
+        return
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.msg, e.value.line, e.value.col) == want
+
+
+_TOKEN = re.compile(r"-?\d+|\w+|\S")
+_PUNCT = frozenset("(){},;:=.")
+_SPACES = (" ", "\t", "  ", " \t ")
+_BREAKS = ("\n", "\n\n", "\n \t\n", " // a comment, ¡even @ \r and \\!\n", "\t//\n\n")
+
+
+def relaid(text: str, rng: random.Random) -> str:
+    """`text` (as printed, so without comments) with a random layout: each gap
+    between two tokens gets spaces, tabs, newlines, blank lines or comments.
+    A `ret` and what follows it stay on one line, or on two, as they were."""
+    out, at = [], 0
+    for m in _TOKEN.finditer(text):
+        if not out:
+            gaps = ("",)
+        elif out[-1] == "ret":
+            gaps = _BREAKS if "\n" in text[at:m.start()] else _SPACES
+        elif rng.random() < 0.3:
+            gaps = _BREAKS
+        elif rng.random() < 0.2 and (out[-1] in _PUNCT or m[0] in _PUNCT):
+            gaps = ("",)  # no space is needed next to punctuation
+        else:
+            gaps = _SPACES
+        out += (rng.choice(gaps), m[0])
+        at = m.end()
+    return rng.choice(("", "\n\n", "// head\n")) + "".join(out) + rng.choice(("", "\n", " // tail"))
+
+
+def test_layout_between_tokens_does_not_matter():
+    programs = [p for e in corpus() for p in (e.program, e.small) if p is not None]
+    programs += [parse(gen_program(seed)) for seed in range(150)]
+    programs += [parse(gen_multiblock_program(seed)) for seed in range(150)]
+    rng = random.Random(23)
+    for p in programs:
+        text = relaid(print_program(p), rng)
+        assert parse(text) == p, text
+
+
+def test_names_are_resolved_once_per_program(monkeypatch):
+    validate = importlib.import_module("cirlab.validate")  # `cirlab.validate` is the function
+    resolve = validate.resolution_diagnostics.__wrapped__  # memoized (`ir.memo`)
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return resolve(p)
+
+    monkeypatch.setattr(validate, "resolution_diagnostics", ir.memo(counted))
+    p = parse(MINI)
+    assert validate.validate(p) == []
+    assert calls == [p]
+
