@@ -21,25 +21,27 @@ A `Machine` holds only execution state. All it derives from its program is
 one `_Code`, which it builds and its clones share, so it lives for one `run`
 or one search: each block decoded to a list of `(handler, instr, cost, op)`
 entries, so a step is one index and one call, and the tables the handlers
-and the search read. One loop, `Machine._advance`, steps the decoded code in
-batches, and one driver, `Machine._drive`, runs it until
-`Machine.schedulable`, the stop rule of `run` and of the schedule enumerator,
-stops the machine; `run` and the enumerator's last-thread tail both call
-`_drive`. The driver asks the schedule only while two or more threads are
-live; the last one runs alone. It asks for a grant, not a pick:
-`grant(enabled)` names the thread the next n picks would choose, and
-`take(enabled, k)` moves the schedule on by the k steps used, so a thread
-that keeps the schedule's choice costs one question per run of steps, not
-one per step. A batch keeps the enabled set `schedulable` gave and hands
-back, so that `schedulable` is asked again, only after a step that could
-change that set: a `monitorenter`, `monitorexit`, `wait`, `notify`,
-`notifyall` or `unpark` while another thread is live, a step that reacquires
-a monitor, a step after which the stepping thread is not `RUN` or its next
-`monitorenter` is blocked, and a step that stops the machine or uses up the
-step budget. Any other step changes no monitor and no other thread's status,
-so every thread stays as enabled as it was.
+and the search read. One loop, `Machine._drive`, steps the decoded code for
+`run` and for the enumerator's last-thread tail. It asks
+`Machine.schedulable`, the stop rule of `run` and of the enumerator, twice:
+for the enabled set at the start, and to set the status at the end. It asks
+the schedule only while two or more threads are live; the last one runs
+alone. It asks for a grant, not a pick: one `regrant(tid, k, enabled)` call
+commits the k picks the last grant used and names the thread the next n
+picks return, so a thread that keeps the schedule's choice costs one
+question per run of steps, not one per step. The loop keeps the enabled set
+and recomputes it only after a step that could change it: a `monitorenter`,
+`monitorexit`, `wait`, `notify`, `notifyall` or `unpark` while another
+thread is live, a reacquire, and a step after which the stepping thread is
+not `RUN` or its next `monitorenter` is blocked. Any other step changes no
+monitor and no other thread's status, so every thread stays as enabled as
+it was. So a thread that comes to a blocked `monitorenter` just leaves the
+set, and after the other steps the recompute asks `enabled` only of the
+threads that are not `RUN` or are about to enter a monitor, since every
+other thread is enabled. A set that changed gets a new grant; a grant goes
+on across a monitor op that leaves the set as it was.
 
-Inside natural loops the batch also takes compiled runs (superoperators:
+Inside natural loops `_drive` also takes compiled runs (superoperators:
 Proebsting, POPL 1995; Ertl & Gregg, JILP 2003): `_compiled_runs` turns each
 stretch of ops that cannot block, emit, stop the machine or change frames
 into one generated Python function, which re-checks what each handler
@@ -53,6 +55,7 @@ against it.
 
 from __future__ import annotations
 
+import copy
 import operator
 import sys
 from collections import Counter
@@ -281,7 +284,10 @@ def _branch(term: Br | CondBr, blocks: dict, code: dict):
             if c is not True and c is not False:
                 raise InterpreterError("condbr: condition is not a boolean")
             target, params, entries, args = then if c else other
-        env.update(zip(params, [env[a] for a in args]))
+        if len(args) == 1:  # ten times as fast as the general move below
+            env[params[0]] = env[args[0]]
+        elif args:
+            env.update(zip(params, [env[a] for a in args]))
         fr.block, fr.code, fr.idx = target, entries, 0
 
     return h
@@ -521,7 +527,7 @@ class _Code:
     entry list), `vtable` (class, selector) -> fn, `ancestry` and `field_order`
     a class to its ancestors and fields, `singletons` to its singleton (heap
     cell k for the k-th class), `entries` fn -> block -> entry list, and
-    `op_counts` each opcode of the program to 0. Only `Machine._advance` reads
+    `op_counts` each opcode of the program to 0. Only `Machine._drive` reads
     `runs`, and only the search reads `reach` and `keying`.
     """
 
@@ -665,21 +671,28 @@ class Machine:
 
     def enabled(self, tid: int) -> bool:
         t = self.threads[tid - 1]
-        if t.status is REACQUIRE:
+        if t.status is not RUN:
+            if t.status is not REACQUIRE:
+                return False
             m = self.monitors.get(t.wait_obj)  # type: ignore[arg-type]
             return m is None or m.owner is None
-        if t.status is not RUN:
-            return False
         fr = t.frames[-1]
-        handler, instr, _, _ = fr.code[fr.idx]
-        if handler is not Machine._op_monitorenter:
+        _, instr, _, op = fr.code[fr.idx]
+        if op != "monitorenter":
             return True
         obj = fr.locals.get(instr.args[0])
-        m = self.monitors.get(obj.i) if isinstance(obj, Ref) else None
-        return m is None or m.owner in (None, tid)
+        m = self.monitors.get(obj.i) if type(obj) is Ref else None
+        return m is None or m.owner is None or m.owner == tid
 
     def enabled_threads(self) -> list[int]:
-        return [t.tid for t in self.threads if self.enabled(t.tid)]
+        """Asks `enabled` only of the threads that are not `RUN` or are about
+        to enter a monitor: every other thread is enabled."""
+        enabled, enter = [], Machine._op_monitorenter
+        for t in self.threads:  # a loop: a list comprehension costs a call here
+            if (t.status is RUN and (fr := t.frames[-1]).code[fr.idx][0] is not enter
+                    or self.enabled(t.tid)):
+                enabled.append(t.tid)
+        return enabled
 
     def schedulable(self, budget: int) -> list[int]:
         """The threads that may step next, or [] once the run has stopped.
@@ -802,82 +815,82 @@ class Machine:
         handler(self, t, fr, instr)
         self.cost += cost
 
-    def _advance(self, budget: int, enabled: list[int], policy=None) -> None:
-        """Step the threads in `enabled`, the set `schedulable` gave, while no
-        step could change it. Without `policy` (one thread live), `enabled[0]`
-        runs alone; with it, each thread runs for the steps `policy.grant`
-        grants it, and `policy.take` learns the steps used when a grant runs
-        out or the loop hands back.
-
-        Hands back after a sync op while another thread is live, after a step
-        that leaves its thread not `RUN` or before a blocked `monitorenter`, and
-        at `budget` or once the machine stops; the status is `schedulable`'s to
-        set. A thread in `REACQUIRE` takes one step and hands back. Where a
-        compiled run starts (`_compiled_runs`) and fits both the grant left and
-        the budget, one call takes all its steps: none of its ops can meet a
-        hand-back rule, so it stops where that many single steps would.
+    def _drive(self, budget: int, policy=None) -> None:
+        """Step the machine until it stops (see the module docstring), then let
+        `schedulable` set its status. While two or more threads are live and
+        `policy` is given, each thread runs for the steps `policy.regrant`
+        grants it; otherwise the lowest enabled thread runs on. The picks of
+        the last grant are never committed: `run` gives each run its own
+        copy of the policy. Where a compiled run starts (`_compiled_runs`) and
+        fits both the grant left and the budget, one call takes all its steps:
+        none of its ops can change the enabled set, so it stops where that
+        many single steps would.
         """
-        threads = self.threads
-        if policy is None:
-            t, until = threads[enabled[0] - 1], UNBOUNDED
-        else:
-            tid, n = policy.grant(enabled)
-            t, until = threads[tid - 1], self.steps + n
-        if t.status is REACQUIRE:
-            self._step(t)
-            if policy is not None:
-                policy.take(enabled, 1)
+        enabled = self.schedulable(budget)
+        if not enabled:
             return
-        counts, enter, runs = self.op_counts, Machine._op_monitorenter, self.code.runs
-        shared = self.live > 1
+        threads, counts, runs = self.threads, self.op_counts, self.code.runs
+        enter, is_enabled = Machine._op_monitorenter, self.enabled
         steps, cost = self.steps, self.cost
-        stop = until if until < budget else budget  # no run may pass it
-        fr = t.frames[-1]
-        handler, instr, c, op = fr.code[fr.idx]
-        while True:
-            if (steps + 2 <= stop and (starts := runs.get(id(fr.code)))
-                    and (r := starts[fr.idx]) and steps + r[1] <= stop):
-                r[0](self, t, fr)
-                steps += r[1]
-                cost += r[2]
+        tid, start = 0, steps  # no grant yet, so nothing to commit
+        shared = self.live > 1
+        ask = policy.regrant if shared and policy is not None else None
+        while True:  # one grant per pass
+            if ask is not None:
+                tid, n = ask(tid, steps - start, enabled)
             else:
-                steps += 1
-                cost += c
-                fr.idx += 1
-                if op is not None:
-                    counts[op] += 1
-                handler(self, t, fr, instr)
-                if shared and op in _SYNC_OPS or t.status is not RUN or self.status is not None:
-                    break
-            if steps >= budget:
-                break
-            fr = t.frames[-1]
-            handler, instr, c, op = fr.code[fr.idx]
-            if handler is enter and not self.enabled(t.tid):
-                break
-            if steps == until:
-                policy.take(enabled, n)
-                tid, n = policy.grant(enabled)
-                until = steps + n
-                stop = until if until < budget else budget
-                if (u := threads[tid - 1]) is not t:
-                    t = u
-                    if t.status is REACQUIRE:
-                        self.steps, self.cost = steps, cost
-                        self._step(t)
-                        policy.take(enabled, 1)
-                        return
+                tid, n = enabled[0], UNBOUNDED
+            start, until = steps, steps + n
+            stop = until if until < budget else budget  # no compiled run may pass it
+            t = threads[tid - 1]
+            while True:  # steps of `t` while the set stands
+                if t.status is REACQUIRE:  # takes its monitor back, and one step
+                    self.steps, self.cost = steps, cost
+                    self._step(t)
+                    steps, cost = self.steps, self.cost
+                else:
                     fr = t.frames[-1]
                     handler, instr, c, op = fr.code[fr.idx]
+                    while steps != until:
+                        if (steps + 2 <= stop and (starts := runs.get(id(fr.code)))
+                                and (r := starts[fr.idx]) and steps + r[1] <= stop):
+                            r[0](self, t, fr)
+                            steps += r[1]
+                            cost += r[2]
+                        else:
+                            steps += 1
+                            cost += c
+                            fr.idx += 1
+                            if op is not None:
+                                counts[op] += 1
+                            handler(self, t, fr, instr)
+                            if (shared and op in _SYNC_OPS or t.status is not RUN
+                                    or self.status is not None):
+                                break
+                        if steps >= budget:
+                            break
+                        fr = t.frames[-1]
+                        handler, instr, c, op = fr.code[fr.idx]
+                        if handler is enter and not is_enabled(tid):
+                            # only `t` left the set: none of its steps since the
+                            # set was made could change another thread
+                            enabled.remove(tid)
+                            until = steps  # so the grant ends here
+                    else:
+                        break  # the grant is used up
+                if self.status is not None or steps >= budget:
+                    enabled = None
+                    break
+                now = self.enabled_threads()
+                if now != enabled:
+                    enabled = now
+                    if self.live == 1:  # the last live thread runs alone
+                        shared, ask = False, None
+                    break
+            if not enabled:
+                break
         self.steps, self.cost = steps, cost
-        if policy is not None:
-            policy.take(enabled, n - (until - steps))
-
-    def _drive(self, budget: int, policy=None) -> None:
-        """`_advance` until `schedulable` stops the machine, asking `policy`
-        for grants while two or more threads are live."""
-        while enabled := self.schedulable(budget):
-            self._advance(budget, enabled, policy if self.live > 1 else None)
+        self.schedulable(budget)
 
     # -- opcode handlers (see `_Code`) -----------------------------------
 
@@ -1173,15 +1186,31 @@ class Machine:
 UNBOUNDED = sys.maxsize
 
 
-@dataclass
-class RoundRobin:
-    """Run each enabled thread for up to `quantum` consecutive steps.
+class _Rule:
+    """`grant`, `take` and `pick`, all derived from a policy's one rule,
+    `regrant(tid, k, enabled)`: commit the k picks of `tid` that the last grant
+    allowed (k = 0 commits nothing), then return the grant for `enabled`,
+    (tid, n): the next n `pick(enabled)` calls all return tid, n being
+    `UNBOUNDED` when one thread is enabled. `enabled` is sorted, as
+    `Machine.schedulable` gives it. `Machine._drive` calls `regrant` once per
+    grant; `grant` changes nothing, and `take(enabled, k)` sets the state as
+    k picks would, k >= 1."""
 
-    `enabled` is sorted, as `Machine.schedulable` gives it. `grant(enabled)`
-    is (tid, n): the next n `pick(enabled)` calls all return tid, n being
-    `UNBOUNDED` when one thread is enabled. It changes nothing;
-    `take(enabled, k)` then sets the state as k picks would, k >= 1.
-    """
+    def grant(self, enabled: list[int]) -> tuple[int, int]:
+        return self.regrant(0, 0, enabled)
+
+    def take(self, enabled: list[int], k: int) -> None:
+        self.regrant(self.grant(enabled)[0], k, enabled)
+
+    def pick(self, enabled: list[int]) -> int:
+        tid, _ = self.grant(enabled)
+        self.regrant(tid, 1, enabled)
+        return tid
+
+
+@dataclass
+class RoundRobin(_Rule):
+    """Run each enabled thread for up to `quantum` consecutive steps."""
 
     quantum: int = 1
     _cur: int = 0
@@ -1192,38 +1221,30 @@ class RoundRobin:
             raise ValueError(f"round-robin quantum must be an int of at least 1, "
                              f"got {self.quantum!r}")
 
-    def _next(self, enabled: list[int]) -> tuple[int, int]:
-        """(the next pick, the picks its thread has left counting that one)."""
-        if self._left > 0 and self._cur in enabled:
-            return self._cur, self._left
+    def regrant(self, tid: int, k: int, enabled: list[int]) -> tuple[int, int]:
+        if k:  # the grant of `tid` held the picks it had left, else a fresh quantum
+            left = self._left if self._left > 0 and self._cur == tid else self.quantum
+            self._cur = tid
+            # past its quantum a lone enabled thread is chosen afresh and runs on
+            self._left = left - k if k <= left else (left - k) % self.quantum
+        if len(enabled) == 1:
+            return enabled[0], UNBOUNDED
+        cur = self._cur
+        if self._left > 0 and cur in enabled:
+            return cur, self._left
         for i in enabled:  # the first thread after the current one, else the lowest
-            if i > self._cur:
+            if i > cur:
                 return i, self.quantum
         return enabled[0], self.quantum
 
-    def grant(self, enabled: list[int]) -> tuple[int, int]:
-        tid, n = self._next(enabled)
-        return tid, UNBOUNDED if len(enabled) == 1 else n
-
-    def take(self, enabled: list[int], k: int) -> None:
-        self._cur, left = self._next(enabled)
-        # past its quantum a lone enabled thread is chosen afresh and runs on
-        self._left = left - k if k <= left else (left - k) % self.quantum
-
-    def pick(self, enabled: list[int]) -> int:
-        tid, _ = self.grant(enabled)
-        self.take(enabled, 1)
-        return tid
-
 
 @dataclass
-class Explicit:
+class Explicit(_Rule):
     """Cycle through an explicit thread-id sequence.
 
     When the scheduled thread is not enabled, the lowest-id enabled thread
     runs instead, which keeps every explicit schedule executable and maps it
-    onto some sequence of legal choices. `grant`, `take` and `pick` as for
-    `RoundRobin`.
+    onto some sequence of legal choices.
     """
 
     seq: tuple[int, ...]
@@ -1235,7 +1256,8 @@ class Explicit:
         if min(self.seq) < 1:
             raise ValueError(f"thread ids start at 1, got {min(self.seq)}")
 
-    def grant(self, enabled: list[int]) -> tuple[int, int]:
+    def regrant(self, tid: int, k: int, enabled: list[int]) -> tuple[int, int]:
+        self._ptr += k
         seq, size, lowest = self.seq, len(self.seq), enabled[0]  # sorted
         ptr = self._ptr % size
         tid = seq[ptr]
@@ -1249,28 +1271,17 @@ class Explicit:
             n += 1
         return tid, UNBOUNDED
 
-    def take(self, enabled: list[int], k: int) -> None:
-        self._ptr += k
-
-    def pick(self, enabled: list[int]) -> int:
-        tid, _ = self.grant(enabled)
-        self.take(enabled, 1)
-        return tid
-
 
 @dataclass
 class _Picks:
     """Grants of one step each from a schedule that only has `pick`.
-    `Machine._advance` asks for a grant only right before the step it grants,
-    so `grant` may pick then."""
+    `Machine._drive` asks for a grant only right before the step it grants,
+    so `regrant` may pick then."""
 
     pick: Callable[[list[int]], int]
 
-    def grant(self, enabled: list[int]) -> tuple[int, int]:
+    def regrant(self, tid: int, k: int, enabled: list[int]) -> tuple[int, int]:
         return self.pick(enabled), 1
-
-    def take(self, enabled: list[int], k: int) -> None:
-        pass
 
 
 def parse_schedule(spec: str) -> RoundRobin | Explicit:
@@ -1299,8 +1310,9 @@ def run(program: Program, schedule: RoundRobin | Explicit | str = "rr:1",
     """Execute `program` deterministically under one schedule policy.
 
     Thread count never grows, so once one thread is left it runs alone: the
-    policy could pick no other. A schedule object with only a `pick` method
-    gets grants of one step.
+    policy could pick no other. The run steps a copy of a schedule object, so
+    the same object gives the same run every time; an object with only a
+    `pick` method is asked as it is, for grants of one step.
     """
     if budget < 1:
         raise ValueError(f"step budget must be at least 1, got {budget}")
@@ -1308,8 +1320,7 @@ def run(program: Program, schedule: RoundRobin | Explicit | str = "rr:1",
     if isinstance(policy, Explicit) and max(policy.seq) > len(program.threads):
         raise ValueError(f"schedule names thread {max(policy.seq)}, "
                          f"but the program has {len(program.threads)} thread(s)")
-    if not hasattr(policy, "grant"):
-        policy = _Picks(policy.pick)
+    policy = copy.copy(policy) if hasattr(policy, "regrant") else _Picks(policy.pick)
     m = Machine(program)
     m._drive(budget, policy)
     trace = ResultTrace(tuple(m.events), m.status, m.reason)

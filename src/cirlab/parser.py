@@ -12,12 +12,13 @@ Grammar sketch::
     }
     thread name(lit, ...)
 
-Lexical rules: a token is a decimal integer (``-`` only as its sign), an ASCII
-identifier or one of ``(){},;:=.``, and tokens are separated by spaces, tabs
-and newlines. A newline matters only after ``ret``, which takes its value from
-its own line. Comments run from ``//`` to end of line and may hold any
-character. Any other character, a carriage return too, is an unexpected
-character, and the first one in the text is reported before any syntax error.
+Lexical rules: a token is an ASCII decimal integer (``-`` only as its sign),
+an ASCII identifier or one of ``(){},;:=.``, and tokens are separated by
+spaces, tabs and newlines. A newline matters only after ``ret``, which takes
+its value from its own line. Comments run from ``//`` to end of line and may
+hold any character. Any other character, a carriage return too, is an
+unexpected character, and the first one in the text is reported before any
+syntax error.
 
 The lexer works a line at a time: it cuts a line at ``//``, searches it once
 for an unexpected character and takes its tokens with one ``findall``. A token
@@ -50,11 +51,12 @@ KEYWORDS = frozenset(
 
 #: one token, after the spaces and tabs before it (taking them in the match
 #: makes `findall` about twice as fast as failing at each of them)
-_TOKEN = re.compile(r"[ \t]*([A-Za-z_][A-Za-z0-9_]*|[(){},;:=.]|-?\d+)")
-#: a character other than a blank, digit, ASCII letter, `_` or punctuation,
-#: or a `-` not before a digit; comments are cut off first. The leading class
-#: lets `search` skip ahead, twice as fast as a leading `-(?!\d)|` branch.
-_BAD = re.compile(r"[^ \t\dA-Za-z_(){},;:=.](?!(?<=-)\d)")
+_TOKEN = re.compile(r"[ \t]*([A-Za-z_][A-Za-z0-9_]*|[(){},;:=.]|-?[0-9]+)")
+#: a character other than a blank, ASCII digit, ASCII letter, `_` or
+#: punctuation, or a `-` not before a digit; comments are cut off first. The
+#: leading class lets `search` skip ahead, twice as fast as a leading
+#: `-(?![0-9])|` branch. `\d` would take any Unicode digit, which `int` reads.
+_BAD = re.compile(r"[^ \t0-9A-Za-z_(){},;:=.](?!(?<=-)[0-9])")
 _LITERALS = {"true": True, "false": False, "null": None}
 _PUNCT = frozenset(",().")
 #: syntax slots (see `ir.OpSpec`) holding one name, with what to call it
@@ -286,8 +288,8 @@ class _Parser:
                 elif slot == "kind":
                     if not t.isidentifier():
                         raise self.expected(f"{op} kind", i)
-                    if t not in ir.KINDS[op]:  # reported at the token after it
-                        raise self.error(f"unknown {op} kind {t!r}", i + 1)
+                    if t not in ir.KINDS[op]:
+                        raise self.error(f"unknown {op} kind {t!r}", i)
                     imm["kind"] = t
                     i += 1
                 elif slot == "reason":

@@ -23,13 +23,13 @@ permuted, since a memo entry is the exact result set of its state, whatever
 its owners.
 
 Once one thread is live, no choice is left: the tail runs to the end through
-the driver `interp.run` uses (`Machine._drive`), and the whole tail counts as
-one state, memoized unless the step budget cut it, so a tail that many
-interleavings reach runs once. The driver's loop, `Machine._advance`, hands
-back at `steps >= budget` and whenever the thread stops running or its next
-`monitorenter` is blocked, and `Machine.schedulable` stops the path there, so
-the step-budget contract below is the same as for a search that steps the
-last thread one state at a time.
+the stepping loop `interp.run` uses (`Machine._drive`), and the whole tail
+counts as one state, memoized unless the step budget cut it, so a tail that
+many interleavings reach runs once. The loop stops at `steps >= budget` and
+when the thread stops running or its next `monitorenter` is blocked, and
+`Machine.schedulable` sets the status there, so the step-budget contract
+below is the same as for a search that steps the last thread one state at a
+time.
 
 A state where some enabled thread's next step is local
 (`Machine.next_is_local`) expands only the lowest such thread: an ample set

@@ -6,8 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from cirlab.corpus import (coarsen_loop, corpus, fj_kmeans_mini, guard_bounds_loop, vec_add,
-                           waitnotify_flag)
+from cirlab.corpus import (coarsen_loop, corpus, fj_kmeans_mini, guard_bounds_loop,
+                           racing_outputs, vec_add, waitnotify_flag)
 from cirlab.interp import (DONE, UNBOUNDED, Explicit, InterpreterError, Machine, ResultTrace,
                            RoundRobin, cost_model, parse_schedule, run)
 from cirlab import interp, ir, passes
@@ -774,6 +774,38 @@ MULTI_THREAD_PROGRAMS["reentrant-contended"] = parse("""
     thread contender()
 """)
 
+# each thread enters and leaves a monitor of its own, so under `rr:7` a grant
+# runs on across both monitor ops: the enabled set they might change stands
+MULTI_THREAD_PROGRAMS["own-monitors"] = parse("""
+    class A { fields n; }
+    class B { fields n; }
+    fn first() {
+    e:
+      a = classref A
+      one = const 1
+      monitorenter a
+      output one
+      monitorexit a
+      monitorenter a
+      monitorexit a
+      output one
+      ret
+    }
+    fn second() {
+    e:
+      b = classref B
+      two = const 2
+      three = const 3
+      monitorenter b
+      output two
+      monitorexit b
+      output three
+      ret
+    }
+    thread first()
+    thread second()
+""")
+
 
 def diff_schedules(program) -> tuple[str, ...]:
     """`rr:1`, `rr:3`, `rr:7`, and an explicit schedule that mostly wants the
@@ -950,6 +982,45 @@ def test_a_grant_is_that_many_picks_and_take_is_that_many_picks(seed):
             after = copy.deepcopy(before)
             after.take(enabled, n)
             assert _classic_pick(after, enabled) != tid, (before, enabled)
+
+
+@pytest.mark.parametrize("policy", [RoundRobin(1), RoundRobin(3, 2, 1), Explicit((1, 2, 2)),
+                                    Explicit((2, 1), 5)],
+                         ids=["rr:1", "rr:3-in-a-quantum", "explicit:1,2,2", "explicit:2,1-at-5"])
+def test_a_run_leaves_its_schedule_object_as_it_was(policy):
+    # `run` stepped the caller's object, so a second run with it went on from
+    # where the first left off: `RoundRobin(1)` gave `[1, 2]`, then `[2, 1]`
+    p = parse(racing_outputs())
+    before = copy.deepcopy(policy)
+    traces = {run(p, policy).trace for _ in range(2)}
+    assert policy == before
+    assert traces == {run(p, copy.deepcopy(before)).trace}
+
+
+def test_a_multi_thread_run_asks_the_schedule_once_per_grant(monkeypatch):
+    # the loop keeps the enabled set across the steps that cannot change it and
+    # recomputes it, asking `enabled` only where it may be false, only after a
+    # step that could; before, `schedulable` rebuilt the whole set after every
+    # monitor op, which came to 5 `enabled` calls per monitor op here
+    p = parse(coarsen_loop(200, threads=3))
+    picks = reference_run(p, "rr:3")[0][4]
+    # a grant holds while both the enabled set and the thread picked stand
+    grants = sum(1 for j, pick in enumerate(picks) if j == 0 or pick != picks[j - 1])
+    calls = Counter()
+
+    def counted(cls, name):
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *a: calls.update([name]) or real(*a))
+
+    counted(Machine, "schedulable")
+    counted(Machine, "enabled")
+    for name in ("regrant", "grant", "take", "pick"):
+        counted(RoundRobin, name)
+    r = run(p, "rr:3")
+    monitor_ops = r.op_counts["monitorenter"] + r.op_counts["monitorexit"]
+    assert calls["schedulable"] <= 2
+    assert calls["regrant"] == grants and not calls["grant"] + calls["take"] + calls["pick"]
+    assert calls["enabled"] < 2 * monitor_ops, (calls, monitor_ops)
 
 
 def _reported(program, spec, budget: int):
@@ -1144,6 +1215,32 @@ def test_a_function_shared_by_two_programs_reads_each_programs_singletons():
     second = replace(first, classes=first.classes[::-1])  # B is heap cell 0 here, A in `first`
     assert all(f is g for f, g in zip(first.functions, second.functions))
     assert run(first).trace.events == run(second).trace.events == (0, 3)
+
+
+def test_a_branch_hands_over_all_its_args_at_once():
+    # the back edge swaps `a` and `b`; the `output` just before it keeps the
+    # edge out of any compiled run, so the decoded branch handler takes it
+    p = parse("""
+        fn main() {
+        entry:
+          one = const 1
+          two = const 2
+          zero = const 0
+          br loop(one, two, zero)
+        loop(a, b, n):
+          k = const 1
+          n2 = binop add, n, k
+          three = const 3
+          c = binop lt, n2, three
+          output a
+          condbr c, loop(b, a, n2), done()
+        done():
+          ret
+        }
+        thread main()
+    """)
+    assert interp._compiled_runs(p.functions[0])["loop"][5] is None
+    assert run(p).trace.events == (1, 2, 1)
 
 
 def test_functions_equal_but_for_an_int_and_a_bool_constant_run_their_own_code():

@@ -191,7 +191,8 @@ def test_every_opcode_roundtrips_and_instr_errors_are_pinned():
     errors = (
         ("x = putfield a, f, a", "putfield takes no destination", 7),
         ("getfield a, f", "getfield requires a destination", 3),
-        ("x = binop pow, a, a", "unknown binop kind 'pow'", 16),
+        ("x = binop pow, a, a", "unknown binop kind 'pow'", 13),
+        ("vbinop pow, a, a, a, a, 4", "unknown vbinop kind 'pow'", 10),
         ("vbinop add, a, a, a, a, a", "expected vbinop width", 27),
     )
     for line, msg, col in errors:
@@ -221,6 +222,8 @@ ERROR_CONTRACT = (
     (_HEAD + "  ret a\n  b\n}\nthread main(1)", ("expected ':', found '}'", 5, 1)),
     # the first bad character is reported, even after a syntax error
     ("fn main( {\nb0:\n  ret ? \n}", ("unexpected character '?'", 3, 7)),
+    # digits are ASCII, as names are: `int` would read these as 34
+    (_HEAD + "  v = const \u0663\u0664" + _TAIL, ("unexpected character '\u0663'", 3, 13)),
 )
 
 
