@@ -26,10 +26,14 @@ and the search read. One loop, `Machine._drive`, steps the decoded code for
 `Machine.schedulable`, the stop rule of `run` and of the enumerator, twice:
 for the enabled set at the start, and to set the status at the end. It asks
 the schedule only while two or more threads are live; the last one runs
-alone. It asks for a grant, not a pick: one `regrant(tid, k, enabled)` call
-commits the k picks the last grant used and names the thread the next n
-picks return, so a thread that keeps the schedule's choice costs one
-question per run of steps, not one per step. The loop keeps the enabled set
+alone. It asks for a grant, not a pick, so a thread that keeps the
+schedule's choice costs one question per run of steps, not one per step. A
+schedule policy is any object with one method, `regrant(tid, k, enabled)`:
+it commits the k picks of thread `tid` that its last grant allowed (k = 0
+commits nothing), then returns the grant for `enabled`, (tid, n), which says
+that its next n picks, one per step, are all tid. `enabled` is sorted, as
+`schedulable` gives it. `RoundRobin` and `Explicit` grant the longest such
+run, `UNBOUNDED` when one thread is enabled. The loop keeps the enabled set
 and recomputes it only after a step that could change it: a `monitorenter`,
 `monitorexit`, `wait`, `notify`, `notifyall` or `unpark` while another
 thread is live, a reacquire, and a step after which the stepping thread is
@@ -59,7 +63,6 @@ import copy
 import operator
 import sys
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -817,14 +820,14 @@ class Machine:
 
     def _drive(self, budget: int, policy=None) -> None:
         """Step the machine until it stops (see the module docstring), then let
-        `schedulable` set its status. While two or more threads are live and
-        `policy` is given, each thread runs for the steps `policy.regrant`
-        grants it; otherwise the lowest enabled thread runs on. The picks of
-        the last grant are never committed: `run` gives each run its own
-        copy of the policy. Where a compiled run starts (`_compiled_runs`) and
-        fits both the grant left and the budget, one call takes all its steps:
-        none of its ops can change the enabled set, so it stops where that
-        many single steps would.
+        `schedulable` set its status. While two or more threads are live, each
+        thread runs for the steps `policy.regrant` grants it; the last live
+        thread runs alone, so the search's tails, which start with one, pass
+        no policy. The picks of the last grant are never committed: `run`
+        gives each run its own copy of the policy. Where a compiled run starts
+        (`_compiled_runs`) and fits both the grant left and the budget, one
+        call takes all its steps: none of its ops can change the enabled set,
+        so it stops where that many single steps would.
         """
         enabled = self.schedulable(budget)
         if not enabled:
@@ -834,7 +837,7 @@ class Machine:
         steps, cost = self.steps, self.cost
         tid, start = 0, steps  # no grant yet, so nothing to commit
         shared = self.live > 1
-        ask = policy.regrant if shared and policy is not None else None
+        ask = policy.regrant if shared else None
         while True:  # one grant per pass
             if ask is not None:
                 tid, n = ask(tid, steps - start, enabled)
@@ -1186,30 +1189,8 @@ class Machine:
 UNBOUNDED = sys.maxsize
 
 
-class _Rule:
-    """`grant`, `take` and `pick`, all derived from a policy's one rule,
-    `regrant(tid, k, enabled)`: commit the k picks of `tid` that the last grant
-    allowed (k = 0 commits nothing), then return the grant for `enabled`,
-    (tid, n): the next n `pick(enabled)` calls all return tid, n being
-    `UNBOUNDED` when one thread is enabled. `enabled` is sorted, as
-    `Machine.schedulable` gives it. `Machine._drive` calls `regrant` once per
-    grant; `grant` changes nothing, and `take(enabled, k)` sets the state as
-    k picks would, k >= 1."""
-
-    def grant(self, enabled: list[int]) -> tuple[int, int]:
-        return self.regrant(0, 0, enabled)
-
-    def take(self, enabled: list[int], k: int) -> None:
-        self.regrant(self.grant(enabled)[0], k, enabled)
-
-    def pick(self, enabled: list[int]) -> int:
-        tid, _ = self.grant(enabled)
-        self.regrant(tid, 1, enabled)
-        return tid
-
-
 @dataclass
-class RoundRobin(_Rule):
+class RoundRobin:
     """Run each enabled thread for up to `quantum` consecutive steps."""
 
     quantum: int = 1
@@ -1217,7 +1198,7 @@ class RoundRobin(_Rule):
     _left: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.quantum, int) or self.quantum < 1:
+        if type(self.quantum) is not int or self.quantum < 1:  # a bool is an int too
             raise ValueError(f"round-robin quantum must be an int of at least 1, "
                              f"got {self.quantum!r}")
 
@@ -1239,7 +1220,7 @@ class RoundRobin(_Rule):
 
 
 @dataclass
-class Explicit(_Rule):
+class Explicit:
     """Cycle through an explicit thread-id sequence.
 
     When the scheduled thread is not enabled, the lowest-id enabled thread
@@ -1253,6 +1234,8 @@ class Explicit(_Rule):
     def __post_init__(self):
         if not self.seq:
             raise ValueError("an explicit schedule needs at least one thread id")
+        if any(type(t) is not int for t in self.seq):
+            raise ValueError(f"thread ids must be ints, got {self.seq!r}")
         if min(self.seq) < 1:
             raise ValueError(f"thread ids start at 1, got {min(self.seq)}")
 
@@ -1270,18 +1253,6 @@ class Explicit(_Rule):
                 return tid, n
             n += 1
         return tid, UNBOUNDED
-
-
-@dataclass
-class _Picks:
-    """Grants of one step each from a schedule that only has `pick`.
-    `Machine._drive` asks for a grant only right before the step it grants,
-    so `regrant` may pick then."""
-
-    pick: Callable[[list[int]], int]
-
-    def regrant(self, tid: int, k: int, enabled: list[int]) -> tuple[int, int]:
-        return self.pick(enabled), 1
 
 
 def parse_schedule(spec: str) -> RoundRobin | Explicit:
@@ -1310,9 +1281,9 @@ def run(program: Program, schedule: RoundRobin | Explicit | str = "rr:1",
     """Execute `program` deterministically under one schedule policy.
 
     Thread count never grows, so once one thread is left it runs alone: the
-    policy could pick no other. The run steps a copy of a schedule object, so
-    the same object gives the same run every time; an object with only a
-    `pick` method is asked as it is, for grants of one step.
+    policy could pick no other. `schedule` is an `rr:`/`explicit:` spec or a
+    schedule policy (see the module docstring). The run steps a copy of it,
+    so the same object gives the same run every time.
     """
     if budget < 1:
         raise ValueError(f"step budget must be at least 1, got {budget}")
@@ -1320,9 +1291,8 @@ def run(program: Program, schedule: RoundRobin | Explicit | str = "rr:1",
     if isinstance(policy, Explicit) and max(policy.seq) > len(program.threads):
         raise ValueError(f"schedule names thread {max(policy.seq)}, "
                          f"but the program has {len(program.threads)} thread(s)")
-    policy = copy.copy(policy) if hasattr(policy, "regrant") else _Picks(policy.pick)
     m = Machine(program)
-    m._drive(budget, policy)
+    m._drive(budget, copy.copy(policy))
     trace = ResultTrace(tuple(m.events), m.status, m.reason)
     metrics = MetricVector(refcycles=m.cost)
     op_counts = Counter({op: n for op, n in m.op_counts.items() if n})

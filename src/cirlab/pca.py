@@ -157,11 +157,7 @@ def pca_fit(y: np.ndarray, metrics: tuple[str, ...],
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
     # sign convention: the largest-magnitude entry of each component is positive
-    for j in range(k):
-        col = eigvecs[:, j]
-        lead = np.argmax(np.abs(col))
-        if col[lead] < 0:
-            eigvecs[:, j] = -col
+    eigvecs *= np.where(eigvecs[np.abs(eigvecs).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
     scores = y @ eigvecs
     return PcaModel(
         metrics,

@@ -76,6 +76,42 @@ def test_dynamic_fault_is_an_error_line(capsys, cir_file, cmd):
     assert capsys.readouterr().err.strip() == "error: binop div: division by zero"
 
 
+RACY_DIVISOR = """
+class G { fields x; }
+fn a() {
+e:
+  g = classref G
+  z = const 0
+  putfield g, x, z
+  ret
+}
+fn b() {
+e:
+  g = classref G
+  one = const 1
+  putfield g, x, one
+  v = getfield g, x
+  output v
+  ret
+}
+thread a()
+thread b()
+"""
+
+
+@pytest.mark.xfail(strict=True, reason="a fault ends the search with an error, not a path "
+                                       "with status `fault` (ROADMAP item 1)")
+def test_check_reports_a_fault_the_original_cannot_produce_as_a_violation(cir_file, capsys):
+    # `b` divides by what it read back, which is 0 when `a` stores in between
+    original = cir_file("racy.cir", RACY_DIVISOR)
+    transformed = cir_file("racy-div.cir", RACY_DIVISOR.replace(
+        "  output v\n", "  q = binop div, one, v\n  output q\n"))
+    assert main(["check", original, transformed]) == 2
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["verdict"] == "violates"
+    assert verdict["witness"]["status"] == "fault"
+
+
 def test_profile_emits_metric_columns(capsys, cir_file):
     f = cir_file("loop.cir", coarsen_loop(10))
     assert main(["profile", f]) == 0

@@ -640,16 +640,25 @@ def test_notified_last_thread_reacquires_its_monitor_first():
 DIFF_BUDGET = 20_000
 
 
+def pick(policy, enabled: list[int]) -> int:
+    """One pick of `policy`: a fresh grant, then its first step committed."""
+    tid, _ = policy.regrant(0, 0, enabled)
+    policy.regrant(tid, 1, enabled)
+    return tid
+
+
 class Logged:
-    """A schedule that logs each pick: the enabled list it saw, and its choice."""
+    """A schedule of one-step grants that logs each pick: the enabled list it
+    saw, and its choice. `run` asks for a grant right before the step it
+    grants, so the grant may pick then."""
 
     def __init__(self, spec: str):
         self.policy, self.log = parse_schedule(spec), []
 
-    def pick(self, enabled: list[int]) -> int:
-        choice = self.policy.pick(enabled)
+    def regrant(self, tid: int, k: int, enabled: list[int]) -> tuple[int, int]:
+        choice = pick(self.policy, enabled)
         self.log.append((tuple(enabled), choice))
-        return choice
+        return choice, 1
 
 
 def _observed(trace, steps, refcycles, op_counts, picks):
@@ -666,7 +675,7 @@ def reference_run(program, spec: str, budget: int = DIFF_BUDGET):
     try:
         while enabled := m.schedulable(budget):
             want = policy.seq[policy._ptr % len(policy.seq)] if isinstance(policy, Explicit) else 0
-            choice = policy.pick(enabled)
+            choice = pick(policy, enabled)
             if m.live > 1:  # `run` asks the schedule only then
                 picks.append((tuple(enabled), choice))
                 if want and want not in enabled:
@@ -842,13 +851,18 @@ def test_run_matches_the_reference_under_the_schedules_of_the_tests_above(text, 
 
 
 def test_run_matches_the_reference_at_every_budget():
-    # one thread live from the start, two threads sharing, and a waiter that reacquires
-    for text in (coarsen_loop(2, threads=1), MONITOR_BLOCKS, waitnotify_flag()):
+    # one thread live from the start, two threads sharing, a waiter that
+    # reacquires, and a contended loop whose real grants span compiled runs
+    for text in (coarsen_loop(2, threads=1), MONITOR_BLOCKS, waitnotify_flag(),
+                 coarsen_loop(3, threads=2)):
         p = parse(text)
-        for spec in diff_schedules(p):
+        for spec in (*diff_schedules(p), "rr:2"):
             full = run(p, spec).steps
             for budget in range(1, full + 1):
                 assert fast_run(p, spec, budget) == reference_run(p, spec, budget)[0], \
+                    (text, spec, budget)
+                # one-step grants never cut a real grant or a compiled run
+                assert _reported(p, spec, budget) == _stepped(p, spec, budget), \
                     (text, spec, budget)
 
 
@@ -928,11 +942,16 @@ def test_a_run_or_a_search_derives_the_program_tables_once(monkeypatch):
     (lambda: Explicit(()), "an explicit schedule needs at least one thread id"),
     (lambda: Explicit((0,)), "thread ids start at 1, got 0"),
     (lambda: Explicit((2, -1)), "thread ids start at 1, got -1"),
-], ids=["rr:0", "rr:-3", "rr:2.5", "explicit:", "explicit:0", "explicit:2,-1"])
+    (lambda: RoundRobin(True), "round-robin quantum must be an int of at least 1, got True"),
+    (lambda: Explicit((True, 2)), "thread ids must be ints, got (True, 2)"),
+    (lambda: Explicit((1.0, 2)), "thread ids must be ints, got (1.0, 2)"),
+], ids=["rr:0", "rr:-3", "rr:2.5", "explicit:", "explicit:0", "explicit:2,-1", "rr:True",
+        "explicit:True,2", "explicit:1.0,2"])
 def test_a_schedule_policy_refuses_settings_no_schedule_has(make, message):
     # `run` took the zero and negative settings silently, and `Explicit(())`
-    # failed in `max()`; `take`'s `% quantum` would turn a zero quantum into
-    # ZeroDivisionError, and a grant of 2.5 steps would never run out
+    # failed in `max()`; `regrant`'s `% quantum` would turn a zero quantum into
+    # ZeroDivisionError, and a grant of 2.5 steps would never run out. `True`
+    # ran as 1, and `Explicit((1.0, 2))` failed in `run` indexing a list
     with pytest.raises(ValueError, match=re.escape(message)):
         make()
 
@@ -968,19 +987,19 @@ def _classic_pick(policy, enabled: list[int]) -> int:
 def test_a_grant_is_that_many_picks_and_take_is_that_many_picks(seed):
     for policy, enabled in _policy_states(seed, 300):
         before = copy.deepcopy(policy)
-        tid, n = policy.grant(enabled)
-        assert policy == before, "grant changed the state"
+        tid, n = policy.regrant(0, 0, enabled)
+        assert policy == before, "a grant that commits no picks changed the state"
         # an unbounded grant is checked past several quanta, or cycles of `seq`
         checked = n if n < UNBOUNDED else 20
         for k in range(1, checked + 1):
             classic, picked, taken = (copy.deepcopy(before) for _ in range(3))
             want = [_classic_pick(classic, enabled) for _ in range(k)]
-            assert [picked.pick(enabled) for _ in range(k)] == want == [tid] * k, (before, k)
-            taken.take(enabled, k)
+            assert [pick(picked, enabled) for _ in range(k)] == want == [tid] * k, (before, k)
+            taken.regrant(tid, k, enabled)
             assert taken == picked == classic, (before, enabled, k)
         if n < UNBOUNDED:  # and the grant is the longest such run
             after = copy.deepcopy(before)
-            after.take(enabled, n)
+            after.regrant(tid, n, enabled)
             assert _classic_pick(after, enabled) != tid, (before, enabled)
 
 
@@ -1005,7 +1024,7 @@ def test_a_multi_thread_run_asks_the_schedule_once_per_grant(monkeypatch):
     p = parse(coarsen_loop(200, threads=3))
     picks = reference_run(p, "rr:3")[0][4]
     # a grant holds while both the enabled set and the thread picked stand
-    grants = sum(1 for j, pick in enumerate(picks) if j == 0 or pick != picks[j - 1])
+    grants = sum(1 for j, choice in enumerate(picks) if j == 0 or choice != picks[j - 1])
     calls = Counter()
 
     def counted(cls, name):
@@ -1014,12 +1033,11 @@ def test_a_multi_thread_run_asks_the_schedule_once_per_grant(monkeypatch):
 
     counted(Machine, "schedulable")
     counted(Machine, "enabled")
-    for name in ("regrant", "grant", "take", "pick"):
-        counted(RoundRobin, name)
+    counted(RoundRobin, "regrant")
     r = run(p, "rr:3")
     monitor_ops = r.op_counts["monitorenter"] + r.op_counts["monitorexit"]
     assert calls["schedulable"] <= 2
-    assert calls["regrant"] == grants and not calls["grant"] + calls["take"] + calls["pick"]
+    assert calls["regrant"] == grants
     assert calls["enabled"] < 2 * monitor_ops, (calls, monitor_ops)
 
 
@@ -1298,6 +1316,6 @@ def test_a_compiled_store_into_a_shared_cell_shares_the_cell_it_stores(spec):
     fast._drive(DIFF_BUDGET, parse_schedule(spec))
     policy = parse_schedule(spec)
     while enabled := slow.schedulable(DIFF_BUDGET):
-        slow._step(slow.threads[policy.pick(enabled) - 1])
+        slow._step(slow.threads[pick(policy, enabled) - 1])
     owners = [h.owner for h in fast.heap]
     assert owners == [h.owner for h in slow.heap] == [0] * (2 + 4 + 5)  # singletons, boxes
