@@ -1,19 +1,53 @@
-"""Control-flow analyses: dominators, natural loops, and a while-loop matcher.
+"""Control-flow analyses: dominators, natural loops, a while-loop matcher,
+block-parameter flow, and the Program-level call graph.
 
 The dominator computation is the classic iterative scheme over a reverse
 postorder; unreachable blocks are excluded from the result and reported
 alongside it.
 
-The per-function analyses are memoized (`ir.memo`): each is computed once
-per `Function` object, and every caller shares the result, so none may
-mutate it.
+`closure` gives what chains of edges reach; the Program-level `call_reach`
+is its closure over direct calls. `flow_params` carries name facts into
+block parameters. The per-function analyses and `call_reach` are memoized
+(`ir.memo`): each is computed once per `Function` or `Program` object, and
+every caller shares the result, so none may mutate it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .ir import Block, CondBr, Function, Instr, memo
+from .ir import Block, CondBr, Function, Instr, Program, memo
+
+
+def closure(edges: Mapping[str, Iterable[str]]) -> dict[str, frozenset[str]]:
+    """Node -> the nodes it reaches along one or more edges.
+
+    A node reaches itself only on a cycle. Every node that is a key or a
+    target of `edges` gets an entry; one with no edges reaches nothing.
+    """
+    out = {}
+    for n in set(edges).union(*edges.values()):
+        seen: set[str] = set()
+        stack = list(edges.get(n, ()))
+        while stack:
+            m = stack.pop()
+            if m not in seen:
+                seen.add(m)
+                stack.extend(edges.get(m, ()))
+        out[n] = frozenset(seen)
+    return out
+
+
+@memo
+def call_reach(p: Program) -> dict[str, frozenset[str]]:
+    """Function name -> the functions a chain of direct `call`s from it reaches.
+
+    A function is recursive iff it reaches itself. Callees the program does
+    not define are entries too, reaching nothing.
+    """
+    return closure({f.name: [i.fn for b in f.blocks for i in b.instrs if i.op == "call"]
+                    for f in p.functions})
 
 
 @memo
@@ -244,6 +278,28 @@ def param_args(f: Function) -> dict[str, frozenset[str]]:
     return {param: frozenset(args) for param, args in flows.items()}
 
 
+def flow_params(f: Function, known: Mapping[str, object],
+                params: Iterable[str]) -> dict[str, object]:
+    """`known` (name -> fact), extended to a fixpoint to each of `params`
+    whose incoming arguments all carry one known fact.
+
+    A parameter no edge enters gets no fact, nor does one whose arguments
+    wait on it around a cycle (a least fixpoint).
+    """
+    flows = param_args(f)
+    out = dict(known)
+    todo = [q for q in params if q in flows]
+    changed = True
+    while changed:
+        changed = False
+        for q in todo:
+            args = flows[q]
+            if q not in out and out.keys() >= args and len(facts := {out[a] for a in args}) == 1:
+                out[q], = facts
+                changed = True
+    return out
+
+
 def iv_aliases(f: Function, loop_blocks: frozenset[str], header: str, iv_param: str) -> set[str]:
     """Block params inside the loop that always carry the current IV value.
 
@@ -251,17 +307,8 @@ def iv_aliases(f: Function, loop_blocks: frozenset[str], header: str, iv_param: 
     never derived; everything else in the loop runs once per iteration.
     """
     bmap = f.block_map()
-    flows = param_args(f)
-    copies = [q for n in loop_blocks - {header} for q in bmap[n].params if q in flows]
-    aliases = {iv_param}
-    changed = True
-    while changed:
-        changed = False
-        for q in copies:
-            if q not in aliases and flows[q] <= aliases:
-                aliases.add(q)
-                changed = True
-    return aliases
+    copies = [q for n in loop_blocks - {header} for q in bmap[n].params]
+    return set(flow_params(f, {iv_param: True}, copies))
 
 
 @dataclass(frozen=True)

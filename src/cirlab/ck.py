@@ -12,7 +12,7 @@ Mapping onto this IR:
   IR, so signature-based coupling contributes nothing.
 * RFC is the response set: own methods plus the functions their bodies
   invoke. The classic direct-call form is the default; transitive=True
-  closes over direct calls instead.
+  adds every function a chain of those calls reaches (`cfg.closure`).
 * LCOM is max(0, P - Q) over method pairs, where P pairs share no accessed
   field and Q pairs share at least one.
 """
@@ -89,6 +89,11 @@ def compute_ck(p: Program, transitive: bool = False) -> CkReport:
             out |= selector_targets.get(sel, set())
         return out
 
+    if transitive:
+        # imported on first use, as `validate` does: importing `ck` need not load `cfg`
+        from .cfg import closure
+        reach = closure({fname: resolve_calls(fn) for fname, fn in fmap.items()})
+
     metrics = []
     for c in p.classes:
         own_methods = [fname for _, fname in c.methods if fname in fmap]
@@ -116,14 +121,7 @@ def compute_ck(p: Program, transitive: bool = False) -> CkReport:
         cbo = len(coupled)
 
         if transitive:
-            frontier = set(response)
-            while frontier:
-                nxt = set()
-                for fname in frontier:
-                    if fname in fmap:
-                        nxt.update(resolve_calls(fmap[fname]))
-                frontier = nxt - response
-                response.update(nxt)
+            response = response.union(*(reach[fname] for fname in response))
         rfc = len(response)
 
         visible = set(p.declared_fields(c.name))

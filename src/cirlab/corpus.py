@@ -22,7 +22,7 @@ class CorpusEntry:
     program: Program
     passes: tuple[str, ...]
     improves: tuple[str, ...]  # counters expected to strictly drop
-    small: Program | None = None  # exhaustively enumerable variant
+    small: Program  # exhaustively enumerable variant
     small_budget: int = 4000
     description: str = ""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..cfg import param_args
+from ..cfg import call_reach, flow_params
 from ..ir import Block, Br, Function, Instr, NameGen, Program, Ret
 from . import PassOptions, PassReport
 from .util import copy_instrs, remove_dead_pure, splice
@@ -20,18 +20,8 @@ from .util import copy_instrs, remove_dead_pure, splice
 
 def _known_handles(f: Function) -> dict[str, str]:
     """Value name -> function, for names that are handle constants on all paths."""
-    known = {i.dest: i.fn for b in f.blocks for i in b.instrs if i.op == "handleconst"}
-    # propagate through block parameters whose incoming args all agree
-    flows = param_args(f)
-    changed = True
-    while changed:
-        changed = False
-        for param, args in flows.items():
-            fns = {known.get(a) for a in args}
-            if param not in known and len(fns) == 1 and None not in fns:
-                known[param] = fns.pop()
-                changed = True
-    return known
+    consts = {i.dest: i.fn for b in f.blocks for i in b.instrs if i.op == "handleconst"}
+    return flow_params(f, consts, [q for b in f.blocks for q in b.params])
 
 
 def _devirtualize(f: Function, fn_names: set[str], report: PassReport) -> Function:
@@ -51,48 +41,6 @@ def _devirtualize(f: Function, fn_names: set[str], report: PassReport) -> Functi
         report.note(f.name, f"devirtualized {count} handle callsite(s)")
         report.rewrites += count
     return Function(f.name, f.params, tuple(blocks)) if count else f
-
-
-def _call_graph(p: Program) -> tuple[list[str], frozenset[str]]:
-    """(callee-first order, recursive functions), from one walk of the call graph.
-
-    A depth-first walk lists each function when it finishes, and its
-    low-links (Tarjan's) find the strongly connected components: a function
-    is recursive when its component has more than one member or it calls
-    itself.
-    """
-    calls = {
-        f.name: [i.fn for b in f.blocks for i in b.instrs if i.op == "call"]
-        for f in p.functions
-    }
-    order: list[str] = []
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    stack: list[str] = []
-    on_stack: set[str] = set()
-    recursive: set[str] = set()
-
-    def visit(name: str) -> None:
-        index[name] = low[name] = len(index)
-        stack.append(name)
-        on_stack.add(name)
-        for n in calls.get(name, ()):
-            if n not in index:
-                visit(n)
-            if n in on_stack:
-                low[name] = min(low[name], low[n])
-        order.append(name)
-        if low[name] == index[name]:
-            component = stack[stack.index(name):]
-            del stack[-len(component):]
-            on_stack.difference_update(component)
-            if len(component) > 1 or name in calls.get(name, ()):
-                recursive.update(component)
-
-    for f in p.functions:
-        if f.name not in index:
-            visit(f.name)
-    return order, frozenset(recursive)
 
 
 def _inline_site(f: Function, callee: Function, bname: str, idx: int) -> Function:
@@ -125,18 +73,18 @@ def _inline_site(f: Function, callee: Function, bname: str, idx: int) -> Functio
 
 
 def _inline_all(p: Program, budget: int, report: PassReport) -> Program:
-    order, recursive = _call_graph(p)
+    reach = call_reach(p)
     fns = {f.name: f for f in p.functions}
-    for name in order:
-        if name not in fns:
-            continue
+    # callee first: a callee that is not recursive reaches strictly fewer
+    # functions than any caller, which reaches it and all it reaches
+    for name in sorted(fns, key=lambda n: len(reach[n])):
         f = fns[name]
         inlined_here = 0
         while True:
             site = None
             for b in f.blocks:
                 for idx, i in enumerate(b.instrs):
-                    if i.op != "call" or i.fn == name or i.fn in recursive:
+                    if i.op != "call" or i.fn in reach[i.fn]:  # recursive
                         continue
                     callee = fns[i.fn]
                     if callee.instr_count() > budget:

@@ -3,8 +3,11 @@
 A pure function computes only over its arguments: constants, arithmetic,
 comparisons, instanceof, and calls to functions already proved pure. Any
 heap access, allocation, concurrency primitive, output, guard, or virtual /
-handle call makes it impure. The analysis is a greatest fixpoint over the
-call graph, so mutually recursive pure helpers are accepted.
+handle call makes it impure. A function passes when neither it nor any
+function a chain of its calls reaches (the Program-level `cfg.call_reach`)
+holds an instruction that fails with every defined function taken as
+passing: the greatest fixpoint over the call graph, so mutually recursive
+pure helpers are accepted.
 
 `is_pure` and `blocker` judge one instruction; the passes that move or
 merge code use them directly.
@@ -12,6 +15,7 @@ merge code use them directly.
 
 from __future__ import annotations
 
+from ..cfg import call_reach
 from ..ir import Instr, Program
 
 
@@ -37,15 +41,13 @@ def blocker(i: Instr, blocking_free) -> str | None:
 
 def _fix(p: Program, ok_instr) -> frozenset[str]:
     """The largest set of functions whose instructions all pass `ok_instr(i, set)`."""
-    ok = {f.name for f in p.functions}
-    changed = True
-    while changed:
-        changed = False
-        for f in p.functions:
-            if f.name in ok and not all(ok_instr(i, ok) for b in f.blocks for i in b.instrs):
-                ok.discard(f.name)
-                changed = True
-    return frozenset(ok)
+    names = frozenset(f.name for f in p.functions)
+    bad = {f.name for f in p.functions
+           if not all(ok_instr(i, names) for b in f.blocks for i in b.instrs)}
+    if not bad:
+        return names
+    reach = call_reach(p)
+    return frozenset(n for n in names if n not in bad and bad.isdisjoint(reach[n]))
 
 
 def pure_functions(p: Program) -> frozenset[str]:

@@ -85,13 +85,14 @@ unreduced search, which holds as written:
   outputs among them, run first, so they can push a failing guard, or a
   prefix, past the budget.
 
-Verdicts cannot change, since `check_refinement` compares only terminated
-traces.
+Verdicts cannot change, since `check_refinement` compares only the
+`terminated` and `deadlock` traces, which a cut search keeps exactly.
 
 `check_refinement` decides whether a transformed program can only produce
-results the original could: every terminated trace of the transformed
-program must appear in the original's set. Deopt traces are excluded here;
-guard soundness is covered separately by the guard-implication property.
+results the original could: every `terminated` or `deadlock` trace of the
+transformed program must appear in the original's set. Deopt and cut traces
+end early and are not compared yet; guard soundness is covered separately
+by the guard-implication property.
 """
 
 from __future__ import annotations
@@ -131,9 +132,6 @@ class ResultSet:
     memo_hits: int
     ceiling_hit: bool
     seconds: float
-
-    def terminated(self) -> frozenset[ResultTrace]:
-        return frozenset(t for t in self.traces if t.status == "terminated")
 
 
 class _Explorer:
@@ -248,12 +246,13 @@ def enumerate_results(
 class Verdict:
     """Outcome of a refinement check.
 
-    kind is "refines" (proved under full enumeration), "bounded-ok" (no
-    violation found, but one side was not exhaustively enumerated),
-    "violates" (witness holds a transformed-program trace the fully
-    enumerated original cannot produce), or "inconclusive" (witness holds a
-    transformed-program trace the original's partial enumeration did not
-    produce).
+    Only the transformed program's `terminated` and `deadlock` traces are
+    compared, each against the original's traces, exactly. kind is
+    "refines" (every such trace is the original's, proved under full
+    enumeration of both), "bounded-ok" (no violation found, but one side was
+    not exhaustively enumerated), "violates" (witness holds such a trace the
+    fully enumerated original cannot produce), or "inconclusive" (witness
+    holds such a trace the original's partial enumeration did not produce).
     """
 
     kind: str
@@ -272,12 +271,14 @@ def check_refinement(
     step_budget: int = 10_000,
     max_states: int = 2_000_000,
 ) -> Verdict:
-    """Check that every terminated result of `transformed` is one of `original`'s."""
+    """Check that every `terminated` or `deadlock` result of `transformed` is
+    one of `original`'s: a pass that adds a deadlock is as unsound as one
+    that adds an output sequence."""
     r_orig = enumerate_results(original, step_budget, max_states)
     r_new = enumerate_results(transformed, step_budget, max_states)
     allowed = r_orig.traces
-    for t in sorted(r_new.terminated(), key=lambda t: (t.events, t.status)):
-        if t not in allowed:
+    for t in sorted(r_new.traces, key=lambda t: (t.events, t.status)):
+        if t.status in ("terminated", "deadlock") and t not in allowed:
             kind = "violates" if r_orig.exhausted else "inconclusive"
             return Verdict(kind, t, r_orig, r_new)
     if r_orig.exhausted and r_new.exhausted:

@@ -158,8 +158,8 @@ def _def_before_use(f: Function) -> tuple[Diagnostic, ...]:
     first, and a home is recorded where the walk meets its definition; so a
     use is defined when its name has a home by then that dominates the use's
     block. A name defined more than once keeps its first home. Unreachable
-    blocks are skipped (reported separately), and so is the whole check when
-    a block has no terminator, since the function then has no CFG.
+    blocks are skipped, unchecked and unreported, and so is the whole check
+    when a block has no terminator, since the function then has no CFG.
     """
     if not all(isinstance(b.term, (Br, CondBr, Ret)) for b in f.blocks):
         return ()

@@ -57,6 +57,5 @@ def test_corpus_programs_validate_and_terminate():
         assert validate(e.program) == [], e.name
         r = run(e.program, "rr:1", budget=2_000_000)
         assert r.trace.status == "terminated", (e.name, r.trace)
-        if e.small is not None:
-            assert validate(e.small) == [], e.name
-            assert run(e.small, "rr:1").trace.status == "terminated", e.name
+        assert validate(e.small) == [], e.name
+        assert run(e.small, "rr:1").trace.status == "terminated", e.name

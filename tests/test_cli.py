@@ -112,6 +112,41 @@ def test_check_reports_a_fault_the_original_cannot_produce_as_a_violation(cir_fi
     assert verdict["witness"]["status"] == "fault"
 
 
+def two_monitors(one: str, two: str) -> str:
+    """Two threads that take monitors `A` and `B` in the orders `one` and `two`."""
+    def fn(name: str, body: str) -> str:
+        return f"fn {name}() {{\ne:\n  a = classref A\n  b = classref B\n{body}  ret\n}}\n"
+
+    return ("class A { fields x; }\nclass B { fields x; }\n"
+            + fn("one", one) + fn("two", two) + "thread one()\nthread two()\n")
+
+
+# one region after the other, or one nested in the other
+A_THEN_B = "  monitorenter a\n  monitorexit a\n  monitorenter b\n  monitorexit b\n"
+B_THEN_A = "  monitorenter b\n  monitorexit b\n  monitorenter a\n  monitorexit a\n"
+A_HOLDS_B = "  monitorenter a\n  monitorenter b\n  monitorexit b\n  monitorexit a\n"
+B_HOLDS_A = "  monitorenter b\n  monitorenter a\n  monitorexit a\n  monitorexit b\n"
+
+
+def test_check_reports_a_deadlock_the_original_cannot_reach_as_a_violation(cir_file, capsys):
+    original = cir_file("apart.cir", two_monitors(A_THEN_B, B_THEN_A))
+    nested = cir_file("nested.cir", two_monitors(A_HOLDS_B, B_HOLDS_A))
+    assert main(["check", original, nested]) == 2
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["verdict"] == "violates"
+    assert verdict["witness"] == {"events": [], "status": "deadlock"}
+    assert verdict["original"]["exhausted"] and verdict["transformed"]["exhausted"]
+
+
+@pytest.mark.parametrize("transformed", [(A_HOLDS_B, B_HOLDS_A), (B_HOLDS_A, A_HOLDS_B),
+                                         (A_THEN_B, B_THEN_A)],
+                         ids=["same", "swapped", "apart"])
+def test_check_accepts_a_deadlock_the_original_can_reach(cir_file, capsys, transformed):
+    original = cir_file("nested.cir", two_monitors(A_HOLDS_B, B_HOLDS_A))
+    assert main(["check", original, cir_file("t.cir", two_monitors(*transformed))]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "refines"
+
+
 def test_profile_emits_metric_columns(capsys, cir_file):
     f = cir_file("loop.cir", coarsen_loop(10))
     assert main(["profile", f]) == 0

@@ -265,7 +265,7 @@ def relaid(text: str, rng: random.Random) -> str:
 
 
 def test_layout_between_tokens_does_not_matter():
-    programs = [p for e in corpus() for p in (e.program, e.small) if p is not None]
+    programs = [p for e in corpus() for p in (e.program, e.small)]
     programs += [parse(gen_program(seed)) for seed in range(150)]
     programs += [parse(gen_multiblock_program(seed)) for seed in range(150)]
     rng = random.Random(23)

@@ -113,8 +113,6 @@ def test_single_thread_traces_identical(entry):
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
 def test_refinement_never_violates(entry):
-    if entry.small is None:
-        pytest.skip("no exhaustively enumerable variant")
     for name in PASS_NAMES:
         small2, report = run_pass(entry.small, name, OPTS)
         if report.rewrites == 0:

@@ -2,8 +2,9 @@
 
 Runs each pass, at the default options and at chunk=2, and the full
 pipeline over every corpus program, its small variant, the fuzz
-generator's programs for seeds 0-199 and the multi-block generator's
-programs of `tests/test_pea.py` for seeds 0-99. Prints one line per case:
+generator's programs for seeds 0-199, the multi-block generator's
+programs of `tests/test_pea.py` for seeds 0-99 and the call-graph
+generator's programs of `tests/callgraph_gen.py` for seeds 0-49. Prints one line per case:
 a label and the SHA-256 of the printed output program, the JSON of every
 report, and the output program's runs within a fixed step budget (events,
 status, reason, metric row, sorted op counts and steps, or the message of the
@@ -33,6 +34,7 @@ from cirlab.interp import InterpreterError, run  # noqa: E402
 from cirlab.ir import print_program  # noqa: E402
 from cirlab.parser import parse  # noqa: E402
 from cirlab.passes import PASS_NAMES, PassOptions, pipeline, run_pass  # noqa: E402
+from tests.callgraph_gen import gen_callgraph_program  # noqa: E402
 from tests.test_fuzz import gen_program  # noqa: E402
 from tests.test_pea import gen_multiblock_program  # noqa: E402
 
@@ -71,12 +73,13 @@ def fingerprint(program, reports) -> str:
 def cases():
     for e in corpus():
         yield e.name, e.program
-        if e.small is not None:
-            yield f"{e.name}/small", e.small
+        yield f"{e.name}/small", e.small
     for seed in range(200):
         yield f"fuzz/{seed}", parse(gen_program(seed))
     for seed in range(100):
         yield f"pea/{seed}", parse(gen_multiblock_program(seed))
+    for seed in range(50):
+        yield f"callgraph/{seed}", parse(gen_callgraph_program(seed))
 
 
 def print_case(label: str, out, reports) -> None:

@@ -55,8 +55,7 @@ def search_line(program, **bounds) -> str:
 def sources():
     """(label, program, small budget)."""
     for e in corpus():
-        if e.small is not None:
-            yield f"{e.name}/small", e.small, e.small_budget
+        yield f"{e.name}/small", e.small, e.small_budget
     for store in ("putfield", "cas", "arraystore"):
         yield f"publish_pair({store})", parse(publish_pair(store)), 200
 
