@@ -732,6 +732,10 @@ class Machine:
         - an `output`, when no other thread may still output or run a
           `guard`, whose deopt would end the trace without it.
 
+        "Still" means before `tid` steps again: a thread blocked on a
+        monitor `tid` owns cannot step before then, so `_reached` leaves its
+        frames out.
+
         An unknown callee (`callvirtual`, `callhandle`) conflicts with all of
         them; the `scheduler` docstring tabulates these conflict sets. A cell
         op cannot raise when its reference is to a cell of the right kind,
@@ -784,13 +788,32 @@ class Machine:
         return h.owner == tid or not self._reached(tid, conflict)
 
     def _reached(self, tid: int, conflict: tuple) -> bool:
-        """True iff a frame of another thread may still produce a label in `conflict`."""
-        table = self.code.reach
+        """True iff a frame of another thread may still produce a label in
+        `conflict` before `tid` steps again.
+
+        A thread blocked on a monitor that `tid` owns is out of reach: one
+        whose next step is `monitorenter` of it, or that is to take it back
+        after a `wait` (`REACQUIRE`). Only the owner frees a monitor, by
+        `monitorexit` or `wait`, so such a thread cannot step before `tid`
+        does (the dynamic half of a lock-guarded look-ahead: Stoller & Cohen,
+        TACAS 2003).
+        """
+        table, monitors, enter = self.code.reach, self.monitors, Machine._op_monitorenter
         for u in self.threads:
-            if u.tid != tid:
-                for f in u.frames:
-                    if not table[f.fn][f.block][f.idx].isdisjoint(conflict):
-                        return True
+            if u.tid == tid:
+                continue
+            if u.status is REACQUIRE:
+                blocker = monitors.get(u.wait_obj)  # type: ignore[arg-type]
+            elif u.status is RUN and (fr := u.frames[-1]).code[fr.idx][0] is enter:
+                r = fr.locals.get(fr.code[fr.idx][1].args[0])
+                blocker = monitors.get(r.i) if type(r) is Ref else None
+            else:
+                blocker = None
+            if blocker is not None and blocker.owner == tid:
+                continue
+            for f in u.frames:
+                if not table[f.fn][f.block][f.idx].isdisjoint(conflict):
+                    return True
         return False
 
     # -- execution --------------------------------------------------------

@@ -32,8 +32,8 @@ below is the same as for a search that steps the last thread one state at a
 time.
 
 A state where some enabled thread's next step is local
-(`Machine.next_is_local`) expands only the lowest such thread: an ample set
-of one (Godefroid, *Partial-Order Methods*, LNCS 1032, 1996). A local step
+(`Machine.next_is_local`) expands only that thread: an ample set of one
+(Godefroid, *Partial-Order Methods*, LNCS 1032, 1996). A local step
 commutes with every step the other threads can take before its thread steps
 again, so the orders it skips reach the same results. Local steps are the
 pure ops, calls, branches, returns to a caller, allocations (`new`,
@@ -57,7 +57,8 @@ callees included: ("r", f) and ("w", f) for reads and writes of field f
 `out` for `output`, `stop` for `guard`, and `top` for `callvirtual` and
 `callhandle`, whose callee is unknown. A step on a shared cell, or an
 output, is local when no frame of another live thread reaches a label of
-its conflict set:
+its conflict set; a thread blocked on a monitor the stepping thread owns is
+left out, since it cannot step before the owner does (`Machine._reached`):
 
     getfield f                 {("w", f), top}
     putfield f, cas f          {("r", f), ("w", f), top}
@@ -69,14 +70,20 @@ An output conflicts with a guard because a deopt ends the trace: run first,
 the output would hide the trace that deopts before it. A cell op or output
 that may raise is never local (see `Machine.next_is_local`).
 
-A state that expands one thread goes on stepping that thread while its next
-step is local and the budget allows, and keys only the state the chain ends
-in: a chain of local steps counts as one state, and what the chain outputs
-is the edge's emission. A thread whose next step is local is an ample set
-of one in any state, so each state inside the chain may expand that thread
-alone; the chain only leaves those states unkeyed (one transaction in the
-sense of Lipton, *Reduction*, CACM 1975). The contract against the
-unreduced search, which holds as written:
+Every edge runs on through all the local steps that follow it, of any
+thread, while the budget allows: it tries the thread that just stepped
+first, then the others in tid order, and keys only the state where no
+enabled thread's next step is local, so a choice is left. Each state inside
+the run expands one thread whose next step is local, an ample set of one;
+the run only leaves those states unkeyed (one transaction in the sense of
+Lipton, *Reduction*, CACM 1975), and what it outputs is the edge's
+emission. A local step takes or frees no monitor, wakes or blocks no other
+thread, and cannot stop the machine or end a thread (a guard and a return
+from a thread's last frame are never local), so `schedulable` is asked once
+before the run and once after it, and inside it only the budget is
+checked. Each keyed state is one recursive call, so the recursion is no
+deeper than the budget. The contract against the unreduced search, which
+holds as written:
 
 - a fully enumerated search (`exhausted`) gives exactly the same traces;
 - a search cut by the step budget gives the same `terminated` and `deadlock`
@@ -109,8 +116,8 @@ _Suffix = tuple[tuple[int, ...], str, str | None]
 
 #: the most threads a search takes. The state ceiling bounds states, not the
 #: result sets, which grow with each thread: six copies of `coarsen_loop(1)`
-#: give 16,807 results in 6,915 states and about 2 s, seven give 262,144 in
-#: 24,686 states and 42 s (Python 3.11, one core of a Xeon)
+#: give 16,807 results in 3,521 states and about 2 s, seven give 262,144 in
+#: 12,582 states and 37 s (Python 3.11, one core of a Xeon)
 MAX_THREADS = 6
 
 
@@ -121,9 +128,10 @@ class ResultSet:
     When `exhausted` is False (a path hit the step budget, or the search hit
     the state ceiling, which `ceiling_hit` tells apart) `traces` holds the
     results found within the bounds, and any subset claim is only "bounded",
-    never proved. `memo_hits` counts the states whose results came from the
-    memo instead of being explored again, and `seconds` is the search's wall
-    time.
+    never proved. `states_explored` counts the distinct states keyed: those
+    where a choice is left, and where the last live thread's tail starts.
+    `memo_hits` counts the states whose results came from the memo instead
+    of being explored again, and `seconds` is the search's wall time.
     """
 
     traces: frozenset[ResultTrace]
@@ -144,73 +152,81 @@ class _Explorer:
         self.memo_hits = 0
         self.ceiling_hit = False
 
-    def explore(self, m: Machine) -> tuple[frozenset[_Suffix], int | None]:
-        """(suffix set from this state, the most steps at which a path from it
-        ended, or None if the step budget or the ceiling cut a path).
+    def explore(self, m: Machine, tid: int = 0
+                ) -> tuple[tuple[int, ...], frozenset[_Suffix], int | None]:
+        """(what the edge into `m` emitted, the suffix set from where it ends,
+        the most steps at which a path from there ended, or None if the step
+        budget or the ceiling cut a path).
 
-        Once the state ceiling is hit no state is expanded further, so the
-        suffix sets returned from then on hold only what was already found.
-        `m` is the caller's to give up: the last choice steps it in place,
-        and the last thread's tail runs on it.
+        `m` has just stepped thread `tid` (0: no thread, for the initial
+        machine), and `m.events` holds what that step emitted. The edge first
+        runs on through the local steps that follow, of any thread, trying
+        `tid` first and then the others in tid order, and keys only the state
+        where no enabled thread's next step is local. Once the state ceiling
+        is hit no state is expanded further, so the suffix sets returned from
+        then on hold only what was already found. `m` is the caller's to give
+        up: the last choice steps it in place, and the last thread's tail
+        runs on it.
         """
-        enabled = m.schedulable(self.budget)
+        budget = self.budget
+        enabled = m.schedulable(budget)
+        if enabled and m.live > 1:  # run on through the local steps that follow
+            before, threads, local = m.steps, m.threads, m.next_is_local
+            while m.steps < budget:
+                if not (tid and local(tid)):
+                    for u in enabled:
+                        if u != tid and local(u):
+                            tid = u
+                            break
+                    else:
+                        break
+                m._step(threads[tid - 1])
+            if m.steps != before:
+                enabled = m.schedulable(budget)
+        emitted = tuple(m.events)  # what the edge emitted, its local steps included
+        if emitted:
+            m.events.clear()
         if not enabled:
             end = None if m.status == "step-budget-exhausted" else m.steps
-            return frozenset({((), m.status, m.reason)}), end
+            return emitted, frozenset({((), m.status, m.reason)}), end
         if self.ceiling_hit:
-            return frozenset(), None
+            return emitted, frozenset(), None
 
         key = m.canon_key()
         start = m.steps
         hit = self.memo.get(key)
-        if hit is not None and start + hit[1] <= self.budget:  # its longest path fits
+        if hit is not None and start + hit[1] <= budget:  # its longest path fits
             self.memo_hits += 1
-            return hit[0], start + hit[1]
+            return emitted, hit[0], start + hit[1]
         if key not in self.seen:
             if len(self.seen) >= self.max_states:
                 self.ceiling_hit = True
-                return frozenset(), None
+                return emitted, frozenset(), None
             self.seen.add(key)
 
         if m.live == 1:  # the last live thread runs alone, as in `interp.run`
-            # `m.events` is empty: `m` is the initial machine, a clone (which
-            # starts with none), or a machine `explore` stepped and cleared
-            m._drive(self.budget)
+            m._drive(budget)
             result = frozenset({(tuple(m.events), m.status, m.reason)})
             end = None if m.status == "step-budget-exhausted" else m.steps
-        else:
-            choices = enabled
-            if len(enabled) > 1:  # an ample set of one; see the module docstring
-                local = next((tid for tid in enabled if m.next_is_local(tid)), None)
-                if local is not None:
-                    choices = [local]
-
+        else:  # no enabled thread's next step is local: each is a choice
             out: set[_Suffix] | frozenset[_Suffix] = set()
             end = start
-            last = choices[-1]
-            for tid in choices:
+            last = enabled[-1]
+            for tid in enabled:
                 child = m if tid == last else m.clone()
                 child.step(tid)
-                if len(choices) == 1:  # a chain of local steps is one edge
-                    t = child.threads[tid - 1]
-                    while (child.status is None and child.steps < self.budget
-                           and child.live > 1 and child.next_is_local(tid)):
-                        child._step(t)
-                emitted = tuple(child.events)  # what the edge emitted, chain included
-                if emitted:
-                    child.events.clear()
-                suffixes, child_end = self.explore(child)
+                prefix, suffixes, child_end = self.explore(child, tid)
                 end = None if end is None or child_end is None else max(end, child_end)
-                if emitted:
-                    out.update([(emitted + ev, status, reason) for ev, status, reason in suffixes])
-                elif len(choices) == 1:  # one silent step: this state's set is the child's
+                if prefix:
+                    out.update([(prefix + ev, status, reason) for ev, status, reason in suffixes])
+                elif len(enabled) == 1:  # a silent edge: this state's set is the child's
                     out = suffixes
                 else:
                     out |= suffixes
             result = frozenset(out)  # no copy when `out` is the child's frozenset
         if end is not None:
             self.memo[key] = result, end - start
-        return result, end
+        return emitted, result, end
 
 
 def enumerate_results(
@@ -234,10 +250,10 @@ def enumerate_results(
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, step_budget + 500))
     try:
-        suffixes, end = ex.explore(Machine(program))
+        emitted, suffixes, end = ex.explore(Machine(program))
     finally:
         sys.setrecursionlimit(old_limit)
-    traces = frozenset(ResultTrace(ev, status, reason) for ev, status, reason in suffixes)
+    traces = frozenset(ResultTrace(emitted + ev, status, reason) for ev, status, reason in suffixes)
     return ResultSet(traces, end is not None, len(ex.seen), ex.memo_hits, ex.ceiling_hit,
                      time.perf_counter() - start)
 

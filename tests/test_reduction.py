@@ -473,6 +473,92 @@ thread w()
 SYMMETRY_PROGRAMS = (("racing-boxes", RACING_BOXES), ("wait-sites-notify", WAIT_SITES % "notify"),
                      ("wait-sites-notifyall", WAIT_SITES % "notifyall"), ("park-first", PARK_FIRST))
 
+# three threads with different loop counts take G in turn and print their tag
+# inside it: while one holds G, the others, blocked on its `monitorenter`, are
+# out of its reach, so its accesses to G.n and its output are local
+LOCK_LOOP3 = """
+class G { fields n; }
+fn worker(iters, tag) {
+e:
+  zero = const 0
+  one = const 1
+  g = classref G
+  br loop(zero)
+loop(i):
+  c = binop lt, i, iters
+  condbr c, body(i), done()
+body(i2):
+  monitorenter g
+  v = getfield g, n
+  v2 = binop add, v, one
+  putfield g, n, v2
+  output tag
+  monitorexit g
+  i3 = binop add, i2, one
+  br loop(i3)
+done():
+  ret
+}
+thread worker(2, 1)
+thread worker(1, 2)
+thread worker(1, 3)
+"""
+
+# the notifier goes on writing and printing S.n inside S after it wakes the
+# waiter, which is then to take S back (`REACQUIRE`); a third thread waits
+# to enter S
+HELD_WAIT = """
+class S { fields ready, n; }
+fn waiter() {
+e:
+  s = classref S
+  monitorenter s
+  br chk()
+chk():
+  f = getfield s, ready
+  one = const 1
+  go = binop eq, f, one
+  condbr go, fin(), slp()
+slp():
+  wait s
+  br chk()
+fin():
+  v = getfield s, n
+  output v
+  monitorexit s
+  ret
+}
+fn notifier() {
+e:
+  s = classref S
+  one = const 1
+  monitorenter s
+  putfield s, ready, one
+  notify s
+  two = const 2
+  putfield s, n, two
+  v = getfield s, n
+  output v
+  monitorexit s
+  ret
+}
+fn bumper() {
+e:
+  s = classref S
+  monitorenter s
+  v = getfield s, n
+  ten = const 10
+  v2 = binop add, v, ten
+  putfield s, n, v2
+  monitorexit s
+  output v2
+  ret
+}
+thread waiter()
+thread notifier()
+thread bumper()
+"""
+
 
 def _cases():
     """(id, program, step budget, budgets that cut it): corpus small variants,
@@ -492,6 +578,8 @@ def _cases():
                                    *LOOKAHEAD_PROGRAMS, *SYMMETRY_PROGRAMS)]
     sources.append(("coarsen_loop(1,3)", parse(coarsen_loop(1, threads=3)), 400,
                     PassOptions(chunk=2), (16, 20, 24, 30)))
+    sources += [("lock-loop3", parse(LOCK_LOOP3), 200, PassOptions(chunk=2), (16, 20, 24, 30)),
+                ("held-wait", parse(HELD_WAIT), 200, PassOptions(), (12, 16, 20, 24))]
     sources += [(f"publish-{store}", parse(publish_pair(store)), 200, PassOptions(),
                  (12, 16, 20, 24)) for store in PUBLISHING_STORES]
     sources += [(f"gen{s}", parse(gen_program(s)), 3000, PassOptions(), (4, 8))

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from cirlab.corpus import corpus_entry, guard_bounds_loop
-from cirlab.interp import Explicit, ResultTrace, run
+from cirlab.corpus import coarsen_loop, corpus, corpus_entry, guard_bounds_loop
+from cirlab.interp import Explicit, Machine, ResultTrace, run
 from cirlab.parser import parse
 from cirlab.passes import PassOptions, run_pass
 from cirlab.scheduler import check_refinement, enumerate_results
+from test_fuzz import gen_program
 from test_reduction import reference
 
 RACING_OUTPUTS = """
@@ -104,26 +105,27 @@ def test_state_ceiling_marks_non_exhausted():
 
 
 def test_state_ceiling_keeps_partial_results():
+    # the full search takes 12 states; within the first 5 it finds only [2]
     full = enumerate_results(parse(RACING_INCREMENT))
-    partial = enumerate_results(parse(RACING_INCREMENT), max_states=10)
+    partial = enumerate_results(parse(RACING_INCREMENT), max_states=5)
     assert not partial.exhausted
-    assert partial.states_explored <= 10
+    assert partial.states_explored <= 5
     assert partial.traces and partial.traces < full.traces
 
 
 def test_trace_missing_from_partial_original_is_inconclusive():
-    # the original (27 states) can output 1, but not within the first 10 states it explores
+    # the original (12 states) can output 1, but not within the first 5 states it explores
     outputs_one = parse("fn t() {\ne:\n  v = const 1\n  output v\n  ret\n}\nthread t()")
-    v = check_refinement(parse(RACING_INCREMENT), outputs_one, max_states=10)
+    v = check_refinement(parse(RACING_INCREMENT), outputs_one, max_states=5)
     assert v.kind == "inconclusive"
     assert v.witness is not None and v.witness.events == (1,)
 
 
 def test_state_ceiling_on_corpus_original_is_not_a_violation():
-    # the original (78 states) hits the ceiling, the coalesced program (51) does not
+    # the original (29 states) hits the ceiling, the coalesced program (20) does not
     e = corpus_entry("coalesce-mini")
     coalesced, _ = run_pass(e.small, "atomic_coalesce", PassOptions(chunk=2))
-    v = check_refinement(e.small, coalesced, step_budget=e.small_budget, max_states=60)
+    v = check_refinement(e.small, coalesced, step_budget=e.small_budget, max_states=24)
     assert not v.original.exhausted and v.original.traces
     assert v.transformed.exhausted
     assert v.kind == "bounded-ok"
@@ -473,3 +475,36 @@ def test_local_step_chains_keep_the_contract_at_every_cut():
     full = run(p, Explicit((1,))).steps  # every schedule that terminates runs as many
     flags = [keeps_the_cut_contract(p, budget) for budget in range(1, full + 1)]
     assert flags[-1] and not any(flags[:-1])
+
+
+def test_only_states_where_a_choice_is_left_are_keyed(monkeypatch):
+    # an edge runs on through the local steps that follow it, of any thread,
+    # so a keyed state with two or more live threads has no enabled thread
+    # whose next step is local; the last thread's tail is keyed where it starts
+    choices, local = [], []
+    canon_key = Machine.canon_key
+
+    def spy(m):
+        if m.live > 1:
+            enabled = m.enabled_threads()
+            choices.append(len(enabled))
+            local.extend(tid for tid in enabled if m.next_is_local(tid))
+        return canon_key(m)
+
+    monkeypatch.setattr(Machine, "canon_key", spy)
+    programs = [(e.small, e.small_budget) for e in corpus()]
+    programs += [(parse(gen_program(s)), 3000) for s in range(20)]
+    for program, budget in programs:
+        for b in (budget, 40):
+            enumerate_results(program, b)
+    assert local == [] and max(choices) > 1
+
+
+@pytest.mark.parametrize("program, budget, states, traces", [
+    (parse(RACING_INCREMENT), 10_000, 12, 2),
+    (corpus_entry("coalesce-mini").small, corpus_entry("coalesce-mini").small_budget, 29, 3),
+    (parse(coarsen_loop(1, threads=4)), 50, 49, 12),  # cut by the budget
+], ids=["racing-increment", "coalesce-mini", "coarsen_loop(1,4)"])
+def test_states_keyed(program, budget, states, traces):
+    rs = enumerate_results(program, budget)
+    assert (rs.states_explored, len(rs.traces)) == (states, traces)
