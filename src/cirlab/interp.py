@@ -212,8 +212,8 @@ class Frame:
         self.idx, self.locals, self.ret_dest = idx, locals_, ret_dest
 
 
-# thread status values; "run" also covers threads gated on a held monitor,
-# which are detected by peeking at their next instruction
+# thread status values; "run" and "reacquire" also cover threads gated on a
+# held monitor, which `Machine._blocker` finds
 RUN, WAITING, REACQUIRE, PARKED, DONE = "run", "waiting", "reacquire", "parked", "done"
 
 #: opcodes whose step commutes with every step of every other thread: it reads
@@ -457,32 +457,28 @@ def _reach_table(fns: dict[str, Function]) -> dict[str, dict[str, list[frozenset
     """fn -> block -> for each index, the labels a frame there may still produce,
     its callees' included; the last index is the terminator's.
 
-    A static over-approximation: a fixpoint of each block's entry set over the
-    branches and the call graph. A `ret` adds nothing, since the caller's frame
-    holds the rest of its code. Equal sets are one object.
+    A static over-approximation: a block's entry set is its own labels and
+    those of every block that `cfg.closure` reaches from it over branch edges
+    and call edges, which lead to callee entry blocks. A `ret` adds nothing,
+    since the caller's frame holds the rest of its code. Equal sets are one
+    object.
     """
+    from .cfg import closure  # on first use, as in `_live_names`
     entry_key = {name: (name, f.entry.name) for name, f in fns.items()}
-    parts = {}  # (fn, block) -> (own labels, callee entry keys, successor keys)
+    own, edges = {}, {}  # (fn, block) -> its labels; -> callee entry and successor keys
     for name, f in fns.items():
         for b in f.blocks:
-            parts[name, b.name] = (
-                {x for i in b.instrs for x in _labels(i)},
-                [entry_key[i.fn] for i in b.instrs if i.op == "call"],
-                [(name, t) for t in b.term.targets()])
-    entry = dict.fromkeys(parts, frozenset())
-    changed = True
-    while changed:
-        changed = False
-        for key, (own, calls, succs) in parts.items():
-            s = frozenset(own.union(*[entry[k] for k in calls], *[entry[k] for k in succs]))
-            if s != entry[key]:
-                entry[key], changed = s, True
+            own[name, b.name] = {x for i in b.instrs for x in _labels(i)}
+            edges[name, b.name] = ([entry_key[i.fn] for i in b.instrs if i.op == "call"]
+                                   + [(name, t) for t in b.term.targets()])
+    entry = {key: frozenset(own[key].union(*[own[k] for k in reached]))
+             for key, reached in closure(edges).items()}
     interned: dict[frozenset, frozenset] = {}
     table: dict[str, dict[str, list[frozenset]]] = {}
     for name, f in fns.items():
         blocks = table[name] = {}
         for b in f.blocks:
-            acc = frozenset().union(*[entry[k] for k in parts[name, b.name][2]])
+            acc = frozenset().union(*[entry[name, t] for t in b.term.targets()])
             points = [interned.setdefault(acc, acc)]
             for i in reversed(b.instrs):
                 extra = set(_labels(i))
@@ -672,20 +668,35 @@ class Machine:
     def alive(self) -> bool:
         return self.live > 0
 
+    def _blocker(self, t: ThreadState) -> int | None:
+        """The tid of a thread that must step before `t` (one with frames)
+        can, or None.
+
+        That is the owner of the monitor `t` waits on (`wait_obj`): only it
+        can notify `t` or hand the monitor back. Otherwise it is the owner,
+        other than `t`, of the monitor that `t`'s next `monitorenter` names,
+        since a woken thread takes its monitor back and runs its next
+        instruction in one step (`_step`). Only the owner frees a monitor, so
+        this holds whether `t` runs, waits, is woken or is parked. `enabled`
+        reads it, and so does `_reached`, as the dynamic half of a
+        lock-guarded look-ahead (Stoller & Cohen, TACAS 2003).
+        """
+        if t.wait_obj is not None:
+            owner = self.monitors[t.wait_obj].owner
+            if owner is not None:
+                return owner
+        fr = t.frames[-1]
+        handler, instr, _, _ = fr.code[fr.idx]
+        if handler is Machine._op_monitorenter:
+            r = fr.locals.get(instr.args[0])
+            m = self.monitors.get(r.i) if type(r) is Ref else None
+            if m is not None and m.owner != t.tid:
+                return m.owner
+        return None
+
     def enabled(self, tid: int) -> bool:
         t = self.threads[tid - 1]
-        if t.status is not RUN:
-            if t.status is not REACQUIRE:
-                return False
-            m = self.monitors.get(t.wait_obj)  # type: ignore[arg-type]
-            return m is None or m.owner is None
-        fr = t.frames[-1]
-        _, instr, _, op = fr.code[fr.idx]
-        if op != "monitorenter":
-            return True
-        obj = fr.locals.get(instr.args[0])
-        m = self.monitors.get(obj.i) if type(obj) is Ref else None
-        return m is None or m.owner is None or m.owner == tid
+        return (t.status is RUN or t.status is REACQUIRE) and self._blocker(t) is None
 
     def enabled_threads(self) -> list[int]:
         """Asks `enabled` only of the threads that are not `RUN` or are about
@@ -732,9 +743,8 @@ class Machine:
         - an `output`, when no other thread may still output or run a
           `guard`, whose deopt would end the trace without it.
 
-        "Still" means before `tid` steps again: a thread blocked on a
-        monitor `tid` owns cannot step before then, so `_reached` leaves its
-        frames out.
+        "Still" means before `tid` steps again: a thread whose `_blocker` is
+        `tid` cannot step before then, so `_reached` leaves its frames out.
 
         An unknown callee (`callvirtual`, `callhandle`) conflicts with all of
         them; the `scheduler` docstring tabulates these conflict sets. A cell
@@ -789,31 +799,17 @@ class Machine:
 
     def _reached(self, tid: int, conflict: tuple) -> bool:
         """True iff a frame of another thread may still produce a label in
-        `conflict` before `tid` steps again.
-
-        A thread blocked on a monitor that `tid` owns is out of reach: one
-        whose next step is `monitorenter` of it, or that is to take it back
-        after a `wait` (`REACQUIRE`). Only the owner frees a monitor, by
-        `monitorexit` or `wait`, so such a thread cannot step before `tid`
-        does (the dynamic half of a lock-guarded look-ahead: Stoller & Cohen,
-        TACAS 2003).
+        `conflict` before `tid` steps again: a thread whose `_blocker` is
+        `tid` is out of reach.
         """
-        table, monitors, enter = self.code.reach, self.monitors, Machine._op_monitorenter
+        table = self.code.reach
         for u in self.threads:
-            if u.tid == tid:
-                continue
-            if u.status is REACQUIRE:
-                blocker = monitors.get(u.wait_obj)  # type: ignore[arg-type]
-            elif u.status is RUN and (fr := u.frames[-1]).code[fr.idx][0] is enter:
-                r = fr.locals.get(fr.code[fr.idx][1].args[0])
-                blocker = monitors.get(r.i) if type(r) is Ref else None
-            else:
-                blocker = None
-            if blocker is not None and blocker.owner == tid:
-                continue
-            for f in u.frames:
-                if not table[f.fn][f.block][f.idx].isdisjoint(conflict):
-                    return True
+            if u.tid != tid:
+                for f in u.frames:
+                    if not table[f.fn][f.block][f.idx].isdisjoint(conflict):
+                        if self._blocker(u) != tid:
+                            return True
+                        break
         return False
 
     # -- execution --------------------------------------------------------

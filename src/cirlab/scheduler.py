@@ -57,8 +57,8 @@ callees included: ("r", f) and ("w", f) for reads and writes of field f
 `out` for `output`, `stop` for `guard`, and `top` for `callvirtual` and
 `callhandle`, whose callee is unknown. A step on a shared cell, or an
 output, is local when no frame of another live thread reaches a label of
-its conflict set; a thread blocked on a monitor the stepping thread owns is
-left out, since it cannot step before the owner does (`Machine._reached`):
+its conflict set; a thread that cannot step before the stepping thread does
+is left out (`Machine._blocker` states when):
 
     getfield f                 {("w", f), top}
     putfield f, cas f          {("r", f), ("w", f), top}

@@ -1,7 +1,7 @@
 """The shared call-graph and block-parameter analyses (`cfg.closure`,
-`cfg.call_reach`, `cfg.flow_params`) and what the passes derive from them,
-each against a definition written out by brute force, and the programs of
-`callgraph_gen` through every pass."""
+`cfg.call_reach`, `cfg.flow_params`), what the passes and the search's
+look-ahead table derive from them, each against a definition written out by
+brute force, and the programs of `callgraph_gen` through every pass."""
 
 import ast
 import os
@@ -13,7 +13,8 @@ from pathlib import Path
 import cirlab
 from callgraph_gen import gen_callgraph_program
 from cirlab.cfg import call_reach, closure, flow_params
-from cirlab.interp import run
+from cirlab.corpus import corpus
+from cirlab.interp import Machine, run
 from cirlab.ir import Block, Br, CondBr, Function, Instr, Program, Ret, ThreadDecl
 from cirlab.parser import parse
 from cirlab.passes import PASS_NAMES, PassOptions, run_pass
@@ -35,6 +36,41 @@ def dfs_reach(edges: dict, n) -> set:
 
     walk(n)
     return seen
+
+
+#: the look-ahead labels of an opcode besides field reads and writes
+OP_LABELS = {"arrayload": {"ar"}, "arraystore": {"aw"}, "vbinop": {"ar", "aw"},
+             "output": {"out"}, "guard": {"stop"}, "callvirtual": {"top"}, "callhandle": {"top"}}
+
+
+def dfs_labels(p: Program, fn: str, block: str, idx: int) -> set:
+    """The look-ahead labels a frame at (`fn`, `block`, `idx`) may still
+    produce, by a depth-first walk of its own: the rest of the block, callee
+    bodies included, then every successor."""
+    fns = p.fn_map()
+    labels: set = set()
+    seen: set = set()
+
+    def enter(f: str, b: str):
+        if (f, b) not in seen:
+            seen.add((f, b))
+            walk(f, b, 0)
+
+    def walk(f: str, b: str, start: int):
+        blk = fns[f].block_map()[b]
+        for i in blk.instrs[start:]:
+            if i.op in ("getfield", "cas"):
+                labels.add(("r", i.field))
+            if i.op in ("putfield", "cas"):
+                labels.add(("w", i.field))
+            labels.update(OP_LABELS.get(i.op, ()))
+            if i.op == "call":
+                enter(i.fn, fns[i.fn].entry.name)
+        for t in blk.term.targets():
+            enter(f, t)
+
+    walk(fn, block, idx)
+    return labels
 
 
 def random_edges(rng: random.Random) -> dict[str, list[str]]:
@@ -91,6 +127,19 @@ def test_call_reach_matches_a_walk_per_function():
             assert reach[f.name] == dfs_reach(edges, f.name), (k, f.name)
         if any(i.fn == "ext" for f in p.functions for b in f.blocks for i in b.instrs):
             assert reach["ext"] == frozenset(), k  # an undefined callee reaches nothing
+
+
+def test_the_look_ahead_table_is_exactly_what_a_walk_reaches():
+    programs = [p for e in corpus() for p in (e.program, e.small)]
+    programs += [parse(gen_callgraph_program(seed)) for seed in range(50)]
+    for k, p in enumerate(programs):
+        reach = Machine(p).code.reach
+        for f in p.functions:
+            for b in f.blocks:
+                points = reach[f.name][b.name]
+                assert len(points) == len(b.instrs) + 1, (k, f.name, b.name)
+                for idx, labels in enumerate(points):
+                    assert labels == dfs_labels(p, f.name, b.name, idx), (k, f.name, b.name, idx)
 
 
 def derive(flows: dict[str, set[str]], known: dict, listed: set[str], name: str,

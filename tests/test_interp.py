@@ -14,6 +14,7 @@ from cirlab import interp, ir, passes
 from cirlab.parser import parse
 from cirlab.ir import Block, Br, Function, Instr, Program, Ret, ThreadDecl
 from cirlab.scheduler import check_refinement, enumerate_results
+from blocked_programs import WOKEN_ENTERS_HELD
 from test_fuzz import gen_program
 
 
@@ -707,6 +708,7 @@ def _multi_thread_programs():
     yield "monitor-blocks", parse(MONITOR_BLOCKS)
     yield "wait-notify", parse(WAIT_NOTIFY)
     yield "unpark-permit", parse(UNPARK_PERMIT)
+    yield "woken-enters-held", parse(WOKEN_ENTERS_HELD)
 
 
 MULTI_THREAD_PROGRAMS = dict(_multi_thread_programs())

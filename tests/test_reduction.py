@@ -23,6 +23,7 @@ from cirlab.interp import HObj, InterpreterError, Machine, Ref, ResultTrace
 from cirlab.parser import parse
 from cirlab.passes import PASS_NAMES, PassOptions, run_pass
 from cirlab.scheduler import enumerate_results
+from blocked_programs import BLOCKED_PROGRAMS
 from test_fuzz import gen_program
 
 FUZZ_SEEDS = 40
@@ -562,9 +563,9 @@ thread bumper()
 
 def _cases():
     """(id, program, step budget, budgets that cut it): corpus small variants,
-    the programs above, one `publish_pair` per publishing store and
-    generated programs, each followed by the output of every pass that
-    rewrites it.
+    the programs above and those of `blocked_programs`, one `publish_pair`
+    per publishing store and generated programs, each followed by the
+    output of every pass that rewrites it.
 
     Generated programs are cut at 4 and 8 steps only: at 12 and 16 their
     budget-cut searches, each a tree search, take 0.05 to 0.8 s apiece. Of the
@@ -580,6 +581,8 @@ def _cases():
                     PassOptions(chunk=2), (16, 20, 24, 30)))
     sources += [("lock-loop3", parse(LOCK_LOOP3), 200, PassOptions(chunk=2), (16, 20, 24, 30)),
                 ("held-wait", parse(HELD_WAIT), 200, PassOptions(), (12, 16, 20, 24))]
+    sources += [(name, parse(text), 200, PassOptions(), (12, 16, 20, 24))
+                for name, text in BLOCKED_PROGRAMS]
     sources += [(f"publish-{store}", parse(publish_pair(store)), 200, PassOptions(),
                  (12, 16, 20, 24)) for store in PUBLISHING_STORES]
     sources += [(f"gen{s}", parse(gen_program(s)), 3000, PassOptions(), (4, 8))

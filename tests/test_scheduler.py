@@ -7,6 +7,7 @@ from cirlab.interp import Explicit, Machine, ResultTrace, run
 from cirlab.parser import parse
 from cirlab.passes import PassOptions, run_pass
 from cirlab.scheduler import check_refinement, enumerate_results
+from blocked_programs import WOKEN_ENTERS_HELD
 from test_fuzz import gen_program
 from test_reduction import reference
 
@@ -171,6 +172,13 @@ def test_wait_notify_enumerates_to_single_result():
     rs = enumerate_results(parse(text))
     assert rs.exhausted
     assert traces(rs) == {((42,), "terminated")}
+
+
+def test_a_woken_waiter_waits_for_the_monitor_its_next_instruction_enters():
+    # when the notifier runs first, its notify is lost and the waiter deadlocks
+    p = parse(WOKEN_ENTERS_HELD)
+    assert traces(enumerate_results(p, 200)) == {((2, 1), "terminated"), ((2,), "deadlock")}
+    assert run(p, "rr:1").trace == ResultTrace((2, 1), "terminated", None)
 
 
 def test_identity_refines():

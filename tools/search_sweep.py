@@ -7,25 +7,39 @@ ceiling. Then a small variant at a cut budget where reusing a memo entry
 without checking that its longest path fits the budget left claimed a
 finished search, and a few larger programs at the default bounds:
 contention loops, one single-thread loop, threads that each update a box
-and an array only they can reach (`private_boxes`), and two identical
-waiters woken by `notify` (which keeps tid-order state keys) or by
-`notifyall` (whose identical threads share states). Prints one
-line per search: a label, `states_explored`, `memo_hits`, `exhausted`, the
-trace count and the SHA-256 of the sorted traces; for a pass output, a
-second line with the `check_refinement` verdict against its input and the
-witness. Run it against two checkouts and diff the outputs:
+and an array only they can reach (`private_boxes`), two identical waiters
+woken by `notify` (which keeps tid-order state keys) or by `notifyall`
+(whose identical threads share states), and the programs of
+`tests/blocked_programs.py`, where a thread waits for another to step:
+
+- `woken-enters-held`: a woken waiter whose next instruction enters a
+  monitor the notifier holds;
+- `waiting-on-held`: a waiter on the monitor its notifier holds while the
+  notifier writes a field the waiter reads;
+- `parked-on-held`: a parked thread whose next instruction enters a
+  monitor the unparking thread holds.
+
+Prints one line per search: a label, `states_explored`, `memo_hits`,
+`exhausted`, the trace count and the SHA-256 of the sorted traces; for a
+pass output, a second line with the `check_refinement` verdict against its
+input and the witness. Run it against two checkouts and diff the outputs:
 
     PYTHONPATH=src python tools/search_sweep.py > after.txt
     PYTHONPATH=<other checkout>/src python tools/search_sweep.py > before.txt
 """
 
 import hashlib
+import sys
+from pathlib import Path
 
-from cirlab.corpus import (coalesce_mini, coarsen_loop, corpus, corpus_entry, guard_bounds_loop,
-                           private_boxes, publish_pair, waitnotify_flag)
-from cirlab.parser import parse
-from cirlab.passes import PASS_NAMES, PassOptions, run_pass
-from cirlab.scheduler import check_refinement, enumerate_results
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from cirlab.corpus import (coalesce_mini, coarsen_loop, corpus, corpus_entry,  # noqa: E402
+                           guard_bounds_loop, private_boxes, publish_pair, waitnotify_flag)
+from cirlab.parser import parse  # noqa: E402
+from cirlab.passes import PASS_NAMES, PassOptions, run_pass  # noqa: E402
+from cirlab.scheduler import check_refinement, enumerate_results  # noqa: E402
+from tests.blocked_programs import BLOCKED_PROGRAMS  # noqa: E402
 
 CUT_BUDGET = 40  # cuts most small variants' searches short
 CEILING = 24  # cuts the coarsen-mini original and its lock_coarsen output, and the
@@ -42,7 +56,8 @@ LARGER = (("coarsen_loop(4,2)", coarsen_loop(4, threads=2)),
           ("guard_bounds_loop(200,400)", guard_bounds_loop(200, 400)),
           ("private_boxes(3,2)", private_boxes(3)),
           ("private_boxes(8,2)", private_boxes(8)),
-          ("private_boxes(3,3)", private_boxes(3, threads=3)))
+          ("private_boxes(3,3)", private_boxes(3, threads=3)),
+          *BLOCKED_PROGRAMS)
 
 
 def search_line(program, **bounds) -> str:
