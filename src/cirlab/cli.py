@@ -22,13 +22,12 @@ from .parser import ParseError, UnresolvedNameError, parse
 from .passes import PASS_NAMES, PassOptions, pipeline
 from .pca import (
     PcaError,
+    fit_metrics,
     normalize,
-    pca_fit,
     read_metrics_csv,
     render_loadings_csv,
     render_scores_csv,
     render_variance_csv,
-    standardize,
 )
 from .scheduler import check_refinement
 from .stats import SampleSet, StatsError, welch_t
@@ -41,6 +40,13 @@ class CliError(Exception):
         self.code = code
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise CliError(f"cannot read {path}: {e}")
+
+
 def load_program(spec: str):
     if spec.startswith("corpus:"):
         try:
@@ -48,11 +54,7 @@ def load_program(spec: str):
         except KeyError as e:
             raise CliError(str(e.args[0]))
     try:
-        text = Path(spec).read_text()
-    except OSError as e:
-        raise CliError(f"cannot read {spec}: {e}")
-    try:
-        program = parse(text)
+        program = parse(_read(spec))
     except (ParseError, UnresolvedNameError) as e:
         raise CliError(f"{spec}: {e}")
     problems = validate(program)
@@ -165,11 +167,7 @@ def cmd_compare(args) -> int:
 
 def cmd_pca(args) -> int:
     try:
-        text = Path(args.metrics).read_text()
-    except OSError as e:
-        raise CliError(f"cannot read {args.metrics}: {e}")
-    try:
-        m = read_metrics_csv(text)
+        m = read_metrics_csv(_read(args.metrics))
         ingested = m.diagnostics
         for d in ingested:
             print(f"note: {d}", file=sys.stderr)
@@ -180,8 +178,7 @@ def cmd_pca(args) -> int:
             m = normalize(m, args.ref, skip)
         for d in m.diagnostics[len(ingested):]:  # rows that --ref rejected
             print(f"note: {d}", file=sys.stderr)
-        y, means, stds = standardize(m)
-        model = pca_fit(y, m.cols, means, stds)
+        model = fit_metrics(m)
         j = model.k if args.components is None else args.components
         loadings = render_loadings_csv(model, j)
     except PcaError as e:
@@ -212,10 +209,7 @@ def cmd_ck(args) -> int:
 
 
 def _read_samples(path: str) -> SampleSet:
-    try:
-        lines = Path(path).read_text().strip().splitlines()
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e}")
+    lines = _read(path).strip().splitlines()
     values = []
     for ln in lines:
         ln = ln.split(",")[-1].strip()

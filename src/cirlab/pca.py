@@ -2,8 +2,10 @@
 
 The pipeline mirrors the workload-characterization methodology: each metric
 column is optionally divided row-wise by a cost column (the "reference
-cycles" stand-in), standardized to zero mean and unit sample variance, and
-decomposed into principal components. Scores are S = Y L with L the
+cycles" stand-in, `normalize`), then `fit_metrics` standardizes every column
+to zero mean and unit sample variance and decomposes the result into
+principal components. `fit_metrics` is the one fit: `cirlab pca` normalizes
+first when asked to and then calls it too. Scores are S = Y L with L the
 orthonormal eigenvector matrix of the correlation matrix, so the loading
 l_ij is the weight of metric i on component j. The eigenpairs come from
 numpy's symmetric eigensolver, sorted by descending eigenvalue.
@@ -56,11 +58,21 @@ def read_metrics_csv(text: str) -> MetricMatrix:
         raise PcaError('metrics CSV must start with a "benchmark" column')
     cols = header[1:]
     raw_rows = [r for r in reader if r]
+
+    def cell(r: list[str], j: int) -> str:
+        return r[j + 1].strip() if len(r) > j + 1 else ""
+
+    def value(r: list[str], j: int) -> float:  # a PcaError says why there is none
+        text = cell(r, j)
+        if text == "":
+            raise PcaError(f"missing {cols[j]!r}")
+        try:
+            return float(text)
+        except ValueError:
+            raise PcaError(f"bad value {text!r} in {cols[j]!r}") from None
+
     diagnostics: list[str] = []
-    empty = [
-        j for j in range(len(cols))
-        if all(len(r) <= j + 1 or r[j + 1].strip() == "" for r in raw_rows)
-    ]
+    empty = [j for j in range(len(cols)) if all(cell(r, j) == "" for r in raw_rows)]
     if empty:
         diagnostics.append(
             "dropped empty column(s): " + ", ".join(cols[j] for j in empty)
@@ -69,23 +81,12 @@ def read_metrics_csv(text: str) -> MetricMatrix:
     names: list[str] = []
     data: list[list[float]] = []
     for r in raw_rows:
-        vals = []
-        ok = True
-        for j in keep:
-            cell = r[j + 1].strip() if len(r) > j + 1 else ""
-            if cell == "":
-                diagnostics.append(f"row {r[0]!r} rejected: missing {cols[j]!r}")
-                ok = False
-                break
-            try:
-                vals.append(float(cell))
-            except ValueError:
-                diagnostics.append(f"row {r[0]!r} rejected: bad value {cell!r} in {cols[j]!r}")
-                ok = False
-                break
-        if ok:
+        try:
+            data.append([value(r, j) for j in keep])
+        except PcaError as e:
+            diagnostics.append(f"row {r[0]!r} rejected: {e}")
+        else:
             names.append(r[0])
-            data.append(vals)
     return MetricMatrix(
         tuple(names), tuple(cols[j] for j in keep),
         np.array(data, dtype=float).reshape(len(names), len(keep)), tuple(diagnostics),
@@ -107,13 +108,12 @@ def normalize(m: MetricMatrix, refcol: str, skip: set[str] | None = None) -> Met
     diagnostics = list(m.diagnostics)
     for i in np.flatnonzero(~good):
         diagnostics.append(f"row {m.rows[i]!r} rejected: nonpositive {refcol}")
-    out_cols = [c for c in m.cols if c != refcol]
-    data = np.empty((int(good.sum()), len(out_cols)))
+    cols = tuple(c for c in m.cols if c != refcol)
+    # row-major, as the fit's sums over it expect for bit-stable results
+    kept = np.delete(m.values[good], m.cols.index(refcol), axis=1)
+    data = np.where([c in skip for c in cols], kept, kept / ref[good, None])
     rows = tuple(r for i, r in enumerate(m.rows) if good[i])
-    for j, c in enumerate(out_cols):
-        col = m.column(c)[good]
-        data[:, j] = col if c in skip else col / ref[good]
-    return MetricMatrix(rows, tuple(out_cols), data, tuple(diagnostics))
+    return MetricMatrix(rows, cols, data, tuple(diagnostics))
 
 
 def standardize(m: MetricMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,8 +131,6 @@ def standardize(m: MetricMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class PcaModel:
     metrics: tuple[str, ...]
-    means: np.ndarray
-    stds: np.ndarray
     loadings: np.ndarray  # (K, K), columns are components
     eigenvalues: np.ndarray  # descending
     scores: np.ndarray  # (N, K)
@@ -143,8 +141,7 @@ class PcaModel:
         return len(self.metrics)
 
 
-def pca_fit(y: np.ndarray, metrics: tuple[str, ...],
-            means: np.ndarray | None = None, stds: np.ndarray | None = None) -> PcaModel:
+def pca_fit(y: np.ndarray, metrics: tuple[str, ...]) -> PcaModel:
     """Fit components to an already-standardized matrix Y."""
     n, k = y.shape
     if n < 2:
@@ -158,22 +155,13 @@ def pca_fit(y: np.ndarray, metrics: tuple[str, ...],
     eigvecs = eigvecs[:, order]
     # sign convention: the largest-magnitude entry of each component is positive
     eigvecs *= np.where(eigvecs[np.abs(eigvecs).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
-    scores = y @ eigvecs
-    return PcaModel(
-        metrics,
-        means if means is not None else np.zeros(k),
-        stds if stds is not None else np.ones(k),
-        eigvecs, eigvals, scores, eigvals / k,
-    )
+    return PcaModel(metrics, eigvecs, eigvals, y @ eigvecs, eigvals / k)
 
 
-def fit_metrics(m: MetricMatrix, refcol: str | None = None,
-                skip: set[str] | None = None) -> PcaModel:
-    """Full pipeline: optional normalization, standardization, then PCA."""
-    if refcol is not None:
-        m = normalize(m, refcol, skip)
-    y, means, stds = standardize(m)
-    return pca_fit(y, m.cols, means, stds)
+def fit_metrics(m: MetricMatrix) -> PcaModel:
+    """Standardize `m`'s columns, then fit its principal components."""
+    y, _, _ = standardize(m)
+    return pca_fit(y, m.cols)
 
 
 def top_components(model: PcaModel, j: int) -> list[list[tuple[str, float]]]:
@@ -191,34 +179,29 @@ def top_components(model: PcaModel, j: int) -> list[list[tuple[str, float]]]:
     return out
 
 
+def _csv(header: list[str], rows: list[list[str]]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
 def render_loadings_csv(model: PcaModel, j: int) -> str:
     """Component table layout: (metric, loading) column pairs per component."""
     tables = top_components(model, j)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow([h for c in range(j) for h in (f"PC{c+1} metric", f"PC{c+1} loading")])
-    for row in range(model.k):
-        w.writerow([cell for c in range(j) for cell in
-                    (tables[c][row][0], f"{tables[c][row][1]:+.4f}")])
-    return buf.getvalue()
+    header = [h for c in range(j) for h in (f"PC{c+1} metric", f"PC{c+1} loading")]
+    rows = [[cell for t in tables for cell in (t[row][0], f"{t[row][1]:+.4f}")]
+            for row in range(model.k)]
+    return _csv(header, rows)
 
 
 def render_scores_csv(model: PcaModel, rows: tuple[str, ...]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["benchmark"] + [f"PC{c+1}" for c in range(model.k)])
-    for name, score in zip(rows, model.scores):
-        w.writerow([name] + [f"{v:.6f}" for v in score])
-    return buf.getvalue()
+    header = ["benchmark"] + [f"PC{c+1}" for c in range(model.k)]
+    return _csv(header, [[name] + [f"{v:.6f}" for v in score]
+                         for name, score in zip(rows, model.scores)])
 
 
 def render_variance_csv(model: PcaModel) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["component", "eigenvalue", "explained", "cumulative"])
-    cum = 0.0
-    for c in range(model.k):
-        cum += float(model.explained[c])
-        w.writerow([f"PC{c+1}", f"{model.eigenvalues[c]:.9f}",
-                    f"{model.explained[c]:.6f}", f"{cum:.6f}"])
-    return buf.getvalue()
+    cum = np.cumsum(model.explained)  # added in component order
+    return _csv(["component", "eigenvalue", "explained", "cumulative"],
+                [[f"PC{c+1}", f"{model.eigenvalues[c]:.9f}", f"{model.explained[c]:.6f}",
+                  f"{cum[c]:.6f}"] for c in range(model.k)])

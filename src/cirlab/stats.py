@@ -38,7 +38,7 @@ class SampleSet:
         return sum((v - m) ** 2 for v in self.values) / (self.n - 1)
 
 
-def _betacf(a: float, b: float, x: float, tol: float = 1e-12, max_iter: int = 500) -> float:
+def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta function (modified Lentz)."""
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
@@ -48,28 +48,21 @@ def _betacf(a: float, b: float, x: float, tol: float = 1e-12, max_iter: int = 50
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, 501):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < tol:
+        # one Lentz update each for the even and the odd coefficient
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < 1e-12:
             return h
     raise StatsError("incomplete beta continued fraction did not converge")
 
@@ -136,8 +129,6 @@ def winsorize(a: SampleSet, fraction: float) -> SampleSet:
     if not 0.0 <= fraction < 0.5:
         raise StatsError("winsor fraction must be in [0, 0.5)")
     n = a.n
-    if n == 0:
-        return a
     k = int(fraction * n)
     if k == 0:
         return a

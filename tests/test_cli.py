@@ -389,6 +389,13 @@ def test_pca_too_few_rows_is_one_error_line(tmp_path, capsys, recwarn, exclude):
     assert [str(w.message) for w in recwarn] == []
 
 
+def test_pca_on_an_unreadable_file_is_an_error_line(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["pca", str(missing)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"]
+
+
 def test_ck_csv(capsys):
     assert main(["ck", "corpus:dup-diamond"]) == 0
     out = capsys.readouterr().out
@@ -405,6 +412,21 @@ def test_stats_welch(tmp_path, capsys):
     r = json.loads(capsys.readouterr().out)
     assert abs(r["t"] + 1.2247) < 1e-3
     assert abs(r["p"] - 0.2872) < 1e-3
+
+
+@pytest.mark.parametrize("test, a, message", [
+    ("welch", "1\nx\n3\n", "{a}: bad sample 'x'"),
+    ("ttest", "1\n2\n3\n", "unknown statistic 'ttest' (only 'welch')"),
+    ("welch", "value\n1\n", "both samples need at least two values"),
+], ids=["bad-sample", "unknown-statistic", "too-few-values"])
+def test_stats_error_is_an_error_line(tmp_path, capsys, test, a, message):
+    a_path = tmp_path / "a.csv"
+    b_path = tmp_path / "b.csv"
+    a_path.write_text(a)
+    b_path.write_text("2\n3\n4\n")
+    assert main(["stats", test, str(a_path), str(b_path)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: " + message.format(a=a_path)]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

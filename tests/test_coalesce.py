@@ -338,3 +338,51 @@ def test_plain_blocks_with_parameters_are_not_reported():
     """)
     p2, report = run_pass(p, "atomic_coalesce")
     assert report.rewrites == 0 and report.skips == []
+
+
+_PAIR = """
+class Cell { fields x, y; }
+fn main(v0) {
+entry:
+  g = classref Cell
+  putfield g, x, v0
+  zero = const 0
+  %s
+L1():
+  v = getfield g, x
+  one = const 1
+  nv = binop add, v, one
+  ok = cas g, x, v, nv
+  condbr ok, L2(), L1()
+L2():
+  w = getfield g, %s
+  same = binop add, w, zero
+  two = const 2
+  nw = binop mul, w, two
+  ok2 = cas g, x, %s, nw
+  condbr ok2, %s(), L2()
+fin():
+  r = getfield g, x
+  output r
+  ret
+}
+thread main(5)
+"""
+
+
+@pytest.mark.parametrize("entry, read, expect, then, skips", [
+    ("br L1()", "y", "w", "fin", [("main/L1+L2", "read and cas disagree on the location")]),
+    ("br L1()", "x", "same", "fin", [("main/L1+L2", "cas expectation is not the loop read")]),
+    ("c = binop lt, v0, zero\n  condbr c, L2(), L1()", "x", "w", "fin",
+     [("main/L1+L2", "second loop has other entries")]),
+    # L2 leaving to L1 also makes (L2, L1) a pair, whose L1 the entry reaches
+    ("br L1()", "x", "w", "L1", [("main/L1+L2", "irregular control flow between loops"),
+                                 ("main/L2+L1", "second loop has other entries")]),
+], ids=["location", "expectation", "other-entries", "irregular"])
+def test_each_pair_shape_is_a_skip_reason(entry, read, expect, then, skips):
+    p = parse(_PAIR % (entry, read, expect, then))
+    assert validate(p) == []
+    p2, report = run_pass(p, "atomic_coalesce")
+    assert report.rewrites == 0
+    assert p2 == p
+    assert report.skips == skips

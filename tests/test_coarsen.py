@@ -234,3 +234,41 @@ def test_each_blocker_is_a_skip_reason(header, region, reason):
     else:
         assert report.rewrites == 0
         assert report.skips == [("main/loop", reason)]
+
+
+_REGION_LOOP = """
+class L { fields n; }
+fn main(iters) {
+entry:
+  zero = const 0
+  br loop(zero)
+loop(i):
+  g = classref L
+  c = binop lt, i, iters
+  condbr c, body(i), done()
+body(i2):
+  monitorenter g
+  monitorexit g
+  %s
+  one = const 1
+  i3 = binop add, i2, one
+  br loop(i3)
+done():
+  output zero
+  ret
+}
+thread main(2)
+"""
+
+
+# `g` is defined in the loop header, so a balanced region is skipped for that
+@pytest.mark.parametrize("tail, reason", [
+    ("monitorenter g\n  monitorexit g", "unbalanced monitor region"),
+    ("", "monitor object is not loop-invariant"),
+], ids=["two-exits", "monitor-defined-in-the-loop"])
+def test_each_region_shape_is_a_skip_reason(tail, reason):
+    p = parse(_REGION_LOOP % tail)
+    p2, report = run_pass(p, "lock_coarsen", PassOptions(chunk=2))
+    assert report.rewrites == 0
+    assert p2 == p
+    assert report.skips == [("main/loop", reason)]

@@ -5,6 +5,7 @@ from cirlab.interp import run
 from cirlab.parser import parse
 from cirlab.passes import run_pass
 from cirlab.passes.util import static_op_count
+from cirlab.scheduler import check_refinement
 from cirlab.validate import validate
 
 
@@ -193,3 +194,117 @@ def test_skipped_guard_is_reported_once():
     assert report.rewrites == 1
     assert validate(p2) == []
     assert report.skips == [("main/loop@body:w", "guard depends on loop-varying values")]
+
+
+def _refines_single_thread(p, p2):
+    assert run(p).trace == run(p2).trace
+    assert check_refinement(p, p2).kind == "refines"
+
+
+def test_in_loop_chain_of_invariants_hoisted():
+    # `ok` is computed inside the loop, but only from invariants
+    text = """
+    fn main(n, flag) {
+    entry:
+      zero = const 0
+      br loop(zero)
+    loop(i):
+      c = binop lt, i, n
+      condbr c, body(i), done()
+    body(i2):
+      five = const 5
+      d = binop sub, flag, five
+      ok = binop le, zero, d
+      guard ok, speculation
+      output i2
+      one = const 1
+      i3 = binop add, i2, one
+      br loop(i3)
+    done():
+      ret
+    }
+    thread main(4, 7)
+    """
+    p = parse(text)
+    p2, report = run_pass(p, "guard_motion")
+    assert validate(p2) == []
+    assert report.rewrites == 1
+    assert report.skips == []
+    _refines_single_thread(p, p2)
+    assert (run(p).op_counts["guard"], run(p2).op_counts["guard"]) == (4, 1)
+    bad = parse(text.replace("thread main(4, 7)", "thread main(4, 2)"))
+    bad2, _ = run_pass(bad, "guard_motion")
+    assert run(bad).trace.status == run(bad2).trace.status == "deopt"
+
+
+def test_chain_longer_than_the_limit_is_skipped():
+    # one, a0..a8 and ok: eleven instructions, three past `_MAX_CHAIN`; an
+    # equality on the induction variable has no endpoint form either
+    adds = "\n".join(f"      a{k} = binop add, a{k - 1}, one" for k in range(1, 9))
+    text = f"""
+    fn main(n, flag) {{
+    entry:
+      zero = const 0
+      br loop(zero)
+    loop(i):
+      c = binop lt, i, n
+      condbr c, body(i), done()
+    body(i2):
+      one = const 1
+      a0 = binop add, flag, one
+{adds}
+      ok = binop le, zero, a8
+      guard ok, speculation
+      same = binop eq, i2, i2
+      guard same, never
+      output i2
+      i3 = binop add, i2, one
+      br loop(i3)
+    done():
+      ret
+    }}
+    thread main(3, 1)
+    """
+    p = parse(text)
+    p2, report = run_pass(p, "guard_motion")
+    assert report.rewrites == 0
+    assert p2 == p
+    assert report.skips == [("main/loop@body:ok", "guard depends on loop-varying values"),
+                            ("main/loop@body:same", "guard depends on loop-varying values")]
+
+
+def test_endpoint_guards_in_an_le_loop():
+    # i runs 0..n inclusive: `lo < i` is hardest at 0, `i < hi` at n itself
+    text = """
+    fn main(n, lo, hi) {
+    entry:
+      zero = const 0
+      br loop(zero)
+    loop(i):
+      c = binop le, i, n
+      condbr c, body(i), done()
+    body(i2):
+      above = binop lt, lo, i2
+      guard above, lower
+      below = binop lt, i2, hi
+      guard below, upper
+      output i2
+      one = const 1
+      i3 = binop add, i2, one
+      br loop(i3)
+    done():
+      ret
+    }
+    thread main(5, -1, 6)
+    """
+    p = parse(text)
+    p2, report = run_pass(p, "guard_motion")
+    assert validate(p2) == []
+    assert report.rewrites == 2
+    _refines_single_thread(p, p2)
+    assert run(p2).op_counts["guard"] == 2
+    for args, reason in (("5, 0, 6", "lower"), ("5, -1, 5", "upper")):
+        bad = parse(text.replace("thread main(5, -1, 6)", f"thread main({args})"))
+        bad2, _ = run_pass(bad, "guard_motion")
+        assert run(bad).trace.status == run(bad2).trace.status == "deopt"
+        assert run(bad2).trace.reason == reason

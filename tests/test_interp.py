@@ -1198,6 +1198,140 @@ def test_a_fault_inside_a_compiled_run_is_the_handlers_own(label):
     assert _stepped(p, "rr:1", DIFF_BUDGET) == ("InterpreterError", message)
 
 
+# one straight-line program per `InterpreterError` a single instruction raises
+# outside a compiled run, with its message
+FAULTING_INSTRS = {
+    "binop-on-a-bool": ("""
+        fn main() {
+        entry:
+          t = const true
+          one = const 1
+          x = binop add, t, one
+          output x
+          ret
+        }
+        thread main()
+    """, "binop add: expected ints"),
+    "callhandle-with-too-few-args": ("""
+        fn two(a, b) {
+        e:
+          ret a
+        }
+        fn main() {
+        e:
+          one = const 1
+          h = handleconst two
+          r = callhandle h(one)
+          output r
+          ret
+        }
+        thread main()
+    """, "call: two takes 2 args, got 1"),
+    "newarray-of-negative-length": ("""
+        fn main() {
+        e:
+          n = const -1
+          a = newarray n
+          ret
+        }
+        thread main()
+    """, "newarray: negative length"),
+    "monitorenter-on-an-int": ("""
+        fn main() {
+        e:
+          n = const 1
+          monitorenter n
+          ret
+        }
+        thread main()
+    """, "monitorenter: not a reference"),
+    "unpark-of-no-thread": ("""
+        fn main() {
+        e:
+          n = const 2
+          unpark n
+          ret
+        }
+        thread main()
+    """, "unpark: no thread 2"),
+    "guard-on-an-int": ("""
+        fn main() {
+        e:
+          n = const 1
+          guard n, never
+          ret
+        }
+        thread main()
+    """, "guard: condition is not a boolean"),
+    "instanceof-on-an-int": ("""
+        class C { }
+        fn main() {
+        e:
+          n = const 1
+          t = instanceof n, C
+          ret
+        }
+        thread main()
+    """, "instanceof: not a reference"),
+    "callvirtual-of-a-missing-method": ("""
+        class C { }
+        class D { methods get=d_get; }
+        fn d_get(self) {
+        e:
+          ret self
+        }
+        fn main() {
+        e:
+          o = new C
+          r = callvirtual o.get()
+          ret
+        }
+        thread main()
+    """, "callvirtual: C has no method 'get'"),
+    "callhandle-on-an-int": ("""
+        fn main() {
+        e:
+          n = const 1
+          r = callhandle n()
+          ret
+        }
+        thread main()
+    """, "callhandle: not a handle"),
+    "vbinop-past-the-end": ("""
+        fn main() {
+        e:
+          n = const 4
+          a = newarray n
+          two = const 2
+          vbinop add, a, a, a, two, 4
+          ret
+        }
+        thread main()
+    """, "vbinop: lane out of bounds"),
+    "ret-without-a-value-to-a-destination": ("""
+        fn nothing() {
+        e:
+          ret
+        }
+        fn main() {
+        e:
+          r = call nothing()
+          ret
+        }
+        thread main()
+    """, "nothing returned no value to a destination"),
+}
+
+
+@pytest.mark.parametrize("label", FAULTING_INSTRS)
+def test_each_instruction_fault_has_one_message(label):
+    text, message = FAULTING_INSTRS[label]
+    p = parse(text)
+    with pytest.raises(InterpreterError, match=f"^{re.escape(message)}$"):
+        run(p)
+    assert _stepped(p, "rr:1", DIFF_BUDGET) == ("InterpreterError", message)
+
+
 def test_a_function_shared_by_two_programs_reads_each_programs_singletons():
     first = parse("""
         class A { fields n; }

@@ -53,6 +53,12 @@ def test_normalize_rejects_zero_ref_rows():
     assert any("'a' rejected" in d for d in out.diagnostics)
 
 
+def test_normalize_by_an_unknown_column_is_an_error():
+    m = _mat(["b1"], ["synch", "atomic"], [[100.0, 5.0]])
+    with pytest.raises(PcaError, match="^reference column 'refcycles' not present$"):
+        normalize(m, "refcycles")
+
+
 def test_standardize_simple_column():
     m = _mat(["a", "b", "c"], ["x", "y"], [[1.0, 9.0], [2.0, 9.5], [3.0, 10.0]])
     y, means, stds = standardize(m)
@@ -172,6 +178,18 @@ def test_csv_ingest_rejects_gappy_rows():
     m = read_metrics_csv(text)
     assert m.rows == ("r1",)
     assert any("rejected" in d for d in m.diagnostics)
+
+
+def test_csv_ingest_rejects_a_row_with_a_bad_value():
+    text = "benchmark,a,b\nr1,1.0,2.0\nr2,3.0,x7\nr3,4.0,5.0\n"
+    m = read_metrics_csv(text)
+    assert m.rows == ("r1", "r3")
+    assert m.diagnostics == ("row 'r2' rejected: bad value 'x7' in 'b'",)
+
+
+def test_csv_ingest_needs_a_benchmark_header():
+    with pytest.raises(PcaError, match='^metrics CSV must start with a "benchmark" column$'):
+        read_metrics_csv("name,a,b\nr1,1.0,2.0\n")
 
 
 def test_csv_ingest_drops_empty_columns():

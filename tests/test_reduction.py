@@ -470,9 +470,39 @@ thread w()
 thread w()
 """
 
+# identical threads whose live locals hold a null, a bool and a handle, which
+# the key holds as they are, around a racy increment of G.n
+SCALAR_LOCALS = """
+class G { fields n; }
+fn bump(x) {
+e:
+  one = const 1
+  y = binop add, x, one
+  ret y
+}
+fn w() {
+e:
+  nothing = const null
+  flag = const true
+  h = handleconst bump
+  g = classref G
+  v = getfield g, n
+  v2 = callhandle h(v)
+  putfield g, n, v2
+  t = instanceof nothing, G
+  guard flag, never
+  output v2
+  ret
+}
+thread w()
+thread w()
+thread w()
+"""
+
 # identical threads, grouped unless the program reads tids (`notify`, `unpark`)
 SYMMETRY_PROGRAMS = (("racing-boxes", RACING_BOXES), ("wait-sites-notify", WAIT_SITES % "notify"),
-                     ("wait-sites-notifyall", WAIT_SITES % "notifyall"), ("park-first", PARK_FIRST))
+                     ("wait-sites-notifyall", WAIT_SITES % "notifyall"), ("park-first", PARK_FIRST),
+                     ("scalar-locals", SCALAR_LOCALS))
 
 # three threads with different loop counts take G in turn and print their tag
 # inside it: while one holds G, the others, blocked on its `monitorenter`, are
