@@ -225,7 +225,6 @@ class WhileLoop:
     exit_target: str
     exit_args: tuple[str, ...]
     latch: str
-    entry_preds: tuple[str, ...]  # out-of-loop predecessors of the header
     loop_defs: frozenset[str]  # values defined inside the loop
     two_block: bool  # the body is one block, entered only from the header, that is the latch
 
@@ -250,7 +249,6 @@ def match_while_loop(f: Function, loop: Loop) -> WhileLoop | None:
     if len(loop.latches) != 1:
         return None
     preds = predecessors(f)
-    entry_preds = tuple(sorted(p for p in preds[loop.header] if p not in loop.blocks))
     loop_defs = frozenset().union(*(bmap[n].defined_names() for n in loop.blocks))
     two_block = (
         loop.blocks == {loop.header, body_target} and loop.latches[0] == body_target
@@ -258,7 +256,7 @@ def match_while_loop(f: Function, loop: Loop) -> WhileLoop | None:
     )
     return WhileLoop(
         loop, header, t.cond, body_target, body_args, exit_target, exit_args,
-        loop.latches[0], entry_preds, loop_defs, two_block,
+        loop.latches[0], loop_defs, two_block,
     )
 
 
@@ -318,7 +316,6 @@ class InductionVar:
     param: str
     limit: str  # loop-invariant bound value
     cmp: str  # "lt" or "le": loop runs while param <cmp> limit
-    init_args: dict[str, str]  # entry pred -> initial value name
     aliases: frozenset[str]  # in-loop copies of the current IV value
 
 
@@ -348,8 +345,4 @@ def find_induction_var(f: Function, wl: WhileLoop) -> InductionVar | None:
     one = defs.get(b)
     if a not in aliases or one is None or one.op != "const" or one.value != 1:
         return None
-    init_args = {}
-    for p in wl.entry_preds:
-        args = next(a for t, a in bmap[p].term.edges() if t == header.name)
-        init_args[p] = args[pos]
-    return InductionVar(iv, limit, cond_def.kind, init_args, frozenset(aliases))
+    return InductionVar(iv, limit, cond_def.kind, frozenset(aliases))

@@ -627,20 +627,22 @@ class Machine:
             raise InterpreterError(f"{what}: reference is {found}")
         return h
 
-    def _obj(self, v: Value, fld: str, what: str) -> HObj:
-        """Object `v`, which must have field `fld`."""
-        o = self._deref(v, what, HObj)
-        if fld not in o.fields:
-            raise InterpreterError(f"{what}: class {o.cls} has no field {fld!r}")
-        return o
-
-    def _index(self, env: dict[str, Value], i: Instr) -> tuple[HArr, int]:
-        """(array operand 0, the in-bounds int operand 1)."""
-        a = self._deref(env[i.args[0]], i.op, HArr)
-        k = _int(env[i.args[1]], i.op)
-        if not 0 <= k < len(a.elems):
-            raise InterpreterError(f"{i.op}: index out of bounds")
-        return a, k
+    def _cell(self, env: dict[str, Value], i: Instr) -> tuple[HObj | HArr, dict | list, str | int]:
+        """(cell, its slots, key) that cell op `i` (`_CELL_OPS`) reads or
+        writes, `slots[key]`, or the step's fault: an object with the field
+        `i` names, or an array with the in-bounds int index of operand 1.
+        The handlers step through it, and `next_is_local` asks it whether
+        the step would raise."""
+        if i.op in _ARRAY_OPS:
+            a = self._deref(env[i.args[0]], i.op, HArr)
+            k = _int(env[i.args[1]], i.op)
+            if not 0 <= k < len(a.elems):
+                raise InterpreterError(f"{i.op}: index out of bounds")
+            return a, a.elems, k
+        o = self._deref(env[i.args[0]], i.op, HObj)
+        if i.field not in o.fields:
+            raise InterpreterError(f"{i.op}: class {o.cls} has no field {i.field!r}")
+        return o, o.fields, i.field
 
     def _monitor(self, oid: int) -> Monitor:
         m = self.monitors.get(oid)
@@ -747,9 +749,9 @@ class Machine:
         `tid` cannot step before then, so `_reached` leaves its frames out.
 
         An unknown callee (`callvirtual`, `callhandle`) conflicts with all of
-        them; the `scheduler` docstring tabulates these conflict sets. A cell
-        op cannot raise when its reference is to a cell of the right kind,
-        with the field or the in-range int index it names; an `output` cannot
+        them; the `scheduler` docstring tabulates these conflict sets. Whether
+        a cell op raises is `_cell`'s one rule, which its handler steps
+        through too: the step's cell, or its fault. An `output` cannot raise
         when its value is an int. A `binop` counts as pure even where it may
         divide by zero: a fault raises out of the whole search, and making it
         a result that ends one path, for which such a step must not count as
@@ -781,21 +783,18 @@ class Machine:
             return type(env.get(instr.args[0])) is int and not self._reached(tid, _CONFLICTS[op])
         if op not in _CELL_OPS:
             return False
-        v = env.get(instr.args[0])
-        if type(v) is not Ref:
-            return False
-        h = self.heap[v.i]
+        try:
+            h, _, key = self._cell(env, instr)
+        except InterpreterError:
+            return False  # the step raises it
+        if h.owner == tid:
+            return True
         if op in _ARRAY_OPS:
-            k = env.get(instr.args[1])
-            if type(h) is not HArr or type(k) is not int or not 0 <= k < len(h.elems):
-                return False
             conflict = _CONFLICTS[op]
         else:
-            if type(h) is not HObj or instr.field not in h.fields:
-                return False
-            write = ("w", instr.field)
-            conflict = (write, TOP) if op == "getfield" else (("r", instr.field), write, TOP)
-        return h.owner == tid or not self._reached(tid, conflict)
+            write = ("w", key)
+            conflict = (write, TOP) if op == "getfield" else (("r", key), write, TOP)
+        return not self._reached(tid, conflict)
 
     def _reached(self, tid: int, conflict: tuple) -> bool:
         """True iff a frame of another thread may still produce a label in
@@ -934,30 +933,25 @@ class Machine:
         self.heap.append(HArr([0] * n, t.tid))
 
     def _op_getfield(self, t, fr, i):
-        fr.locals[i.dest] = self._obj(fr.locals[i.args[0]], i.field, "getfield").fields[i.field]
+        _, slots, key = self._cell(fr.locals, i)
+        fr.locals[i.dest] = slots[key]
+
+    _op_arrayload = _op_getfield
 
     def _op_putfield(self, t, fr, i):
-        o, v = self._obj(fr.locals[i.args[0]], i.field, "putfield"), fr.locals[i.args[1]]
-        o.fields[i.field] = v
-        if not o.owner and type(v) is Ref:
+        h, slots, key = self._cell(fr.locals, i)
+        slots[key] = v = fr.locals[i.args[-1]]
+        if not h.owner and type(v) is Ref:
             self._publish(v)
 
-    def _op_arrayload(self, t, fr, i):
-        a, k = self._index(fr.locals, i)
-        fr.locals[i.dest] = a.elems[k]
-
-    def _op_arraystore(self, t, fr, i):
-        a, k = self._index(fr.locals, i)
-        a.elems[k] = v = fr.locals[i.args[2]]
-        if not a.owner and type(v) is Ref:
-            self._publish(v)
+    _op_arraystore = _op_putfield
 
     def _op_cas(self, t, fr, i):
-        env, (obj, expect, new) = fr.locals, i.args
-        o = self._obj(env[obj], i.field, "cas")
-        ok = _values_equal(o.fields[i.field], env[expect])
+        env, (_, expect, new) = fr.locals, i.args
+        o, fields, fld = self._cell(env, i)
+        ok = _values_equal(fields[fld], env[expect])
         if ok:
-            o.fields[i.field] = v = env[new]
+            fields[fld] = v = env[new]
             if not o.owner and type(v) is Ref:
                 self._publish(v)
         env[i.dest] = ok

@@ -27,7 +27,6 @@ from .util import rewrite_functions, splice
 
 @dataclass
 class _RetryLoop:
-    block: Block
     obj: str
     field: str
     read_dest: str  # v
@@ -54,7 +53,7 @@ def _match_retry_loop(b: Block, pure_fns: frozenset[str]) -> _RetryLoop | str:
     segment = b.instrs[1:-1]
     if not all(is_pure(i, pure_fns) for i in segment):
         return "impure update"
-    return _RetryLoop(b, read.args[0], read.field, read.dest, segment, cas,
+    return _RetryLoop(read.args[0], read.field, read.dest, segment, cas,
                       t.then_target, t.then_args)
 
 
@@ -70,6 +69,8 @@ def _fuse_in_fn(f: Function, pure_fns: frozenset[str], report: PassReport) -> Fu
         if second == "shape":  # not a pair of retry loops
             continue
         where = f"{f.name}/{b.name}+{nxt.name}"
+        if any(w == f"{f.name}/{nxt.name}+{b.name}" for w, _ in report.skips):
+            continue  # the same two loops, already reported in the other order
         if isinstance(first, str) or isinstance(second, str):
             report.skip(where, first if isinstance(first, str) else second)
             continue

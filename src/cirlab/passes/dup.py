@@ -6,7 +6,9 @@ on its incoming path (boolean names known true/false, and instanceof tests
 it is dominated by). The merge is duplicated into the predecessors only if
 at least one check dies in at least one copy (the benefit gate): a decided
 instanceof becomes a boolean constant and a decided conditional branch
-becomes a direct jump. Copies where nothing is known keep the check. A
+becomes a direct jump. Each edge gets one fold plan (`_fold_plan`), which
+the gate counts and the copy applies, so the gate counts exactly the checks
+the copies fold. Copies where nothing is known keep the check. A
 merge whose params or results are used in a later block is skipped: the
 copies rename them, and threading them on as block params is not done.
 """
@@ -50,45 +52,40 @@ def _edge_facts(f: Function, idom, preds, defs, pred: str
     return name_facts, inst_facts
 
 
-def _fold_count(block: Block, subst: dict[str, str],
-                name_facts: dict[str, bool], inst_facts: dict[tuple, bool]) -> int:
-    """How many checks would die if `block` were duplicated under these facts."""
-    known = dict(name_facts)
-    count = 0
-    for i in block.instrs:
+def _fold_plan(merge: Block, subst: dict[str, str], name_facts: dict[str, bool],
+               inst_facts: dict[tuple, bool]) -> dict[str | CondBr, bool]:
+    """The checks a copy of `merge` folds on an edge with these facts, each
+    mapped to its value: the dest of each decided instanceof, and the merge's
+    terminator when it is a condbr on a decided condition. `subst` maps the
+    merge's params to the edge's args. The gate counts the plan, and
+    `_duplicate` applies it."""
+    plan: dict[str | CondBr, bool] = {}
+    for i in merge.instrs:
         if i.op == "instanceof":
-            operand = subst.get(i.args[0], i.args[0])
-            if (operand, i.cls) in inst_facts:
-                known[i.dest] = inst_facts[(operand, i.cls)]
-                count += 1
-    t = block.term
+            key = (subst.get(i.args[0], i.args[0]), i.cls)
+            if key in inst_facts:
+                plan[i.dest] = inst_facts[key]
+    t = merge.term
     if isinstance(t, CondBr):
-        cond = subst.get(t.cond, t.cond)
-        if cond in known or t.cond in known:
-            count += 1
-    return count
+        value = plan.get(t.cond, name_facts.get(subst.get(t.cond, t.cond)))
+        if value is not None:
+            plan[t] = value
+    return plan
 
 
-def _duplicate(f: Function, merge: Block, pred_name: str, subst: dict[str, str],
-               name_facts, inst_facts, gen: NameGen) -> Block:
-    bmap = f.block_map()
-    pred = bmap[pred_name]
+def _duplicate(pred: Block, merge: Block, subst: dict[str, str],
+               plan: dict[str | CondBr, bool], gen: NameGen) -> Block:
+    """`pred` running a copy of `merge` instead of its jump there, with the
+    checks of `plan` folded: an instanceof to its constant, a condbr to the
+    jump it takes."""
     rename = dict(subst)
-    known = dict(name_facts)
-    instrs = list(pred.instrs)
-    for i in copy_instrs(merge.instrs, rename, gen):
-        if i.op == "instanceof" and (i.args[0], i.cls) in inst_facts:
-            known[i.dest] = inst_facts[(i.args[0], i.cls)]
-            i = ir.const(i.dest, known[i.dest])
-        instrs.append(i)
+    copies = copy_instrs(merge.instrs, rename, gen)
+    instrs = [ir.const(c.dest, plan[i.dest]) if i.dest in plan else c
+              for i, c in zip(merge.instrs, copies)]
     term = merge.term.rename(rename)
-    if isinstance(term, CondBr) and term.cond in known:
-        term = (
-            Br(term.then_target, term.then_args)
-            if known[term.cond]
-            else Br(term.else_target, term.else_args)
-        )
-    return Block(pred.name, pred.params, tuple(instrs), term)
+    if merge.term in plan:
+        term = Br(*term.edges()[0 if plan[merge.term] else 1])
+    return Block(pred.name, pred.params, (*pred.instrs, *instrs), term)
 
 
 def _prune_unreachable(f: Function) -> Function:
@@ -121,26 +118,20 @@ def _dup_once(f: Function, report: PassReport) -> Function | None:
             continue  # loop header: duplicating would rewrite the backedge
         if not all(isinstance(bmap[q].term, Br) for q in ps):
             continue
-        facts = {}
-        total = 0
+        plans = {}
         for q in ps:
             nf, inf = _edge_facts(f, idom, preds, defs, q)
             subst = dict(zip(merge.params, bmap[q].term.args))
-            facts[q] = (nf, inf, subst)
-            total += _fold_count(merge, subst, nf, inf)
+            plans[q] = subst, _fold_plan(merge, subst, nf, inf)
+        total = sum(len(plan) for _, plan in plans.values())
         if total == 0:
             continue
         if _used_elsewhere(f, merge):
             report.skip(f"{f.name}/{name}", "merge defines values used after it")
             continue
         gen = NameGen.for_function(f)
-        new_blocks = []
-        for b in f.blocks:
-            if b.name in ps:
-                nf, inf, subst = facts[b.name]
-                new_blocks.append(_duplicate(f, merge, b.name, subst, nf, inf, gen))
-            else:
-                new_blocks.append(b)
+        new_blocks = [_duplicate(b, merge, *plans[b.name], gen) if b.name in plans else b
+                      for b in f.blocks]
         nf2 = _prune_unreachable(Function(f.name, f.params, tuple(new_blocks)))
         report.note(f.name, f"duplicated merge {name} into {len(ps)} predecessor(s), "
                             f"eliminated {total} check(s)")

@@ -22,7 +22,7 @@ from . import PassOptions, PassReport
 from .util import copy_instrs, rewrite_functions, splice
 
 
-def _match_body(body: Block, iv_names: frozenset[str], defs) -> tuple | str:
+def _match_body(body: Block, iv_names: frozenset[str]) -> tuple | str:
     """Returns (a, b, c, op, store, inc_dest) or a skip reason.
 
     `iv_names` holds every name carrying the current induction value (the
@@ -51,12 +51,9 @@ def _match_body(body: Block, iv_names: frozenset[str], defs) -> tuple | str:
     if len(elementwise) != 1:
         return "shape"
     compute = elementwise[0]
-    inc = next((i for i in binops if i is not compute), None)
-    if inc is None or inc.kind != "add" or inc.args[0] not in iv_names:
-        return "shape"
-    one = defs.get(inc.args[1])
-    if one is None or one.op != "const" or one.value != 1:
-        return "shape"
+    # the other one adds 1 to the induction value: `find_induction_var` found
+    # it as what the body, the latch, passes back to the header
+    inc = next(i for i in binops if i is not compute)
     store = stores[0]
     if store.args[2] != compute.dest:
         return "shape"
@@ -74,14 +71,12 @@ def _vectorize_fn(f: Function, width: int, report: PassReport) -> Function | Non
             continue
         if len(header.params) != 1 or len(header.instrs) != 1:
             continue
-        cond = header.instrs[0]
-        if cond.op != "binop" or cond.kind != "lt" or cond.dest != wl.cond:
-            continue
         iv = find_induction_var(f, wl)
-        if iv is None:
+        if iv is None or iv.cmp != "lt":
             continue
+        cond = header.instrs[0]  # the loop test, as `find_induction_var` found
         body = f.block_map()[wl.body_target]
-        m = _match_body(body, iv.aliases, defs)
+        m = _match_body(body, iv.aliases)
         if isinstance(m, str):
             if m != "shape":
                 report.skip(where, m)

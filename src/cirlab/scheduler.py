@@ -68,7 +68,8 @@ is left out (`Machine._blocker` states when):
 
 An output conflicts with a guard because a deopt ends the trace: run first,
 the output would hide the trace that deopts before it. A cell op or output
-that may raise is never local (see `Machine.next_is_local`).
+that may raise is never local (see `Machine.next_is_local`); for a cell op,
+`Machine._cell`, which its handler steps through too, is the one rule.
 
 Every edge runs on through all the local steps that follow it, of any
 thread, while the budget allows: it tries the thread that just stepped

@@ -166,7 +166,6 @@ def test_natural_loop_and_while_match():
     assert wl.body_target == "body"
     assert wl.exit_target == "done"
     assert wl.latch == "body"
-    assert wl.entry_preds == ("b0",)
     assert wl.two_block
     assert wl.loop_defs == {"i", "c", "one", "i2"}
     assert list(while_loops(f)) == [wl]
@@ -188,7 +187,6 @@ def test_while_loops_on_corpus_loop():
     (wl,) = while_loops(f)
     assert (wl.header.name, wl.body_target, wl.latch, wl.exit_target) == (
         "loop", "body", "skip", "done")
-    assert wl.entry_preds == ("entry",)
     assert not wl.two_block  # the body spans three blocks
     assert wl.loop_defs == {"i", "c", "i2", "taken", "i3", "g1", "g2", "i4", "one", "i5"}
 
@@ -203,7 +201,6 @@ def test_induction_var():
     assert iv.param == "i"
     assert iv.limit == "n"
     assert iv.cmp == "lt"
-    assert iv.init_args == {"b0": "zero"}
 
 
 def test_iv_aliases_follow_in_loop_copies_only():

@@ -224,6 +224,16 @@ ERROR_CONTRACT = (
     ("fn main( {\nb0:\n  ret ? \n}", ("unexpected character '?'", 3, 7)),
     # digits are ASCII, as names are: `int` would read these as 34
     (_HEAD + "  v = const \u0663\u0664" + _TAIL, ("unexpected character '\u0663'", 3, 13)),
+    ("bogus main()", ("expected 'class', 'fn', or 'thread'", 1, 1)),
+    ("class C { bogus; }\n" + _HEAD + "  ret\n}\nthread main(1)",
+     ("expected 'fields', 'methods', or '}'", 1, 11)),
+    # reported at the token after the closing brace
+    ("fn main() {\n}\nthread main()", ("function 'main' has no blocks", 3, 1)),
+    (_HEAD + "  x const 1" + _TAIL, ("expected '=', found 'const'", 3, 5)),
+    (_HEAD + "  x = getfield 1, f" + _TAIL, ("expected name, found '1'", 3, 16)),
+    (_HEAD + "  x = binop 1, a, a" + _TAIL, ("expected binop kind, found '1'", 3, 13)),
+    (_HEAD + "  guard a, 1" + _TAIL, ("expected reason tag, found '1'", 3, 12)),
+    (_HEAD + "  x = binop add a, a" + _TAIL, ("expected ',', found 'a'", 3, 17)),
 )
 
 

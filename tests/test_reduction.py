@@ -797,6 +797,67 @@ def test_a_step_that_can_raise_is_not_local(step, local):
             m.step(1)
 
 
+CELL_OPERANDS = """
+class C { fields f; }
+class D { fields x; }
+class G { fields f; }
+fn main() {
+e:
+  nul = const null
+  zero = const 0
+  two = const 2
+  minus = const -1
+  t = const true
+  o = new C
+  d = new D
+  a = newarray two
+  g = classref G
+  s = newarray two
+  putfield g, f, s
+  %s
+  ret
+}
+fn idle() {
+e:
+  ret
+}
+thread main()
+thread idle()
+"""
+
+#: each cell op, with `{r}` its reference and `{k}` its index
+CELL_STEPS = {"getfield": "v = getfield {r}, f", "putfield": "putfield {r}, f, two",
+              "cas": "c = cas {r}, f, zero, two", "arrayload": "v = arrayload {r}, {k}",
+              "arraystore": "arraystore {r}, {k}, two"}
+
+#: (reference, index) per operand; a field op takes those whose index is `zero`
+OPERANDS = {"null": ("nul", "zero"), "int": ("two", "zero"), "object": ("o", "zero"),
+            "array": ("a", "zero"), "object-without-the-field": ("d", "zero"),
+            "shared-object": ("g", "zero"), "shared-array": ("s", "zero"),
+            "index-minus-one": ("a", "minus"), "index-at-the-length": ("a", "two"),
+            "bool-index": ("a", "t")}
+
+
+@pytest.mark.parametrize("op, ref, index", [
+    pytest.param(op, ref, index, id=f"{op}-{name}") for op in CELL_STEPS
+    for name, (ref, index) in OPERANDS.items() if op.startswith("array") or index == "zero"])
+def test_the_look_ahead_calls_a_cell_op_local_only_where_its_step_does_not_raise(op, ref, index):
+    # the owned cells `o` and `a` and the shared ones `g` and `s`, which thread
+    # 2 never reaches, are the valid operands
+    array = op.startswith("array")
+    valid = (ref, index) in (("a", "zero"), ("s", "zero")) if array else ref in ("o", "g")
+    m = Machine(parse(CELL_OPERANDS % CELL_STEPS[op].format(r=ref, k=index)))
+    for _ in range(11):
+        m.step(1)
+    assert m.next_is_local(1) is valid
+    try:
+        m.clone().step(1)
+    except InterpreterError:
+        assert not valid
+    else:
+        assert valid
+
+
 def _reach_violations(m: Machine) -> list[tuple[str, int, int]]:
     """(root, cell, owner) for each cell reachable from a root that its owner
     forbids: the singletons may reach only shared cells, and thread u's frames

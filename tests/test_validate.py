@@ -254,3 +254,47 @@ OPERAND_SHAPES = {
 def test_operand_shapes_follow_the_opcode_table(instr, messages):
     p = _main(ir.const("x", 1), instr)
     assert [str(d) for d in validate(p)] == [f"fn main/b0: {m}" for m in messages]
+
+
+def _fn(name: str = "main", params: tuple[str, ...] = (), *blocks: Block) -> Function:
+    return Function(name, params, blocks or (Block("b0", (), (), Ret(None)),))
+
+
+#: one program per diagnostic the other tests do not reach, built directly
+#: since the parser refuses most of them itself, with every diagnostic it gets
+DIAGNOSTIC_SITES = {
+    "method-names-unknown-function": (
+        Program((ClassDef("A", methods=(("m", "nofn"),)),), (_fn(),), (ThreadDecl("main"),)),
+        ["class A: method 'm' names unknown function 'nofn'"]),
+    "method-declared-by-no-class": (
+        _main(ir.const("x", 1), ir.Instr("callvirtual", "y", ("x",), method="m")),
+        ["fn main: method 'm' is not declared by any class"]),
+    "duplicate-class-name": (
+        Program((ClassDef("A"), ClassDef("A")), (_fn(),), (ThreadDecl("main"),)),
+        ["class A: duplicate class name"]),
+    "duplicate-field-names": (
+        Program((ClassDef("A", fields=("x", "x")),), (_fn(),), (ThreadDecl("main"),)),
+        ["class A: duplicate field names"]),
+    "function-param-defined-twice": (
+        Program((), (_fn("main", ("a", "a")),), (ThreadDecl("main", (1, 2)),)),
+        ["fn main: value 'a' defined more than once"]),
+    "block-param-defined-twice": (
+        Program((), (_fn("main", ("a",), Block("b0", (), (), Br("b1", ("a", "a"))),
+                         Block("b1", ("q", "q"), (), Ret(None))),), (ThreadDecl("main", (1,)),)),
+        ["fn main/b1: value 'q' defined more than once"]),
+    "duplicate-block-label": (
+        Program((), (_fn("main", (), Block("b0", (), (), Br("b1")), Block("b1", (), (), Ret(None)),
+                         Block("b1", (), (), Ret(None))),), (ThreadDecl("main"),)),
+        ["fn main: duplicate block label 'b1'"]),
+    "entry-block-with-params": (
+        Program((), (_fn("main", (), Block("b0", ("q",), (), Ret(None))),), (ThreadDecl("main"),)),
+        ["fn main: entry block must not take parameters"]),
+    "duplicate-function-name": (
+        Program((), (_fn(), _fn()), (ThreadDecl("main"),)),
+        ["fn main: duplicate function name"]),
+}
+
+
+@pytest.mark.parametrize("p, messages", DIAGNOSTIC_SITES.values(), ids=DIAGNOSTIC_SITES)
+def test_each_diagnostic_site_is_reached(p, messages):
+    assert [str(d) for d in validate(p)] == messages
