@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .ir import Block, CondBr, Function, Instr, Program, memo
+from .ir import Block, CondBr, Function, Instr, Program, memo, values_equal
 
 
 def closure(edges: Mapping[str, Iterable[str]]) -> dict[str, frozenset[str]]:
@@ -343,6 +343,6 @@ def find_induction_var(f: Function, wl: WhileLoop) -> InductionVar | None:
         return None
     a, b = inc.args
     one = defs.get(b)
-    if a not in aliases or one is None or one.op != "const" or one.value != 1:
+    if a not in aliases or one is None or one.op != "const" or not values_equal(one.value, 1):
         return None
     return InductionVar(iv, limit, cond_def.kind, frozenset(aliases))

@@ -19,10 +19,10 @@ workload metric it counts toward, from which `run` builds the metric vector.
 
 A `Machine` holds only execution state. All it derives from its program is
 one `_Code`, which it builds and its clones share, so it lives for one `run`
-or one search: each block decoded to a list of `(handler, instr, cost, op)`
-entries, so a step is one index and one call, and the tables the handlers
-and the search read. One loop, `Machine._drive`, steps the decoded code for
-`run` and for the enumerator's last-thread tail. It asks
+or one search: each block decoded to a list of `(handler, instr, cost, op,
+run)` entries, so a step is one index and one call, and the tables the
+handlers and the search read. One loop, `Machine._drive`, steps the decoded
+code for `run` and for the enumerator's last-thread tail. It asks
 `Machine.schedulable`, the stop rule of `run` and of the enumerator, twice:
 for the enabled set at the start, and to set the status at the end. It asks
 the schedule only while two or more threads are live; the last one runs
@@ -50,11 +50,11 @@ Proebsting, POPL 1995; Ertl & Gregg, JILP 2003): `_compiled_runs` turns each
 stretch of ops that cannot block, emit, stop the machine or change frames
 into one generated Python function, which re-checks what each handler
 checks and falls back to the handler where a check fails, so every fault
-comes from the handler. The generated code is kept per `Function`
-(`ir.memo`), since the same functions run again and again, and each source
-is compiled once; the entry lists stay per `_Code`. `_step` still takes one
-instruction at a time: the search steps with it, and the tests compare `run`
-against it.
+comes from the handler. A run is the `run` of the entry where it starts.
+The generated code is kept per `Function` (`ir.memo`), since the same
+functions run again and again, and each source is compiled once; the entry
+lists stay per `_Code`. `_step` still takes one instruction at a time: the
+search steps with it, and the tests compare `run` against it.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .ir import (INT_MAX, INT_MIN, OPCODES, PURE_OPS, Br, CondBr, Function, Instr, Program, Ret,
-                 memo)
+                 memo, values_equal)
 from .validate import validate
 
 
@@ -143,10 +143,6 @@ def _int(v: Value, what: str) -> int:
     return v
 
 
-def _values_equal(a: Value, b: Value) -> bool:
-    return type(a) is type(b) and a == b  # an int never equals a bool
-
-
 def _quot(a: int, b: int, kind: str) -> int:
     """a / b truncated toward zero."""
     if b == 0:
@@ -164,7 +160,7 @@ _INT_OPS = {
 def _binop_fn(kind: str):
     """The function computing binop `kind`, with its type checks."""
     if kind == "eq":
-        return _values_equal
+        return values_equal
     op = _INT_OPS[kind]
 
     def f(a: Value, b: Value) -> Value:
@@ -308,7 +304,7 @@ def _slow(m, t, fr, j: int) -> None:
     does; a compiled run's way out when an inline check fails, so that every
     fault and its message come from the handler."""
     fr.idx = j + 1
-    handler, instr, _, _ = fr.code[j]
+    handler, instr, _, _, _ = fr.code[j]
     handler(m, t, fr, instr)
 
 
@@ -331,7 +327,7 @@ def _instr_lines(j: int, i: Instr) -> list[str]:
     if i.op == "binop":
         lines, ints = [f"a = {a[0]}", f"b = {a[1]}"], "type(a) is int and type(b) is int"
         if i.kind == "eq":
-            return lines + [f"{d} = type(a) is type(b) and a == b"]
+            return lines + [f"{d} = type(a) is type(b) and a == b"]  # `ir.values_equal`
         if i.kind in ("lt", "le"):
             body = [f"{d} = a {'<' if i.kind == 'lt' else '<='} b"]
         elif i.kind in ("div", "mod"):
@@ -392,7 +388,8 @@ def _load(src: str) -> dict:
 @memo
 def _compiled_runs(f: Function) -> dict[str, tuple]:
     """Block -> for each entry index, None or the compiled run starting there:
-    (`run(machine, thread, frame)`, its steps, its cost).
+    (`run(machine, thread, frame)`, its steps, its cost), which `_Code`
+    puts into that entry.
 
     Only blocks inside a natural loop are compiled. A run starts at index 0
     or right after an op outside `_RUN_OPS`, takes the longest stretch of
@@ -499,35 +496,36 @@ def _live_names(f: Function) -> dict[str, tuple[tuple[str, ...], ...]]:
     return {b: tuple(tuple(sorted(names)) for names in points) for b, points in liveness(f).items()}
 
 
-def _thread_groups(p: Program) -> tuple[int, ...] | None:
-    """Each thread's group number, or None when `Machine.canon_key` keeps
-    threads in tid order.
+def _thread_groups(p: Program) -> tuple[tuple[int, ...], ...]:
+    """The thread groups of `Machine.canon_key`, each a tuple of tids, in the
+    order the key lists them: by their lowest tid.
 
     Threads declared with the same function and the same literal args (`1`
-    and `true` differ) form one group. None when no group has two threads,
-    or when an instruction of the program depends on thread ids (`_TID_OPS`).
+    and `true` differ) form one group. When an instruction of the program
+    depends on thread ids (`_TID_OPS`), every thread is a group of its own,
+    which is tid order.
     """
-    numbers: dict = {}
-    groups = tuple(numbers.setdefault((d.fn, tuple((type(a), a) for a in d.args)), len(numbers))
-                   for d in p.threads)
-    if len(numbers) == len(groups) or any(
-            i.op in _TID_OPS for f in p.functions for b in f.blocks for i in b.instrs):
-        return None
-    return groups
+    if any(i.op in _TID_OPS for f in p.functions for b in f.blocks for i in b.instrs):
+        return tuple((tid,) for tid in range(1, len(p.threads) + 1))
+    groups: dict = {}
+    for tid, d in enumerate(p.threads, 1):
+        groups.setdefault((d.fn, tuple((type(a), a) for a in d.args)), []).append(tid)
+    return tuple(map(tuple, groups.values()))
 
 
 class _Code:
     """All a `Machine` derives from its valid `program`, shared by its clones.
 
-    Each block decodes to a list of (handler, instr, cost, op) entries,
+    Each block decodes to a list of (handler, instr, cost, op, run) entries,
     terminator last: a step moves `frame.idx` past an entry and calls
     `handler(machine, thread, frame, instr)`, an `_op_<opcode>` method or a
-    `_binop` or `_branch` closure. `callees` maps fn -> (params, entry block,
+    `_binop` or `_branch` closure; `run` is the compiled run starting there
+    (`_compiled_runs`) or None. `callees` maps fn -> (params, entry block,
     entry list), `vtable` (class, selector) -> fn, `ancestry` and `field_order`
     a class to its ancestors and fields, `singletons` to its singleton (heap
     cell k for the k-th class), `entries` fn -> block -> entry list, and
     `op_counts` each opcode of the program to 0. Only `Machine._drive` reads
-    `runs`, and only the search reads `reach` and `keying`.
+    `run`, and only the search reads `reach` and `keying`.
     """
 
     def __init__(self, program: Program):
@@ -544,23 +542,17 @@ class _Code:
                         for name, f in fns.items()}
         self.op_counts: dict[str, int] = {}
         for name, bm in blocks.items():
+            runs = _compiled_runs(fns[name])
             for b in bm.values():
                 entries = code[name][b.name]
-                for i in b.instrs:
+                for i, r in zip(b.instrs, runs.get(b.name) or [None] * len(b.instrs)):
                     op = sys.intern(i.op)
                     self.op_counts[op] = 0
                     handler = _binop(i) if op == "binop" else getattr(Machine, f"_op_{op}")
-                    entries.append((handler, i, cost_model(i), op))
+                    entries.append((handler, i, cost_model(i), op, r))
                 term = (Machine._op_ret if isinstance(b.term, Ret)
                         else _branch(b.term, blocks[name], code[name]))
-                entries.append((term, b.term, 1, None))
-
-    @cached_property
-    def runs(self) -> dict[int, tuple]:
-        """`id` of an entry list -> `_compiled_runs` of its block, for the
-        blocks that have one; the lists live as long as this object."""
-        return {id(self.entries[name][b]): starts for name, f in self.fns.items()
-                for b, starts in _compiled_runs(f).items()}
+                entries.append((term, b.term, 1, None, None))  # no run starts at a terminator
 
     @cached_property
     def reach(self) -> dict[str, dict[str, list[frozenset]]]:
@@ -571,12 +563,11 @@ class _Code:
     def keying(self) -> tuple:
         """What `Machine.canon_key` reads besides the state: the singletons'
         renumbering (heap index -> ("r", number), by class name), fn -> block ->
-        the live names at each index (`_live_names`), the thread groups
-        (`_thread_groups`), and the identity map of tids."""
+        the live names at each index (`_live_names`), and the thread groups
+        (`_thread_groups`)."""
         seed = {self.singletons[n].i: ("r", c) for c, n in enumerate(sorted(self.singletons))}
         live = {name: _live_names(f) for name, f in self.fns.items()}
-        ident = {tid: tid for tid in (None, *range(1, len(self.program.threads) + 1))}
-        return seed, live, _thread_groups(self.program), ident
+        return seed, live, _thread_groups(self.program)
 
 
 class Machine:
@@ -688,7 +679,7 @@ class Machine:
             if owner is not None:
                 return owner
         fr = t.frames[-1]
-        handler, instr, _, _ = fr.code[fr.idx]
+        handler, instr, _, _, _ = fr.code[fr.idx]
         if handler is Machine._op_monitorenter:
             r = fr.locals.get(instr.args[0])
             m = self.monitors.get(r.i) if type(r) is Ref else None
@@ -773,7 +764,7 @@ class Machine:
         if t.status is not RUN:
             return False
         fr = t.frames[-1]
-        handler, instr, _, op = fr.code[fr.idx]
+        handler, instr, _, op, _ = fr.code[fr.idx]
         if op is None:
             return handler is not Machine._op_ret or len(t.frames) > 1
         if op in _LOCAL_OPS:
@@ -829,7 +820,7 @@ class Machine:
             t.status, t.wait_obj, t.saved_count = RUN, None, 0
         self.steps += 1
         fr = t.frames[-1]
-        handler, instr, cost, op = fr.code[fr.idx]
+        handler, instr, cost, op, _ = fr.code[fr.idx]
         fr.idx += 1
         if op is not None:
             self.op_counts[op] += 1
@@ -842,15 +833,15 @@ class Machine:
         thread runs for the steps `policy.regrant` grants it; the last live
         thread runs alone, so the search's tails, which start with one, pass
         no policy. The picks of the last grant are never committed: `run`
-        gives each run its own copy of the policy. Where a compiled run starts
-        (`_compiled_runs`) and fits both the grant left and the budget, one
-        call takes all its steps: none of its ops can change the enabled set,
-        so it stops where that many single steps would.
+        gives each run its own copy of the policy. Where an entry carries a
+        compiled run (see `_Code`) that fits both the grant left and the
+        budget, one call takes all its steps: none of its ops can change the
+        enabled set, so it stops where that many single steps would.
         """
         enabled = self.schedulable(budget)
         if not enabled:
             return
-        threads, counts, runs = self.threads, self.op_counts, self.code.runs
+        threads, counts = self.threads, self.op_counts
         enter, is_enabled = Machine._op_monitorenter, self.enabled
         steps, cost = self.steps, self.cost
         tid, start = 0, steps  # no grant yet, so nothing to commit
@@ -871,10 +862,9 @@ class Machine:
                     steps, cost = self.steps, self.cost
                 else:
                     fr = t.frames[-1]
-                    handler, instr, c, op = fr.code[fr.idx]
+                    handler, instr, c, op, r = fr.code[fr.idx]
                     while steps != until:
-                        if (steps + 2 <= stop and (starts := runs.get(id(fr.code)))
-                                and (r := starts[fr.idx]) and steps + r[1] <= stop):
+                        if r is not None and steps + r[1] <= stop:
                             r[0](self, t, fr)
                             steps += r[1]
                             cost += r[2]
@@ -891,7 +881,7 @@ class Machine:
                         if steps >= budget:
                             break
                         fr = t.frames[-1]
-                        handler, instr, c, op = fr.code[fr.idx]
+                        handler, instr, c, op, r = fr.code[fr.idx]
                         if handler is enter and not is_enabled(tid):
                             # only `t` left the set: none of its steps since the
                             # set was made could change another thread
@@ -949,7 +939,7 @@ class Machine:
     def _op_cas(self, t, fr, i):
         env, (_, expect, new) = fr.locals, i.args
         o, fields, fld = self._cell(env, i)
-        ok = _values_equal(fields[fld], env[expect])
+        ok = values_equal(fields[fld], env[expect])
         if ok:
             fields[fld] = v = env[new]
             if not o.owner and type(v) is Ref:
@@ -1099,27 +1089,27 @@ class Machine:
         and its image under a permutation of a group's threads have the same
         result set (symmetry reduction: Emerson & Sistla, *Symmetry and model
         checking*, FMSD 1996; Ip & Dill, *Better verification through
-        symmetry*, FMSD 1996). So the key lists threads by group, and within
-        a group by the hash of a sort key: the thread's part with each
-        reference that is not a singleton's hidden, ties in tid order. (A
-        hash orders parts whose slots hold different types, an int in one
-        and a tuple in another, which comparing the parts would not.) Only
-        then are references renumbered, in that thread order, and each
-        monitor's owner and waiters are named by their rank in it. A thread
-        part with no hidden reference is already its final encoding. Equal
-        keys still mean states equal up to a permutation within groups, so
-        the order of the parts decides only which such states merge, and a
-        tie between different parts costs a merge, never soundness. This
-        needs that no step reads a tid: a program with `notify`, which wakes
-        the lowest waiting tid, or `unpark`, which takes one, keeps tid order,
-        as does one without a group of two; `notifyall` is fine.
+        symmetry*, FMSD 1996). So the key lists threads group by group, and
+        names each monitor's owner and waiters by their rank in that order.
+        A group of one thread is encoded as it is. A larger one is drafted
+        first, each part with every reference but a singleton's hidden, and
+        sorted by the drafts' hashes, ties in tid order (a hash orders parts
+        whose slots hold different types, which comparing them would not);
+        only then are its references renumbered, in that order, and a draft
+        that hid none is already final. Equal keys still mean states equal
+        up to a permutation within groups, so the order of the parts decides
+        only which such states merge, and a tie between different parts
+        costs a merge, never soundness. This needs that no step reads a tid:
+        in a program with `notify`, which wakes the lowest waiting tid, or
+        `unpark`, which takes one, each thread is a group of its own, which
+        is tid order; `notifyall` is fine.
 
         Cell owners (`HObj.owner`, `HArr.owner`) are tids too. They stay out
         of the key and are not permuted: they only decide which orders the
         search skips, and a memo entry is the exact result set of its state,
         so two states that differ only in ownership may share it.
         """
-        seed, live, groups, rank = self.code.keying
+        seed, live, groups = self.code.keying
         renum = seed.copy()  # heap index -> ("r", number)
         queue = list(seed)
 
@@ -1149,10 +1139,13 @@ class Machine:
             return (t.status, None if t.wait_obj is None else cv(Ref(t.wait_obj)),
                     t.saved_count, t.permit, tuple(frames))
 
-        threads = self.threads
-        if groups is None:
-            tparts = [part(t, cv) for t in threads]
-        else:
+        threads, tparts = self.threads, []
+        order = [None]  # None, then the tids in the key's order: a tid's index is its rank
+        for group in groups:
+            if len(group) == 1:
+                tparts.append(part(threads[group[0] - 1], cv))
+                order += group
+                continue
             hidden: list[Ref] = []
 
             def hide(v: Value):  # `cv`, with a reference that is not a singleton's hidden
@@ -1165,15 +1158,14 @@ class Machine:
                 return cv(v)
 
             drafts = []
-            for t, g in zip(threads, groups):
+            for tid in group:
                 n = len(hidden)
-                enc = part(t, hide)
-                drafts.append((g, hash(enc), t.tid, enc if len(hidden) == n else None))
+                enc = part(threads[tid - 1], hide)
+                drafts.append((hash(enc), tid, enc if len(hidden) == n else None))
             drafts.sort()  # the tids differ, so the parts are never compared
-            tparts = [enc if enc is not None else part(threads[tid - 1], cv)
-                      for _, _, tid, enc in drafts]
-            rank = {tid: r for r, (_, _, tid, _) in enumerate(drafts, 1)}
-            rank[None] = None
+            for _, tid, enc in drafts:
+                tparts.append(enc if enc is not None else part(threads[tid - 1], cv))
+                order.append(tid)
         hparts = []
         heap, monitors, field_order = self.heap, self.monitors, self.code.field_order
         qi = 0
@@ -1193,8 +1185,8 @@ class Machine:
                 hparts.append(("A", tuple(vals)))
             mon = monitors.get(oid)
             if mon is not None and (mon.owner is not None or mon.waitset):
-                hparts.append(("M", rank[mon.owner], mon.count,
-                               tuple(sorted([rank[w] for w in mon.waitset]))))
+                hparts.append(("M", mon.owner and order.index(mon.owner), mon.count,
+                               tuple(sorted([order.index(w) for w in mon.waitset]))))
         return tuple(tparts), tuple(hparts)
 
 

@@ -37,6 +37,11 @@ VBINOPS = ("add", "sub", "mul")
 KINDS = {"binop": BINOPS, "vbinop": VBINOPS}
 
 
+def values_equal(a, b) -> bool:
+    """`binop eq` and `cas` equality: unlike Python's, an int never equals a bool."""
+    return type(a) is type(b) and a == b
+
+
 def memo(fn: Callable) -> Callable:
     """`fn(obj)`, computed once per `obj` and kept in `obj.__dict__`.
 

@@ -225,6 +225,7 @@ class _Parser:
 
     def fndef(self) -> Function:
         self.expect("fn")
+        at = self.i
         name = self.name("function name")
         self.expect("(")
         params = () if self.toks[self.i] == ")" else tuple(self.namelist())
@@ -234,7 +235,7 @@ class _Parser:
         while not self.take("}"):
             blocks.append(self.block())
         if not blocks:
-            raise self.error(f"function {name!r} has no blocks")
+            raise self.error(f"function {name!r} has no blocks", at)
         return Function(name, params, tuple(blocks))
 
     def block(self) -> Block:

@@ -92,7 +92,7 @@ class _FnPea:
             return True
         da, db = self.defs.get(a), self.defs.get(b)
         if da is not None and db is not None and da.op == "const" and db.op == "const":
-            return da.value == db.value
+            return ir.values_equal(da.value, db.value)
         return None
 
     # -- one-block transfer -------------------------------------------------

@@ -16,8 +16,8 @@ by rank in that order: a result names no thread, so a state and its image
 under a permutation within groups have the same result set, and the same
 longest path, and share one memo entry (symmetry reduction: Emerson &
 Sistla, FMSD 1996; Ip & Dill, FMSD 1996). Two ops read tids: `notify` wakes
-the lowest waiting tid, and `unpark` takes one. A program with either keeps
-tid order, as does one with no two identical threads; `notifyall` is fine.
+the lowest waiting tid, and `unpark` takes one. In a program with either,
+each thread is a group of its own: tid order. `notifyall` is fine.
 Cell owners are tids too (see below); they stay out of the key and are not
 permuted, since a memo entry is the exact result set of its state, whatever
 its owners.

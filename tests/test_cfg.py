@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cirlab import cfg
@@ -275,3 +276,45 @@ def test_analyses_leave_eq_hash_and_repr_alone():
         assert [(hash(n), repr(n)) for n in nodes] == before
         assert q == p and hash(q) == hash(p)
         assert all(replace(f) == f for f in q.functions)
+
+
+def test_natural_loops_ignore_an_unreachable_block_that_branches_to_a_header():
+    f = _fn_from_edges(5, {0: (1,), 1: (2, 3), 2: (1,), 4: (1,)})  # b4 unreachable
+    assert natural_loops(f) == (cfg.Loop("b1", ("b2",), frozenset({"b1", "b2"})),)
+
+
+@pytest.mark.parametrize("guard", ["", "g = binop lt, i2, n\n  guard g, bounds\n  "],
+                         ids=["vec-add", "guarded"])
+def test_a_bool_step_is_not_an_induction_step(guard):
+    # `binop add` of an int and a bool faults, so the loop never steps by 1:
+    # neither `loop_vectorize` nor `guard_motion` may rely on its counter
+    p = parse(f"""
+fn main(n) {{
+entry:
+  a = newarray n
+  b = newarray n
+  c = newarray n
+  zero = const 0
+  t = const true
+  br loop(zero)
+loop(i):
+  cc = binop lt, i, n
+  condbr cc, body(i), fin()
+body(i2):
+  {guard}av = arrayload a, i2
+  bv = arrayload b, i2
+  s = binop add, av, bv
+  arraystore c, i2, s
+  i3 = binop add, i2, t
+  br loop(i3)
+fin():
+  ret
+}}
+thread main(8)
+""")
+    assert validate(p) == []
+    f = p.fn_map()["main"]
+    assert [cfg.find_induction_var(f, wl) for wl in while_loops(f)] == [None]
+    for name in ("loop_vectorize", "guard_motion"):
+        p2, report = run_pass(p, name)
+        assert report.rewrites == 0 and p2 == p, name

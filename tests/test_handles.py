@@ -348,3 +348,40 @@ def test_handle_carried_around_a_loop_stays_dynamic():
     p2, report = run_pass(p, "handle_simplify")
     assert static_op_count(p2, "callhandle") == 1
     assert run(p).trace == run(p2).trace
+
+
+def test_a_call_with_a_destination_is_not_inlined_when_the_callee_may_return_no_value():
+    callee = """
+    fn f(c) {
+    b0:
+      condbr c, yes(), no()
+    yes():
+      one = const 1
+      ret one
+    no():
+      ret
+    }
+    """
+    kept = parse(callee + """
+    fn main() {
+    b0:
+      t = const true
+      x = call f(t)
+      output x
+      ret
+    }
+    thread main()
+    """)
+    p2, report = run_pass(kept, "handle_simplify")
+    assert report.rewrites == 0 and p2 == kept
+    inlined = parse(callee + """
+    fn main() {
+    b0:
+      t = const true
+      call f(t)
+      ret
+    }
+    thread main()
+    """)
+    p2, report = run_pass(inlined, "handle_simplify")
+    assert report.rewrites == 1 and static_op_count(p2, "call") == 0

@@ -227,8 +227,8 @@ ERROR_CONTRACT = (
     ("bogus main()", ("expected 'class', 'fn', or 'thread'", 1, 1)),
     ("class C { bogus; }\n" + _HEAD + "  ret\n}\nthread main(1)",
      ("expected 'fields', 'methods', or '}'", 1, 11)),
-    # reported at the token after the closing brace
-    ("fn main() {\n}\nthread main()", ("function 'main' has no blocks", 3, 1)),
+    # reported at the function's name
+    ("fn main() {\n}\nthread main()", ("function 'main' has no blocks", 1, 4)),
     (_HEAD + "  x const 1" + _TAIL, ("expected '=', found 'const'", 3, 5)),
     (_HEAD + "  x = getfield 1, f" + _TAIL, ("expected name, found '1'", 3, 16)),
     (_HEAD + "  x = binop 1, a, a" + _TAIL, ("expected binop kind, found '1'", 3, 13)),

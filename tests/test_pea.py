@@ -564,3 +564,52 @@ def test_output_does_not_depend_on_string_hashing():
         for h in range(4)
     }
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("stored, expected", [("1", "true"), ("0", "false")])
+def test_a_cas_of_a_virtual_object_never_finds_an_int_equal_to_a_bool(stored, expected):
+    # the interpreter's `cas` compares as `ir.values_equal`, where Python's
+    # `1 == True` and `0 == False` do not hold, so this CAS fails
+    p = parse(f"""
+class Box {{ fields v; }}
+fn main() {{
+b0:
+  bx = new Box
+  s = const {stored}
+  putfield bx, v, s
+  e = const {expected}
+  two = const 2
+  ok = cas bx, v, e, two
+  r = getfield bx, v
+  output r
+  ret
+}}
+thread main()
+""")
+    p2, _ = run_pass(p, "pea_atomic")
+    assert validate(p2) == []
+    assert run(p).trace.events == run(p2).trace.events == (int(stored),)
+    assert check_refinement(p, p2).kind == "refines"
+
+
+def test_reading_a_never_written_field_materializes_the_virtual_object():
+    p = parse("""
+class Box { fields v, w; }
+fn main() {
+b0:
+  bx = new Box
+  one = const 1
+  putfield bx, w, one
+  r = getfield bx, v
+  output r
+  ret
+}
+thread main()
+""")
+    p2, report = run_pass(p, "pea_atomic")
+    assert validate(p2) == []
+    assert report.details["main"] == [
+        "allocations eliminated 0, delayed 1, cas folded 0, reads folded 0, writes folded 1"]
+    assert static_op_count(p2, "new") == static_op_count(p2, "getfield") == 1
+    assert run(p2).trace.events == (0,)
+    assert check_refinement(p, p2).kind == "refines"

@@ -695,10 +695,10 @@ def test_coarsen_mini_enumerates_far_fewer_states():
 
 def test_identical_threads_match_the_tid_order_search(monkeypatch):
     program = parse(coarsen_loop(1, threads=4))
-    assert interp._thread_groups(program) == (0, 0, 0, 0)
+    assert interp._thread_groups(program) == ((1, 2, 3, 4),)
     budgets = (400, 34, 38, 42)
     grouped = [enumerate_results(program, b) for b in budgets]
-    monkeypatch.setattr(interp, "_thread_groups", lambda p: None)
+    monkeypatch.setattr(interp, "_thread_groups", lambda p: ((1,), (2,), (3,), (4,)))
     tid_order = [enumerate_results(program, b) for b in budgets]
     assert ([(rs.traces, rs.exhausted) for rs in grouped]
             == [(rs.traces, rs.exhausted) for rs in tid_order])
@@ -740,15 +740,16 @@ def test_programs_that_read_tids_keep_tid_order(text):
     # blocked, so it must not share a key with its image where thread 1 goes
     # first; CASES checks these programs against `reference`
     program = parse(text)
-    assert interp._thread_groups(program) is None
+    assert interp._thread_groups(program) == tuple(zip(range(1, len(program.threads) + 1)))
     assert ResultTrace((20,), "deadlock") in enumerate_results(program, 200).traces
 
 
 def test_threads_with_different_args_are_never_grouped():
     loop = coarsen_loop(1, threads=0)
-    assert interp._thread_groups(parse(loop + "thread worker(1)\nthread worker(true)\n")) is None
+    assert (interp._thread_groups(parse(loop + "thread worker(1)\nthread worker(true)\n"))
+            == ((1,), (2,)))
     program = parse(loop + "thread worker(1)\nthread worker(0)\nthread worker(1)\n")
-    assert interp._thread_groups(program) == (0, 1, 0)
+    assert interp._thread_groups(program) == ((1, 3), (2,))
     ref, ref_exhausted = reference(program, 400)
     rs = enumerate_results(program, 400)
     assert ref_exhausted and rs.exhausted and rs.traces == ref

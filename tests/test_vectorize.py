@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from cirlab import corpus
 from cirlab.interp import run
 from cirlab.parser import parse
@@ -127,3 +129,42 @@ def test_vbinop_static_width():
     vb = [i for f in p2.functions for b in f.blocks for i in b.instrs if i.op == "vbinop"]
     assert len(vb) == 1
     assert vb[0].width == 4
+
+
+#: bodies of a countable loop that `loop_vectorize` rejects for their shape
+SHAPES = {
+    "one-load": ("av = arrayload a, i2", "s = binop add, av, av", "arraystore c, i2, s"),
+    "no-elementwise-binop": ("av = arrayload a, i2", "bv = arrayload b, i2",
+                             "s = binop add, av, av", "arraystore c, i2, s"),
+    "stores-a-load": ("av = arrayload a, i2", "bv = arrayload b, i2",
+                      "s = binop add, av, bv", "arraystore c, i2, av"),
+}
+
+
+@pytest.mark.parametrize("body", SHAPES.values(), ids=SHAPES)
+def test_a_shape_rejection_records_no_skip(body):
+    lines = "\n".join(f"      {line}" for line in body)
+    p = parse(f"""
+    fn main(n) {{
+    entry:
+      a = newarray n
+      b = newarray n
+      c = newarray n
+      zero = const 0
+      br loop(zero)
+    loop(i):
+      cc = binop lt, i, n
+      condbr cc, body(i), fin()
+    body(i2):
+{lines}
+      one = const 1
+      i3 = binop add, i2, one
+      br loop(i3)
+    fin():
+      ret
+    }}
+    thread main(8)
+    """)
+    assert validate(p) == []
+    p2, report = run_pass(p, "loop_vectorize", PassOptions(width=4))
+    assert report.rewrites == 0 and report.skips == [] and p2 == p
