@@ -52,15 +52,20 @@ class CkReport:
         return {m: s / n for m, s in self.sums().items()}
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["class", "WMC", "DIT", "NOC", "CBO", "RFC", "LCOM"])
-        for c in self.classes:
-            w.writerow([c.name, c.wmc, c.dit, c.noc, c.cbo, c.rfc, c.lcom])
         sums, means = self.sums(), self.means()
-        w.writerow(["sum"] + [sums[m] for m in self.METRICS])
-        w.writerow(["mean"] + [f"{means[m]:.2f}" for m in self.METRICS])
-        return buf.getvalue()
+        rows = [[c.name, c.wmc, c.dit, c.noc, c.cbo, c.rfc, c.lcom] for c in self.classes]
+        rows += [["sum"] + [sums[m] for m in self.METRICS],
+                 ["mean"] + [f"{means[m]:.2f}" for m in self.METRICS]]
+        return csv_text(["class", "WMC", "DIT", "NOC", "CBO", "RFC", "LCOM"], rows)
+
+
+def csv_text(header: list[str], rows: list[list]) -> str:
+    """`header` and `rows` as CSV, each line ended by "\\n": the tables that
+    `cirlab ck` and `cirlab pca` print. Here, not in `pca`, so that `ck`
+    imports no numpy."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
 
 
 def _operands(fn: Function, slot: str) -> set[str]:

@@ -40,21 +40,26 @@ thread is live, a reacquire, and a step after which the stepping thread is
 not `RUN` or its next `monitorenter` is blocked. Any other step changes no
 monitor and no other thread's status, so every thread stays as enabled as
 it was. So a thread that comes to a blocked `monitorenter` just leaves the
-set, and after the other steps the recompute asks `enabled` only of the
-threads that are not `RUN` or are about to enter a monitor, since every
+set, and after the other steps the recompute asks `Machine._blocker` only of
+the threads that are not `RUN` or are about to enter a monitor, since every
 other thread is enabled. A set that changed gets a new grant; a grant goes
 on across a monitor op that leaves the set as it was.
 
-Inside natural loops `_drive` also takes compiled runs (superoperators:
-Proebsting, POPL 1995; Ertl & Gregg, JILP 2003): `_compiled_runs` turns each
-stretch of ops that cannot block, emit, stop the machine or change frames
-into one generated Python function, which re-checks what each handler
-checks and falls back to the handler where a check fails, so every fault
-comes from the handler. A run is the `run` of the entry where it starts.
-The generated code is kept per `Function` (`ir.memo`), since the same
-functions run again and again, and each source is compiled once; the entry
-lists stay per `_Code`. `_step` still takes one instruction at a time: the
-search steps with it, and the tests compare `run` against it.
+Inside natural loops the code is generated (superoperators: Proebsting,
+POPL 1995; Ertl & Gregg, JILP 2003). `_compiled_runs` turns each stretch of
+ops that cannot block, emit, stop the machine or change frames into one
+generated Python function, a compiled run, which `_drive` takes where a
+grant and the budget leave room for all its steps. A run is the `run` of
+the entry where it starts. It also gives each loop-block entry of a
+`_RUN_OPS` op or a monitor op a generated single step, which is that
+entry's handler: a thread on a one-step grant, as under `rr:1` with two
+threads enabled, takes one call per step there. All generated code
+re-checks what each handler checks and falls back to the hand-written
+handler where a check fails, so every fault comes from the handler. It is
+kept per `Function` (`ir.memo`), since the same functions run again and
+again, and each source is compiled once; the entry lists stay per `_Code`.
+`_step` still takes one instruction at a time: the search steps with it,
+and the tests compare `run` against it.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 
 from .ir import (INT_MAX, INT_MIN, OPCODES, PURE_OPS, Br, CondBr, Function, Instr, Program, Ret,
                  memo, values_equal)
@@ -270,26 +276,34 @@ def _binop(i: Instr):
 
 def _branch(term: Br | CondBr, blocks: dict, code: dict):
     """The handler of branch `term`: a closure over (target, params, entry list,
-    args) per edge."""
-    edges = [(target, blocks[target].params, code[target], args) for target, args in term.edges()]
+    args, getter of the args' values when there are two or more) per edge."""
+    edges = [(target, blocks[target].params, code[target], args,
+              operator.itemgetter(*args) if len(args) > 1 else None)
+             for target, args in term.edges()]
     then, other, cond = edges[0], edges[-1], getattr(term, "cond", None)
 
     def h(m, t, fr, i):
         env = fr.locals
         if cond is None:
-            target, params, entries, args = then
+            target, params, entries, args, get = then
         else:
             c = env[cond]
             if c is not True and c is not False:
                 raise InterpreterError("condbr: condition is not a boolean")
-            target, params, entries, args = then if c else other
+            target, params, entries, args, get = then if c else other
         if len(args) == 1:  # ten times as fast as the general move below
             env[params[0]] = env[args[0]]
         elif args:
-            env.update(zip(params, [env[a] for a in args]))
+            env.update(zip(params, get(env)))
         fr.block, fr.code, fr.idx = target, entries, 0
 
     return h
+
+
+def _handler(i: Instr):
+    """The hand-written handler of instruction `i`: its `_binop` closure or
+    its `_op_<opcode>` method."""
+    return _binop(i) if i.op == "binop" else getattr(Machine, f"_op_{i.op}")
 
 
 #: the opcodes a compiled run executes inline (see `_compiled_runs`), besides
@@ -298,14 +312,24 @@ def _branch(term: Br | CondBr, blocks: dict, code: dict):
 _RUN_OPS = frozenset({"const", "classref", "binop", "getfield", "putfield", "arrayload",
                       "arraystore"})
 
+#: the opcodes whose entries in a loop block get a generated single step (see
+#: `_compiled_runs`): those of `_RUN_OPS`, and the two monitor ops, which
+#: every trip of an unrewritten lock loop runs as a one-step grant of its own
+_STEP_OPS = _RUN_OPS | {"monitorenter", "monitorexit"}
+
+#: `monitorenter` as `_Code` interns each op, so that `is` finds it
+_ENTER = sys.intern("monitorenter")
+
 
 def _slow(m, t, fr, j: int) -> None:
-    """Step entry `j` of `fr`'s block through its decoded handler, as `_step`
-    does; a compiled run's way out when an inline check fails, so that every
-    fault and its message come from the handler."""
+    """Step entry `j` of `fr`'s block as `_step` does, through the
+    hand-written handler of its op (`_handler`), or its branch handler; the
+    way out of generated code when an inline check fails, so that every
+    fault and its message come from the handler. Not through the entry's
+    own handler: that may be the generated single step that called it."""
     fr.idx = j + 1
-    handler, instr, _, _, _ = fr.code[j]
-    handler(m, t, fr, instr)
+    handler, instr, _, op, _ = fr.code[j]
+    (handler if op is None else _handler(instr))(m, t, fr, instr)
 
 
 def _checked(cond: str, body: list[str], j: int) -> list[str]:
@@ -314,12 +338,21 @@ def _checked(cond: str, body: list[str], j: int) -> list[str]:
 
 
 def _instr_lines(j: int, i: Instr) -> list[str]:
-    """Lines executing entry `j`, instruction `i`, with its handler's checks
-    inline: int operands and the wrap of a binop, a reference to an object
-    with the field or to an array with the index, and `_publish` after a
-    store into a shared cell."""
+    """Lines executing entry `j`, instruction `i` (`_STEP_OPS`), with its
+    handler's checks inline: int operands and the wrap of a binop, a
+    reference to an object with the field or to an array with the index,
+    `_publish` after a store into a shared cell, and a monitor that `t` may
+    enter or owns."""
     a = [f"env[{x!r}]" for x in i.args]
     d = f"env[{i.dest!r}]"
+    if i.op in ("monitorenter", "monitorexit"):  # a monitor not made yet takes `_slow`
+        lines = [f"v = {a[0]}"]
+        cond = "type(v) is Ref and (o := m.monitors.get(v.i)) is not None and "
+        if i.op == "monitorenter":
+            return lines + _checked(cond + "(o.owner is None or o.owner == t.tid)",
+                                    ["o.owner = t.tid", "o.count += 1"], j)
+        return lines + _checked(cond + "o.owner == t.tid",
+                                ["o.count -= 1", "if not o.count:", "    o.owner = None"], j)
     if i.op == "const":
         return [f"{d} = {i.value!r}"]
     if i.op == "classref":
@@ -387,28 +420,40 @@ def _load(src: str) -> dict:
 
 @memo
 def _compiled_runs(f: Function) -> dict[str, tuple]:
-    """Block -> for each entry index, None or the compiled run starting there:
-    (`run(machine, thread, frame)`, its steps, its cost), which `_Code`
-    puts into that entry.
+    """Block -> for each entry index, (step, run): the generated single step
+    of that entry, which `_Code` puts into its handler slot, or None; and
+    the compiled run starting there, (`run(machine, thread, frame)`, its
+    steps, its cost), which `_Code` puts into the entry, or None.
 
-    Only blocks inside a natural loop are compiled. A run starts at index 0
-    or right after an op outside `_RUN_OPS`, takes the longest stretch of
-    `_RUN_OPS` from there and, when the stretch reaches the block's `br` or
-    `condbr`, that too, and counts only with two steps or more. It adds its
-    own op counts; the caller adds its steps and cost. The generated source
-    embeds every IR name with `repr` and reads the branch targets' entry
-    lists and the singletons from `machine.code`, never from this function,
-    so it depends on `f` alone: passes share a `Function` between programs,
-    whose classes and decoded code differ. So it is kept per `Function`
-    (`ir.memo`), and `_load` compiles each source once.
+    Only blocks inside a natural loop are compiled: a program runs most of
+    its steps there, and a straight-line program, which runs each entry
+    once or a few times, would pay more to compile than it saves. Each
+    entry there whose op is in `_STEP_OPS` gets a single step, a function
+    with its handler's signature that runs `_instr_lines`; where a thread
+    holds a one-step grant, as under `rr:1` with two threads enabled, every
+    step takes it. A run starts at index 0 or right after an op outside
+    `_RUN_OPS`, takes the longest stretch of `_RUN_OPS` from there and, when
+    the stretch reaches the block's `br` or `condbr`, that too, and counts
+    only with two steps or more. It adds its own op counts; the caller adds
+    its steps and cost. The generated source embeds every IR name with
+    `repr` and reads the branch targets' entry lists and the singletons
+    from `machine.code`, never from this function, so it depends on `f`
+    alone: passes share a `Function` between programs, whose classes and
+    decoded code differ. So it is kept per `Function` (`ir.memo`), and
+    `_load` compiles each source once.
     """
     from .cfg import natural_loops  # on first use, as `_live_names` takes `liveness`
     in_loop = set().union(*[loop.blocks for loop in natural_loops(f)])
-    src, made = [], []
+    src, sizes = [], {}  # (block index, start) -> (steps, cost) of each run
     for bi, b in enumerate(f.blocks):
         if b.name not in in_loop:
             continue
         ops = [i.op for i in b.instrs]
+        for j, i in enumerate(b.instrs):
+            if i.op in _STEP_OPS:
+                body = ["env = fr.locals", *(["heap = m.heap"] if i.op in _CELL_OPS else []),
+                        *_instr_lines(j, i)]
+                src += [f"def _step_{bi}_{j}(m, t, fr, i):", *["    " + s for s in body]]
         for start in range(len(ops) + 1):
             if start and ops[start - 1] in _RUN_OPS:
                 continue
@@ -426,17 +471,16 @@ def _compiled_runs(f: Function) -> dict[str, tuple]:
             body += _branch_lines(f, b.term, end) if branch else [f"fr.idx = {end}"]
             body += ["counts = m.op_counts",
                      *[f"counts[{op!r}] += {n}" for op, n in Counter(ops[start:end]).items()]]
-            name = f"_run_{bi}_{start}"
-            src += [f"def {name}(m, t, fr):", *["    " + s for s in body]]
+            src += [f"def _run_{bi}_{start}(m, t, fr):", *["    " + s for s in body]]
             cost = sum(cost_model(i) for i in b.instrs[start:end]) + branch
-            made.append((b, start, name, end - start + branch, cost))
-    if not made:
+            sizes[bi, start] = (end - start + branch, cost)
+    if not src:
         return {}
     scope = _load("\n".join(src))
-    table: dict[str, list] = {}
-    for b, start, name, steps, cost in made:
-        table.setdefault(b.name, [None] * (len(b.instrs) + 1))[start] = (scope[name], steps, cost)
-    return {name: tuple(starts) for name, starts in table.items()}
+    return {b.name: tuple((scope.get(f"_step_{bi}_{j}"),
+                           (scope[f"_run_{bi}_{j}"], *sizes[bi, j]) if (bi, j) in sizes else None)
+                          for j in range(len(b.instrs) + 1))
+            for bi, b in enumerate(f.blocks) if b.name in in_loop}
 
 
 def _labels(i: Instr) -> tuple:
@@ -518,14 +562,18 @@ class _Code:
 
     Each block decodes to a list of (handler, instr, cost, op, run) entries,
     terminator last: a step moves `frame.idx` past an entry and calls
-    `handler(machine, thread, frame, instr)`, an `_op_<opcode>` method or a
-    `_binop` or `_branch` closure; `run` is the compiled run starting there
-    (`_compiled_runs`) or None. `callees` maps fn -> (params, entry block,
-    entry list), `vtable` (class, selector) -> fn, `ancestry` and `field_order`
-    a class to its ancestors and fields, `singletons` to its singleton (heap
-    cell k for the k-th class), `entries` fn -> block -> entry list, and
-    `op_counts` each opcode of the program to 0. Only `Machine._drive` reads
-    `run`, and only the search reads `reach` and `keying`.
+    `handler(machine, thread, frame, instr)`. That is the entry's generated
+    single step where it has one, in a loop block (`_compiled_runs`), else
+    its hand-written handler (`_handler`), or a `_branch` closure or
+    `_op_ret` for the terminator; `op` is the interned opcode, None for the
+    terminator, and `run` the compiled run starting there or None. So
+    `op`, not `handler`, says what an entry does. `callees` maps fn ->
+    (params, entry block, entry list), `vtable` (class, selector) -> fn,
+    `ancestry` and `field_order` a class to its ancestors and fields,
+    `singletons` to its singleton (heap cell k for the k-th class), `entries`
+    fn -> block -> entry list, and `op_counts` each opcode of the program to
+    0. Only `Machine._drive` reads `run`, and only the search reads `reach`
+    and `keying`.
     """
 
     def __init__(self, program: Program):
@@ -542,14 +590,13 @@ class _Code:
                         for name, f in fns.items()}
         self.op_counts: dict[str, int] = {}
         for name, bm in blocks.items():
-            runs = _compiled_runs(fns[name])
+            compiled = _compiled_runs(fns[name])
             for b in bm.values():
                 entries = code[name][b.name]
-                for i, r in zip(b.instrs, runs.get(b.name) or [None] * len(b.instrs)):
+                for i, (step, r) in zip(b.instrs, compiled.get(b.name) or repeat((None, None))):
                     op = sys.intern(i.op)
                     self.op_counts[op] = 0
-                    handler = _binop(i) if op == "binop" else getattr(Machine, f"_op_{op}")
-                    entries.append((handler, i, cost_model(i), op, r))
+                    entries.append((step or _handler(i), i, cost_model(i), op, r))
                 term = (Machine._op_ret if isinstance(b.term, Ret)
                         else _branch(b.term, blocks[name], code[name]))
                 entries.append((term, b.term, 1, None, None))  # no run starts at a terminator
@@ -670,34 +717,35 @@ class Machine:
         other than `t`, of the monitor that `t`'s next `monitorenter` names,
         since a woken thread takes its monitor back and runs its next
         instruction in one step (`_step`). Only the owner frees a monitor, so
-        this holds whether `t` runs, waits, is woken or is parked. `enabled`
-        reads it, and so does `_reached`, as the dynamic half of a
-        lock-guarded look-ahead (Stoller & Cohen, TACAS 2003).
+        this holds whether `t` runs, waits, is woken or is parked.
+        `enabled_threads` and `_drive` read it, and so does `_reached`, as
+        the dynamic half of a lock-guarded look-ahead (Stoller & Cohen,
+        TACAS 2003).
         """
         if t.wait_obj is not None:
             owner = self.monitors[t.wait_obj].owner
             if owner is not None:
                 return owner
         fr = t.frames[-1]
-        handler, instr, _, _, _ = fr.code[fr.idx]
-        if handler is Machine._op_monitorenter:
+        _, instr, _, op, _ = fr.code[fr.idx]
+        if op is _ENTER:
             r = fr.locals.get(instr.args[0])
             m = self.monitors.get(r.i) if type(r) is Ref else None
             if m is not None and m.owner != t.tid:
                 return m.owner
         return None
 
-    def enabled(self, tid: int) -> bool:
-        t = self.threads[tid - 1]
-        return (t.status is RUN or t.status is REACQUIRE) and self._blocker(t) is None
-
     def enabled_threads(self) -> list[int]:
-        """Asks `enabled` only of the threads that are not `RUN` or are about
-        to enter a monitor: every other thread is enabled."""
-        enabled, enter = [], Machine._op_monitorenter
+        """The threads that may step next: `RUN` or `REACQUIRE`, and no
+        `_blocker`. Asks `_blocker` only of the threads that are not `RUN` or
+        are about to enter a monitor: every other thread is enabled."""
+        enabled, blocker = [], self._blocker
         for t in self.threads:  # a loop: a list comprehension costs a call here
-            if (t.status is RUN and (fr := t.frames[-1]).code[fr.idx][0] is not enter
-                    or self.enabled(t.tid)):
+            if t.status is RUN:
+                fr = t.frames[-1]
+                if fr.code[fr.idx][3] is not _ENTER or blocker(t) is None:
+                    enabled.append(t.tid)
+            elif t.status is REACQUIRE and blocker(t) is None:
                 enabled.append(t.tid)
         return enabled
 
@@ -842,7 +890,7 @@ class Machine:
         if not enabled:
             return
         threads, counts = self.threads, self.op_counts
-        enter, is_enabled = Machine._op_monitorenter, self.enabled
+        blocker, enter = self._blocker, _ENTER
         steps, cost = self.steps, self.cost
         tid, start = 0, steps  # no grant yet, so nothing to commit
         shared = self.live > 1
@@ -882,7 +930,7 @@ class Machine:
                             break
                         fr = t.frames[-1]
                         handler, instr, c, op, r = fr.code[fr.idx]
-                        if handler is enter and not is_enabled(tid):
+                        if op is enter and blocker(t) is not None:
                             # only `t` left the set: none of its steps since the
                             # set was made could change another thread
                             enabled.remove(tid)
@@ -1194,7 +1242,7 @@ class Machine:
 UNBOUNDED = sys.maxsize
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRobin:
     """Run each enabled thread for up to `quantum` consecutive steps."""
 
@@ -1224,7 +1272,7 @@ class RoundRobin:
         return enabled[0], self.quantum
 
 
-@dataclass
+@dataclass(slots=True)
 class Explicit:
     """Cycle through an explicit thread-id sequence.
 

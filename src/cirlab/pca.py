@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ck import csv_text
+
 
 class PcaError(Exception):
     pass
@@ -179,29 +181,23 @@ def top_components(model: PcaModel, j: int) -> list[list[tuple[str, float]]]:
     return out
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-    return buf.getvalue()
-
-
 def render_loadings_csv(model: PcaModel, j: int) -> str:
     """Component table layout: (metric, loading) column pairs per component."""
     tables = top_components(model, j)
     header = [h for c in range(j) for h in (f"PC{c+1} metric", f"PC{c+1} loading")]
     rows = [[cell for t in tables for cell in (t[row][0], f"{t[row][1]:+.4f}")]
             for row in range(model.k)]
-    return _csv(header, rows)
+    return csv_text(header, rows)
 
 
 def render_scores_csv(model: PcaModel, rows: tuple[str, ...]) -> str:
     header = ["benchmark"] + [f"PC{c+1}" for c in range(model.k)]
-    return _csv(header, [[name] + [f"{v:.6f}" for v in score]
-                         for name, score in zip(rows, model.scores)])
+    return csv_text(header, [[name] + [f"{v:.6f}" for v in score]
+                             for name, score in zip(rows, model.scores)])
 
 
 def render_variance_csv(model: PcaModel) -> str:
     cum = np.cumsum(model.explained)  # added in component order
-    return _csv(["component", "eigenvalue", "explained", "cumulative"],
-                [[f"PC{c+1}", f"{model.eigenvalues[c]:.9f}", f"{model.explained[c]:.6f}",
-                  f"{cum[c]:.6f}"] for c in range(model.k)])
+    return csv_text(["component", "eigenvalue", "explained", "cumulative"],
+                    [[f"PC{c+1}", f"{model.eigenvalues[c]:.9f}", f"{model.explained[c]:.6f}",
+                      f"{cum[c]:.6f}"] for c in range(model.k)])

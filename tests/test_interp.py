@@ -8,13 +8,14 @@ import pytest
 
 from cirlab.corpus import (coarsen_loop, corpus, fj_kmeans_mini, guard_bounds_loop,
                            racing_outputs, vec_add, waitnotify_flag)
-from cirlab.interp import (DONE, UNBOUNDED, Explicit, InterpreterError, Machine, ResultTrace,
-                           RoundRobin, cost_model, parse_schedule, run)
+from cirlab.interp import (DONE, RUN, UNBOUNDED, Explicit, HObj, InterpreterError, Machine,
+                           ResultTrace, RoundRobin, cost_model, parse_schedule, run)
 from cirlab import interp, ir, passes
 from cirlab.parser import parse
 from cirlab.ir import Block, Br, Function, Instr, Program, Ret, ThreadDecl
 from cirlab.scheduler import check_refinement, enumerate_results
 from blocked_programs import WOKEN_ENTERS_HELD
+from callgraph_gen import gen_callgraph_program
 from test_fuzz import gen_program
 
 
@@ -1020,9 +1021,9 @@ def test_a_run_leaves_its_schedule_object_as_it_was(policy):
 
 def test_a_multi_thread_run_asks_the_schedule_once_per_grant(monkeypatch):
     # the loop keeps the enabled set across the steps that cannot change it and
-    # recomputes it, asking `enabled` only where it may be false, only after a
-    # step that could; before, `schedulable` rebuilt the whole set after every
-    # monitor op, which came to 5 `enabled` calls per monitor op here
+    # recomputes it, asking `_blocker` only where a thread may be blocked, only
+    # after a step that could; before, `schedulable` rebuilt the whole set
+    # after every monitor op, which came to 5 `enabled` calls per monitor op here
     p = parse(coarsen_loop(200, threads=3))
     picks = reference_run(p, "rr:3")[0][4]
     # a grant holds while both the enabled set and the thread picked stand
@@ -1034,13 +1035,13 @@ def test_a_multi_thread_run_asks_the_schedule_once_per_grant(monkeypatch):
         monkeypatch.setattr(cls, name, lambda *a: calls.update([name]) or real(*a))
 
     counted(Machine, "schedulable")
-    counted(Machine, "enabled")
+    counted(Machine, "_blocker")
     counted(RoundRobin, "regrant")
     r = run(p, "rr:3")
     monitor_ops = r.op_counts["monitorenter"] + r.op_counts["monitorexit"]
     assert calls["schedulable"] <= 2
     assert calls["regrant"] == grants
-    assert calls["enabled"] < 2 * monitor_ops, (calls, monitor_ops)
+    assert calls["_blocker"] < 2 * monitor_ops, (calls, monitor_ops)
 
 
 def _reported(program, spec, budget: int):
@@ -1192,10 +1193,166 @@ FAULTING_LOOPS = {
 def test_a_fault_inside_a_compiled_run_is_the_handlers_own(label):
     text, message = FAULTING_LOOPS[label]
     p = parse(text)
-    assert interp._compiled_runs(p.functions[0])["loop"][0] is not None
+    assert interp._compiled_runs(p.functions[0])["loop"][0][1] is not None
     with pytest.raises(InterpreterError, match=f"^{re.escape(message)}$"):
         run(p)
     assert _stepped(p, "rr:1", DIFF_BUDGET) == ("InterpreterError", message)
+
+
+#: loops whose generated single step of a monitor op meets a fault on a later
+#: trip; it too must raise the handler's own error
+FAULTING_STEPS = {
+    "monitorenter-of-an-int": ("""
+        class Box { fields v; }
+        fn main() {
+        entry:
+          b = new Box
+          three = const 3
+          br loop(three, b)
+        loop(i, o):
+          monitorenter o
+          monitorexit o
+          one = const 1
+          j = binop sub, i, one
+          br loop(j, j)
+        }
+        thread main()
+    """, "monitorenter: not a reference"),
+    "monitorexit-of-a-monitor-never-entered": ("""
+        class Box { fields v; }
+        fn main() {
+        entry:
+          b = new Box
+          three = const 3
+          br loop(three, b, b)
+        loop(i, o, x):
+          monitorenter o
+          monitorexit x
+          one = const 1
+          j = binop sub, i, one
+          n = new Box
+          br loop(j, o, n)
+        }
+        thread main()
+    """, "monitorexit: monitor not owned"),
+    "monitorexit-of-a-monitor-already-left": ("""
+        class Box { fields v; }
+        fn main() {
+        entry:
+          b = new Box
+          three = const 3
+          br loop(three, b, b)
+        loop(i, o, x):
+          monitorenter o
+          monitorexit x
+          one = const 1
+          j = binop sub, i, one
+          n = new Box
+          br loop(j, n, o)
+        }
+        thread main()
+    """, "monitorexit: monitor not owned"),
+}
+
+#: a thread that never ends, so that a thread beside it under `rr:1` takes
+#: every step as a one-step grant of its own
+SPIN = """
+    fn spin() {
+    e:
+      zero = const 0
+      br l(zero)
+    l(i):
+      one = const 1
+      j = binop add, i, one
+      br l(j)
+    }
+"""
+
+
+@pytest.mark.parametrize("label", {**FAULTING_LOOPS, **FAULTING_STEPS})
+def test_a_fault_in_a_one_step_grant_is_the_handlers_own(label):
+    # a failed inline check of a generated single step takes the hand-written
+    # handler, never the step itself again
+    text, message = {**FAULTING_LOOPS, **FAULTING_STEPS}[label]
+    p = parse(text.replace("thread main()", f"{SPIN}\nthread main()\nthread spin()"))
+    with pytest.raises(InterpreterError, match=f"^{re.escape(message)}$"):
+        run(p, "rr:1")
+    assert _stepped(p, "rr:1", DIFF_BUDGET) == ("InterpreterError", message)
+
+
+def _step_programs():
+    for e in corpus():
+        yield e.name, e.program
+        yield f"{e.name}/small", e.small
+    yield from SINGLE_THREAD_LOOPS.items()
+    for label, (text, _) in {**FAULTING_LOOPS, **FAULTING_STEPS}.items():
+        yield label, parse(text)
+    for seed in range(10):
+        yield f"callgraph/{seed}", parse(gen_callgraph_program(seed))
+
+
+STEP_PROGRAMS = dict(_step_programs())
+STEP_BUDGET = 3_000
+
+
+def _typed(values) -> list:
+    """`values` with each value's type beside it, since `1 == True`."""
+    return [(type(v), v) for v in values]
+
+
+def _after_step(m: Machine, tid: int, handler) -> tuple | str:
+    """What a step of thread `tid` through `handler` leaves of `m` (every
+    frame's position and locals, the heap cells with their owners, the
+    monitors), or its fault: a dynamic one, or the assertion that stops a
+    thread from entering a monitor another one holds."""
+    t = m.threads[tid - 1]
+    fr = t.frames[-1]
+    instr = fr.code[fr.idx][1]
+    fr.idx += 1
+    try:
+        handler(m, t, fr, instr)
+    except (InterpreterError, AssertionError) as e:
+        return f"{type(e).__name__}: {e}"
+    frames = [(f.fn, f.block, f.idx, sorted(f.locals), _typed(f.locals.values()))
+              for u in m.threads for f in u.frames]
+    heap = [(type(h), h.owner, *((h.cls, list(h.fields), _typed(h.fields.values()))
+                                 if type(h) is HObj else (_typed(h.elems),))) for h in m.heap]
+    monitors = {oid: (mon.owner, mon.count, mon.waitset) for oid, mon in m.monitors.items()}
+    return frames, heap, monitors
+
+
+@pytest.mark.parametrize("label", STEP_PROGRAMS)
+def test_each_generated_single_step_does_what_its_handler_does(label):
+    # `reference_run` and `_stepped` step through the same decoded entries, so
+    # a wrong template would be wrong in both; here, at each state that `rr:1`
+    # and `rr:2` pass through, each running thread whose next entry has a
+    # generated step takes it on one clone and the hand-written handler on
+    # another, a thread blocked on a monitor too
+    p = STEP_PROGRAMS[label]
+    generated = {(f.name, block, j): step for f in p.functions
+                 for block, slots in interp._compiled_runs(f).items()
+                 for j, (step, _) in enumerate(slots) if step is not None}
+    checked = set()
+    for spec in ("rr:1", "rr:2"):
+        policy, m = parse_schedule(spec), Machine(p)
+        try:
+            while enabled := m.schedulable(STEP_BUDGET):
+                for t in m.threads:
+                    if t.status is not RUN:
+                        continue
+                    fr = t.frames[-1]
+                    step = generated.get(key := (fr.fn, fr.block, fr.idx))
+                    if step is None:
+                        continue
+                    handler, instr = fr.code[fr.idx][:2]
+                    assert handler is step  # `_Code` put it in the entry's handler slot
+                    assert (_after_step(m.clone(), t.tid, step)
+                            == _after_step(m.clone(), t.tid, interp._handler(instr))), (spec, key)
+                    checked.add(key)
+                m._step(m.threads[pick(policy, enabled) - 1])
+        except InterpreterError:
+            pass  # the faulting loops end so, and the step before was compared
+    assert checked == set(generated)
 
 
 # one straight-line program per `InterpreterError` a single instruction raises
@@ -1393,7 +1550,7 @@ def test_a_branch_hands_over_all_its_args_at_once():
         }
         thread main()
     """)
-    assert interp._compiled_runs(p.functions[0])["loop"][5] is None
+    assert interp._compiled_runs(p.functions[0])["loop"][5][1] is None
     assert run(p).trace.events == (1, 2, 1)
 
 
@@ -1447,7 +1604,7 @@ PUBLISH_LOOP = """
 def test_a_compiled_store_into_a_shared_cell_shares_the_cell_it_stores(spec):
     # the store keeps the ownership invariant the search relies on
     p = parse(PUBLISH_LOOP)
-    assert interp._compiled_runs(p.functions[0])["loop"][1] is not None
+    assert interp._compiled_runs(p.functions[0])["loop"][1][1] is not None
     fast, slow = Machine(p), Machine(p)
     fast._drive(DIFF_BUDGET, parse_schedule(spec))
     policy = parse_schedule(spec)
