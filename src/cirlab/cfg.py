@@ -7,9 +7,9 @@ alongside it.
 
 `closure` gives what chains of edges reach; the Program-level `call_reach`
 is its closure over direct calls. `flow_params` carries name facts into
-block parameters. The per-function analyses and `call_reach` are memoized
-(`ir.memo`): each is computed once per `Function` or `Program` object, and
-every caller shares the result, so none may mutate it.
+block parameters. `call_reach` and the per-function analyses but
+`liveness` are memoized (`ir.memo`): each is computed once per `Function` or
+`Program` object, and every caller shares the result, so none may mutate it.
 """
 
 from __future__ import annotations
@@ -71,12 +71,13 @@ def def_index(f: Function) -> dict[str, Instr]:
     return out
 
 
-@memo
 def liveness(f: Function) -> dict[str, tuple[frozenset[str], ...]]:
     """Block name -> the names live before each instruction index.
 
     Entry `len(instrs)` is the terminator's. A block's live-out is its
-    successors' live-in minus their params, plus the edge arguments.
+    successors' live-in minus their params, plus the edge arguments. Not
+    memoized: its one reader, `interp._live_names`, memoizes the shape it
+    keys by, so a `Function` keeps one copy of its liveness, not two.
     """
     bmap = f.block_map()
     live_in: dict[str, frozenset[str]] = {b.name: frozenset() for b in f.blocks}

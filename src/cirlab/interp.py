@@ -18,35 +18,38 @@ cycle" units per `cost_model`; `ir.OPCODES` gives each opcode's cost and the
 workload metric it counts toward, from which `run` builds the metric vector.
 
 A `Machine` holds only execution state. All it derives from its program is
-one `_Code`, which it builds and its clones share, so it lives for one `run`
-or one search: each block decoded to a list of `(handler, instr, cost, op,
-run)` entries, so a step is one index and one call, and the tables the
-handlers and the search read. One loop, `Machine._drive`, steps the decoded
-code for `run` and for the enumerator's last-thread tail. It asks
-`Machine.schedulable`, the stop rule of `run` and of the enumerator, twice:
-for the enabled set at the start, and to set the status at the end. It asks
-the schedule only while two or more threads are live; the last one runs
-alone. It asks for a grant, not a pick, so a thread that keeps the
-schedule's choice costs one question per run of steps, not one per step. A
-schedule policy is any object with one method, `regrant(tid, k, enabled)`:
-it commits the k picks of thread `tid` that its last grant allowed (k = 0
-commits nothing), then returns the grant for `enabled`, (tid, n), which says
-that its next n picks, one per step, are all tid. `enabled` is sorted, as
-`schedulable` gives it. `RoundRobin` and `Explicit` grant the longest such
-run, `UNBOUNDED` when one thread is enabled. The loop keeps the enabled set
-and recomputes it only after a step that could change it: a `monitorenter`,
-`monitorexit`, `wait`, `notify`, `notifyall` or `unpark` while another
-thread is live, a reacquire, and a step after which the stepping thread is
-not `RUN` or its next `monitorenter` is blocked. Any other step changes no
-monitor and no other thread's status, so every thread stays as enabled as
-it was. So a thread that comes to a blocked `monitorenter` just leaves the
-set, and after the other steps the recompute asks `Machine._blocker` only of
-the threads that are not `RUN` or are about to enter a monitor, since every
-other thread is enabled. A set that changed gets a new grant; a grant goes
-on across a monitor op that leaves the set as it was.
+one `_Code`, kept per `Program` (`ir.memo`) and shared, never mutated, by
+every machine of that program and their clones: each block decoded to a list
+of `(handler, instr, cost, op, run)` entries, kept per `Function`
+(`_decode`), so a step is one index and one call, and the tables the
+handlers and the search read. So a program run or searched again derives
+nothing again, and its code lives as long as it does. One loop,
+`Machine._drive`, steps the decoded code for `run` and for the enumerator's
+last-thread tail. It asks `Machine.schedulable`, the stop rule of `run` and
+of the enumerator, twice: for the enabled set at the start, and to set the
+status at the end. It asks the schedule only while two or more threads are
+live; the last one runs alone. It asks for a grant, not a pick, so a thread
+that keeps the schedule's choice costs one question per run of steps, not
+one per step. A schedule policy is any object with one method,
+`regrant(tid, k, enabled)`: it commits the k picks of thread `tid` that its
+last grant allowed (k = 0 commits nothing), then returns the grant for
+`enabled`, (tid, n), which says that its next n picks, one per step, are all
+tid. `enabled` is sorted, as `schedulable` gives it. `RoundRobin` and
+`Explicit` grant the longest such run, `UNBOUNDED` when one thread is
+enabled. The loop keeps the enabled set and recomputes it only after a step
+that could change it: a `monitorenter`, `monitorexit`, `wait`, `notify`,
+`notifyall` or `unpark` while another thread is live, a reacquire, and a
+step after which the stepping thread is not `RUN` or its next `monitorenter`
+is blocked. Any other step changes no monitor and no other thread's status,
+so every thread stays as enabled as it was. So a thread that comes to a
+blocked `monitorenter` just leaves the set, and after the other steps the
+recompute asks `Machine._blocker` only of the threads that are not `RUN` or
+are about to enter a monitor, since every other thread is enabled. A set
+that changed gets a new grant; a grant goes on across a monitor op that
+leaves the set as it was.
 
 Inside natural loops the code is generated (superoperators: Proebsting,
-POPL 1995; Ertl & Gregg, JILP 2003). `_compiled_runs` turns each stretch of
+POPL 1995; Ertl & Gregg, JILP 2003). `_decode` turns each stretch of
 ops that cannot block, emit, stop the machine or change frames into one
 generated Python function, a compiled run, which `_drive` takes where a
 grant and the budget leave room for all its steps. A run is the `run` of
@@ -55,9 +58,8 @@ the entry where it starts. It also gives each loop-block entry of a
 entry's handler: a thread on a one-step grant, as under `rr:1` with two
 threads enabled, takes one call per step there. All generated code
 re-checks what each handler checks and falls back to the hand-written
-handler where a check fails, so every fault comes from the handler. It is
-kept per `Function` (`ir.memo`), since the same functions run again and
-again, and each source is compiled once; the entry lists stay per `_Code`.
+handler where a check fails, so every fault comes from the handler. Each
+source is compiled once (`_load`).
 `_step` still takes one instruction at a time: the search steps with it,
 and the tests compare `run` against it.
 """
@@ -70,7 +72,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
 
 from .ir import (INT_MAX, INT_MIN, OPCODES, PURE_OPS, Br, CondBr, Function, Instr, Program, Ret,
                  memo, values_equal)
@@ -306,18 +307,18 @@ def _handler(i: Instr):
     return _binop(i) if i.op == "binop" else getattr(Machine, f"_op_{i.op}")
 
 
-#: the opcodes a compiled run executes inline (see `_compiled_runs`), besides
+#: the opcodes a compiled run executes inline (see `_decode`), besides
 #: a `br` or `condbr`: none of them stops the machine, emits, blocks, touches a
 #: monitor or another thread, or pushes or pops a frame
 _RUN_OPS = frozenset({"const", "classref", "binop", "getfield", "putfield", "arrayload",
                       "arraystore"})
 
 #: the opcodes whose entries in a loop block get a generated single step (see
-#: `_compiled_runs`): those of `_RUN_OPS`, and the two monitor ops, which
+#: `_decode`): those of `_RUN_OPS`, and the two monitor ops, which
 #: every trip of an unrewritten lock loop runs as a one-step grant of its own
 _STEP_OPS = _RUN_OPS | {"monitorenter", "monitorexit"}
 
-#: `monitorenter` as `_Code` interns each op, so that `is` finds it
+#: `monitorenter` as `_decode` interns each op, so that `is` finds it
 _ENTER = sys.intern("monitorenter")
 
 
@@ -419,11 +420,16 @@ def _load(src: str) -> dict:
 
 
 @memo
-def _compiled_runs(f: Function) -> dict[str, tuple]:
-    """Block -> for each entry index, (step, run): the generated single step
-    of that entry, which `_Code` puts into its handler slot, or None; and
-    the compiled run starting there, (`run(machine, thread, frame)`, its
-    steps, its cost), which `_Code` puts into the entry, or None.
+def _decode(f: Function) -> dict[str, list[tuple]]:
+    """Block -> its entry list, (handler, instr, cost, op, run) per
+    instruction and the terminator last: a step moves `frame.idx` past an
+    entry and calls `handler(machine, thread, frame, instr)`. `op` is the
+    interned opcode, None for the terminator, and `run` the compiled run
+    starting there, (`run(machine, thread, frame)`, its steps, its cost),
+    or None. `handler` is the entry's generated single step where it has
+    one, else its hand-written handler (`_handler`), or a `_branch` closure
+    or `_op_ret` for the terminator. So `op`, not `handler`, says what an
+    entry does.
 
     Only blocks inside a natural loop are compiled: a program runs most of
     its steps there, and a straight-line program, which runs each entry
@@ -437,10 +443,10 @@ def _compiled_runs(f: Function) -> dict[str, tuple]:
     only with two steps or more. It adds its own op counts; the caller adds
     its steps and cost. The generated source embeds every IR name with
     `repr` and reads the branch targets' entry lists and the singletons
-    from `machine.code`, never from this function, so it depends on `f`
-    alone: passes share a `Function` between programs, whose classes and
-    decoded code differ. So it is kept per `Function` (`ir.memo`), and
-    `_load` compiles each source once.
+    from `machine.code`, and a `_branch` closure holds entry lists of `f`
+    only, so the decode depends on `f` alone: passes share a `Function`
+    between programs, whose classes differ. So it is kept per `Function`
+    (`ir.memo`), and `_load` compiles each source once.
     """
     from .cfg import natural_loops  # on first use, as `_live_names` takes `liveness`
     in_loop = set().union(*[loop.blocks for loop in natural_loops(f)])
@@ -474,13 +480,17 @@ def _compiled_runs(f: Function) -> dict[str, tuple]:
             src += [f"def _run_{bi}_{start}(m, t, fr):", *["    " + s for s in body]]
             cost = sum(cost_model(i) for i in b.instrs[start:end]) + branch
             sizes[bi, start] = (end - start + branch, cost)
-    if not src:
-        return {}
-    scope = _load("\n".join(src))
-    return {b.name: tuple((scope.get(f"_step_{bi}_{j}"),
-                           (scope[f"_run_{bi}_{j}"], *sizes[bi, j]) if (bi, j) in sizes else None)
-                          for j in range(len(b.instrs) + 1))
-            for bi, b in enumerate(f.blocks) if b.name in in_loop}
+    scope = _load("\n".join(src)) if src else {}
+    blocks, code = f.block_map(), {b.name: [] for b in f.blocks}
+    for bi, b in enumerate(f.blocks):
+        entries = code[b.name]
+        for j, i in enumerate(b.instrs):
+            r = sizes.get((bi, j))
+            entries.append((scope.get(f"_step_{bi}_{j}") or _handler(i), i, cost_model(i),
+                            sys.intern(i.op), r and (scope[f"_run_{bi}_{j}"], *r)))
+        term = Machine._op_ret if isinstance(b.term, Ret) else _branch(b.term, blocks, code)
+        entries.append((term, b.term, 1, None, None))  # no run starts at a terminator
+    return code
 
 
 def _labels(i: Instr) -> tuple:
@@ -558,25 +568,22 @@ def _thread_groups(p: Program) -> tuple[tuple[int, ...], ...]:
 
 
 class _Code:
-    """All a `Machine` derives from its valid `program`, shared by its clones.
+    """All a `Machine` derives from `program`, or ValueError if the program
+    fails `validate`; one per program (`_code`), shared by all its machines
+    and never mutated.
 
-    Each block decodes to a list of (handler, instr, cost, op, run) entries,
-    terminator last: a step moves `frame.idx` past an entry and calls
-    `handler(machine, thread, frame, instr)`. That is the entry's generated
-    single step where it has one, in a loop block (`_compiled_runs`), else
-    its hand-written handler (`_handler`), or a `_branch` closure or
-    `_op_ret` for the terminator; `op` is the interned opcode, None for the
-    terminator, and `run` the compiled run starting there or None. So
-    `op`, not `handler`, says what an entry does. `callees` maps fn ->
+    `entries` maps fn -> block -> entry list (`_decode`), `callees` fn ->
     (params, entry block, entry list), `vtable` (class, selector) -> fn,
     `ancestry` and `field_order` a class to its ancestors and fields,
-    `singletons` to its singleton (heap cell k for the k-th class), `entries`
-    fn -> block -> entry list, and `op_counts` each opcode of the program to
-    0. Only `Machine._drive` reads `run`, and only the search reads `reach`
-    and `keying`.
+    `singletons` to its singleton (heap cell k for the k-th class), and
+    `op_counts` each opcode of the program to 0, which each `Machine`
+    copies. Only `Machine._drive` reads an entry's `run`, and only the
+    search reads `reach` and `keying`.
     """
 
     def __init__(self, program: Program):
+        if diagnostics := validate(program):
+            raise ValueError(f"invalid program: {'; '.join(map(str, diagnostics))}")
         p = self.program = program
         fns = self.fns = p.fn_map()
         self.field_order = {c.name: tuple(p.declared_fields(c.name)) for c in p.classes}
@@ -584,22 +591,11 @@ class _Code:
         self.ancestry = {c.name: frozenset(p.ancestry(c.name)) for c in p.classes}
         self.vtable = {(c, sel): p.resolve_method(c, sel)
                        for c in self.ancestry for d in p.classes for sel, _ in d.methods}
-        blocks = {name: f.block_map() for name, f in fns.items()}
-        code = self.entries = {name: {b: [] for b in bm} for name, bm in blocks.items()}
+        code = self.entries = {name: _decode(f) for name, f in fns.items()}
         self.callees = {name: (f.params, f.entry.name, code[name][f.entry.name])
                         for name, f in fns.items()}
-        self.op_counts: dict[str, int] = {}
-        for name, bm in blocks.items():
-            compiled = _compiled_runs(fns[name])
-            for b in bm.values():
-                entries = code[name][b.name]
-                for i, (step, r) in zip(b.instrs, compiled.get(b.name) or repeat((None, None))):
-                    op = sys.intern(i.op)
-                    self.op_counts[op] = 0
-                    entries.append((step or _handler(i), i, cost_model(i), op, r))
-                term = (Machine._op_ret if isinstance(b.term, Ret)
-                        else _branch(b.term, blocks[name], code[name]))
-                entries.append((term, b.term, 1, None, None))  # no run starts at a terminator
+        self.op_counts = dict.fromkeys((i.op for f in fns.values() for b in f.blocks
+                                        for i in b.instrs), 0)
 
     @cached_property
     def reach(self) -> dict[str, dict[str, list[frozenset]]]:
@@ -617,14 +613,15 @@ class _Code:
         return seed, live, _thread_groups(self.program)
 
 
+#: the `_Code` of a program, built once per `Program` (`ir.memo`)
+_code = memo(_Code)
+
+
 class Machine:
     """Mutable execution state for one run; confine each instance to one driver."""
 
     def __init__(self, program: Program):
-        diagnostics = validate(program)
-        if diagnostics:
-            raise ValueError(f"invalid program: {'; '.join(map(str, diagnostics))}")
-        code = self.code = _Code(program)
+        code = self.code = _code(program)
         self.heap: list[HObj | HArr] = [HObj(cls, dict.fromkeys(code.field_order[cls], 0), 0)
                                         for cls in code.singletons]
         self.monitors: dict[int, Monitor] = {}
@@ -882,7 +879,7 @@ class Machine:
         thread runs alone, so the search's tails, which start with one, pass
         no policy. The picks of the last grant are never committed: `run`
         gives each run its own copy of the policy. Where an entry carries a
-        compiled run (see `_Code`) that fits both the grant left and the
+        compiled run (see `_decode`) that fits both the grant left and the
         budget, one call takes all its steps: none of its ops can change the
         enabled set, so it stops where that many single steps would.
         """
@@ -951,7 +948,7 @@ class Machine:
         self.steps, self.cost = steps, cost
         self.schedulable(budget)
 
-    # -- opcode handlers (see `_Code`) -----------------------------------
+    # -- opcode handlers (see `_decode`) ---------------------------------
 
     def _op_const(self, t, fr, i):
         fr.locals[i.dest] = i.value

@@ -13,7 +13,9 @@ singleton object (the moral equivalent of static fields); thread arguments
 themselves are literals.
 
 Pure analyses of a `Function` or a `Program` (its block and function maps,
-the `cfg` analyses, `validate`) are computed once per object through `memo`:
+the `cfg` analyses, `validate`, and the interpreter's decoded code:
+`interp._decode` of a function, `interp._Code` of a program) are computed
+once per object through `memo`:
 the object is frozen and every field is a tuple, so a result stays valid for
 as long as the object exists. `memo` keeps the result in the instance
 `__dict__`, which dataclass `==`, `hash`, `repr` and `replace` never read,

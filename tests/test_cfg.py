@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cirlab import cfg
+from cirlab import cfg, interp
 from cirlab.cfg import (
     dominators, dominates, liveness, match_while_loop, natural_loops, while_loops,
 )
@@ -233,10 +233,11 @@ def test_iv_aliases_follow_in_loop_copies_only():
     assert iv_aliases(f, loop.blocks, "loop", "n") == {"n", "m"}
 
 
-#: every memoized analysis of a function
+#: every memoized analysis of a function whose result compares by value;
+#: `interp._live_names` is the memoized form of `cfg.liveness`
 ANALYSES = (
     cfg.predecessors, cfg.reachable_rpo, cfg.dominators, cfg.natural_loops, cfg.while_loops,
-    cfg.liveness, cfg.param_args, cfg.def_index, Function.block_map, Function.instr_count,
+    interp._live_names, cfg.param_args, cfg.def_index, Function.block_map, Function.instr_count,
 )
 
 

@@ -11,6 +11,7 @@ from cirlab.corpus import (coarsen_loop, corpus, fj_kmeans_mini, guard_bounds_lo
 from cirlab.interp import (DONE, RUN, UNBOUNDED, Explicit, HObj, InterpreterError, Machine,
                            ResultTrace, RoundRobin, cost_model, parse_schedule, run)
 from cirlab import interp, ir, passes
+from cirlab.cfg import natural_loops
 from cirlab.parser import parse
 from cirlab.ir import Block, Br, Function, Instr, Program, Ret, ThreadDecl
 from cirlab.scheduler import check_refinement, enumerate_results
@@ -919,20 +920,36 @@ def test_a_run_or_a_search_derives_the_program_tables_once(monkeypatch):
         real = getattr(interp, name)
         monkeypatch.setattr(interp, name, lambda *a: built.update([name]) or real(*a))
 
+    counted("_decode")  # each function's, asked once per `_Code`
     counted("_reach_table")  # `_Code.reach`
     counted("_thread_groups")  # `_Code.keying`
     program = parse(coarsen_loop(1, threads=2))
     m = Machine(program)
     clone = m.clone()
     assert clone.code is m.code
+    assert Machine(program).code is m.code  # one `_Code` per program
     # state only, in one order, so that clones share `__init__`'s instance dict keys
     assert list(vars(m)) == list(vars(clone)) == [
         "code", "heap", "monitors", "op_counts", "threads", "live", "events", "cost", "steps",
         "status", "reason"]
     run(program, "rr:1")
-    assert not built
+    assert built == {"_decode": len(program.functions)}
     enumerate_results(program)
-    assert built == {"_reach_table": 1, "_thread_groups": 1}
+    expected = {"_decode": len(program.functions), "_reach_table": 1, "_thread_groups": 1}
+    assert built == expected
+    # liveness is kept once, in the shape `canon_key` reads (`_live_names`)
+    assert not any(key.endswith("cfg.liveness") for f in program.functions for key in vars(f))
+    # the same program run or searched again derives nothing again
+    run(program, "rr:1")
+    enumerate_results(program)
+    check_refinement(program, program)
+    assert built == expected
+    # a pass output that leaves a function as it was shares its entry lists
+    p = parse(vec_add())
+    q, _ = passes.run_pass(p, "guard_motion")
+    assert q.fn_map()["fill"] is p.fn_map()["fill"]
+    assert Machine(q).code.entries["fill"] is Machine(p).code.entries["fill"]
+    assert Machine(q).code.entries["main"] is not Machine(p).code.entries["main"]
 
 
 # -- schedule grants and compiled runs ----------------------------------------
@@ -1113,7 +1130,8 @@ SINGLE_THREAD_LOOPS = dict(_single_thread_loops())
 @pytest.mark.parametrize("label", SINGLE_THREAD_LOOPS)
 def test_compiled_runs_match_single_steps_at_every_budget(label):
     p = SINGLE_THREAD_LOOPS[label]
-    assert any(interp._compiled_runs(f) for f in p.functions)
+    assert any(e[4] is not None for f in p.functions
+               for entries in interp._decode(f).values() for e in entries)
     for budget in (*range(1, 61), DIFF_BUDGET):
         assert _reported(p, "rr:1", budget) == _stepped(p, "rr:1", budget), budget
 
@@ -1193,7 +1211,7 @@ FAULTING_LOOPS = {
 def test_a_fault_inside_a_compiled_run_is_the_handlers_own(label):
     text, message = FAULTING_LOOPS[label]
     p = parse(text)
-    assert interp._compiled_runs(p.functions[0])["loop"][0][1] is not None
+    assert interp._decode(p.functions[0])["loop"][0][4] is not None
     with pytest.raises(InterpreterError, match=f"^{re.escape(message)}$"):
         run(p)
     assert _stepped(p, "rr:1", DIFF_BUDGET) == ("InterpreterError", message)
@@ -1327,11 +1345,14 @@ def test_each_generated_single_step_does_what_its_handler_does(label):
     # a wrong template would be wrong in both; here, at each state that `rr:1`
     # and `rr:2` pass through, each running thread whose next entry has a
     # generated step takes it on one clone and the hand-written handler on
-    # another, a thread blocked on a monitor too
+    # another, a thread blocked on a monitor too. Every entry of a `_STEP_OPS`
+    # op in a loop block has one, which the decode put in its handler slot
     p = STEP_PROGRAMS[label]
-    generated = {(f.name, block, j): step for f in p.functions
-                 for block, slots in interp._compiled_runs(f).items()
-                 for j, (step, _) in enumerate(slots) if step is not None}
+    generated = set()
+    for f in p.functions:
+        in_loop = set().union(*[loop.blocks for loop in natural_loops(f)])
+        generated |= {(f.name, b.name, j) for b in f.blocks if b.name in in_loop
+                      for j, i in enumerate(b.instrs) if i.op in interp._STEP_OPS}
     checked = set()
     for spec in ("rr:1", "rr:2"):
         policy, m = parse_schedule(spec), Machine(p)
@@ -1341,11 +1362,10 @@ def test_each_generated_single_step_does_what_its_handler_does(label):
                     if t.status is not RUN:
                         continue
                     fr = t.frames[-1]
-                    step = generated.get(key := (fr.fn, fr.block, fr.idx))
-                    if step is None:
+                    if (key := (fr.fn, fr.block, fr.idx)) not in generated:
                         continue
-                    handler, instr = fr.code[fr.idx][:2]
-                    assert handler is step  # `_Code` put it in the entry's handler slot
+                    step, instr = fr.code[fr.idx][:2]
+                    assert step.__code__.co_filename == "<compiled runs>", key
                     assert (_after_step(m.clone(), t.tid, step)
                             == _after_step(m.clone(), t.tid, interp._handler(instr))), (spec, key)
                     checked.add(key)
@@ -1550,7 +1570,7 @@ def test_a_branch_hands_over_all_its_args_at_once():
         }
         thread main()
     """)
-    assert interp._compiled_runs(p.functions[0])["loop"][5][1] is None
+    assert interp._decode(p.functions[0])["loop"][5][4] is None
     assert run(p).trace.events == (1, 2, 1)
 
 
@@ -1604,7 +1624,7 @@ PUBLISH_LOOP = """
 def test_a_compiled_store_into_a_shared_cell_shares_the_cell_it_stores(spec):
     # the store keeps the ownership invariant the search relies on
     p = parse(PUBLISH_LOOP)
-    assert interp._compiled_runs(p.functions[0])["loop"][1][1] is not None
+    assert interp._decode(p.functions[0])["loop"][1][4] is not None
     fast, slow = Machine(p), Machine(p)
     fast._drive(DIFF_BUDGET, parse_schedule(spec))
     policy = parse_schedule(spec)

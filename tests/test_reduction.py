@@ -699,7 +699,9 @@ def test_identical_threads_match_the_tid_order_search(monkeypatch):
     budgets = (400, 34, 38, 42)
     grouped = [enumerate_results(program, b) for b in budgets]
     monkeypatch.setattr(interp, "_thread_groups", lambda p: ((1,), (2,), (3,), (4,)))
-    tid_order = [enumerate_results(program, b) for b in budgets]
+    # a copy of its own, since the program keeps the groups its search derived
+    twin = parse(coarsen_loop(1, threads=4))
+    tid_order = [enumerate_results(twin, b) for b in budgets]
     assert ([(rs.traces, rs.exhausted) for rs in grouped]
             == [(rs.traces, rs.exhausted) for rs in tid_order])
     assert grouped[0].states_explored * 10 < tid_order[0].states_explored  # 535 and 8,575
