@@ -60,8 +60,8 @@ threads enabled, takes one call per step there. All generated code
 re-checks what each handler checks and falls back to the hand-written
 handler where a check fails, so every fault comes from the handler. Each
 source is compiled once (`_load`).
-`_step` still takes one instruction at a time: the search steps with it,
-and the tests compare `run` against it.
+`Machine.step` takes one instruction at a time: the search steps with it,
+`_drive` takes a reacquire with it, and the tests compare `run` against it.
 """
 
 from __future__ import annotations
@@ -323,7 +323,7 @@ _ENTER = sys.intern("monitorenter")
 
 
 def _slow(m, t, fr, j: int) -> None:
-    """Step entry `j` of `fr`'s block as `_step` does, through the
+    """Step entry `j` of `fr`'s block as `Machine.step` does, through the
     hand-written handler of its op (`_handler`), or its branch handler; the
     way out of generated code when an inline check fails, so that every
     fault and its message come from the handler. Not through the entry's
@@ -550,8 +550,9 @@ def _live_names(f: Function) -> dict[str, tuple[tuple[str, ...], ...]]:
     return {b: tuple(tuple(sorted(names)) for names in points) for b, points in liveness(f).items()}
 
 
-def _thread_groups(p: Program) -> tuple[tuple[int, ...], ...]:
-    """The thread groups of `Machine.canon_key`, each a tuple of tids, in the
+def _thread_groups(threads, ops) -> tuple[tuple[int, ...], ...]:
+    """The thread groups of `Machine.canon_key`, for thread declarations
+    `threads` and the program's opcodes `ops`, each a tuple of tids, in the
     order the key lists them: by their lowest tid.
 
     Threads declared with the same function and the same literal args (`1`
@@ -559,18 +560,18 @@ def _thread_groups(p: Program) -> tuple[tuple[int, ...], ...]:
     depends on thread ids (`_TID_OPS`), every thread is a group of its own,
     which is tid order.
     """
-    if any(i.op in _TID_OPS for f in p.functions for b in f.blocks for i in b.instrs):
-        return tuple((tid,) for tid in range(1, len(p.threads) + 1))
+    if not _TID_OPS.isdisjoint(ops):
+        return tuple((tid,) for tid in range(1, len(threads) + 1))
     groups: dict = {}
-    for tid, d in enumerate(p.threads, 1):
+    for tid, d in enumerate(threads, 1):
         groups.setdefault((d.fn, tuple((type(a), a) for a in d.args)), []).append(tid)
     return tuple(map(tuple, groups.values()))
 
 
 class _Code:
-    """All a `Machine` derives from `program`, or ValueError if the program
-    fails `validate`; one per program (`_code`), shared by all its machines
-    and never mutated.
+    """All a `Machine` derives from program `p`, or ValueError if `p` fails
+    `validate`; one per program (`_code`), shared by all its machines and
+    never mutated.
 
     `entries` maps fn -> block -> entry list (`_decode`), `callees` fn ->
     (params, entry block, entry list), `vtable` (class, selector) -> fn,
@@ -578,13 +579,13 @@ class _Code:
     `singletons` to its singleton (heap cell k for the k-th class), and
     `op_counts` each opcode of the program to 0, which each `Machine`
     copies. Only `Machine._drive` reads an entry's `run`, and only the
-    search reads `reach` and `keying`.
+    search reads `reach` and `keying` (and `threads`, for `keying`).
     """
 
-    def __init__(self, program: Program):
-        if diagnostics := validate(program):
+    def __init__(self, p: Program):
+        if diagnostics := validate(p):
             raise ValueError(f"invalid program: {'; '.join(map(str, diagnostics))}")
-        p = self.program = program
+        self.threads = p.threads  # not `p`, which keeps this `_Code` (`_code`)
         fns = self.fns = p.fn_map()
         self.field_order = {c.name: tuple(p.declared_fields(c.name)) for c in p.classes}
         self.singletons = {c.name: Ref(k) for k, c in enumerate(p.classes)}
@@ -610,7 +611,7 @@ class _Code:
         (`_thread_groups`)."""
         seed = {self.singletons[n].i: ("r", c) for c, n in enumerate(sorted(self.singletons))}
         live = {name: _live_names(f) for name, f in self.fns.items()}
-        return seed, live, _thread_groups(self.program)
+        return seed, live, _thread_groups(self.threads, self.op_counts)
 
 
 #: the `_Code` of a program, built once per `Program` (`ir.memo`)
@@ -713,7 +714,7 @@ class Machine:
         can notify `t` or hand the monitor back. Otherwise it is the owner,
         other than `t`, of the monitor that `t`'s next `monitorenter` names,
         since a woken thread takes its monitor back and runs its next
-        instruction in one step (`_step`). Only the owner frees a monitor, so
+        instruction in one step (`step`). Only the owner frees a monitor, so
         this holds whether `t` runs, waits, is woken or is parked.
         `enabled_threads` and `_drive` read it, and so does `_reached`, as
         the dynamic half of a lock-guarded look-ahead (Stoller & Cohen,
@@ -849,15 +850,11 @@ class Machine:
 
     # -- execution --------------------------------------------------------
 
-    def step(self, tid: int) -> list[int]:
-        """Run one instruction of thread `tid`; returns outputs it emitted."""
+    def step(self, tid: int) -> None:
+        """Run one instruction of enabled thread `tid`; what it outputs goes to `events`."""
         if self.status is not None:
             raise InterpreterError("machine already terminal")
-        before = len(self.events)
-        self._step(self.threads[tid - 1])
-        return self.events[before:]
-
-    def _step(self, t: ThreadState) -> None:
+        t = self.threads[tid - 1]
         if t.status is REACQUIRE:
             m = self._monitor(t.wait_obj)  # type: ignore[arg-type]
             assert m.owner is None
@@ -884,15 +881,13 @@ class Machine:
         enabled set, so it stops where that many single steps would.
         """
         enabled = self.schedulable(budget)
-        if not enabled:
-            return
         threads, counts = self.threads, self.op_counts
         blocker, enter = self._blocker, _ENTER
         steps, cost = self.steps, self.cost
         tid, start = 0, steps  # no grant yet, so nothing to commit
         shared = self.live > 1
         ask = policy.regrant if shared else None
-        while True:  # one grant per pass
+        while enabled:  # one grant per pass
             if ask is not None:
                 tid, n = ask(tid, steps - start, enabled)
             else:
@@ -903,7 +898,7 @@ class Machine:
             while True:  # steps of `t` while the set stands
                 if t.status is REACQUIRE:  # takes its monitor back, and one step
                     self.steps, self.cost = steps, cost
-                    self._step(t)
+                    self.step(tid)
                     steps, cost = self.steps, self.cost
                 else:
                     fr = t.frames[-1]
@@ -943,8 +938,6 @@ class Machine:
                     if self.live == 1:  # the last live thread runs alone
                         shared, ask = False, None
                     break
-            if not enabled:
-                break
         self.steps, self.cost = steps, cost
         self.schedulable(budget)
 
@@ -1097,7 +1090,7 @@ class Machine:
 
     def clone(self) -> "Machine":
         """A copy to step on its own, sharing `code`. Its `events` start empty:
-        the enumerator, the one caller, reads only what each step emits, so
+        the enumerator, the one caller, reads only what each edge emits, so
         copying them would cost a list copy per search edge for nothing."""
         # attributes in `__init__`'s order, so that clones keep its key-sharing
         # instance dict (reading `__dict__` would give that up)

@@ -71,16 +71,18 @@ the output would hide the trace that deopts before it. A cell op or output
 that may raise is never local (see `Machine.next_is_local`); for a cell op,
 `Machine._cell`, which its handler steps through too, is the one rule.
 
-Every edge runs on through all the local steps that follow it, of any
+An edge is one call of `_Explorer.explore`: it steps its thread, runs on,
+then prefixes. It runs on through all the local steps that follow, of any
 thread, while the budget allows: it tries the thread that just stepped
 first, then the others in tid order, and keys only the state where no
 enabled thread's next step is local, so a choice is left. Each state inside
 the run expands one thread whose next step is local, an ample set of one;
 the run only leaves those states unkeyed (one transaction in the sense of
-Lipton, *Reduction*, CACM 1975), and what it outputs is the edge's
-emission. A local step takes or frees no monitor, wakes or blocks no other
-thread, and cannot stop the machine or end a thread (a guard and a return
-from a thread's last frame are never local), so `schedulable` is asked once
+Lipton, *Reduction*, CACM 1975). What the step and the run output, the
+edge's emission, goes before each suffix of the state the edge ends at. A
+local step takes or frees no monitor, wakes or blocks no other thread, and
+cannot stop the machine or end a thread (a guard and a return from a
+thread's last frame are never local), so `schedulable` is asked once
 before the run and once after it, and inside it only the budget is
 checked. Each keyed state is one recursive call, so the recursion is no
 deeper than the budget. The contract against the unreduced search, which
@@ -153,26 +155,25 @@ class _Explorer:
         self.memo_hits = 0
         self.ceiling_hit = False
 
-    def explore(self, m: Machine, tid: int = 0
-                ) -> tuple[tuple[int, ...], frozenset[_Suffix], int | None]:
-        """(what the edge into `m` emitted, the suffix set from where it ends,
-        the most steps at which a path from there ended, or None if the step
-        budget or the ceiling cut a path).
+    def explore(self, m: Machine, tid: int = 0) -> tuple[frozenset[_Suffix], int | None]:
+        """(the suffix set of the edge that steps thread `tid` of `m`, what it
+        emitted first in each, and the most steps at which a path from it
+        ended, or None if the step budget or the ceiling cut a path).
 
-        `m` has just stepped thread `tid` (0: no thread, for the initial
-        machine), and `m.events` holds what that step emitted. The edge first
-        runs on through the local steps that follow, of any thread, trying
-        `tid` first and then the others in tid order, and keys only the state
-        where no enabled thread's next step is local. Once the state ceiling
-        is hit no state is expanded further, so the suffix sets returned from
-        then on hold only what was already found. `m` is the caller's to give
-        up: the last choice steps it in place, and the last thread's tail
-        runs on it.
+        The edge steps `tid` (0: no step, for the initial machine), then runs
+        on through the local steps that follow, of any thread, trying `tid`
+        first and then the others in tid order, and keys only the state where
+        no enabled thread's next step is local. Once the state ceiling is hit
+        no state is expanded further, so the suffix sets returned from then on
+        hold only what was already found. `m` is the caller's to give up: the
+        edge, its last choice and the last thread's tail step it in place.
         """
         budget = self.budget
+        if tid:
+            m.step(tid)
         enabled = m.schedulable(budget)
         if enabled and m.live > 1:  # run on through the local steps that follow
-            before, threads, local = m.steps, m.threads, m.next_is_local
+            before, local, step = m.steps, m.next_is_local, m.step
             while m.steps < budget:
                 if not (tid and local(tid)):
                     for u in enabled:
@@ -181,28 +182,27 @@ class _Explorer:
                             break
                     else:
                         break
-                m._step(threads[tid - 1])
+                step(tid)
             if m.steps != before:
                 enabled = m.schedulable(budget)
         emitted = tuple(m.events)  # what the edge emitted, its local steps included
-        if emitted:
-            m.events.clear()
         if not enabled:
             end = None if m.status == "step-budget-exhausted" else m.steps
-            return emitted, frozenset({((), m.status, m.reason)}), end
+            return frozenset({(emitted, m.status, m.reason)}), end
         if self.ceiling_hit:
-            return emitted, frozenset(), None
+            return frozenset(), None
 
+        m.events.clear()  # so the keyed state's suffixes start empty
         key = m.canon_key()
         start = m.steps
         hit = self.memo.get(key)
         if hit is not None and start + hit[1] <= budget:  # its longest path fits
             self.memo_hits += 1
-            return emitted, hit[0], start + hit[1]
+            return _prefixed(emitted, hit[0]), start + hit[1]
         if key not in self.seen:
             if len(self.seen) >= self.max_states:
                 self.ceiling_hit = True
-                return emitted, frozenset(), None
+                return frozenset(), None
             self.seen.add(key)
 
         if m.live == 1:  # the last live thread runs alone, as in `interp.run`
@@ -214,20 +214,23 @@ class _Explorer:
             end = start
             last = enabled[-1]
             for tid in enabled:
-                child = m if tid == last else m.clone()
-                child.step(tid)
-                prefix, suffixes, child_end = self.explore(child, tid)
+                suffixes, child_end = self.explore(m if tid == last else m.clone(), tid)
                 end = None if end is None or child_end is None else max(end, child_end)
-                if prefix:
-                    out.update([(prefix + ev, status, reason) for ev, status, reason in suffixes])
-                elif len(enabled) == 1:  # a silent edge: this state's set is the child's
+                if len(enabled) == 1:  # this state's set is the child's
                     out = suffixes
                 else:
                     out |= suffixes
             result = frozenset(out)  # no copy when `out` is the child's frozenset
         if end is not None:
             self.memo[key] = result, end - start
-        return emitted, result, end
+        return _prefixed(emitted, result), end
+
+
+def _prefixed(events: tuple[int, ...], suffixes: frozenset[_Suffix]) -> frozenset[_Suffix]:
+    """`suffixes`, each with `events` put before its own."""
+    if not events:
+        return suffixes
+    return frozenset([(events + ev, status, reason) for ev, status, reason in suffixes])
 
 
 def enumerate_results(
@@ -251,10 +254,10 @@ def enumerate_results(
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, step_budget + 500))
     try:
-        emitted, suffixes, end = ex.explore(Machine(program))
+        suffixes, end = ex.explore(Machine(program))
     finally:
         sys.setrecursionlimit(old_limit)
-    traces = frozenset(ResultTrace(emitted + ev, status, reason) for ev, status, reason in suffixes)
+    traces = frozenset(ResultTrace(*s) for s in suffixes)
     return ResultSet(traces, end is not None, len(ex.seen), ex.memo_hits, ex.ceiling_hit,
                      time.perf_counter() - start)
 

@@ -319,3 +319,57 @@ thread main(8)
     for name in ("loop_vectorize", "guard_motion"):
         p2, report = run_pass(p, name)
         assert report.rewrites == 0 and p2 == p, name
+
+
+def _counting_loop(header: str, body: str) -> str:
+    """A function counting from 0 with loop header `loop(i)` and body block
+    `body`, each given by its instructions and terminator."""
+    return f"""
+fn main(n) {{
+b0:
+  zero = const 0
+  br loop(zero)
+loop(i):
+  {header}
+body():
+  {body}
+done():
+  ret
+}}
+thread main(3)
+"""
+
+
+#: loops a pass must leave alone, by the test that rejects them: `while` where
+#: `match_while_loop` does, `iv` where only `find_induction_var` does
+REJECTED_LOOPS = {
+    "header-ends-in-br": ("while", _counting_loop(
+        "br body()",
+        "one = const 1\n  i2 = binop add, i, one\n  c = binop lt, i2, n\n"
+        "  condbr c, loop(i2), done()")),
+    "two-latches": ("while", _counting_loop(
+        "c = binop lt, i, n\n  condbr c, body(), done()",
+        "one = const 1\n  i2 = binop add, i, one\n  two = const 2\n  d = binop lt, i, two\n"
+        "  condbr d, a(), a2()\na():\n  br loop(i2)\na2():\n  br loop(i2)")),
+    "test-by-eq": ("iv", _counting_loop(
+        "k = binop lt, i, n\n  t = const true\n  c = binop eq, k, t\n  condbr c, body(), done()",
+        "one = const 1\n  i2 = binop add, i, one\n  br loop(i2)")),
+    "latch-leaves-the-loop": ("iv", _counting_loop(
+        "c = binop lt, i, n\n  condbr c, body(), done()",
+        "one = const 1\n  i2 = binop add, i, one\n  seven = const 7\n"
+        "  d = binop lt, i2, seven\n  condbr d, loop(i2), done()")),
+}
+
+
+@pytest.mark.parametrize("rejects, text", REJECTED_LOOPS.values(), ids=REJECTED_LOOPS)
+def test_a_loop_outside_the_counted_shape_is_rejected(rejects, text):
+    p = parse(text)
+    assert validate(p) == []
+    f = p.fn_map()["main"]
+    (loop,) = natural_loops(f)
+    assert loop.header == "loop"
+    if rejects == "while":
+        assert match_while_loop(f, loop) is None and while_loops(f) == ()
+    else:
+        (wl,) = while_loops(f)
+        assert cfg.find_induction_var(f, wl) is None

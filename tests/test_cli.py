@@ -37,6 +37,19 @@ def test_run_json(capsys):
     assert data["events"] == [1]
 
 
+def test_run_unknown_corpus_program_is_an_error_line(capsys):
+    assert main(["run", "corpus:no-such-program"]) == 1
+    assert capsys.readouterr().err.strip() == "error: no corpus program named 'no-such-program'"
+
+
+def test_run_json_of_a_deopt_names_its_reason(capsys, cir_file):
+    f = cir_file("deopt.cir", "fn main() {\nb0:\n  one = const 1\n  output one\n"
+                              "  f = const false\n  guard f, bounds\n  ret\n}\nthread main()")
+    assert main(["run", f, "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert (data["events"], data["status"], data["reason"]) == ([1], "deopt", "bounds")
+
+
 def test_run_explicit_schedule(capsys, cir_file):
     f = cir_file("race.cir", racing_outputs())
     assert main(["run", f, "--schedule", "explicit:2,1", "--json"]) == 0
@@ -273,6 +286,13 @@ def test_compare(capsys, cir_file):
     assert rep["impactPct"] == (152 - 101) / 101 * 100
 
 
+def test_compare_toggle_outside_the_pass_set_is_an_error_line(capsys):
+    assert main(["compare", "corpus:coarsen-mini", "--passes", "lock_coarsen",
+                 "--toggle", "pea_atomic"]) == 1
+    assert (capsys.readouterr().err.strip()
+            == "error: toggled pass 'pea_atomic' is not in the pass set")
+
+
 @pytest.mark.parametrize("argv", [["bench", "corpus:vec-add"],
                                   ["--json", "run", "corpus:vec-add"],
                                   ["--csv", "run", "corpus:vec-add"],
@@ -401,6 +421,14 @@ def test_ck_csv(capsys):
     out = capsys.readouterr().out
     assert out.startswith("class,WMC")
     assert "sum," in out
+
+
+def test_ck_output_file(tmp_path, capsys):
+    out = tmp_path / "ck.csv"
+    assert main(["ck", "corpus:dup-diamond", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["ck", "corpus:dup-diamond"]) == 0
+    assert out.read_text() == capsys.readouterr().out
 
 
 def test_stats_welch(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import copy
+import gc
 import random
 import re
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -683,7 +685,7 @@ def reference_run(program, spec: str, budget: int = DIFF_BUDGET):
                 picks.append((tuple(enabled), choice))
                 if want and want not in enabled:
                     fallbacks["finished" if m.threads[want - 1].status is DONE else "blocked"] += 1
-            m._step(m.threads[choice - 1])
+            m.step(choice)
     except InterpreterError as e:
         return ("InterpreterError", str(e)), fallbacks
     trace = ResultTrace(tuple(m.events), m.status, m.reason)
@@ -950,6 +952,21 @@ def test_a_run_or_a_search_derives_the_program_tables_once(monkeypatch):
     assert q.fn_map()["fill"] is p.fn_map()["fill"]
     assert Machine(q).code.entries["fill"] is Machine(p).code.entries["fill"]
     assert Machine(q).code.entries["main"] is not Machine(p).code.entries["main"]
+
+
+@pytest.mark.parametrize("use", [lambda p: run(p, "rr:1"), enumerate_results], ids=["run", "search"])
+def test_a_program_run_or_searched_is_freed_without_the_cycle_collector(use):
+    # the program keeps its `_Code` (`ir.memo`), so a `_Code` that kept the
+    # program made a cycle, which only the cycle collector frees
+    gc.disable()
+    try:
+        program = parse(coarsen_loop(1, threads=2))
+        use(program)
+        ref = weakref.ref(program)
+        del program
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- schedule grants and compiled runs ----------------------------------------
@@ -1369,7 +1386,7 @@ def test_each_generated_single_step_does_what_its_handler_does(label):
                     assert (_after_step(m.clone(), t.tid, step)
                             == _after_step(m.clone(), t.tid, interp._handler(instr))), (spec, key)
                     checked.add(key)
-                m._step(m.threads[pick(policy, enabled) - 1])
+                m.step(pick(policy, enabled))
         except InterpreterError:
             pass  # the faulting loops end so, and the step before was compared
     assert checked == set(generated)
@@ -1629,6 +1646,6 @@ def test_a_compiled_store_into_a_shared_cell_shares_the_cell_it_stores(spec):
     fast._drive(DIFF_BUDGET, parse_schedule(spec))
     policy = parse_schedule(spec)
     while enabled := slow.schedulable(DIFF_BUDGET):
-        slow._step(slow.threads[pick(policy, enabled) - 1])
+        slow.step(pick(policy, enabled))
     owners = [h.owner for h in fast.heap]
     assert owners == [h.owner for h in slow.heap] == [0] * (2 + 4 + 5)  # singletons, boxes

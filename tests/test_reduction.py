@@ -68,7 +68,9 @@ def reference(program, budget: int) -> tuple[frozenset[ResultTrace], bool]:
         height = 0
         for k, tid in enumerate(enabled):
             child = m.clone() if k < len(enabled) - 1 else m
-            emitted = tuple(child.step(tid))
+            before = len(child.events)
+            child.step(tid)
+            emitted = tuple(child.events[before:])
             suffixes, h = explore(child, rem - 1)
             height = None if h is None or height is None else max(height, h + 1)
             out.update((emitted + ev, status, reason) for ev, status, reason in suffixes)
@@ -695,10 +697,11 @@ def test_coarsen_mini_enumerates_far_fewer_states():
 
 def test_identical_threads_match_the_tid_order_search(monkeypatch):
     program = parse(coarsen_loop(1, threads=4))
-    assert interp._thread_groups(program) == ((1, 2, 3, 4),)
+    assert (interp._thread_groups(program.threads, interp._code(program).op_counts)
+            == ((1, 2, 3, 4),))
     budgets = (400, 34, 38, 42)
     grouped = [enumerate_results(program, b) for b in budgets]
-    monkeypatch.setattr(interp, "_thread_groups", lambda p: ((1,), (2,), (3,), (4,)))
+    monkeypatch.setattr(interp, "_thread_groups", lambda threads, ops: ((1,), (2,), (3,), (4,)))
     # a copy of its own, since the program keeps the groups its search derived
     twin = parse(coarsen_loop(1, threads=4))
     tid_order = [enumerate_results(twin, b) for b in budgets]
@@ -742,16 +745,17 @@ def test_programs_that_read_tids_keep_tid_order(text):
     # blocked, so it must not share a key with its image where thread 1 goes
     # first; CASES checks these programs against `reference`
     program = parse(text)
-    assert interp._thread_groups(program) == tuple(zip(range(1, len(program.threads) + 1)))
+    assert (interp._thread_groups(program.threads, interp._code(program).op_counts)
+            == tuple(zip(range(1, len(program.threads) + 1))))
     assert ResultTrace((20,), "deadlock") in enumerate_results(program, 200).traces
 
 
 def test_threads_with_different_args_are_never_grouped():
     loop = coarsen_loop(1, threads=0)
-    assert (interp._thread_groups(parse(loop + "thread worker(1)\nthread worker(true)\n"))
-            == ((1,), (2,)))
+    pair = parse(loop + "thread worker(1)\nthread worker(true)\n")
+    assert interp._thread_groups(pair.threads, interp._code(pair).op_counts) == ((1,), (2,))
     program = parse(loop + "thread worker(1)\nthread worker(0)\nthread worker(1)\n")
-    assert interp._thread_groups(program) == ((1, 3), (2,))
+    assert interp._thread_groups(program.threads, interp._code(program).op_counts) == ((1, 3), (2,))
     ref, ref_exhausted = reference(program, 400)
     rs = enumerate_results(program, 400)
     assert ref_exhausted and rs.exhausted and rs.traces == ref
