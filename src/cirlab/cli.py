@@ -19,7 +19,7 @@ from .ck import compute_ck
 from .interp import InterpreterError, MetricVector, RunResult, run
 from .ir import print_program
 from .parser import ParseError, UnresolvedNameError, parse
-from .passes import PASS_NAMES, PassOptions, pipeline
+from .passes import PASS_NAMES, PassOptions, run_pass
 from .pca import (
     PcaError,
     fit_metrics,
@@ -112,12 +112,18 @@ def cmd_profile(args) -> int:
 
 def cmd_optimize(args) -> int:
     program = load_program(args.program)
-    names = _parse_passes(args.passes)
-    try:
-        optimized, reports = pipeline(program, names, _pass_options(args))
-    except ValueError as e:  # a pass knob out of range
-        raise CliError(str(e))
-    text = print_program(optimized)
+    options = _pass_options(args)
+    reports = []
+    for name in _parse_passes(args.passes):
+        try:
+            program, report = run_pass(program, name, options)
+        except ValueError as e:  # a pass knob out of range
+            raise CliError(str(e))
+        problems = validate(program)
+        if problems:  # a pass bug: never print invalid IR
+            raise CliError("\n".join(f"{name}: {d}" for d in problems))
+        reports.append(report)
+    text = print_program(program)
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -316,7 +322,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
+        for line in str(e).splitlines():
+            print(f"error: {line}", file=sys.stderr)
         return e.code
     except InterpreterError as e:
         print(f"error: {e}", file=sys.stderr)

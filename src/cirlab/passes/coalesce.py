@@ -12,6 +12,9 @@ never observable in a schedule where no other thread runs between the two
 CAS instructions, so installing f2(f1(v)) directly is indistinguishable.
 Both update computations must be referentially transparent (no heap access,
 no allocation, no concurrency operations, calls only to pure functions).
+The second loop reads no name the first defines: the fused loop computes
+the second update before the CAS that defines ok1, and reads v1 again on
+every retry.
 """
 
 from __future__ import annotations
@@ -82,6 +85,10 @@ def _fuse_in_fn(f: Function, pure_fns: frozenset[str], report: PassReport) -> Fu
             continue
         if first.success_args or second.success_target in (b.name, nxt.name):
             report.skip(where, "irregular control flow between loops")
+            continue
+        defined = b.defined_names()
+        if any(not defined.isdisjoint(i.uses()) for i in (*nxt.instrs, nxt.term)):
+            report.skip(where, "second loop reads a first-loop value")
             continue
 
         # fused update: second segment consumes the first segment's result

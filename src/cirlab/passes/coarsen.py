@@ -16,7 +16,9 @@ is observationally identical and cheaper.
 
 Legality: the monitor object is loop-invariant and neither the condition
 nor the region may block (no other monitor operations, no wait/notify/park,
-calls only to functions proved free of them).
+calls only to functions proved free of them). The body reads no name the
+header defines: the inner loop runs a renamed copy of the header, so such a
+read would see the chunk's first trip.
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ def _coarsen_fn(f: Function, chunk: int, report: PassReport,
             continue
         if monitor in wl.loop_defs:
             report.skip(where, "monitor object is not loop-invariant")
+            continue
+        defined = wl.header.defined_names()
+        if any(not defined.isdisjoint(i.uses()) for i in (*region, *tail, body.term)):
+            report.skip(where, "body reads a header value")
             continue
 
         gen = NameGen.for_function(f)

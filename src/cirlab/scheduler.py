@@ -5,9 +5,16 @@ set of trace suffixes producible from each canonical machine state, so
 interleavings that converge on the same state are explored once. The result
 is the set R of observable results (output sequence + termination status).
 A path ends where `interp.run` would stop (`Machine.schedulable`). The key
-leaves out the step count, so a memo entry also records the longest path
-below its state, and is reused only where that path fits the budget left: a
-subtree that finished at a shallow depth can be cut at a deeper one.
+leaves out the step count, so one rule says when a state's memo record
+answers a visit with `budget - steps` left. Once every path from the state
+has ended, the record holds its suffixes and the longest path below it,
+reused only where that path fits the budget left: a subtree that finished at
+a shallow depth can be cut at a deeper one. A search from the state that the
+step budget cut is stored by the budget it had left, and reused at exactly
+that budget left: the local runs, `schedulable` and the tail all stop at the
+same absolute budget, so a cut state's suffixes depend only on its key and
+the budget left. A result found after the state ceiling was hit is partial
+and is never stored.
 
 Threads declared with the same function and the same literal args form a
 group, and the key (`Machine.canon_key`) lists each group's threads in a
@@ -24,12 +31,12 @@ its owners.
 
 Once one thread is live, no choice is left: the tail runs to the end through
 the stepping loop `interp.run` uses (`Machine._drive`), and the whole tail
-counts as one state, memoized unless the step budget cut it, so a tail that
-many interleavings reach runs once. The loop stops at `steps >= budget` and
-when the thread stops running or its next `monitorenter` is blocked, and
-`Machine.schedulable` sets the status there, so the step-budget contract
-below is the same as for a search that steps the last thread one state at a
-time.
+counts as one state, memoized like any other, so a tail that many
+interleavings reach is not run again from each. The loop stops at
+`steps >= budget` and when the thread stops running or its next
+`monitorenter` is blocked, and `Machine.schedulable` sets the status there,
+so the step-budget contract below is the same as for a search that steps the
+last thread one state at a time.
 
 A state where some enabled thread's next step is local
 (`Machine.next_is_local`) expands only that thread: an ample set of one
@@ -145,13 +152,34 @@ class ResultSet:
     seconds: float
 
 
+class _Record:
+    """What the search knows of one keyed state.
+
+    `done` is (suffixes, longest path) once every path from the state has
+    ended, else None. `cuts` maps a budget left to the suffixes of a search
+    from the state that the step budget cut; it is made on the first cut
+    stored, so a state no budget cuts pays nothing for it.
+    """
+
+    __slots__ = ("done", "cuts")
+
+    def __init__(self):
+        self.done: tuple[frozenset[_Suffix], int] | None = None
+        self.cuts: dict[int, frozenset[_Suffix]] | None = None
+
+
 class _Explorer:
+    """One search: its bounds, and a table from each canonical state keyed to
+    its `_Record`, so the table's size is the count of states explored.
+
+    A record answers a visit with `budget - steps` left from `done` where its
+    longest path fits, else from `cuts[budget - steps]`; either is a memo hit.
+    """
+
     def __init__(self, step_budget: int, max_states: int):
         self.budget = step_budget
         self.max_states = max_states
-        # canonical state -> (suffixes, longest path), for states from which every path ended
-        self.memo: dict[object, tuple[frozenset[_Suffix], int]] = {}
-        self.seen: set[object] = set()  # canonical states expanded
+        self.table: dict[object, _Record] = {}
         self.memo_hits = 0
         self.ceiling_hit = False
 
@@ -195,15 +223,22 @@ class _Explorer:
         m.events.clear()  # so the keyed state's suffixes start empty
         key = m.canon_key()
         start = m.steps
-        hit = self.memo.get(key)
-        if hit is not None and start + hit[1] <= budget:  # its longest path fits
-            self.memo_hits += 1
-            return _prefixed(emitted, hit[0]), start + hit[1]
-        if key not in self.seen:
-            if len(self.seen) >= self.max_states:
+        left = budget - start
+        record = self.table.get(key)
+        if record is None:
+            if len(self.table) >= self.max_states:
                 self.ceiling_hit = True
                 return frozenset(), None
-            self.seen.add(key)
+            self.table[key] = record = _Record()
+        else:
+            done, cuts = record.done, record.cuts
+            if done is not None and done[1] <= left:  # its longest path fits
+                self.memo_hits += 1
+                return _prefixed(emitted, done[0]), start + done[1]
+            cut = None if cuts is None else cuts.get(left)
+            if cut is not None:
+                self.memo_hits += 1
+                return _prefixed(emitted, cut), None
 
         if m.live == 1:  # the last live thread runs alone, as in `interp.run`
             m._drive(budget)
@@ -222,7 +257,11 @@ class _Explorer:
                     out |= suffixes
             result = frozenset(out)  # no copy when `out` is the child's frozenset
         if end is not None:
-            self.memo[key] = result, end - start
+            record.done = result, end - start
+        elif not self.ceiling_hit:  # after the ceiling a result is partial
+            if record.cuts is None:
+                record.cuts = {}
+            record.cuts[left] = result
         return _prefixed(emitted, result), end
 
 
@@ -258,7 +297,7 @@ def enumerate_results(
     finally:
         sys.setrecursionlimit(old_limit)
     traces = frozenset(ResultTrace(*s) for s in suffixes)
-    return ResultSet(traces, end is not None, len(ex.seen), ex.memo_hits, ex.ceiling_hit,
+    return ResultSet(traces, end is not None, len(ex.table), ex.memo_hits, ex.ceiling_hit,
                      time.perf_counter() - start)
 
 

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cirlab
 from callgraph_gen import gen_callgraph_program
 from cirlab.cfg import call_reach, closure, flow_params
@@ -19,6 +21,7 @@ from cirlab.ir import Block, Br, CondBr, Function, Instr, Program, Ret, ThreadDe
 from cirlab.parser import parse
 from cirlab.passes import PASS_NAMES, PassOptions, run_pass
 from cirlab.passes.purity import blocker, blocking_free_functions, is_pure, pure_functions
+from cirlab.scheduler import check_refinement
 from cirlab.validate import validate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -256,6 +259,23 @@ def test_generated_call_graph_programs_are_valid_terminate_and_pass_validate():
             rewritten[name] += bool(report.rewrites)
     # the generator must reach the passes that read the call graph
     assert min(rewritten[n] for n in ("handle_simplify", "lock_coarsen", "atomic_coalesce")) >= 5
+
+
+# a pass that rewrites a seed's program must refine it; the step budget cuts
+# seeds 3, 4 and 10. Seeds 2 and 5 are left out: flattening their 45k and
+# 105k traces into the result sets takes 3 to 7 s
+@pytest.mark.parametrize("seed, kind", [
+    (0, "refines"), (1, "refines"), (3, "bounded-ok"), (4, "bounded-ok"),
+    (6, "refines"), (8, "refines"), (9, "refines"), (10, "bounded-ok"),
+])
+def test_passes_refine_generated_call_graph_programs(seed, kind):
+    p = parse(gen_callgraph_program(seed))
+    verdicts = {}
+    for name in PASS_NAMES:
+        out, report = run_pass(p, name, PassOptions(chunk=2))
+        if report.rewrites:
+            verdicts[name] = check_refinement(p, out, step_budget=400, max_states=3_000).kind
+    assert verdicts and set(verdicts.values()) == {kind}, verdicts
 
 
 def test_importing_what_perfbench_imports_leaves_cfg_unloaded():

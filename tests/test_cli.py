@@ -1,13 +1,14 @@
 import argparse
 import importlib.resources
 import json
+from dataclasses import replace
 
 import pytest
 
-from cirlab import cli
+from cirlab import cli, passes
 from cirlab.cli import main
 from cirlab.corpus import coarsen_loop, corpus_entry, racing_outputs, vec_add
-from cirlab.ir import print_program
+from cirlab.ir import ThreadDecl, print_program
 from cirlab.passes import PassOptions, run_pass
 
 
@@ -191,6 +192,23 @@ def test_optimize_unknown_pass(capsys):
     rc = main(["optimize", "corpus:vec-add", "--passes", "nonsense"])
     assert rc == 1
     assert "unknown pass" in capsys.readouterr().err
+
+
+def test_optimize_rejects_a_pass_output_that_fails_validate(monkeypatch, tmp_path, capsys):
+    def broken(program, options, report):
+        report.rewrites += 1
+        return replace(program, threads=program.threads + (ThreadDecl("nowhere"),
+                                                           ThreadDecl("elsewhere")))
+
+    monkeypatch.setitem(passes._registry(), "dup_simulate", broken)
+    out = tmp_path / "out.cir"
+    rc = main(["optimize", "corpus:coarsen-mini", "--passes", "lock_coarsen,dup_simulate",
+               "-o", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: dup_simulate: thread: unknown entry function 'nowhere'",
+        "error: dup_simulate: thread: unknown entry function 'elsewhere'"]
+    assert not out.exists()
 
 
 def test_check_refines_and_violates(tmp_path, cir_file, capsys):

@@ -385,3 +385,16 @@ def test_each_pair_shape_is_a_skip_reason(entry, read, expect, then, skips):
     assert report.rewrites == 0
     assert p2 == p
     assert report.skips == skips
+
+
+# the fused loop computes the second update before the cas that defines `ok`,
+# and reads `v` and computes `nv` again on every retry
+@pytest.mark.parametrize("operand", ["ok", "v", "nv"])
+def test_second_loop_reading_a_first_loop_value_is_skipped(operand):
+    p = parse(corpus.coalesce_mini(5, contended=True)
+              .replace("nw = binop mul, w, two", f"nw = binop mul, {operand}, two"))
+    assert validate(p) == []
+    p2, report = run_pass(p, "atomic_coalesce")
+    assert report.rewrites == 0
+    assert p2 == p
+    assert report.skips == [("main/L1+L2", "second loop reads a first-loop value")]

@@ -4,6 +4,7 @@ import pytest
 
 from cirlab import corpus
 from cirlab.interp import run
+from cirlab.ir import print_program
 from cirlab.parser import parse
 from cirlab.passes import PassOptions, run_pass
 from cirlab.scheduler import check_refinement
@@ -272,3 +273,19 @@ def test_each_region_shape_is_a_skip_reason(tail, reason):
     assert report.rewrites == 0
     assert p2 == p
     assert report.skips == [("main/loop", reason)]
+
+
+# the inner loop runs a renamed copy of the header, so a body reading the
+# header's `i` read the chunk's first trip: with the region's read, the
+# coarsened program printed [5, 5] where the original prints [6, 6] (rr:1)
+@pytest.mark.parametrize("old, new", [
+    ("v2 = binop add, v, one", "v2 = binop add, i, one"),
+    ("i3 = binop add, i2, one", "i3 = binop add, i, one"),
+], ids=["region", "tail"])
+def test_body_reading_a_header_value_is_skipped(old, new):
+    text = print_program(corpus.corpus_entry("coarsen-mini").small)
+    p = parse(text.replace(old, new))
+    p2, report = run_pass(p, "lock_coarsen", PassOptions(chunk=2))
+    assert report.rewrites == 0
+    assert p2 == p
+    assert report.skips == [("worker/loop", "body reads a header value")]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from cirlab.parser import parse
 from cirlab.passes import PassOptions, run_pass
 from cirlab.scheduler import check_refinement, enumerate_results
 from blocked_programs import WOKEN_ENTERS_HELD
+from callgraph_gen import gen_callgraph_program
 from test_fuzz import gen_program
 from test_reduction import reference
 
@@ -516,3 +518,32 @@ def test_only_states_where_a_choice_is_left_are_keyed(monkeypatch):
 def test_states_keyed(program, budget, states, traces):
     rs = enumerate_results(program, budget)
     assert (rs.states_explored, len(rs.traces)) == (states, traces)
+
+
+def trace_digest(traces) -> str:
+    """The first 16 hex digits of the SHA-256 of the sorted traces, as
+    `tools/search_sweep.py` prints it."""
+    ordered = sorted(traces, key=lambda t: (t.events, t.status, t.reason or ""))
+    return hashlib.sha256(repr([(t.events, t.status, t.reason) for t in ordered])
+                          .encode()).hexdigest()[:16]
+
+
+# the counts and digests of searches the step budget cuts, as the search that
+# memoized no cut state gave them: in 0.1 to 9 s each, and at budget 60 it did
+# not finish in 60 s; a state's cut entries make each take a few milliseconds
+@pytest.mark.parametrize("text, budget, states, traces, digest", [
+    (coarsen_loop(1, threads=4), 46, 29, 6, "cf06cb3a2fbf6571"),
+    (coarsen_loop(1, threads=4), 50, 49, 12, "9f501587098de41b"),
+    (coarsen_loop(1, threads=4), 54, 70, 12, "9f501587098de41b"),
+    (coarsen_loop(1, threads=4), 60, 166, 36, "ef05988ea894d5c2"),
+    (gen_callgraph_program(3), 400, 163, 652, "8669440c6ccf8a63"),
+], ids=["coarsen_loop(1,4)@46", "coarsen_loop(1,4)@50", "coarsen_loop(1,4)@54",
+        "coarsen_loop(1,4)@60", "callgraph3@400"])
+def test_a_cut_search_reuses_cut_states(text, budget, states, traces, digest):
+    rs = enumerate_results(parse(text), budget)
+    assert not rs.exhausted and rs.memo_hits > 0
+    assert (rs.states_explored, len(rs.traces), trace_digest(rs.traces)) == (states, traces, digest)
+
+
+def test_a_search_with_cut_entries_keeps_the_cut_contract():
+    assert not keeps_the_cut_contract(parse(gen_callgraph_program(3)), 400)

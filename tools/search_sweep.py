@@ -5,7 +5,10 @@ store and, at chunk=2, each pass output that rewrites one of them; each at
 its small budget, at budget 40, and at the small budget with a 24-state
 ceiling. Then a small variant at a cut budget where reusing a memo entry
 without checking that its longest path fits the budget left claimed a
-finished search, and a few larger programs at the default bounds:
+finished search, searches that the step budget cuts deep below many states
+(`coarsen_loop(1, threads=4)` at budgets 46, 50 and 54, and
+`tests/callgraph_gen.py` seed 3 at budget 400), and a few larger programs
+at the default bounds:
 contention loops, one single-thread loop, threads that each update a box
 and an array only they can reach (`private_boxes`), two identical waiters
 woken by `notify` (which keeps tid-order state keys) or by `notifyall`
@@ -40,6 +43,7 @@ from cirlab.parser import parse  # noqa: E402
 from cirlab.passes import PASS_NAMES, PassOptions, run_pass  # noqa: E402
 from cirlab.scheduler import check_refinement, enumerate_results  # noqa: E402
 from tests.blocked_programs import BLOCKED_PROGRAMS  # noqa: E402
+from tests.callgraph_gen import gen_callgraph_program  # noqa: E402
 
 CUT_BUDGET = 40  # cuts most small variants' searches short
 CEILING = 24  # cuts the coarsen-mini original and its lock_coarsen output, and the
@@ -100,6 +104,11 @@ def main() -> None:
     # a cut budget at which a memo entry reused past the budget claimed a finished search
     print("coalesce-mini/small budget=33",
           search_line(corpus_entry("coalesce-mini").small, step_budget=33))
+    for budget in (46, 50, 54):
+        print(f"coarsen_loop(1,4) budget={budget}",
+              search_line(parse(coarsen_loop(1, threads=4)), step_budget=budget))
+    print("callgraph_gen(3) budget=400",
+          search_line(parse(gen_callgraph_program(3)), step_budget=400))
     for label, text in LARGER:
         print(label, "default", search_line(parse(text)))
 
