@@ -16,8 +16,12 @@ a failed guard instead ends the whole trace with a deopt status.
 A run counts executed opcodes and a deterministic cost in "reference
 cycle" units per `cost_model`; `ir.OPCODES` gives each opcode's cost and the
 workload metric it counts toward, from which `run` builds the metric vector.
+`Machine._drive`, the loop that `run` steps through, counts both in locals
+and returns them, so the profile is kept in one place and a `Machine` (and
+each clone the search makes) carries none of it.
 
-A `Machine` holds only execution state. All it derives from its program is
+A `Machine` holds only execution state: heap, monitors, threads and their
+frames, events and the step count. All it derives from its program is
 one `_Code`, kept per `Program` (`ir.memo`) and shared, never mutated, by
 every machine of that program and their clones: each block decoded to a list
 of `(handler, instr, cost, op, run)` entries, kept per `Function`
@@ -60,8 +64,9 @@ threads enabled, takes one call per step there. All generated code
 re-checks what each handler checks and falls back to the hand-written
 handler where a check fails, so every fault comes from the handler. Each
 source is compiled once (`_load`).
-`Machine.step` takes one instruction at a time: the search steps with it,
-`_drive` takes a reacquire with it, and the tests compare `run` against it.
+`Machine.step` takes one instruction at a time and counts only the step:
+the search steps with it, `_drive` takes a reacquire with it (and counts
+that entry's op and cost itself), and the tests compare `run` against it.
 """
 
 from __future__ import annotations
@@ -205,14 +210,15 @@ class Monitor:
 
 
 class Frame:
-    """An activation; `code` is the decoded entry list of block `block`."""
+    """An activation; `code` is the decoded entry list of block `block`. A
+    callee's return destination is the `dest` of its caller's call, the entry
+    before the caller's `idx` (`_op_ret`)."""
 
-    __slots__ = ("fn", "block", "code", "locals", "ret_dest", "idx")
+    __slots__ = ("fn", "block", "code", "locals", "idx")
 
-    def __init__(self, fn: str, block: str, code: list, locals_: dict[str, Value],
-                 ret_dest: str | None, idx: int = 0):
+    def __init__(self, fn: str, block: str, code: list, locals_: dict[str, Value], idx: int = 0):
         self.fn, self.block, self.code = fn, block, code
-        self.idx, self.locals, self.ret_dest = idx, locals_, ret_dest
+        self.idx, self.locals = idx, locals_
 
 
 # thread status values; "run" and "reacquire" also cover threads gated on a
@@ -425,11 +431,11 @@ def _decode(f: Function) -> dict[str, list[tuple]]:
     instruction and the terminator last: a step moves `frame.idx` past an
     entry and calls `handler(machine, thread, frame, instr)`. `op` is the
     interned opcode, None for the terminator, and `run` the compiled run
-    starting there, (`run(machine, thread, frame)`, its steps, its cost),
-    or None. `handler` is the entry's generated single step where it has
-    one, else its hand-written handler (`_handler`), or a `_branch` closure
-    or `_op_ret` for the terminator. So `op`, not `handler`, says what an
-    entry does.
+    starting there, (`run(machine, thread, frame, counts)`, its steps, its
+    cost), or None. `handler` is the entry's generated single step where it
+    has one, else its hand-written handler (`_handler`), or a `_branch`
+    closure or `_op_ret` for the terminator. So `op`, not `handler`, says
+    what an entry does.
 
     Only blocks inside a natural loop are compiled: a program runs most of
     its steps there, and a straight-line program, which runs each entry
@@ -440,13 +446,14 @@ def _decode(f: Function) -> dict[str, list[tuple]]:
     step takes it. A run starts at index 0 or right after an op outside
     `_RUN_OPS`, takes the longest stretch of `_RUN_OPS` from there and, when
     the stretch reaches the block's `br` or `condbr`, that too, and counts
-    only with two steps or more. It adds its own op counts; the caller adds
-    its steps and cost. The generated source embeds every IR name with
-    `repr` and reads the branch targets' entry lists and the singletons
-    from `machine.code`, and a `_branch` closure holds entry lists of `f`
-    only, so the decode depends on `f` alone: passes share a `Function`
-    between programs, whose classes differ. So it is kept per `Function`
-    (`ir.memo`), and `_load` compiles each source once.
+    only with two steps or more. It adds its own op counts to `counts`,
+    `_drive`'s, and `_drive` adds its steps and cost. The generated source
+    embeds every IR name with `repr` and reads the branch targets' entry
+    lists and the singletons from `machine.code`, and a `_branch` closure
+    holds entry lists of `f` only, so the decode depends on `f` alone:
+    passes share a `Function` between programs, whose classes differ. So it
+    is kept per `Function` (`ir.memo`), and `_load` compiles each source
+    once.
     """
     from .cfg import natural_loops  # on first use, as `_live_names` takes `liveness`
     in_loop = set().union(*[loop.blocks for loop in natural_loops(f)])
@@ -475,9 +482,8 @@ def _decode(f: Function) -> dict[str, list[tuple]]:
             for j in range(start, end):
                 body += _instr_lines(j, b.instrs[j])
             body += _branch_lines(f, b.term, end) if branch else [f"fr.idx = {end}"]
-            body += ["counts = m.op_counts",
-                     *[f"counts[{op!r}] += {n}" for op, n in Counter(ops[start:end]).items()]]
-            src += [f"def _run_{bi}_{start}(m, t, fr):", *["    " + s for s in body]]
+            body += [f"counts[{op!r}] += {n}" for op, n in Counter(ops[start:end]).items()]
+            src += [f"def _run_{bi}_{start}(m, t, fr, counts):", *["    " + s for s in body]]
             cost = sum(cost_model(i) for i in b.instrs[start:end]) + branch
             sizes[bi, start] = (end - start + branch, cost)
     scope = _load("\n".join(src)) if src else {}
@@ -577,9 +583,10 @@ class _Code:
     (params, entry block, entry list), `vtable` (class, selector) -> fn,
     `ancestry` and `field_order` a class to its ancestors and fields,
     `singletons` to its singleton (heap cell k for the k-th class), and
-    `op_counts` each opcode of the program to 0, which each `Machine`
-    copies. Only `Machine._drive` reads an entry's `run`, and only the
-    search reads `reach` and `keying` (and `threads`, for `keying`).
+    `op_counts` each opcode of the program to 0: `_drive` counts a run's
+    profile in a copy of it, and `keying` reads its keys. Only `_drive`
+    reads an entry's `run`, and only the search reads `reach` and `keying`
+    (and `threads`, for `keying`).
     """
 
     def __init__(self, p: Program):
@@ -626,15 +633,14 @@ class Machine:
         self.heap: list[HObj | HArr] = [HObj(cls, dict.fromkeys(code.field_order[cls], 0), 0)
                                         for cls in code.singletons]
         self.monitors: dict[int, Monitor] = {}
-        self.op_counts = code.op_counts.copy()
         self.threads: list[ThreadState] = []
         for n, decl in enumerate(program.threads, start=1):
             params, block, entries = code.callees[decl.fn]
-            frame = Frame(decl.fn, block, entries, dict(zip(params, decl.args)), None)
+            frame = Frame(decl.fn, block, entries, dict(zip(params, decl.args)))
             self.threads.append(ThreadState(n, [frame]))
         self.live = len(self.threads)  # threads not DONE
         self.events: list[int] = []
-        self.cost = self.steps = 0
+        self.steps = 0
         self.status: str | None = None  # set once terminal
         self.reason: str | None = None
 
@@ -686,14 +692,16 @@ class Machine:
             m = self.monitors[oid] = Monitor()
         return m
 
-    def _push(self, t: ThreadState, env: dict[str, Value], fname: str, args: tuple[str, ...],
-              dest: str | None) -> None:
-        """Call `fname` with the values of `args` in `env`."""
+    def _push(self, t: ThreadState, env: dict[str, Value], fname: str,
+              args: tuple[str, ...]) -> None:
+        """Call `fname` with the values of `args` in `env`. Only the call
+        handlers push, once the caller's `idx` is past the call, which is
+        where `_op_ret` finds the destination."""
         vals = [env[a] for a in args]
         params, block, entries = self.code.callees[fname]
         if len(vals) != len(params):
             raise InterpreterError(f"call: {fname} takes {len(params)} args, got {len(vals)}")
-        t.frames.append(Frame(fname, block, entries, dict(zip(params, vals)), dest))
+        t.frames.append(Frame(fname, block, entries, dict(zip(params, vals))))
 
     def _owned(self, t: ThreadState, v: Value, what: str) -> Monitor:
         mon = self.monitors.get(v.i) if isinstance(v, Ref) else None
@@ -851,7 +859,8 @@ class Machine:
     # -- execution --------------------------------------------------------
 
     def step(self, tid: int) -> None:
-        """Run one instruction of enabled thread `tid`; what it outputs goes to `events`."""
+        """Run one instruction of enabled thread `tid`; what it outputs goes to
+        `events`. It counts `steps` only: op counts and cost are `_drive`'s."""
         if self.status is not None:
             raise InterpreterError("machine already terminal")
         t = self.threads[tid - 1]
@@ -862,16 +871,15 @@ class Machine:
             t.status, t.wait_obj, t.saved_count = RUN, None, 0
         self.steps += 1
         fr = t.frames[-1]
-        handler, instr, cost, op, _ = fr.code[fr.idx]
+        handler, instr, _, _, _ = fr.code[fr.idx]
         fr.idx += 1
-        if op is not None:
-            self.op_counts[op] += 1
         handler(self, t, fr, instr)
-        self.cost += cost
 
-    def _drive(self, budget: int, policy=None) -> None:
-        """Step the machine until it stops (see the module docstring), then let
-        `schedulable` set its status. While two or more threads are live, each
+    def _drive(self, budget: int, policy=None) -> tuple[dict[str, int], int]:
+        """Step the machine until it stops (see the module docstring), let
+        `schedulable` set its status, and return the profile of the steps it
+        took: (op -> count, over the program's opcodes, cost). It is the one
+        place that counts them. While two or more threads are live, each
         thread runs for the steps `policy.regrant` grants it; the last live
         thread runs alone, so the search's tails, which start with one, pass
         no policy. The picks of the last grant are never committed: `run`
@@ -881,9 +889,9 @@ class Machine:
         enabled set, so it stops where that many single steps would.
         """
         enabled = self.schedulable(budget)
-        threads, counts = self.threads, self.op_counts
+        threads, counts, cost = self.threads, self.code.op_counts.copy(), 0
         blocker, enter = self._blocker, _ENTER
-        steps, cost = self.steps, self.cost
+        steps = self.steps
         tid, start = 0, steps  # no grant yet, so nothing to commit
         shared = self.live > 1
         ask = policy.regrant if shared else None
@@ -897,15 +905,20 @@ class Machine:
             t = threads[tid - 1]
             while True:  # steps of `t` while the set stands
                 if t.status is REACQUIRE:  # takes its monitor back, and one step
-                    self.steps, self.cost = steps, cost
+                    fr = t.frames[-1]
+                    _, _, c, op, _ = fr.code[fr.idx]
+                    self.steps = steps
                     self.step(tid)
-                    steps, cost = self.steps, self.cost
+                    steps = self.steps
+                    cost += c
+                    if op is not None:
+                        counts[op] += 1
                 else:
                     fr = t.frames[-1]
                     handler, instr, c, op, r = fr.code[fr.idx]
                     while steps != until:
                         if r is not None and steps + r[1] <= stop:
-                            r[0](self, t, fr)
+                            r[0](self, t, fr, counts)
                             steps += r[1]
                             cost += r[2]
                         else:
@@ -938,8 +951,9 @@ class Machine:
                     if self.live == 1:  # the last live thread runs alone
                         shared, ask = False, None
                     break
-        self.steps, self.cost = steps, cost
+        self.steps = steps
         self.schedulable(budget)
+        return counts, cost
 
     # -- opcode handlers (see `_decode`) ---------------------------------
 
@@ -1047,20 +1061,20 @@ class Machine:
         fr.locals[i.dest] = Handle(i.fn)
 
     def _op_call(self, t, fr, i):
-        self._push(t, fr.locals, i.fn, i.args, i.dest)
+        self._push(t, fr.locals, i.fn, i.args)
 
     def _op_callvirtual(self, t, fr, i):
         o = self._deref(fr.locals[i.args[0]], "callvirtual", HObj)
         fname = self.code.vtable.get((o.cls, i.method))
         if fname is None:
             raise InterpreterError(f"callvirtual: {o.cls} has no method {i.method!r}")
-        self._push(t, fr.locals, fname, i.args, i.dest)
+        self._push(t, fr.locals, fname, i.args)
 
     def _op_callhandle(self, t, fr, i):
         h = fr.locals[i.args[0]]
         if not isinstance(h, Handle):
             raise InterpreterError("callhandle: not a handle")
-        self._push(t, fr.locals, h.fn, i.args[1:], i.dest)
+        self._push(t, fr.locals, h.fn, i.args[1:])
 
     def _op_output(self, t, fr, i):
         self.events.append(_int(fr.locals[i.args[0]], "output"))
@@ -1081,17 +1095,21 @@ class Machine:
             self.live -= 1
             if not self.live:
                 self.status = "terminated"
-        elif fr.ret_dest is not None:
-            if i.value is None:
-                raise InterpreterError(f"{fr.fn} returned no value to a destination")
-            t.frames[-1].locals[fr.ret_dest] = value
+        else:
+            caller = t.frames[-1]
+            dest = caller.code[caller.idx - 1][1].dest  # of the call (`_push`)
+            if dest is not None:
+                if i.value is None:
+                    raise InterpreterError(f"{fr.fn} returned no value to a destination")
+                caller.locals[dest] = value
 
     # -- cloning and canonicalization (used by the schedule enumerator) ----
 
     def clone(self) -> "Machine":
         """A copy to step on its own, sharing `code`. Its `events` start empty:
         the enumerator, the one caller, reads only what each edge emits, so
-        copying them would cost a list copy per search edge for nothing."""
+        copying them would cost a list copy per search edge for nothing. A
+        machine holds no op counts or cost to copy: `_drive` keeps those."""
         # attributes in `__init__`'s order, so that clones keep its key-sharing
         # instance dict (reading `__dict__` would give that up)
         m = Machine.__new__(Machine)
@@ -1100,13 +1118,12 @@ class Machine:
                   else HArr(list(h.elems), h.owner) for h in self.heap]
         m.monitors = {oid: Monitor(mon.owner, mon.count, list(mon.waitset))
                       for oid, mon in self.monitors.items()}
-        m.op_counts = self.op_counts.copy()
         m.threads = []
         for t in self.threads:
-            fs = [Frame(f.fn, f.block, f.code, dict(f.locals), f.ret_dest, f.idx) for f in t.frames]
+            fs = [Frame(f.fn, f.block, f.code, dict(f.locals), f.idx) for f in t.frames]
             m.threads.append(ThreadState(t.tid, fs, t.status, t.wait_obj, t.saved_count, t.permit))
         m.live, m.events = self.live, []
-        m.cost, m.steps, m.status, m.reason = self.cost, self.steps, self.status, self.reason
+        m.steps, m.status, m.reason = self.steps, self.status, self.reason
         return m
 
     def canon_key(self):
@@ -1119,8 +1136,10 @@ class Machine:
         position (`cfg.liveness`), in name order, with None for a live name
         not yet assigned (a caller's pending call destination), so states
         that differ only in dead values compare equal too. Emitted events,
-        op counts, cost, step counts and `status` (the search keys only
-        machines that have not stopped) are deliberately excluded.
+        step counts and `status` (the search keys only machines that have not
+        stopped) are deliberately excluded; a machine holds no op counts or
+        cost (`_drive` keeps them), and a frame's return destination is its
+        caller's call, which the caller's (fn, block, idx) already keys.
 
         Threads declared with the same function and the same literal args
         form a group (`_thread_groups`). A result names no thread, so a state
@@ -1173,7 +1192,7 @@ class Machine:
                 for k in live[f.fn][f.block][f.idx]:
                     v = get(k, _UNSET)
                     vals.append(v if type(v) is int else cv(v))
-                frames.append((f.fn, f.block, f.idx, f.ret_dest, tuple(vals)))
+                frames.append((f.fn, f.block, f.idx, tuple(vals)))
             return (t.status, None if t.wait_obj is None else cv(Ref(t.wait_obj)),
                     t.saved_count, t.permit, tuple(frames))
 
@@ -1335,10 +1354,10 @@ def run(program: Program, schedule: RoundRobin | Explicit | str = "rr:1",
         raise ValueError(f"schedule names thread {max(policy.seq)}, "
                          f"but the program has {len(program.threads)} thread(s)")
     m = Machine(program)
-    m._drive(budget, copy.copy(policy))
+    counts, cost = m._drive(budget, copy.copy(policy))
     trace = ResultTrace(tuple(m.events), m.status, m.reason)
-    metrics = MetricVector(refcycles=m.cost)
-    op_counts = Counter({op: n for op, n in m.op_counts.items() if n})
+    metrics = MetricVector(refcycles=cost)
+    op_counts = Counter({op: n for op, n in counts.items() if n})
     for op, n in op_counts.items():
         column = OPCODES[op].metric
         if column is not None:

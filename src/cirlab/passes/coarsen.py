@@ -64,6 +64,9 @@ def _coarsen_fn(f: Function, chunk: int, report: PassReport,
         if any(not defined.isdisjoint(i.uses()) for i in (*region, *tail, body.term)):
             report.skip(where, "body reads a header value")
             continue
+        if not isinstance(body.term, Br):  # the inner loop has no edge for a second exit
+            report.skip(where, "body has a second exit")
+            continue
 
         gen = NameGen.for_function(f)
         header = wl.header
@@ -84,7 +87,7 @@ def _coarsen_fn(f: Function, chunk: int, report: PassReport,
         rel_params = tuple(gen.fresh(f"{q}_r") for q in header.params)
 
         # values the body passes back to the header (the next loop state)
-        back_args = body.term.args if isinstance(body.term, Br) else ()
+        back_args = body.term.args
 
         new_header = Block(
             header.name, header.params, header.instrs,

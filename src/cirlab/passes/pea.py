@@ -200,10 +200,13 @@ class _FnPea:
         """Sweep transfer until block entry states converge; may raise _Conflict.
 
         Returns each reachable block's code from the converged sweep, whose
-        renames, counts and materialization points are the ones kept.
+        renames, counts and materialization points are the ones kept. The
+        sweeps end: `_merge` keeps only the allocations whose two states are
+        equal, or raises, so once assigned an entry state only loses
+        allocations.
         """
         entry: dict[str, dict] = {self.order[0]: {}}
-        for _ in range(2 * len(self.order) + 3):
+        while True:
             self.rename, self.matpoints, self.counts = {}, {}, Counter()
             code = {}
             changed = False
@@ -219,9 +222,6 @@ class _FnPea:
                         changed = True
             if not changed:
                 return code
-        # non-convergence: drop an arbitrary remaining allocation and retry
-        remaining = sorted(set(self.defblock) - self.blacklist)
-        raise _Conflict(remaining[0])
 
     def _merge(self, into: dict | None, frm: dict, mergeblock: str) -> dict:
         if into is None:

@@ -102,14 +102,26 @@ holds as written:
   outputs among them, run first, so they can push a failing guard, or a
   prefix, past the budget.
 
-Verdicts cannot change, since `check_refinement` compares only the
-`terminated` and `deadlock` traces, which a cut search keeps exactly.
-
 `check_refinement` decides whether a transformed program can only produce
 results the original could: every `terminated` or `deadlock` trace of the
-transformed program must appear in the original's set. Deopt and cut traces
-end early and are not compared yet; guard soundness is covered separately
-by the guard-implication property.
+transformed program must appear in the original's set. A `deopt` or
+`step-budget-exhausted` trace ended early, so only its events are checked:
+when the original's search is exhausted, they must be a prefix of some
+original trace's events, since an exhausted search gives every output
+sequence the original can emit. The deopt reason is not compared: a deopt
+hands control back to the unoptimized program, which must be able to go on
+from what was already emitted (Flückiger et al., *Correctness of
+speculative optimizations with dynamic deoptimization*, POPL 2018). When the
+original's search was cut, these traces stay uncompared: a transformed
+program that gets further before the budget cuts it would read as
+inconclusive for that alone.
+
+So a verdict never claims more than the unreduced search would: the
+`terminated` and `deadlock` traces, which a cut search keeps exactly, decide
+as they would there, and the prefix rule reads the original's traces only
+when its search is exhausted, where they are exactly the unreduced search's.
+A cut transformed search can miss a `deopt` or cut witness that the
+unreduced search finds, since its `deopt` and cut traces can be subsets.
 """
 
 from __future__ import annotations
@@ -305,13 +317,18 @@ def enumerate_results(
 class Verdict:
     """Outcome of a refinement check.
 
-    Only the transformed program's `terminated` and `deadlock` traces are
-    compared, each against the original's traces, exactly. kind is
-    "refines" (every such trace is the original's, proved under full
+    The transformed program's `terminated` and `deadlock` traces are
+    compared against the original's traces, exactly. Its `deopt` and
+    `step-budget-exhausted` traces are compared only when the original was
+    exhaustively enumerated: their events must be a prefix of some original
+    trace's events. kind is "refines" (every trace passes, proved under full
     enumeration of both), "bounded-ok" (no violation found, but one side was
-    not exhaustively enumerated), "violates" (witness holds such a trace the
-    fully enumerated original cannot produce), or "inconclusive" (witness
-    holds such a trace the original's partial enumeration did not produce).
+    not exhaustively enumerated), "violates" (witness is a trace the fully
+    enumerated original cannot produce, or a deopt or cut trace whose events
+    no original trace starts with), or "inconclusive" (witness is a
+    `terminated` or `deadlock` trace the original's partial enumeration did
+    not produce). The witness is the least failing trace in (events, status)
+    order, and its status says which rule it failed.
     """
 
     kind: str
@@ -331,15 +348,23 @@ def check_refinement(
     max_states: int = 2_000_000,
 ) -> Verdict:
     """Check that every `terminated` or `deadlock` result of `transformed` is
-    one of `original`'s: a pass that adds a deadlock is as unsound as one
-    that adds an output sequence."""
+    one of `original`'s, and, when the original is exhausted, that every
+    `deopt` or `step-budget-exhausted` result of `transformed` emitted a
+    prefix of an original result's events: a pass that adds a deadlock is as
+    unsound as one that adds an output sequence, before a deopt or not."""
     r_orig = enumerate_results(original, step_budget, max_states)
     r_new = enumerate_results(transformed, step_budget, max_states)
-    allowed = r_orig.traces
+    allowed, prefixes = r_orig.traces, None
     for t in sorted(r_new.traces, key=lambda t: (t.events, t.status)):
-        if t.status in ("terminated", "deadlock") and t not in allowed:
-            kind = "violates" if r_orig.exhausted else "inconclusive"
-            return Verdict(kind, t, r_orig, r_new)
+        if t.status in ("terminated", "deadlock"):
+            if t not in allowed:
+                kind = "violates" if r_orig.exhausted else "inconclusive"
+                return Verdict(kind, t, r_orig, r_new)
+        elif r_orig.exhausted:  # ended early: only its events are checked
+            if prefixes is None:  # built once, and only when such a trace is checked
+                prefixes = {o.events[:k] for o in allowed for k in range(len(o.events) + 1)}
+            if t.events not in prefixes:
+                return Verdict("violates", t, r_orig, r_new)
     if r_orig.exhausted and r_new.exhausted:
         return Verdict("refines", None, r_orig, r_new)
     return Verdict("bounded-ok", None, r_orig, r_new)

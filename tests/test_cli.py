@@ -161,6 +161,41 @@ def test_check_accepts_a_deadlock_the_original_can_reach(cir_file, capsys, trans
     assert json.loads(capsys.readouterr().out)["verdict"] == "refines"
 
 
+def main_fn(body: str) -> str:
+    return f"fn main() {{\ne:\n{body}  ret\n}}\nthread main()\n"
+
+
+OUTPUT_ONE = main_fn("  one = const 1\n  output one\n")
+
+
+# a deopt hands control back to the original, which must be able to go on
+# from what was emitted: 99 is no prefix of the original's [1]
+def test_check_reports_a_deopt_after_an_output_the_original_cannot_emit(cir_file, capsys):
+    deopts = cir_file("t.cir", main_fn("  v = const 99\n  output v\n"
+                                       "  f = const false\n  guard f, spec\n"))
+    assert main(["check", cir_file("o.cir", OUTPUT_ONE), deopts]) == 2
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["verdict"] == "violates"
+    assert verdict["witness"] == {"events": [99], "status": "deopt"}
+
+
+def test_check_accepts_a_deopt_before_any_output(cir_file, capsys):
+    hoisted = cir_file("t.cir", main_fn("  f = const false\n  guard f, spec\n"
+                                        "  v = const 99\n  output v\n"))
+    assert main(["check", cir_file("o.cir", OUTPUT_ONE), hoisted]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "refines"
+
+
+def test_check_reports_a_cut_trace_the_original_cannot_emit(cir_file, capsys):
+    forever = cir_file("t.cir", "fn main() {\ne:\n  br l()\nl():\n  two = const 2\n"
+                                "  output two\n  br l()\n}\nthread main()\n")
+    assert main(["check", cir_file("o.cir", OUTPUT_ONE), forever, "--budget", "50"]) == 2
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["verdict"] == "violates"
+    assert verdict["witness"]["status"] == "step-budget-exhausted"
+    assert verdict["original"]["exhausted"] and not verdict["transformed"]["exhausted"]
+
+
 def test_profile_emits_metric_columns(capsys, cir_file):
     f = cir_file("loop.cir", coarsen_loop(10))
     assert main(["profile", f]) == 0

@@ -289,3 +289,18 @@ def test_body_reading_a_header_value_is_skipped(old, new):
     assert report.rewrites == 0
     assert p2 == p
     assert report.skips == [("worker/loop", "body reads a header value")]
+
+
+# the inner loop's only way out of a trip is its release or the renamed
+# header, so a body that may also leave the loop has nowhere to go: the
+# rewrite branched to the release block without the loop state, and to the
+# inner loop's header without the chunk counter, and failed `validate`
+def test_body_with_a_second_exit_is_skipped():
+    text = corpus.coarsen_loop(6).replace(
+        "  br loop(i3)", "  d = binop lt, i3, iters\n  condbr d, loop(i3), done()")
+    p = parse(text)
+    assert validate(p) == [] and run(p).trace.events == (6,)
+    p2, report = run_pass(p, "lock_coarsen", PassOptions(chunk=2))
+    assert report.rewrites == 0
+    assert p2 == p
+    assert report.skips == [("worker/loop", "body has a second exit")]

@@ -673,10 +673,11 @@ def _observed(trace, steps, refcycles, op_counts, picks):
 def reference_run(program, spec: str, budget: int = DIFF_BUDGET):
     """(what `run` reports plus its picks, Counter of the explicit picks with two
     or more threads live that fell back because the wanted thread was blocked
-    or finished)."""
+    or finished). `Machine.step` counts only steps, so the op counts and cost
+    are those of the entry each step takes, counted here."""
     policy = parse_schedule(spec)
     m = Machine(program)
-    picks, fallbacks = [], Counter()
+    picks, fallbacks, counts, cost = [], Counter(), Counter(), 0
     try:
         while enabled := m.schedulable(budget):
             want = policy.seq[policy._ptr % len(policy.seq)] if isinstance(policy, Explicit) else 0
@@ -685,11 +686,18 @@ def reference_run(program, spec: str, budget: int = DIFF_BUDGET):
                 picks.append((tuple(enabled), choice))
                 if want and want not in enabled:
                     fallbacks["finished" if m.threads[want - 1].status is DONE else "blocked"] += 1
+            fr = m.threads[choice - 1].frames[-1]
+            instr = fr.code[fr.idx][1]
             m.step(choice)
+            if isinstance(instr, Instr):
+                counts[instr.op] += 1
+                cost += cost_model(instr)
+            else:  # a terminator costs 1 and counts no op
+                cost += 1
     except InterpreterError as e:
         return ("InterpreterError", str(e)), fallbacks
     trace = ResultTrace(tuple(m.events), m.status, m.reason)
-    return _observed(trace, m.steps, m.cost, m.op_counts, picks), fallbacks
+    return _observed(trace, m.steps, cost, counts, picks), fallbacks
 
 
 def fast_run(program, spec: str, budget: int = DIFF_BUDGET):
@@ -932,8 +940,7 @@ def test_a_run_or_a_search_derives_the_program_tables_once(monkeypatch):
     assert Machine(program).code is m.code  # one `_Code` per program
     # state only, in one order, so that clones share `__init__`'s instance dict keys
     assert list(vars(m)) == list(vars(clone)) == [
-        "code", "heap", "monitors", "op_counts", "threads", "live", "events", "cost", "steps",
-        "status", "reason"]
+        "code", "heap", "monitors", "threads", "live", "events", "steps", "status", "reason"]
     run(program, "rr:1")
     assert built == {"_decode": len(program.functions)}
     enumerate_results(program)

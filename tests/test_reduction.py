@@ -37,7 +37,7 @@ def full_key(m: Machine) -> bytes:
     """
     return pickle.dumps((
         [(t.status, t.wait_obj, t.saved_count, t.permit,
-          [(f.fn, f.block, f.idx, f.ret_dest, sorted(f.locals.items())) for f in t.frames])
+          [(f.fn, f.block, f.idx, sorted(f.locals.items())) for f in t.frames])
          for t in m.threads],
         [(h.cls, h.fields) if isinstance(h, HObj) else h.elems for h in m.heap],
         sorted((oid, mon.owner, mon.count, mon.waitset) for oid, mon in m.monitors.items()),

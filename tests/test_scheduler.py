@@ -1,5 +1,9 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,8 @@ from blocked_programs import WOKEN_ENTERS_HELD
 from callgraph_gen import gen_callgraph_program
 from test_fuzz import gen_program
 from test_reduction import reference
+
+ROOT = Path(__file__).resolve().parent.parent
 
 RACING_OUTPUTS = """
 fn t1() {
@@ -547,3 +553,14 @@ def test_a_cut_search_reuses_cut_states(text, budget, states, traces, digest):
 
 def test_a_search_with_cut_entries_keeps_the_cut_contract():
     assert not keeps_the_cut_contract(parse(gen_callgraph_program(3)), 400)
+
+
+def test_search_sweep_matches_its_golden_output():
+    # every search's states, memo hits, trace count and digest, and every
+    # pass output's verdict: a change that moves one edits
+    # `tests/data/search_sweep.txt` and says why each line moved
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "search_sweep.py")],
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                         capture_output=True, text=True, check=True).stdout
+    golden = (ROOT / "tests" / "data" / "search_sweep.txt").read_text()
+    assert out.splitlines() == golden.splitlines()

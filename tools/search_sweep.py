@@ -29,6 +29,10 @@ input and the witness. Run it against two checkouts and diff the outputs:
 
     PYTHONPATH=src python tools/search_sweep.py > after.txt
     PYTHONPATH=<other checkout>/src python tools/search_sweep.py > before.txt
+
+`tests/data/search_sweep.txt` holds its output, and
+`tests/test_scheduler.py` reruns it and compares the two line by line: a
+change that moves a line edits that file and says why the line moved.
 """
 
 import hashlib
