@@ -31,26 +31,27 @@ nothing again, and its code lives as long as it does. One loop,
 `Machine._drive`, steps the decoded code for `run` and for the enumerator's
 last-thread tail. It asks `Machine.schedulable`, the stop rule of `run` and
 of the enumerator, twice: for the enabled set at the start, and to set the
-status at the end. It asks the schedule only while two or more threads are
-live; the last one runs alone. It asks for a grant, not a pick, so a thread
-that keeps the schedule's choice costs one question per run of steps, not
-one per step. A schedule policy is any object with one method,
-`regrant(tid, k, enabled)`: it commits the k picks of thread `tid` that its
-last grant allowed (k = 0 commits nothing), then returns the grant for
-`enabled`, (tid, n), which says that its next n picks, one per step, are all
-tid. `enabled` is sorted, as `schedulable` gives it. `RoundRobin` and
-`Explicit` grant the longest such run, `UNBOUNDED` when one thread is
-enabled. The loop keeps the enabled set and recomputes it only after a step
-that could change it: a `monitorenter`, `monitorexit`, `wait`, `notify`,
-`notifyall` or `unpark` while another thread is live, a reacquire, and a
-step after which the stepping thread is not `RUN` or its next `monitorenter`
-is blocked. Any other step changes no monitor and no other thread's status,
-so every thread stays as enabled as it was. So a thread that comes to a
-blocked `monitorenter` just leaves the set, and after the other steps the
-recompute asks `Machine._blocker` only of the threads that are not `RUN` or
-are about to enter a monitor, since every other thread is enabled. A set
-that changed gets a new grant; a grant goes on across a monitor op that
-leaves the set as it was.
+status at the end: it alone sets `terminated`, `deadlock` and the budget
+status, and only a guard's deopt sets one inside a step. It asks the
+schedule only while two or more threads are live; the last one runs alone.
+It asks for a grant, not a pick, so a thread that keeps the schedule's
+choice costs one question per run of steps, not one per step. A schedule
+policy is any object with one method, `regrant(tid, k, enabled)`: it commits
+the k picks of thread `tid` that its last grant allowed (k = 0 commits
+nothing), then returns the grant for `enabled`, (tid, n), which says that
+its next n picks, one per step, are all tid. `enabled` is sorted, as
+`schedulable` gives it. `RoundRobin` and `Explicit` grant the longest such
+run, `UNBOUNDED` when one thread is enabled. The loop keeps the enabled set
+and recomputes it only after a step that could change it: a `monitorenter`,
+`monitorexit`, `wait`, `notify`, `notifyall` or `unpark` while another
+thread is live, a reacquire, and a step after which the stepping thread is
+not `RUN` or its next `monitorenter` is blocked. Any other step changes no
+monitor and no other thread's status, so every thread stays as enabled as it
+was. So a thread that comes to a blocked `monitorenter` just leaves the set,
+and after the other steps the recompute asks `Machine._blocker` only of the
+threads that are not `RUN` or are about to enter a monitor, since every
+other thread is enabled. A set that changed gets a new grant; a grant goes
+on across a monitor op that leaves the set as it was.
 
 Inside natural loops the code is generated (superoperators: Proebsting,
 POPL 1995; Ertl & Gregg, JILP 2003). `_decode` turns each stretch of
@@ -238,16 +239,18 @@ _CELL_OPS = frozenset({"getfield", "putfield", "cas", "arrayload", "arraystore"}
 #: opcodes of `_CELL_OPS` that index an array; the rest name a field
 _ARRAY_OPS = frozenset({"arrayload", "arraystore"})
 
-#: look-ahead labels (see `_reach_table`) besides the field accesses ("r", field)
-#: and ("w", field): an array read or write, an output, a guard, and an unknown callee
-AR, AW, OUT, STOP, TOP = "ar", "aw", "out", "stop", "top"
+#: the places besides fields: every array element, and the trace, which an
+#: output extends and a guard's deopt ends; neither is an identifier, as a
+#: field's name is. TOP labels an unknown callee, which may access any place
+ARRAY, TRACE, TOP = "[]", "<trace>", "top"
 
-_OP_LABELS = {"arrayload": (AR,), "arraystore": (AW,), "vbinop": (AR, AW), "output": (OUT,),
-              "guard": (STOP,), "callvirtual": (TOP,), "callhandle": (TOP,)}
-
-#: the labels another thread's reach must not hold for a step on a shared cell,
-#: or an output, to count as local (see `Machine.next_is_local`)
-_CONFLICTS = {"arrayload": (AW, TOP), "arraystore": (AR, AW, TOP), "output": (OUT, STOP, TOP)}
+#: each op's access to shared state, the one source of the look-ahead labels
+#: (`_labels`) and the conflict sets (`_conflicts`): it reads ("r"), writes ("w")
+#: or both ("rw") one place, None for the field the instruction names, or TOP
+_ACCESS = {"getfield": ("r", None), "putfield": ("w", None), "cas": ("rw", None),
+           "arrayload": ("r", ARRAY), "arraystore": ("w", ARRAY), "vbinop": ("rw", ARRAY),
+           "output": ("w", TRACE), "guard": ("w", TRACE),
+           "callvirtual": (TOP, None), "callhandle": (TOP, None)}
 
 #: opcodes whose step can change whether another thread is enabled: they take,
 #: free or hand over a monitor, or wake a waiting or parked thread
@@ -499,15 +502,23 @@ def _decode(f: Function) -> dict[str, list[tuple]]:
     return code
 
 
-def _labels(i: Instr) -> tuple:
-    """The look-ahead labels of `i` itself; a `call` adds its callee's."""
-    if i.op == "getfield":
-        return (("r", i.field),)
-    if i.op == "putfield":
-        return (("w", i.field),)
-    if i.op == "cas":
-        return (("r", i.field), ("w", i.field))
-    return _OP_LABELS.get(i.op, ())
+@lru_cache(maxsize=None)
+def _labels(op: str, field: str | None) -> tuple:
+    """The look-ahead labels of an `op` on `field` itself: (mode, place) for
+    each mode of its `_ACCESS`, or TOP; a `call` adds its callee's. Equal
+    labels are one object."""
+    mode, place = _ACCESS.get(op, ("", None))
+    return (TOP,) if mode is TOP else tuple((m, place or field) for m in mode)
+
+
+@lru_cache(maxsize=None)
+def _conflicts(op: str, field: str | None) -> frozenset:
+    """The labels the step of an `op` on `field`, an output or a cell op,
+    conflicts with, by the one rule: a write of any place it accesses, a read
+    of any place it writes, and TOP. One set per (op, field)."""
+    labels = _labels(op, field)
+    return frozenset([TOP, *[("w", p) for _, p in labels],
+                      *[("r", p) for m, p in labels if m == "w"]])
 
 
 def _reach_table(fns: dict[str, Function]) -> dict[str, dict[str, list[frozenset]]]:
@@ -525,7 +536,7 @@ def _reach_table(fns: dict[str, Function]) -> dict[str, dict[str, list[frozenset
     own, edges = {}, {}  # (fn, block) -> its labels; -> callee entry and successor keys
     for name, f in fns.items():
         for b in f.blocks:
-            own[name, b.name] = {x for i in b.instrs for x in _labels(i)}
+            own[name, b.name] = {x for i in b.instrs for x in _labels(i.op, i.field)}
             edges[name, b.name] = ([entry_key[i.fn] for i in b.instrs if i.op == "call"]
                                    + [(name, t) for t in b.term.targets()])
     entry = {key: frozenset(own[key].union(*[own[k] for k in reached]))
@@ -538,7 +549,7 @@ def _reach_table(fns: dict[str, Function]) -> dict[str, dict[str, list[frozenset
             acc = frozenset().union(*[entry[name, t] for t in b.term.targets()])
             points = [interned.setdefault(acc, acc)]
             for i in reversed(b.instrs):
-                extra = set(_labels(i))
+                extra = set(_labels(i.op, i.field))
                 if i.op == "call":
                     extra |= entry[entry_key[i.fn]]
                 if not extra <= acc:
@@ -758,10 +769,10 @@ class Machine:
     def schedulable(self, budget: int) -> list[int]:
         """The threads that may step next, or [] once the run has stopped.
 
-        The stop rule of `run` and of the schedule enumerator: a machine
-        stops when it is already terminal, when no thread is enabled
-        (`deadlock`, or `terminated` once none is live), or when it has run
-        `budget` steps (`step-budget-exhausted`); [] sets `status`.
+        The stop rule of `run` and of the schedule enumerator: a machine stops
+        when it is already terminal, when no thread is enabled (`deadlock`, or
+        `terminated` once none is live), or when it has run `budget` steps
+        (`step-budget-exhausted`); [] sets `status`, and no step sets these.
         """
         if self.status is not None:
             return []
@@ -782,20 +793,16 @@ class Machine:
 
         - a `getfield`, `putfield`, `cas`, `arrayload` or `arraystore` on a
           cell whose `owner` is `tid`;
-        - the same on a shared cell, when no frame of another thread may
-          still make a conflicting access (`_reached`): a `getfield` of f
-          conflicts with a write of f, a `putfield` or `cas` of f with a read
-          or write of f, an `arrayload` with an array write, an `arraystore`
-          with an array read or write;
-        - an `output`, when no other thread may still output or run a
-          `guard`, whose deopt would end the trace without it.
+        - the same on a shared cell, or an `output`, when no frame of another
+          thread may still produce a label of its conflict set (`_reached`).
 
         "Still" means before `tid` steps again: a thread whose `_blocker` is
         `tid` cannot step before then, so `_reached` leaves its frames out.
 
-        An unknown callee (`callvirtual`, `callhandle`) conflicts with all of
-        them; the `scheduler` docstring tabulates these conflict sets. Whether
-        a cell op raises is `_cell`'s one rule, which its handler steps
+        The conflict set follows from the op's access (`_ACCESS`) by one
+        rule (`_conflicts`); a `guard` writes the trace, as an output does,
+        since its deopt would end the trace without the output. Whether a
+        cell op raises is `_cell`'s one rule, which its handler steps
         through too: the step's cell, or its fault. An `output` cannot raise
         when its value is an int. A `binop` counts as pure even where it may
         divide by zero: a fault raises out of the whole search, and making it
@@ -823,25 +830,20 @@ class Machine:
             return handler is not Machine._op_ret or len(t.frames) > 1
         if op in _LOCAL_OPS:
             return True
-        env = fr.locals
         if op == "output":
-            return type(env.get(instr.args[0])) is int and not self._reached(tid, _CONFLICTS[op])
-        if op not in _CELL_OPS:
-            return False
-        try:
-            h, _, key = self._cell(env, instr)
-        except InterpreterError:
-            return False  # the step raises it
-        if h.owner == tid:
-            return True
-        if op in _ARRAY_OPS:
-            conflict = _CONFLICTS[op]
+            if type(fr.locals.get(instr.args[0])) is not int:
+                return False
+        elif op in _CELL_OPS:
+            try:
+                if self._cell(fr.locals, instr)[0].owner == tid:
+                    return True
+            except InterpreterError:
+                return False  # the step raises it
         else:
-            write = ("w", key)
-            conflict = (write, TOP) if op == "getfield" else (("r", key), write, TOP)
-        return not self._reached(tid, conflict)
+            return False
+        return not self._reached(tid, _conflicts(op, instr.field))
 
-    def _reached(self, tid: int, conflict: tuple) -> bool:
+    def _reached(self, tid: int, conflict: frozenset) -> bool:
         """True iff a frame of another thread may still produce a label in
         `conflict` before `tid` steps again: a thread whose `_blocker` is
         `tid` is out of reach.
@@ -1093,8 +1095,6 @@ class Machine:
         if not t.frames:
             t.status = DONE
             self.live -= 1
-            if not self.live:
-                self.status = "terminated"
         else:
             caller = t.frames[-1]
             dest = caller.code[caller.idx - 1][1].dest  # of the call (`_push`)

@@ -203,7 +203,8 @@ class _FnPea:
         renames, counts and materialization points are the ones kept. The
         sweeps end: `_merge` keeps only the allocations whose two states are
         equal, or raises, so once assigned an entry state only loses
-        allocations.
+        allocations. Reverse postorder puts a block after its depth-first
+        parent, so a sweep assigns its entry state before it reaches it.
         """
         entry: dict[str, dict] = {self.order[0]: {}}
         while True:
@@ -211,8 +212,6 @@ class _FnPea:
             code = {}
             changed = False
             for bname in self.order:
-                if bname not in entry:
-                    continue
                 st = _copy_state(entry[bname])
                 code[bname] = self.transfer(bname, st)
                 for succ in self.bmap[bname].term.targets():

@@ -57,26 +57,26 @@ set of its state, so two states that differ only in ownership may share one.
 
 The look-ahead is the stubborn-set condition with a static reach (Valmari,
 *Stubborn sets for reduced state space generation*, LNCS 483, 1990;
-Godefroid, ch. 4). A table (`interp._reach_table`) gives for each
-(function, block, index) the labels a frame there may still produce,
-callees included: ("r", f) and ("w", f) for reads and writes of field f
-(`cas` both), `ar` and `aw` for array reads and writes (`vbinop` both),
-`out` for `output`, `stop` for `guard`, and `top` for `callvirtual` and
-`callhandle`, whose callee is unknown. A step on a shared cell, or an
-output, is local when no frame of another live thread reaches a label of
-its conflict set; a thread that cannot step before the stepping thread does
-is left out (`Machine._blocker` states when):
+Godefroid, ch. 4). Each op reads ("r"), writes ("w") or both ("rw") one
+place (`interp._ACCESS`), or is `top`, an unknown callee:
 
-    getfield f                 {("w", f), top}
-    putfield f, cas f          {("r", f), ("w", f), top}
-    arrayload                  {aw, top}
-    arraystore                 {ar, aw, top}
-    output                     {out, stop, top}
+    getfield f, putfield f, cas f      r, w, rw of field f
+    arrayload, arraystore, vbinop      r, w, rw of "[]", every array element
+    output, guard                      w of "<trace>", which a deopt ends
+    callvirtual, callhandle            top
 
-An output conflicts with a guard because a deopt ends the trace: run first,
-the output would hide the trace that deopts before it. A cell op or output
-that may raise is never local (see `Machine.next_is_local`); for a cell op,
-`Machine._cell`, which its handler steps through too, is the one rule.
+No field can be named "[]" or "<trace>". A table (`interp._reach_table`)
+gives for each (function, block, index) the labels a frame there may still
+produce, callees included: ("r", p) and ("w", p) per access of place p, and
+`top`. A step conflicts with a write of any place it accesses, a read of
+any place it writes, and `top` (`interp._conflicts`). A step on a shared
+cell, or an output, is local when no frame of another live thread reaches a
+label of its conflict set; a thread that cannot step before the stepping
+thread does is left out (`Machine._blocker` states when). So an output
+conflicts with a guard: run first, it would hide the trace that deopts
+before it. A cell op or output that may raise is never local (see
+`Machine.next_is_local`); for a cell op, `Machine._cell`, which its handler
+steps through too, is the one rule.
 
 An edge is one call of `_Explorer.explore`: it steps its thread, runs on,
 then prefixes. It runs on through all the local steps that follow, of any

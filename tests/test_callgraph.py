@@ -41,9 +41,11 @@ def dfs_reach(edges: dict, n) -> set:
     return seen
 
 
-#: the look-ahead labels of an opcode besides field reads and writes
-OP_LABELS = {"arrayload": {"ar"}, "arraystore": {"aw"}, "vbinop": {"ar", "aw"},
-             "output": {"out"}, "guard": {"stop"}, "callvirtual": {"top"}, "callhandle": {"top"}}
+#: the look-ahead labels of an opcode besides field reads and writes: reads and
+#: writes of every array element ("[]") and of the trace ("<trace>"), and "top"
+OP_LABELS = {"arrayload": {("r", "[]")}, "arraystore": {("w", "[]")},
+             "vbinop": {("r", "[]"), ("w", "[]")}, "output": {("w", "<trace>")},
+             "guard": {("w", "<trace>")}, "callvirtual": {"top"}, "callhandle": {"top"}}
 
 
 def dfs_labels(p: Program, fn: str, block: str, idx: int) -> set:

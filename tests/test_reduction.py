@@ -13,6 +13,7 @@ that lets steps on thread-local heap cells count as local.
 """
 
 import pickle
+import re
 import sys
 
 import pytest
@@ -863,6 +864,67 @@ def test_the_look_ahead_calls_a_cell_op_local_only_where_its_step_does_not_raise
         assert not valid
     else:
         assert valid
+
+
+#: the labels each step conflicts with, written out per op in a spelling of
+#: their own, independent of `interp._ACCESS` and its rule: `{f}` is the step's
+#: field, `ar`/`aw` an array read/write, `out` an output and `stop` a guard
+CONFLICT_TABLE = {"getfield": {"w.{f}", "top"}, "putfield": {"r.{f}", "w.{f}", "top"},
+                  "cas": {"r.{f}", "w.{f}", "top"}, "arrayload": {"aw", "top"},
+                  "arraystore": {"ar", "aw", "top"}, "output": {"out", "stop", "top"}}
+
+#: each op's own labels in the same spelling; a `call` has none of its own
+LABEL_TABLE = {"getfield": {"r.{f}"}, "putfield": {"w.{f}"}, "cas": {"r.{f}", "w.{f}"},
+               "arrayload": {"ar"}, "arraystore": {"aw"}, "vbinop": {"ar", "aw"},
+               "output": {"out"}, "guard": {"stop"}, "callvirtual": {"top"},
+               "callhandle": {"top"}, "call": set()}
+
+#: fields named like a label or a place, so that a name never makes a conflict
+LABEL_FIELDS = ("f", "g", "out", "top", "stop", "ar", "aw", "trace", "array")
+
+
+def _accesses(ops) -> list[tuple[str, str | None]]:
+    """(op, field) for each op of `ops`, one per field of `LABEL_FIELDS` for a
+    field op."""
+    return [(op, f) for op in ops
+            for f in (LABEL_FIELDS if op in ("getfield", "putfield", "cas") else (None,))]
+
+
+def test_the_conflict_rule_matches_an_independent_table():
+    for place in (interp.ARRAY, interp.TRACE):  # no field can be named so
+        assert re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", place) is None, place
+    for a, f in _accesses(CONFLICT_TABLE):
+        conflicts = {x.format(f=f) for x in CONFLICT_TABLE[a]}
+        for b, g in _accesses(LABEL_TABLE):
+            want = not conflicts.isdisjoint(x.format(f=g) for x in LABEL_TABLE[b])
+            got = not interp._conflicts(a, f).isdisjoint(interp._labels(b, g))
+            assert got == want, (a, f, b, g)
+
+
+OUT_FIELD = """
+class G { fields out; }
+fn reader() {
+e:
+  g = classref G
+  v = getfield g, out
+  ret
+}
+fn writer() {
+e:
+  one = const 1
+  output one
+  ret
+}
+thread reader()
+thread writer()
+"""
+
+
+def test_a_field_named_out_does_not_conflict_with_an_output():
+    m = Machine(parse(OUT_FIELD))
+    m.step(1)
+    m.step(2)
+    assert m.next_is_local(1) and m.next_is_local(2)
 
 
 def _reach_violations(m: Machine) -> list[tuple[str, int, int]]:

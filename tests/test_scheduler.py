@@ -564,3 +564,18 @@ def test_search_sweep_matches_its_golden_output():
                          capture_output=True, text=True, check=True).stdout
     golden = (ROOT / "tests" / "data" / "search_sweep.txt").read_text()
     assert out.splitlines() == golden.splitlines()
+
+
+#: the SHA-256 of `tools/pass_sweep.py`'s output (10,208 lines, too big to
+#: commit): a change that moves a line updates it and says why the line moved
+PASS_SWEEP_SHA256 = "c04814816bfa541a72a769a20e30ea437116dbbf9d44dfb4911056d2a1412d32"
+
+
+def test_pass_sweep_matches_its_golden_digest():
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "pass_sweep.py")],
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                         capture_output=True, check=True).stdout
+    digest = hashlib.sha256(out).hexdigest()
+    assert digest == PASS_SWEEP_SHA256, (
+        "tools/pass_sweep.py output moved: diff it against the parent commit's output "
+        "(PYTHONPATH=<checkout>/src python tools/pass_sweep.py) and explain each moved line")
